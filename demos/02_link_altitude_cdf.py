@@ -41,9 +41,9 @@ for name, shell in SHELLS.items():
           f"at {shell.altitude_km:.0f} km / {shell.inclination_deg} deg")
     print(f"  link minima span {per_link.points[0][0]:8.1f} .. {per_link.points[-1][0]:8.1f} km")
     print(f"  fraction of per-link minima below 80 km: "
-          f"{lf.infeasible_fraction(per_link, 80.0):.3f}")
+          f"{per_link.proportion_below(80.0):.3f}")
     print(f"  fraction of per-step samples below 80 km: "
-          f"{lf.infeasible_fraction(per_step, 80.0):.3f}")
+          f"{per_step.proportion_below(80.0):.3f}")
     print(f"  csv written to {OUT}/{name}_*.csv")
     print()
 

@@ -51,9 +51,7 @@ from .topology import (
     IslLink,
     VisibilityWindow,
     grid_edges,
-    grid_neighbors,
     handover_schedule,
-    link_snapshot,
     visibility_windows,
 )
 from .faults import (
@@ -62,10 +60,10 @@ from .faults import (
     ManeuverEvent,
     RandomStreams,
     TidReport,
-    active_altitude_offset,
     default_dose_profile,
     dose_rate,
     expected_seu_count,
+    offsets_at,
     rain_events,
     rain_multiplier,
     read_precipitation_csv,
@@ -90,7 +88,6 @@ from .trace import (
 from .stats import (
     CdfTable,
     bent_pipe_rtt,
-    infeasible_fraction,
     min_isl_altitude_cdf,
     read_cdf_csv,
     write_cdf_csv,

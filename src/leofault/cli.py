@@ -20,7 +20,7 @@ import warnings
 from typing import List, Optional
 
 from .constants import EARTH_RADIUS_KM
-from .faults import default_dose_profile, tid_survival
+from .faults import default_dose_profile, expected_seu_count, tid_survival
 from .geometry import propagation_delay, slant_range_km
 from .simulation import (
     ConfigError,
@@ -85,7 +85,7 @@ def _cmd_seu(args) -> int:
     ):
         if value < 0:
             raise ConfigError(f"{name} must be >= 0, got {value}")
-    print(_fmt(args.rate * args.devices * args.satellites * args.days))
+    print(_fmt(expected_seu_count(args.rate, args.devices, args.satellites, args.days)))
     return 0
 
 

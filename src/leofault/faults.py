@@ -370,25 +370,14 @@ def sample_maneuvers(
     return events
 
 
-def active_altitude_offset(
-    events: Sequence[ManeuverEvent], sat: SatelliteId, t_s: float
-) -> float:
-    """Net altitude offset of a satellite at time t_s, clamped to +-10 km.
+def offsets_at(events: Sequence[ManeuverEvent], t_s: float) -> Dict[SatelliteId, float]:
+    """Net altitude offsets at t_s of the satellites that fly off nominal.
 
     Offsets of maneuvers whose [start, start+dwell) interval contains t_s
-    are summed; overlapping maneuvers stack up to the clamp.
+    are summed per satellite; overlapping maneuvers stack up to the
+    +-10 km clamp. Events must be sorted by start time. Satellites with
+    no active maneuver, or whose offsets cancel, are absent.
     """
-    total = 0.0
-    for event in events:
-        if event.start_s > t_s:
-            break
-        if event.sat == sat and event.start_s <= t_s < event.end_s:
-            total += event.dh_km
-    return float(np.clip(total, -MAX_TOTAL_OFFSET_KM, MAX_TOTAL_OFFSET_KM))
-
-
-def offsets_at(events: Sequence[ManeuverEvent], t_s: float) -> Dict[SatelliteId, float]:
-    """Net offsets of all satellites with an active maneuver at t_s."""
     totals: Dict[SatelliteId, float] = {}
     for event in events:
         if event.start_s > t_s:

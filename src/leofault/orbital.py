@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Sequence
+from typing import Dict, List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -162,6 +162,54 @@ def propagate_arrays(
     y = r_km * (cos_u * sin_o + sin_u * cos_i * cos_o)
     z = r_km * (sin_u * sin_i)
     return np.stack([x, y, z], axis=-1)
+
+
+@dataclass(frozen=True)
+class FleetArrays:
+    """A constellation as one struct of arrays, satellites in id order."""
+
+    sat_ids: List[SatelliteId]
+    a_km: np.ndarray
+    inclination_rad: np.ndarray
+    raan_rad: np.ndarray
+    phase_rad: np.ndarray
+    epoch_s: np.ndarray
+
+    @classmethod
+    def from_constellation(cls, constellation: Constellation) -> "FleetArrays":
+        sat_ids = sorted(constellation)
+        elements = [constellation[s] for s in sat_ids]
+        return cls(
+            sat_ids=sat_ids,
+            a_km=np.array([e.semi_major_axis_km for e in elements]),
+            inclination_rad=np.radians([e.inclination_deg for e in elements]),
+            raan_rad=np.radians([e.raan_deg for e in elements]),
+            phase_rad=np.radians([e.phase_deg for e in elements]),
+            epoch_s=np.array([e.epoch_s for e in elements]),
+        )
+
+    def propagate(self, t_s: float, offset_km: np.ndarray | float = 0.0) -> np.ndarray:
+        """Positions of every satellite at t_s, shape (N, 3), km."""
+        return propagate_arrays(
+            self.a_km, self.inclination_rad, self.raan_rad, self.phase_rad, self.epoch_s,
+            t_s, offset_km,
+        )
+
+
+def time_grid(t0_s: float, t1_s: float, step_s: float) -> np.ndarray:
+    """Sample times t0, t0+step, ... of a scan over the window [t0, t1].
+
+    Grid points run up to t1 + step/2 and a last point beyond t1 is moved
+    back to t1, so t1 is sampled when it falls on the grid or lies more
+    than half a step past the grid point before it.
+    """
+    if not t1_s > t0_s:
+        raise ValueError("t1_s must be greater than t0_s")
+    if not step_s > 0.0:
+        raise ValueError("step_s must be positive")
+    times = np.arange(t0_s, t1_s + step_s / 2.0, step_s)
+    times[-1] = min(float(times[-1]), t1_s)
+    return times
 
 
 def propagate(

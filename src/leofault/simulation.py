@@ -27,15 +27,14 @@ from .faults import (
     ManeuverEvent,
     RandomStreams,
     expected_seu_count,
-    offsets_at,
     rain_events,
     read_precipitation_csv,
     sample_handover_spikes,
     sample_maneuvers,
     sample_seu_events,
 )
-from .geometry import GroundStation
-from .orbital import Constellation, SatelliteId, ShellSpec, build_constellation
+from .geometry import GroundStation, is_isl_viable
+from .orbital import Constellation, SatelliteId, ShellSpec, build_constellation, time_grid
 from .tle import read_tle_file, tle_to_elements
 from .topology import GridTopology
 from .trace import FaultEvent, IslTarget, SatelliteTarget, merge_traces, write_trace
@@ -234,18 +233,13 @@ def _isl_transition_trace(
     (link, step) samples below the threshold."""
     if topo.n_edges == 0:
         return [], 0.0
-    times = np.arange(0.0, config.duration_s + config.step_s / 2.0, config.step_s)
-    times[-1] = min(float(times[-1]), config.duration_s)
+    times = time_grid(0.0, config.duration_s, config.step_s)
     events: List[FaultEvent] = []
     previous: Optional[np.ndarray] = None
     infeasible_samples = 0
-    total_samples = 0
-    for t in times:
-        t = float(t)
-        grazing, _ = topo.grazing(t, offsets_at(maneuvers, t))
-        viable = grazing >= config.isl_threshold_km
+    for t, grazing in topo.scan(times, maneuvers):
+        viable = is_isl_viable(grazing, config.isl_threshold_km)
         infeasible_samples += int(np.sum(~viable))
-        total_samples += viable.size
         if previous is not None:
             for idx in np.nonzero(viable != previous)[0]:
                 a, b = topo.edge_ids[idx]
@@ -255,13 +249,13 @@ def _isl_transition_trace(
                 )
         previous = viable
     events.sort(key=lambda e: e.sort_key)
-    return events, infeasible_samples / total_samples if total_samples else 0.0
+    return events, infeasible_samples / (len(times) * topo.n_edges)
 
 
 def run_simulation(config: SimulationConfig, trace_path) -> dict:
     """Run every fault model and write the merged trace; returns the summary."""
-    constellation = build_fleet(config)
-    fleet = sorted(constellation)
+    topo = GridTopology(build_fleet(config), config.earth_radius_km)
+    fleet = topo.sat_ids
     streams = RandomStreams(config.seed)
     duration = config.duration_s
 
@@ -278,7 +272,6 @@ def run_simulation(config: SimulationConfig, trace_path) -> dict:
         series = [(0.0, config.precipitation_mm_h)]
         rain = rain_events(config.faults, gs_ids, series, 0.0, duration)
 
-    topo = GridTopology(constellation, config.earth_radius_km)
     isl, infeasible_fraction = _isl_transition_trace(topo, maneuvers, config)
 
     events = merge_traces([seu, _maneuver_trace(maneuvers, duration), spikes, rain, isl])

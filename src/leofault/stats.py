@@ -17,7 +17,7 @@ import numpy as np
 
 from .constants import EARTH_RADIUS_KM
 from .geometry import GroundStation, elevation_angle, ground_station_eci, propagation_delay
-from .orbital import Constellation
+from .orbital import Constellation, time_grid
 from .topology import GridTopology
 
 
@@ -86,33 +86,17 @@ def min_isl_altitude_cdf(
     pair contributes one sample. The window is sampled at t0, t0+step,
     ..., including t1 when it falls on the grid.
     """
-    if t1_s <= t0_s:
-        raise ValueError("t1_s must be greater than t0_s")
-    if step_s <= 0.0:
-        raise ValueError("step_s must be positive")
+    times = time_grid(t0_s, t1_s, step_s)
     topo = GridTopology(constellation, earth_radius_km)
     if topo.n_edges == 0:
         return CdfTable(points=())
-    times = np.arange(t0_s, t1_s + step_s / 2.0, step_s)
-    times[-1] = min(float(times[-1]), t1_s)
     if per_link_min:
-        minima = np.full(topo.n_edges, np.inf)
-        for t in times:
-            grazing, _ = topo.grazing(float(t))
-            np.minimum(minima, grazing, out=minima)
-        samples = minima
+        samples = np.full(topo.n_edges, np.inf)
+        for _, grazing in topo.scan(times):
+            np.minimum(samples, grazing, out=samples)
     else:
-        chunks = []
-        for t in times:
-            grazing, _ = topo.grazing(float(t))
-            chunks.append(grazing)
-        samples = np.concatenate(chunks)
+        samples = np.concatenate([grazing for _, grazing in topo.scan(times)])
     return CdfTable.from_samples(samples)
-
-
-def infeasible_fraction(cdf: CdfTable, threshold_km: float) -> float:
-    """Proportion of CDF samples strictly below the viability threshold."""
-    return cdf.proportion_below(threshold_km)
 
 
 def bent_pipe_rtt(

@@ -6,7 +6,9 @@ graph per shell (2*P*S undirected edges). Shells too small for the grid
 (fewer than 3 planes or 3 satellites per plane) carry no links.
 
 Link state is evaluated per timestep from propagated positions: grazing
-altitude, segment length, and viability against a threshold. Ground
+altitude, segment length, and viability against a threshold. A scan
+evaluates it over a time grid with the maneuver offsets active at each
+step; simulate and the ISL altitude CDF both read link state that way. Ground
 visibility windows and a highest-elevation handover schedule are derived
 by time sampling with bisection-refined window edges.
 """
@@ -14,7 +16,7 @@ by time sampling with bisection-refined window edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,13 +27,16 @@ from .geometry import (
     elevation_angle,
     grazing_altitude,
     ground_station_eci,
+    is_isl_viable,
 )
+from .faults import ManeuverEvent, offsets_at
 from .orbital import (
     CircularElements,
     Constellation,
+    FleetArrays,
     SatelliteId,
     propagate,
-    propagate_arrays,
+    time_grid,
 )
 
 INTRA_PLANE = "intra_plane"
@@ -61,25 +66,6 @@ class VisibilityWindow:
     max_elevation_deg: float
 
 
-def grid_neighbors(
-    plane: int, index: int, planes: int, sats_per_plane: int
-) -> Set[Tuple[int, int]]:
-    """The four +GRID neighbor coordinates of satellite (plane, index)."""
-    if planes < 3 or sats_per_plane < 3:
-        raise ValueError(
-            f"+GRID needs at least 3 planes and 3 satellites per plane, "
-            f"got {planes}x{sats_per_plane}"
-        )
-    if not (0 <= plane < planes and 0 <= index < sats_per_plane):
-        raise ValueError(f"satellite ({plane}, {index}) outside {planes}x{sats_per_plane} grid")
-    return {
-        (plane, (index + 1) % sats_per_plane),
-        (plane, (index - 1) % sats_per_plane),
-        ((plane + 1) % planes, index),
-        ((plane - 1) % planes, index),
-    }
-
-
 def grid_edges(planes: int, sats_per_plane: int) -> List[Tuple[Tuple[int, int], Tuple[int, int], str]]:
     """Deduplicated +GRID edge list: ((plane, index), (plane, index), kind)."""
     if planes < 3 or sats_per_plane < 3:
@@ -105,14 +91,9 @@ class GridTopology:
 
     def __init__(self, constellation: Constellation, earth_radius_km: float = EARTH_RADIUS_KM):
         self.earth_radius_km = earth_radius_km
-        self.sat_ids: List[SatelliteId] = sorted(constellation)
-        index_of = {sat: i for i, sat in enumerate(self.sat_ids)}
-
-        self._a_km = np.array([constellation[s].semi_major_axis_km for s in self.sat_ids])
-        self._inc = np.radians([constellation[s].inclination_deg for s in self.sat_ids])
-        self._raan = np.radians([constellation[s].raan_deg for s in self.sat_ids])
-        self._phase = np.radians([constellation[s].phase_deg for s in self.sat_ids])
-        self._epoch = np.array([constellation[s].epoch_s for s in self.sat_ids])
+        self._fleet = FleetArrays.from_constellation(constellation)
+        self.sat_ids: List[SatelliteId] = self._fleet.sat_ids
+        self._index_of = {sat: i for i, sat in enumerate(self.sat_ids)}
 
         shells: Dict[int, List[SatelliteId]] = {}
         for sat in self.sat_ids:
@@ -135,7 +116,7 @@ class GridTopology:
                 b = SatelliteId(shell, pb, sb)
                 if b < a:
                     a, b = b, a
-                edge_pairs.append((index_of[a], index_of[b]))
+                edge_pairs.append((self._index_of[a], self._index_of[b]))
                 edge_ids.append((a, b))
                 kinds.append(kind)
 
@@ -149,15 +130,17 @@ class GridTopology:
         return len(self.edge_ids)
 
     def positions(self, t_s: float, offsets: Optional[Mapping[SatelliteId, float]] = None) -> np.ndarray:
-        """Positions of every satellite at t_s, shape (N, 3), km."""
-        offset_arr: np.ndarray | float = 0.0
+        """Positions of every satellite at t_s, shape (N, 3), km.
+
+        offsets maps maneuvering satellites of this topology to their
+        radial offsets in km; the others fly at their nominal radius.
+        """
+        offset_km: np.ndarray | float = 0.0
         if offsets:
-            offset_arr = np.zeros(len(self.sat_ids))
-            for i, sat in enumerate(self.sat_ids):
-                offset_arr[i] = offsets.get(sat, 0.0)
-        return propagate_arrays(
-            self._a_km, self._inc, self._raan, self._phase, self._epoch, t_s, offset_arr
-        )
+            offset_km = np.zeros(len(self.sat_ids))
+            for sat, dh_km in offsets.items():
+                offset_km[self._index_of[sat]] = dh_km
+        return self._fleet.propagate(t_s, offset_km)
 
     def grazing(
         self, t_s: float, offsets: Optional[Mapping[SatelliteId, float]] = None
@@ -170,13 +153,28 @@ class GridTopology:
         length = np.sqrt(np.sum((p2 - p1) ** 2, axis=-1))
         return grazing, length
 
+    def scan(
+        self, times: Sequence[float], maneuvers: Sequence[ManeuverEvent] = ()
+    ) -> Iterator[Tuple[float, np.ndarray]]:
+        """(t, per-edge grazing_km) at each time, one step at a time.
+
+        Each step applies the offsets of the maneuvers active at t
+        (maneuvers sorted by start time, as sample_maneuvers returns them).
+        """
+        for t in times:
+            t = float(t)
+            grazing, _ = self.grazing(t, offsets_at(maneuvers, t))
+            yield t, grazing
+
     def snapshot(
         self,
         t_s: float,
         threshold_km: float = DEFAULT_ISL_THRESHOLD_KM,
         offsets: Optional[Mapping[SatelliteId, float]] = None,
     ) -> List[IslLink]:
+        """All +GRID links evaluated at one instant."""
         grazing, length = self.grazing(t_s, offsets)
+        viable = is_isl_viable(grazing, threshold_km)
         return [
             IslLink(
                 a=a,
@@ -184,21 +182,12 @@ class GridTopology:
                 kind=kind,
                 grazing_km=float(g),
                 length_km=float(l),
-                viable=bool(g >= threshold_km),
+                viable=bool(v),
             )
-            for (a, b), kind, g, l in zip(self.edge_ids, self.edge_kinds, grazing, length)
+            for (a, b), kind, g, l, v in zip(
+                self.edge_ids, self.edge_kinds, grazing, length, viable
+            )
         ]
-
-
-def link_snapshot(
-    constellation: Constellation,
-    t_s: float,
-    threshold_km: float = DEFAULT_ISL_THRESHOLD_KM,
-    offsets: Optional[Mapping[SatelliteId, float]] = None,
-    earth_radius_km: float = EARTH_RADIUS_KM,
-) -> List[IslLink]:
-    """All +GRID links of the constellation evaluated at one instant."""
-    return GridTopology(constellation, earth_radius_km).snapshot(t_s, threshold_km, offsets)
 
 
 def _refine_crossing(
@@ -244,25 +233,15 @@ def visibility_windows(
     to 0.1 s. max_elevation_deg is the largest sampled elevation within
     the window.
     """
-    if t1_s <= t0_s:
-        raise ValueError("t1_s must be greater than t0_s")
-    if step_s <= 0.0:
-        raise ValueError("step_s must be positive")
+    times = time_grid(t0_s, t1_s, step_s)
     if not constellation:
         return []
 
-    sat_ids = sorted(constellation)
-    a_km = np.array([constellation[s].semi_major_axis_km for s in sat_ids])
-    inc = np.radians([constellation[s].inclination_deg for s in sat_ids])
-    raan = np.radians([constellation[s].raan_deg for s in sat_ids])
-    phase = np.radians([constellation[s].phase_deg for s in sat_ids])
-    epoch = np.array([constellation[s].epoch_s for s in sat_ids])
-
-    times = np.arange(t0_s, t1_s + step_s / 2.0, step_s)
-    times[-1] = min(times[-1], t1_s)
+    fleet = FleetArrays.from_constellation(constellation)
+    sat_ids = fleet.sat_ids
     elevations = np.empty((len(times), len(sat_ids)))
     for k, t in enumerate(times):
-        pos = propagate_arrays(a_km, inc, raan, phase, epoch, float(t))
+        pos = fleet.propagate(float(t))
         gs_pos = ground_station_eci(gs, float(t), earth_radius_km)
         elevations[k] = elevation_angle(gs_pos, pos)
 

@@ -25,7 +25,6 @@ from leofault import (
     default_dose_profile,
     dose_rate,
     expected_seu_count,
-    infeasible_fraction,
     min_isl_altitude_cdf,
     propagate,
     read_trace,
@@ -80,7 +79,7 @@ def test_criterion_1_dense_shell_link_altitudes():
         1,
         "dense shell 72x22/550km/53deg, 1h @ 10s",
         {
-            "no infeasible per-link minima": infeasible_fraction(cdf, 80.0) == 0.0,
+            "no infeasible per-link minima": cdf.proportion_below(80.0) == 0.0,
             "cross-plane minima within [400, 560] km": bool(
                 np.all((cross >= 400.0) & (cross <= 560.0))
             ),
@@ -95,7 +94,7 @@ def test_criterion_1_dense_shell_link_altitudes():
 def test_criterion_2_sparse_polar_shell():
     constellation = build_constellation([SPARSE])
     cdf = min_isl_altitude_cdf(constellation, 0.0, 3600.0, 10.0, per_link_min=False)
-    fraction = infeasible_fraction(cdf, 80.0)
+    fraction = cdf.proportion_below(80.0)
     minima, kinds = per_link_minima(SPARSE)
     intra_minima = minima[kinds == INTRA_PLANE]
     report(

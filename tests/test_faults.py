@@ -8,7 +8,6 @@ from leofault import (
     ManeuverEvent,
     RandomStreams,
     SatelliteId,
-    active_altitude_offset,
     default_dose_profile,
     dose_rate,
     expected_seu_count,
@@ -268,25 +267,25 @@ class TestActiveAltitudeOffset:
     SAT = SatelliteId(0, 0, 0)
 
     def test_no_events(self):
-        assert active_altitude_offset([], self.SAT, 100.0) == 0.0
+        assert offsets_at([], 100.0).get(self.SAT, 0.0) == 0.0
 
     def test_inside_dwell(self):
         events = [ManeuverEvent(self.SAT, 100.0, 3.0, 86400.0)]
-        assert active_altitude_offset(events, self.SAT, 5000.0) == 3.0
+        assert offsets_at(events, 5000.0).get(self.SAT, 0.0) == 3.0
 
     def test_after_dwell(self):
         events = [ManeuverEvent(self.SAT, 100.0, 3.0, 1000.0)]
-        assert active_altitude_offset(events, self.SAT, 1100.0) == 0.0
+        assert offsets_at(events, 1100.0).get(self.SAT, 0.0) == 0.0
 
     def test_other_satellite_unaffected(self):
         events = [ManeuverEvent(self.SAT, 100.0, 3.0, 1000.0)]
-        assert active_altitude_offset(events, SatelliteId(0, 0, 1), 500.0) == 0.0
+        assert offsets_at(events, 500.0).get(SatelliteId(0, 0, 1), 0.0) == 0.0
 
     def test_overlapping_events_sum_and_clamp(self):
         events = [ManeuverEvent(self.SAT, float(k), 3.0, 1e6) for k in range(5)]
-        assert active_altitude_offset(events, self.SAT, 10.0) == 10.0  # clamped from 15
+        assert offsets_at(events, 10.0).get(self.SAT, 0.0) == 10.0  # clamped from 15
         events = [ManeuverEvent(self.SAT, 0.0, 2.0, 1e6), ManeuverEvent(self.SAT, 1.0, 3.0, 1e6)]
-        assert active_altitude_offset(events, self.SAT, 10.0) == 5.0
+        assert offsets_at(events, 10.0).get(self.SAT, 0.0) == 5.0
 
     def test_offsets_at_matches_scalar(self):
         events = sorted(

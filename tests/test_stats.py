@@ -11,7 +11,6 @@ from leofault import (
     bent_pipe_rtt,
     build_constellation,
     ground_station_eci,
-    infeasible_fraction,
     min_isl_altitude_cdf,
     read_cdf_csv,
     write_cdf_csv,
@@ -52,19 +51,19 @@ class TestCdfTable:
 class TestInfeasibleFraction:
     def test_all_above(self):
         cdf = CdfTable.from_samples([100.0, 200.0])
-        assert infeasible_fraction(cdf, 80.0) == 0.0
+        assert cdf.proportion_below(80.0) == 0.0
 
     def test_all_below(self):
         cdf = CdfTable.from_samples([10.0, 20.0])
-        assert infeasible_fraction(cdf, 80.0) == 1.0
+        assert cdf.proportion_below(80.0) == 1.0
 
     def test_one_of_four(self):
         cdf = CdfTable.from_samples([70.0, 85.0, 90.0, 100.0])
-        assert infeasible_fraction(cdf, 80.0) == 0.25
+        assert cdf.proportion_below(80.0) == 0.25
 
     def test_threshold_value_not_counted(self):
         cdf = CdfTable.from_samples([80.0, 90.0])
-        assert infeasible_fraction(cdf, 80.0) == 0.0  # strictly below
+        assert cdf.proportion_below(80.0) == 0.0  # strictly below
 
     def test_matches_direct_count(self, rng):
         for _ in range(100):
@@ -72,7 +71,7 @@ class TestInfeasibleFraction:
             cdf = CdfTable.from_samples(samples)
             threshold = float(rng.uniform(-100.0, 300.0))
             direct = np.mean(samples < threshold)
-            assert infeasible_fraction(cdf, threshold) == pytest.approx(direct, abs=1e-12)
+            assert cdf.proportion_below(threshold) == pytest.approx(direct, abs=1e-12)
 
 
 class TestMinIslAltitudeCdf:
@@ -112,7 +111,7 @@ class TestMinIslAltitudeCdf:
         # between a 10 s and a 1 s step
         coarse = min_isl_altitude_cdf(sparse_constellation, 0.0, 3600.0, 10.0, per_link_min=False)
         fine = min_isl_altitude_cdf(sparse_constellation, 0.0, 3600.0, 1.0, per_link_min=False)
-        assert abs(infeasible_fraction(coarse, 80.0) - infeasible_fraction(fine, 80.0)) < 0.01
+        assert abs(coarse.proportion_below(80.0) - fine.proportion_below(80.0)) < 0.01
 
     def test_invalid_window(self, sparse_constellation):
         with pytest.raises(ValueError):

@@ -12,38 +12,41 @@ from leofault import (
     VisibilityWindow,
     build_constellation,
     grid_edges,
-    grid_neighbors,
     handover_schedule,
-    link_snapshot,
     visibility_windows,
 )
 from leofault.constants import EARTH_RADIUS_KM
 from leofault.topology import CROSS_PLANE, INTRA_PLANE
 
 
+def grid_adjacency(planes, sats):
+    """Neighbor sets of every (plane, index) under the edges of grid_edges."""
+    adjacency = {}
+    for a, b, _ in grid_edges(planes, sats):
+        adjacency.setdefault(a, set()).add(b)
+        adjacency.setdefault(b, set()).add(a)
+    return adjacency
+
+
 class TestGridNeighbors:
     def test_corner_wraparound(self):
-        assert grid_neighbors(0, 0, 72, 22) == {(0, 1), (0, 21), (1, 0), (71, 0)}
+        assert grid_adjacency(72, 22)[(0, 0)] == {(0, 1), (0, 21), (1, 0), (71, 0)}
 
     def test_interior_and_plane_wrap(self):
-        assert grid_neighbors(5, 10, 6, 58) == {(5, 9), (5, 11), (4, 10), (0, 10)}
+        assert grid_adjacency(6, 58)[(5, 10)] == {(5, 9), (5, 11), (4, 10), (0, 10)}
 
     @pytest.mark.parametrize("planes,sats", [(2, 22), (72, 2), (1, 1)])
     def test_too_small(self, planes, sats):
         with pytest.raises(ValueError):
-            grid_neighbors(0, 0, planes, sats)
-
-    def test_out_of_range_coordinate(self):
-        with pytest.raises(ValueError):
-            grid_neighbors(72, 0, 72, 22)
+            grid_edges(planes, sats)
 
     def test_degree_four_handshake(self):
         planes, sats = 5, 4
+        adjacency = grid_adjacency(planes, sats)
         appearance = {(p, s): 0 for p in range(planes) for s in range(sats)}
-        for p in range(planes):
-            for s in range(sats):
-                for nb in grid_neighbors(p, s, planes, sats):
-                    appearance[nb] += 1
+        for neighbors in adjacency.values():
+            for nb in neighbors:
+                appearance[nb] += 1
         assert all(count == 4 for count in appearance.values())
 
     @pytest.mark.parametrize("planes,sats", [(3, 3), (5, 4), (6, 58)])
@@ -52,10 +55,7 @@ class TestGridNeighbors:
         undirected = {frozenset((a, b)) for a, b, _ in edges}
         assert len(undirected) == 2 * planes * sats
         # BFS from one node reaches every satellite
-        adjacency = {}
-        for a, b, _ in edges:
-            adjacency.setdefault(a, set()).add(b)
-            adjacency.setdefault(b, set()).add(a)
+        adjacency = grid_adjacency(planes, sats)
         seen = {(0, 0)}
         frontier = [(0, 0)]
         while frontier:
@@ -69,7 +69,7 @@ class TestGridNeighbors:
 
 class TestLinkSnapshot:
     def test_dense_shell_link_count(self, dense_constellation):
-        links = link_snapshot(dense_constellation, 0.0)
+        links = GridTopology(dense_constellation).snapshot(0.0)
         assert len(links) == 2 * 72 * 22 == 3168
         kinds = {link.kind for link in links}
         assert kinds == {INTRA_PLANE, CROSS_PLANE}
@@ -86,7 +86,7 @@ class TestLinkSnapshot:
     def test_intra_plane_grazing_matches_closed_form(self, dense_constellation):
         # oracle: (R+h) cos(pi/S) - R for S satellites per plane
         expected = (EARTH_RADIUS_KM + 550.0) * math.cos(math.pi / 22) - EARTH_RADIUS_KM
-        links = link_snapshot(dense_constellation, 0.0)
+        links = GridTopology(dense_constellation).snapshot(0.0)
         intra = [l.grazing_km for l in links if l.kind == INTRA_PLANE]
         assert max(abs(g - expected) for g in intra) < 0.5
 
@@ -97,7 +97,7 @@ class TestLinkSnapshot:
             assert np.all(grazing >= 80.0)
 
     def test_link_fields_consistent(self, sparse_constellation):
-        links = link_snapshot(sparse_constellation, 120.0, threshold_km=80.0)
+        links = GridTopology(sparse_constellation).snapshot(120.0, threshold_km=80.0)
         for link in links[:50]:
             assert link.a < link.b
             assert link.a.shell == link.b.shell
@@ -114,7 +114,7 @@ class TestLinkSnapshot:
 
     def test_small_shells_have_no_links(self):
         c = build_constellation([ShellSpec(550.0, 53.0, 1, 1)])
-        assert link_snapshot(c, 0.0) == []
+        assert GridTopology(c).snapshot(0.0) == []
 
 
 class TestVisibilityWindows:
