@@ -13,6 +13,7 @@ trace. The returned summary materializes every default for auditability.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields as dataclass_fields
 from pathlib import Path
@@ -75,6 +76,31 @@ class SimulationConfig:
             raise ConfigError(
                 f"precipitation_mm_h must be >= 0, got {self.precipitation_mm_h}"
             )
+        # stations with one id would share the handover/<id> substream
+        seen = set()
+        for i, gs in enumerate(self.ground_stations):
+            if gs.id in seen:
+                raise ConfigError(f"ground_stations[{i}]: duplicate id {gs.id!r}")
+            seen.add(gs.id)
+
+
+def _reject_bool_and_non_finite(value, path: str) -> None:
+    """Walk a parsed document; raise naming the path of a bad scalar.
+
+    Python's json accepts NaN and Infinity, parses 1e999 as inf, and bool
+    is an int, so range checks alone let such values through; a NaN
+    duration_s never ends the sampler loops.
+    """
+    if isinstance(value, bool):
+        raise ConfigError(f"{path} must not be a boolean, got {json.dumps(value)}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path} must be a finite number, got {value}")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _reject_bool_and_non_finite(item, f"{path}.{key}" if path else str(key))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            _reject_bool_and_non_finite(item, f"{path}[{index}]")
 
 
 def _reject_unknown(obj: dict, allowed: Sequence[str], context: str) -> None:
@@ -100,6 +126,7 @@ def config_from_dict(obj: dict) -> SimulationConfig:
     """Build a SimulationConfig from a parsed JSON document (strict keys)."""
     if not isinstance(obj, dict):
         raise ConfigError("configuration document must be a JSON object")
+    _reject_bool_and_non_finite(obj, "")
     allowed = [f.name for f in dataclass_fields(SimulationConfig)]
     _reject_unknown(obj, allowed, "simulation config")
 

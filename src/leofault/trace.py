@@ -24,6 +24,7 @@ link events a ground-station id.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Sequence, Union
@@ -121,8 +122,8 @@ class FaultEvent:
     params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.t_s < 0.0:
-            raise ValueError(f"t_s must be >= 0, got {self.t_s}")
+        if not 0.0 <= self.t_s < math.inf:
+            raise ValueError(f"t_s must be finite and >= 0, got {self.t_s}")
         expected_type = KIND_TARGET_TYPE.get(self.kind)
         if expected_type is None:
             raise ValueError(f"unknown event kind {self.kind!r}")
@@ -137,6 +138,9 @@ class FaultEvent:
                 f"{self.kind} params must be exactly {sorted(expected_keys)}, "
                 f"got {sorted(self.params)}"
             )
+        for key, value in self.params.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{self.kind} param {key} must be finite, got {value}")
 
     @property
     def sort_key(self) -> tuple:
@@ -193,9 +197,12 @@ def _target_from_obj(obj, offset: int) -> Target:
     kind = obj.get("type")
     try:
         if kind == "device":
-            if not isinstance(obj.get("device"), int):
-                raise TraceParseError("device index must be an integer", offset)
-            return DeviceTarget(_sat_from_obj(obj.get("sat"), offset), obj["device"])
+            device = obj.get("device")
+            if type(device) is not int or device < 0:
+                raise TraceParseError(
+                    f"device index must be a non-negative integer, got {device!r}", offset
+                )
+            return DeviceTarget(_sat_from_obj(obj.get("sat"), offset), device)
         if kind == "satellite":
             return SatelliteTarget(_sat_from_obj(obj.get("sat"), offset))
         if kind == "isl":

@@ -100,6 +100,38 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="devices_per_satellite"):
             config_from_dict(minimal_config(faults={"devices_per_satellite": 60.5}))
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("duration_s", float("nan")),
+            ("duration_s", json.loads("1e999")),
+            ("step_s", float("-inf")),
+            ("seed", True),
+            ("shells[0].planes", True),
+            ("faults.maneuver_rate_per_sat_year", float("nan")),
+            ("faults.dose_profile.anchors[1][1]", float("inf")),
+            ("ground_stations[0].latitude_deg", float("nan")),
+        ],
+    )
+    def test_bool_and_non_finite_rejected_by_path(self, path, value):
+        obj = minimal_config(
+            faults={"dose_profile": {"anchors": [[0.0, 1.0], [90.0, 2.0]]}},
+            ground_stations=[{"id": "a", "latitude_deg": 0.0, "longitude_deg": 0.0}],
+        )
+        *parents, leaf = path.replace("[", ".").replace("]", "").split(".")
+        holder = obj
+        for key in parents:
+            holder = holder[int(key)] if isinstance(holder, list) else holder[key]
+        holder[int(leaf) if isinstance(holder, list) else leaf] = value
+        with pytest.raises(ConfigError) as excinfo:
+            config_from_dict(obj)
+        assert str(excinfo.value).startswith(path + " ")
+
+    def test_duplicate_station_ids_rejected(self):
+        station = {"id": "berlin", "latitude_deg": 52.5, "longitude_deg": 13.4}
+        with pytest.raises(ConfigError, match=r"ground_stations\[1\]: duplicate id 'berlin'"):
+            config_from_dict(minimal_config(ground_stations=[station, dict(station)]))
+
     def test_dose_profile_override(self):
         config = config_from_dict(
             minimal_config(faults={"dose_profile": {"anchors": [[0.0, 1.0], [90.0, 2.0]]}})

@@ -61,6 +61,16 @@ class TestEventValidation:
         with pytest.raises(ValueError):
             FaultEvent(-1.0, "maneuver_end", SatelliteTarget(SAT_A), {"dh_km": 1.0})
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf")])
+    def test_non_finite_time(self, t):
+        with pytest.raises(ValueError, match="t_s"):
+            FaultEvent(t, "maneuver_end", SatelliteTarget(SAT_A), {"dh_km": 1.0})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+    def test_non_finite_param(self, value):
+        with pytest.raises(ValueError, match="dh_km"):
+            FaultEvent(1.0, "maneuver_end", SatelliteTarget(SAT_A), {"dh_km": value})
+
     def test_isl_target_normalized(self):
         t = IslTarget(SAT_B, SAT_A)
         assert (t.a, t.b) == (SAT_A, SAT_B)
@@ -148,6 +158,29 @@ class TestSerialization:
             )
 
 
+    @pytest.mark.parametrize(
+        "t, device, downtime",
+        [
+            ("Infinity", "0", "30.0"),
+            ("1e999", "0", "30.0"),
+            ("NaN", "0", "30.0"),
+            ("1.0", "-3", "30.0"),
+            ("1.0", "true", "30.0"),
+            ("1.0", "0", "NaN"),
+            ("1.0", "0", "-1e999"),
+        ],
+    )
+    def test_parse_rejects_non_finite_and_bad_device(self, t, device, downtime):
+        line = (
+            f'{{"t": {t}, "kind": "device_reboot", '
+            f'"target": {{"type": "device", "sat": [0, 1, 2], "device": {device}}}, '
+            f'"params": {{"downtime_s": {downtime}}}}}'
+        )
+        with pytest.raises(TraceParseError) as excinfo:
+            parse_event(line, byte_offset=100)
+        assert excinfo.value.byte_offset == 100
+
+
 class TestTraceFiles:
     def test_write_read_roundtrip(self, tmp_path, rng):
         events = merge_traces(
@@ -184,6 +217,17 @@ class TestTraceFiles:
         with pytest.raises(TraceParseError) as excinfo:
             read_trace(path)
         assert excinfo.value.byte_offset >= len(header) + 1 + len(good) + 1
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "1e999"])
+    def test_non_finite_time_reports_line_offset(self, tmp_path, token):
+        path = tmp_path / "trace.jsonl"
+        header = '{"schema":"leofault/1"}'
+        good = serialize_event(make_event("isl_down", 1.0))
+        bad = good.replace('"t":1.0', f'"t":{token}')
+        path.write_text("\n".join([header, good, bad]) + "\n")
+        with pytest.raises(TraceParseError) as excinfo:
+            read_trace(path)
+        assert excinfo.value.byte_offset == len(header) + 1 + len(good) + 1
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "trace.jsonl"
