@@ -371,12 +371,10 @@ def sample_maneuvers(
 
 
 def offsets_at(events: Sequence[ManeuverEvent], t_s: float) -> Dict[SatelliteId, float]:
-    """Net altitude offsets at t_s of the satellites that fly off nominal.
+    """Net offsets at t_s of the satellites with an active maneuver.
 
-    Offsets of maneuvers whose [start, start+dwell) interval contains t_s
-    are summed per satellite; overlapping maneuvers stack up to the
-    +-10 km clamp. Events must be sorted by start time. Satellites with
-    no active maneuver, or whose offsets cancel, are absent.
+    Offsets of maneuvers (sorted by start) whose [start, start+dwell)
+    interval contains t_s are summed per satellite, clamped to +-10 km.
     """
     totals: Dict[SatelliteId, float] = {}
     for event in events:

@@ -197,12 +197,7 @@ class FleetArrays:
 
 
 def time_grid(t0_s: float, t1_s: float, step_s: float) -> np.ndarray:
-    """Sample times t0, t0+step, ... of a scan over the window [t0, t1].
-
-    Grid points run up to t1 + step/2 and a last point beyond t1 is moved
-    back to t1, so t1 is sampled when it falls on the grid or lies more
-    than half a step past the grid point before it.
-    """
+    """Sample times t0, t0+step, ... below t1 + step/2, the last one clipped to t1."""
     if not t1_s > t0_s:
         raise ValueError("t1_s must be greater than t0_s")
     if not step_s > 0.0:

@@ -77,19 +77,17 @@ class SimulationConfig:
                 f"precipitation_mm_h must be >= 0, got {self.precipitation_mm_h}"
             )
         # stations with one id would share the handover/<id> substream
-        seen = set()
-        for i, gs in enumerate(self.ground_stations):
-            if gs.id in seen:
-                raise ConfigError(f"ground_stations[{i}]: duplicate id {gs.id!r}")
-            seen.add(gs.id)
+        ids = [gs.id for gs in self.ground_stations]
+        for i, gs_id in enumerate(ids):
+            if gs_id in ids[:i]:
+                raise ConfigError(f"ground_stations[{i}]: duplicate id {gs_id!r}")
 
 
 def _reject_bool_and_non_finite(value, path: str) -> None:
-    """Walk a parsed document; raise naming the path of a bad scalar.
+    """Raise naming the path of any bool or NaN/infinite float in a document.
 
-    Python's json accepts NaN and Infinity, parses 1e999 as inf, and bool
-    is an int, so range checks alone let such values through; a NaN
-    duration_s never ends the sampler loops.
+    json parses NaN, Infinity and 1e999 as floats, and bool is an int, so
+    range checks let them through (a NaN duration_s never ends a sampler).
     """
     if isinstance(value, bool):
         raise ConfigError(f"{path} must not be a boolean, got {json.dumps(value)}")
@@ -127,9 +125,6 @@ def config_from_dict(obj: dict) -> SimulationConfig:
     if not isinstance(obj, dict):
         raise ConfigError("configuration document must be a JSON object")
     _reject_bool_and_non_finite(obj, "")
-    allowed = [f.name for f in dataclass_fields(SimulationConfig)]
-    _reject_unknown(obj, allowed, "simulation config")
-
     kwargs = dict(obj)
     if "shells" in kwargs:
         if not isinstance(kwargs["shells"], list):
@@ -176,13 +171,7 @@ def config_from_dict(obj: dict) -> SimulationConfig:
         kwargs["faults"] = _build_dataclass(FaultModelConfig, faults_obj, "faults")
     if "seed" in kwargs and not isinstance(kwargs["seed"], int):
         raise ConfigError(f"seed must be an integer, got {kwargs['seed']!r}")
-
-    try:
-        return SimulationConfig(**kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"simulation config: {exc}") from None
+    return _build_dataclass(SimulationConfig, kwargs, "simulation config")
 
 
 def load_config(path) -> SimulationConfig:

@@ -8,9 +8,9 @@ graph per shell (2*P*S undirected edges). Shells too small for the grid
 Link state is evaluated per timestep from propagated positions: grazing
 altitude, segment length, and viability against a threshold. A scan
 evaluates it over a time grid with the maneuver offsets active at each
-step; simulate and the ISL altitude CDF both read link state that way. Ground
-visibility windows and a highest-elevation handover schedule are derived
-by time sampling with bisection-refined window edges.
+step; simulate and the ISL altitude CDF both read link state that way.
+Ground visibility windows and a highest-elevation handover schedule are
+derived by time sampling with bisection-refined window edges.
 """
 
 from __future__ import annotations
@@ -132,8 +132,7 @@ class GridTopology:
     def positions(self, t_s: float, offsets: Optional[Mapping[SatelliteId, float]] = None) -> np.ndarray:
         """Positions of every satellite at t_s, shape (N, 3), km.
 
-        offsets maps maneuvering satellites of this topology to their
-        radial offsets in km; the others fly at their nominal radius.
+        offsets maps satellites of this topology to radial offsets in km.
         """
         offset_km: np.ndarray | float = 0.0
         if offsets:
@@ -158,8 +157,8 @@ class GridTopology:
     ) -> Iterator[Tuple[float, np.ndarray]]:
         """(t, per-edge grazing_km) at each time, one step at a time.
 
-        Each step applies the offsets of the maneuvers active at t
-        (maneuvers sorted by start time, as sample_maneuvers returns them).
+        Each step applies the offsets of the maneuvers (sorted by start)
+        active at t.
         """
         for t in times:
             t = float(t)
@@ -234,12 +233,8 @@ def visibility_windows(
     the window.
     """
     times = time_grid(t0_s, t1_s, step_s)
-    if not constellation:
-        return []
-
     fleet = FleetArrays.from_constellation(constellation)
-    sat_ids = fleet.sat_ids
-    elevations = np.empty((len(times), len(sat_ids)))
+    elevations = np.empty((len(times), len(fleet.sat_ids)))
     for k, t in enumerate(times):
         pos = fleet.propagate(float(t))
         gs_pos = ground_station_eci(gs, float(t), earth_radius_km)
@@ -247,7 +242,7 @@ def visibility_windows(
 
     windows: List[VisibilityWindow] = []
     visible = elevations >= gs.min_elevation_deg
-    for j, sat in enumerate(sat_ids):
+    for j, sat in enumerate(fleet.sat_ids):
         col = visible[:, j]
         k = 0
         while k < len(times):

@@ -197,12 +197,9 @@ def _target_from_obj(obj, offset: int) -> Target:
     kind = obj.get("type")
     try:
         if kind == "device":
-            device = obj.get("device")
-            if type(device) is not int or device < 0:
-                raise TraceParseError(
-                    f"device index must be a non-negative integer, got {device!r}", offset
-                )
-            return DeviceTarget(_sat_from_obj(obj.get("sat"), offset), device)
+            if type(obj.get("device")) is not int or obj["device"] < 0:
+                raise TraceParseError("device index must be a non-negative integer", offset)
+            return DeviceTarget(_sat_from_obj(obj.get("sat"), offset), obj["device"])
         if kind == "satellite":
             return SatelliteTarget(_sat_from_obj(obj.get("sat"), offset))
         if kind == "isl":
