@@ -59,7 +59,7 @@ class DoseProfile:
                 raise ValueError(f"anchor inclination {inclination} outside [0, 90]")
             if inclination <= previous:
                 raise ValueError("anchor inclinations must be strictly increasing")
-            if dose < 0.0:
+            if not dose >= 0.0:
                 raise ValueError(f"anchor dose must be >= 0, got {dose}")
             previous = inclination
 

@@ -57,25 +57,26 @@ def grazing_altitude(p1, p2, earth_radius_km: float = EARTH_RADIUS_KM):
     """
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
-    p1, p2 = np.broadcast_arrays(p1, p2)
-    swap = np.zeros(p1.shape[:-1], dtype=bool)
-    undecided = np.ones_like(swap)
-    for axis in range(3):
-        a, b = p1[..., axis], p2[..., axis]
-        swap = swap | (undecided & (b < a))
-        undecided = undecided & (a == b)
+    x1, y1, z1 = p1[..., 0], p1[..., 1], p1[..., 2]
+    x2, y2, z2 = p2[..., 0], p2[..., 1], p2[..., 2]
+    # lexicographic (x, y, z) order: swap where p2 < p1
+    swap = (x2 < x1) | ((x2 == x1) & ((y2 < y1) | ((y2 == y1) & (z2 < z1))))
     if np.any(swap):
-        p1, p2 = (
-            np.where(swap[..., None], p2, p1),
-            np.where(swap[..., None], p1, p2),
-        )
-    d = p2 - p1
-    denom = np.sum(d * d, axis=-1)
+        x1, x2 = np.where(swap, x2, x1), np.where(swap, x1, x2)
+        y1, y2 = np.where(swap, y2, y1), np.where(swap, y1, y2)
+        z1, z2 = np.where(swap, z2, z1), np.where(swap, z1, z2)
+    dx, dy, dz = x2 - x1, y2 - y1, z2 - z1
+    # drop per-edge temporaries once dead: a link-state scan's peak RSS is set here
+    del x2, y2, z2
+    denom = dx * dx + dy * dy + dz * dz
+    positive = denom > 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
-        t = np.where(denom > 0.0, -np.sum(p1 * d, axis=-1) / np.where(denom > 0.0, denom, 1.0), 0.0)
+        t = np.where(positive, -(x1 * dx + y1 * dy + z1 * dz) / np.where(positive, denom, 1.0), 0.0)
+    del denom, positive
     t = np.clip(t, 0.0, 1.0)
-    closest = p1 + t[..., None] * d
-    altitude = np.sqrt(np.sum(closest * closest, axis=-1)) - earth_radius_km
+    cx, cy, cz = x1 + t * dx, y1 + t * dy, z1 + t * dz
+    del x1, y1, z1, dx, dy, dz, t
+    altitude = np.sqrt(cx * cx + cy * cy + cz * cz) - earth_radius_km
     if altitude.ndim == 0:
         return float(altitude)
     return altitude

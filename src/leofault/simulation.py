@@ -41,6 +41,10 @@ from .topology import GridTopology
 from .trace import FaultEvent, IslTarget, SatelliteTarget, merge_traces, write_trace
 
 
+# a little over 24 h at 0.1 s; bounds the time grid a scan allocates
+MAX_STEPS = 1_000_000
+
+
 class ConfigError(ValueError):
     """Invalid simulation configuration; the message names the field."""
 
@@ -64,6 +68,11 @@ class SimulationConfig:
             raise ConfigError(f"duration_s must be > 0, got {self.duration_s}")
         if self.step_s <= 0.0:
             raise ConfigError(f"step_s must be > 0, got {self.step_s}")
+        if self.duration_s / self.step_s > MAX_STEPS:
+            raise ConfigError(
+                f"duration_s / step_s must be at most {MAX_STEPS} steps, "
+                f"got {self.duration_s} / {self.step_s}"
+            )
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if not self.shells and not self.tle_files:
@@ -161,6 +170,12 @@ def config_from_dict(obj: dict) -> SimulationConfig:
                 isinstance(a, list) and len(a) == 2 for a in anchors
             ):
                 raise ConfigError("faults.dose_profile.anchors must be an array of [inclination, dose] pairs")
+            for i, anchor in enumerate(anchors):
+                for j, value in enumerate(anchor):
+                    if type(value) is not float and type(value) is not int:
+                        raise ConfigError(
+                            f"faults.dose_profile.anchors[{i}][{j}] must be a number, got {value!r}"
+                        )
             try:
                 faults_obj["dose_profile"] = DoseProfile(
                     anchors=tuple((float(i), float(d)) for i, d in anchors),

@@ -7,8 +7,10 @@ graph per shell (2*P*S undirected edges). Shells too small for the grid
 
 Link state is evaluated per timestep from propagated positions: grazing
 altitude, segment length, and viability against a threshold. A scan
-evaluates it over a time grid with the maneuver offsets active at each
-step; simulate and the ISL altitude CDF both read link state that way.
+evaluates grazing altitude only, one step at a time over a time grid,
+with the maneuver offsets active at each step; simulate and the ISL
+altitude CDF both read link state that way. Steps are not batched into
+(steps x edges) arrays: that raises peak memory without saving time.
 Ground visibility windows and a highest-elevation handover schedule are
 derived by time sampling with bisection-refined window edges.
 """
@@ -141,16 +143,20 @@ class GridTopology:
                 offset_km[self._index_of[sat]] = dh_km
         return self._fleet.propagate(t_s, offset_km)
 
+    def _endpoints(
+        self, t_s: float, offsets: Optional[Mapping[SatelliteId, float]]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        pos = self.positions(t_s, offsets)
+        return pos.take(self._edge_a, axis=0), pos.take(self._edge_b, axis=0)
+
     def grazing(
         self, t_s: float, offsets: Optional[Mapping[SatelliteId, float]] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Per-edge (grazing_km, length_km) arrays at t_s."""
-        pos = self.positions(t_s, offsets)
-        p1 = pos[self._edge_a]
-        p2 = pos[self._edge_b]
-        grazing = grazing_altitude(p1, p2, self.earth_radius_km)
-        length = np.sqrt(np.sum((p2 - p1) ** 2, axis=-1))
-        return grazing, length
+        p1, p2 = self._endpoints(t_s, offsets)
+        dx, dy, dz = (p2 - p1).T
+        length = np.sqrt(dx * dx + dy * dy + dz * dz)
+        return grazing_altitude(p1, p2, self.earth_radius_km), length
 
     def scan(
         self, times: Sequence[float], maneuvers: Sequence[ManeuverEvent] = ()
@@ -162,8 +168,8 @@ class GridTopology:
         """
         for t in times:
             t = float(t)
-            grazing, _ = self.grazing(t, offsets_at(maneuvers, t))
-            yield t, grazing
+            p1, p2 = self._endpoints(t, offsets_at(maneuvers, t))
+            yield t, grazing_altitude(p1, p2, self.earth_radius_km)
 
     def snapshot(
         self,

@@ -186,9 +186,16 @@ def _target_to_obj(target: Target) -> dict:
 
 
 def _sat_from_obj(obj, offset: int) -> SatelliteId:
-    if not (isinstance(obj, list) and len(obj) == 3 and all(isinstance(v, int) for v in obj)):
-        raise TraceParseError(f"satellite id must be a list of 3 integers, got {obj!r}", offset)
-    return SatelliteId(*obj)
+    if type(obj) is list and len(obj) == 3:
+        shell, plane, index = obj
+        if (
+            type(shell) is int and type(plane) is int and type(index) is int
+            and shell >= 0 and plane >= 0 and index >= 0
+        ):
+            return SatelliteId(shell, plane, index)
+    raise TraceParseError(
+        f"satellite id must be a list of 3 non-negative integers, got {obj!r}", offset
+    )
 
 
 def _target_from_obj(obj, offset: int) -> Target:
@@ -244,13 +251,13 @@ def parse_event(line: str, byte_offset: int = 0) -> FaultEvent:
     if not isinstance(obj["params"], dict):
         raise TraceParseError("params must be an object", byte_offset)
     target = _target_from_obj(obj["target"], byte_offset)
+    params = {}
+    for key, value in obj["params"].items():
+        if type(value) is not float and type(value) is not int:
+            raise TraceParseError(f"param {key} must be a number, got {value!r}", byte_offset)
+        params[key] = float(value)
     try:
-        return FaultEvent(
-            t_s=float(obj["t"]),
-            kind=obj["kind"],
-            target=target,
-            params={str(k): float(v) for k, v in obj["params"].items()},
-        )
+        return FaultEvent(t_s=float(obj["t"]), kind=obj["kind"], target=target, params=params)
     except (ValueError, TypeError) as exc:
         raise TraceParseError(str(exc), byte_offset) from None
 

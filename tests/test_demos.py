@@ -1,6 +1,5 @@
 """Every narrative demo runs to completion against the current API."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,11 +12,9 @@ DEMOS = sorted((REPO / "demos").glob("0*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, str(demo)],
         cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
     )

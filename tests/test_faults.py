@@ -130,6 +130,8 @@ class TestDoseModel:
             DoseProfile(anchors=((0.0, 0.0), (95.0, 1.0)))
         with pytest.raises(ValueError):
             DoseProfile(anchors=())
+        with pytest.raises(ValueError, match="dose"):
+            DoseProfile(anchors=((0.0, float("nan")), (90.0, 2.0)))
 
 
 class TestTidSurvival:

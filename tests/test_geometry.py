@@ -76,6 +76,82 @@ class TestGrazingAltitude:
             assert batched[i] == grazing_altitude(p1[i], p2[i])
 
 
+def reference_grazing(p1, p2, earth_radius_km=R):
+    """The row-wise np.sum formulation the component-plane kernel replaced."""
+    p1 = np.asarray(p1, dtype=float)
+    p2 = np.asarray(p2, dtype=float)
+    p1, p2 = np.broadcast_arrays(p1, p2)
+    swap = np.zeros(p1.shape[:-1], dtype=bool)
+    undecided = np.ones_like(swap)
+    for axis in range(3):
+        a, b = p1[..., axis], p2[..., axis]
+        swap = swap | (undecided & (b < a))
+        undecided = undecided & (a == b)
+    if np.any(swap):
+        p1, p2 = (
+            np.where(swap[..., None], p2, p1),
+            np.where(swap[..., None], p1, p2),
+        )
+    d = p2 - p1
+    denom = np.sum(d * d, axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = np.where(denom > 0.0, -np.sum(p1 * d, axis=-1) / np.where(denom > 0.0, denom, 1.0), 0.0)
+    t = np.clip(t, 0.0, 1.0)
+    closest = p1 + t[..., None] * d
+    return np.sqrt(np.sum(closest * closest, axis=-1)) - earth_radius_km
+
+
+class TestGrazingMatchesReference:
+    """grazing_altitude is bit-for-bit equal to the row-wise formulation."""
+
+    @staticmethod
+    def shell_points(rng, n):
+        p = rng.normal(size=(n, 3))
+        return p * (rng.uniform(6500.0, 8300.0, size=(n, 1)) / np.linalg.norm(p, axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 17, 1000, 8816])
+    def test_random_batches(self, rng, n):
+        p1, p2 = self.shell_points(rng, n), self.shell_points(rng, n)
+        assert np.array_equal(grazing_altitude(p1, p2), reference_grazing(p1, p2))
+        assert np.array_equal(grazing_altitude(p2, p1), reference_grazing(p2, p1))
+        assert np.array_equal(grazing_altitude(p1, p2), grazing_altitude(p2, p1))
+
+    def test_component_plane_views(self, rng):
+        # the (E, 3) transpose of a (3, E) array has contiguous component planes
+        p1, p2 = self.shell_points(rng, 500), self.shell_points(rng, 500)
+        v1, v2 = np.ascontiguousarray(p1.T).T, np.ascontiguousarray(p2.T).T
+        assert np.array_equal(grazing_altitude(v1, v2), reference_grazing(p1, p2))
+
+    def test_broadcast_and_other_radius(self, rng):
+        p1 = self.shell_points(rng, 1)[0]
+        p2 = self.shell_points(rng, 64).reshape(8, 8, 3)
+        assert np.array_equal(grazing_altitude(p1, p2, 6378.137), reference_grazing(p1, p2, 6378.137))
+
+    def test_equal_x_and_equal_y_ties(self, rng):
+        p1 = self.shell_points(rng, 300)
+        p2 = self.shell_points(rng, 300)
+        p2[:100, 0] = p1[:100, 0]
+        p2[100:200, :2] = p1[100:200, :2]
+        p2[200:, 1] = p1[200:, 1]
+        for a, b in ((p1, p2), (p2, p1)):
+            assert np.array_equal(grazing_altitude(a, b), reference_grazing(a, b))
+        assert np.array_equal(grazing_altitude(p1, p2), grazing_altitude(p2, p1))
+
+    def test_degenerate_segments(self, rng):
+        p = self.shell_points(rng, 200)
+        assert np.array_equal(grazing_altitude(p, p), reference_grazing(p, p))
+        assert np.allclose(grazing_altitude(p, p), np.linalg.norm(p, axis=1) - R, rtol=0.0, atol=1e-9)
+        mixed = p.copy()
+        mixed[::2] = self.shell_points(rng, 100)
+        assert np.array_equal(grazing_altitude(p, mixed), reference_grazing(p, mixed))
+
+    def test_scalar_inputs(self, rng):
+        for p1, p2 in zip(self.shell_points(rng, 50), self.shell_points(rng, 50)):
+            g = grazing_altitude(p1, p2)
+            assert type(g) is float
+            assert g == float(reference_grazing(p1, p2))
+
+
 class TestViability:
     def test_examples(self):
         assert is_isl_viable(444.9, 80.0) is True

@@ -14,6 +14,7 @@ from leofault import (
     run_simulation,
     serialize_tle,
 )
+from leofault.simulation import MAX_STEPS
 from leofault.topology import GridTopology
 
 SPARSE = {
@@ -126,6 +127,30 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as excinfo:
             config_from_dict(obj)
         assert str(excinfo.value).startswith(path + " ")
+
+    @pytest.mark.parametrize(
+        "anchors, path",
+        [
+            ([[0.0, "nan"], [90.0, 2.0]], "faults.dose_profile.anchors[0][1]"),
+            ([[0.0, 1.0], ["90", 2.0]], "faults.dose_profile.anchors[1][0]"),
+            ([[0.0, 1.0], [90.0, None]], "faults.dose_profile.anchors[1][1]"),
+        ],
+    )
+    def test_dose_anchor_members_must_be_numbers(self, anchors, path):
+        with pytest.raises(ConfigError) as excinfo:
+            config_from_dict(minimal_config(faults={"dose_profile": {"anchors": anchors}}))
+        assert str(excinfo.value).startswith(path + " ")
+
+    def test_step_count_cap(self):
+        # fails at validation, before a 10^15-sample time grid is allocated
+        with pytest.raises(ConfigError) as excinfo:
+            config_from_dict(minimal_config(duration_s=1e12, step_s=1e-3))
+        assert "duration_s" in str(excinfo.value) and "step_s" in str(excinfo.value)
+        config = config_from_dict(minimal_config(duration_s=float(MAX_STEPS), step_s=1.0))
+        assert config.duration_s == MAX_STEPS
+        with pytest.raises(ConfigError, match="duration_s / step_s"):
+            config_from_dict(minimal_config(duration_s=MAX_STEPS + 1.0, step_s=1.0))
+        assert config_from_dict(minimal_config(duration_s=86400.0, step_s=0.1))
 
     def test_duplicate_station_ids_rejected(self):
         station = {"id": "berlin", "latitude_deg": 52.5, "longitude_deg": 13.4}

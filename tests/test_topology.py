@@ -7,15 +7,19 @@ from leofault import (
     CircularElements,
     GridTopology,
     GroundStation,
+    ManeuverEvent,
     SatelliteId,
     ShellSpec,
     VisibilityWindow,
     build_constellation,
+    grazing_altitude,
     grid_edges,
     handover_schedule,
+    offsets_at,
     visibility_windows,
 )
 from leofault.constants import EARTH_RADIUS_KM
+from leofault.orbital import time_grid
 from leofault.topology import CROSS_PLANE, INTRA_PLANE
 
 
@@ -111,6 +115,26 @@ class TestLinkSnapshot:
         shifted = topo.positions(0.0, offsets={sat: 3.0})
         i = topo.sat_ids.index(sat)
         assert np.linalg.norm(shifted[i]) - np.linalg.norm(base[i]) == pytest.approx(3.0, abs=1e-9)
+
+    def test_scan_matches_grazing_altitude_per_step(self, sparse_constellation):
+        topo = GridTopology(sparse_constellation)
+        sats = topo.sat_ids
+        maneuvers = [
+            ManeuverEvent(sats[0], 0.0, 5.0, 200.0),
+            ManeuverEvent(sats[5], 100.0, -3.0, 400.0),
+            ManeuverEvent(sats[0], 150.0, 2.5, 100.0),
+        ]
+        times = time_grid(0.0, 600.0, 50.0)
+        index = {sat: i for i, sat in enumerate(sats)}
+        a = np.array([index[x] for x, _ in topo.edge_ids])
+        b = np.array([index[y] for _, y in topo.edge_ids])
+        steps = list(topo.scan(times, maneuvers))
+        assert sum(1 for t, _ in steps if offsets_at(maneuvers, t)) >= 4
+        assert [t for t, _ in steps] == [float(t) for t in times]
+        for t, grazing in steps:
+            pos = topo.positions(t, offsets_at(maneuvers, t))
+            assert np.array_equal(grazing, grazing_altitude(pos[a], pos[b]))
+            assert np.array_equal(grazing, topo.grazing(t, offsets_at(maneuvers, t))[0])
 
     def test_small_shells_have_no_links(self):
         c = build_constellation([ShellSpec(550.0, 53.0, 1, 1)])

@@ -157,6 +157,36 @@ class TestSerialization:
                 '"target": {"type": "isl", "a": [0, 0], "b": [0, 0, 1]}, "params": {"grazing_km": 1}}'
             )
 
+    @pytest.mark.parametrize(
+        "sat, downtime",
+        [
+            ("[true, 0, 0]", "3.0"),
+            ("[0, -1, 0]", "3.0"),
+            ("[0, 0, -5]", "3.0"),
+            ("[0, 0, 1.0]", "3.0"),
+            ("[0, 1, 2]", '"3"'),
+            ("[0, 1, 2]", "true"),
+            ("[0, 1, 2]", "null"),
+        ],
+    )
+    def test_parse_rejects_bad_sat_and_param_types(self, sat, downtime):
+        line = (
+            f'{{"t": 1.0, "kind": "device_reboot", '
+            f'"target": {{"type": "device", "sat": {sat}, "device": 0}}, '
+            f'"params": {{"downtime_s": {downtime}}}}}'
+        )
+        with pytest.raises(TraceParseError) as excinfo:
+            parse_event(line, byte_offset=100)
+        assert excinfo.value.byte_offset == 100
+
+    def test_parse_accepts_integer_params(self):
+        event = parse_event(
+            '{"t": 1, "kind": "device_reboot", '
+            '"target": {"type": "device", "sat": [0, 1, 2], "device": 0}, '
+            '"params": {"downtime_s": 3}}'
+        )
+        assert event.params == {"downtime_s": 3.0}
+        assert type(event.params["downtime_s"]) is float
 
     @pytest.mark.parametrize(
         "t, device, downtime",
