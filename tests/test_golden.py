@@ -12,7 +12,16 @@ from collections import Counter
 
 import pytest
 
-from leofault import read_trace
+from leofault import (
+    FaultModelConfig,
+    GroundStation,
+    RandomStreams,
+    handover_schedule,
+    read_trace,
+    sample_handover_spikes,
+    serialize_event,
+    visibility_windows,
+)
 from leofault.cli import main
 
 GEN1_SHELLS = [
@@ -51,6 +60,22 @@ GEN1_TRACE_SHA256 = "27557f975ca7a9bb629b4f7ba5cadda2fdca551561d9f7cefbe2b01a90f
 DENSE_CDF_PER_STEP_SHA256 = "e0feba950a4d0692c4e9adb08bab776cc651f02004d2d2bf583e876dd1336d0d"
 DENSE_CDF_PER_LINK_MIN_SHA256 = "16cee8be245f935672a6dee1e7ff6b03ce528e6e1aa679632d5dff970ff6f867"
 
+# Geometric ground path on the dense shell over 30 min: visibility
+# windows at 10 s, the 1 s handover schedule and its geometric spikes.
+GROUND_WINDOW_S = 1800.0
+GROUND_DIGESTS = {
+    "berlin": (
+        GroundStation("berlin", 52.5, 13.4),
+        "154e2fd968931f5200e8e98fc96b61cd7d756ea46aaf5ce62dda064200414f1c",
+        "09e1deaa5652bb06a459a8d9b6183b1d7c12da0aeb684857030ffed261928b07",
+    ),
+    "mid": (
+        GroundStation("mid", 30.0, 0.0),
+        "15e3ed0609f074c60dbd6397ab1ae810007c4a2e0110fb848609c0c9e32abbb1",
+        "df47e870981ab2884288545f2d46024133fac8ab0565ef9c114f419609c6439a",
+    ),
+}
+
 
 def sha256_of(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -85,3 +110,39 @@ def test_dense_isl_cdf_digest(tmp_path, capsys, flags, digest):
     out = tmp_path / "cdf.csv"
     assert main(["isl-cdf", "--config", str(config), "--out", str(out), *flags]) == 0
     assert sha256_of(out) == digest
+
+
+def render_windows(windows) -> str:
+    return "".join(
+        f"{w.gs_id} {w.sat.label()} {w.start_s!r} {w.end_s!r} {w.max_elevation_deg!r}\n"
+        for w in windows
+    )
+
+
+def render_handovers(gs_id, schedule, spikes) -> str:
+    lines = [f"{gs_id} {t!r} {a.label()} {b.label()}\n" for t, a, b in schedule]
+    lines.extend(serialize_event(e) + "\n" for e in spikes)
+    return "".join(lines)
+
+
+def sha256_text(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("station", sorted(GROUND_DIGESTS))
+def test_ground_path_digest(dense_constellation, station):
+    gs, windows_digest, handovers_digest = GROUND_DIGESTS[station]
+    windows = visibility_windows(gs, dense_constellation, 0.0, GROUND_WINDOW_S, 10.0)
+    schedule = handover_schedule(windows, gs, dense_constellation, step_s=1.0)
+    spikes = sample_handover_spikes(
+        FaultModelConfig(),
+        [gs.id],
+        0.0,
+        GROUND_WINDOW_S,
+        RandomStreams(1),
+        mode="geometric",
+        schedules={gs.id: [t for t, _, _ in schedule]},
+    )
+    assert schedule and len(spikes) == len(schedule)
+    assert sha256_text(render_windows(windows)) == windows_digest
+    assert sha256_text(render_handovers(gs.id, schedule, spikes)) == handovers_digest
