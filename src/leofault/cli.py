@@ -7,7 +7,7 @@ Subcommands:
     dose --inclination <deg>                   mission dose / lifetime
     seu --satellites N --devices D --rate R --days T
     tle parse <file>                           element-set report
-    rtt --gs <lat,lon> --alt-km <h> --elevation <deg>
+    rtt --alt-km <h> --elevation <deg>         bent-pipe round-trip time
 
 All diagnostics go to stderr; exit code 0 means the command completed.
 """
@@ -110,13 +110,7 @@ def _cmd_tle_parse(args) -> int:
 
 
 def _cmd_rtt(args) -> int:
-    try:
-        lat_text, lon_text = args.gs.split(",")
-        lat, lon = float(lat_text), float(lon_text)
-    except ValueError:
-        raise ConfigError(f"--gs expects 'lat,lon', got {args.gs!r}") from None
-    if not -90.0 <= lat <= 90.0 or not -180.0 <= lon <= 180.0:
-        raise ConfigError(f"--gs coordinates out of range: {args.gs!r}")
+    # on a spherical Earth the slant range depends only on altitude and elevation
     slant = slant_range_km(args.alt_km, args.elevation)
     rtt_s = 4.0 * propagation_delay(slant)
     print(f"slant_range_km={_fmt(slant)}")
@@ -166,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tle_parse.set_defaults(func=_cmd_tle_parse)
 
     p_rtt = sub.add_parser("rtt", help="bent-pipe round-trip time")
-    p_rtt.add_argument("--gs", required=True, help="station as 'lat,lon' in degrees")
     p_rtt.add_argument("--alt-km", type=float, required=True, help="satellite altitude")
     p_rtt.add_argument("--elevation", type=float, required=True, help="degrees")
     p_rtt.set_defaults(func=_cmd_rtt)

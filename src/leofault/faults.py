@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -51,6 +52,8 @@ class DoseProfile:
     shielding_label: str = "1mm aluminum"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.shielding_label, str):
+            raise ValueError(f"shielding_label must be a string, got {self.shielding_label!r}")
         if not self.anchors:
             raise ValueError("dose profile needs at least one anchor")
         previous = -1.0
@@ -405,7 +408,14 @@ def read_precipitation_csv(path) -> List[Tuple[float, float]]:
                 continue
             if len(row) != 2:
                 raise ValueError(f"precipitation CSV line {line_no}: expected 2 columns, got {len(row)}")
-            t, mm = float(row[0]), float(row[1])
+            try:
+                t, mm = float(row[0]), float(row[1])
+                if not (math.isfinite(t) and math.isfinite(mm)):
+                    raise ValueError(row)
+            except ValueError:
+                raise ValueError(
+                    f"precipitation CSV line {line_no}: t_s and mm_per_h must be finite numbers, got {row}"
+                ) from None
             if mm < 0.0:
                 raise ValueError(f"precipitation CSV line {line_no}: negative rate {mm}")
             if rows and t <= rows[-1][0]:

@@ -30,6 +30,9 @@ class GroundStation:
     min_elevation_deg: float = 25.0
 
     def __post_init__(self) -> None:
+        # trace targets name a station by this id, and read_trace wants a string
+        if not isinstance(self.id, str):
+            raise ValueError(f"id must be a string, got {self.id!r}")
         if not -90.0 <= self.latitude_deg <= 90.0:
             raise ValueError(f"latitude_deg must be in [-90, 90], got {self.latitude_deg}")
         if not -180.0 <= self.longitude_deg <= 180.0:

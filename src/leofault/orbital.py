@@ -41,6 +41,10 @@ class ShellSpec:
             raise ValueError(
                 f"inclination_deg must be in [0, 180], got {self.inclination_deg}"
             )
+        if not 0.0 < self.raan_spread_deg <= 360.0:
+            raise ValueError(
+                f"raan_spread_deg must be in (0, 360], got {self.raan_spread_deg}"
+            )
         for attr in ("planes", "sats_per_plane", "phase_offset_f"):
             if not isinstance(getattr(self, attr), int):
                 raise ValueError(f"{attr} must be an integer, got {getattr(self, attr)!r}")

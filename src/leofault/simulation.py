@@ -13,7 +13,7 @@ trace. The returned summary materializes every default for auditability.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields as dataclass_fields
 from pathlib import Path
@@ -81,6 +81,8 @@ class SimulationConfig:
             raise ConfigError(f"isl_threshold_km must be >= 0, got {self.isl_threshold_km}")
         if self.earth_radius_km <= 0.0:
             raise ConfigError(f"earth_radius_km must be > 0, got {self.earth_radius_km}")
+        if self.precipitation_csv is not None and not isinstance(self.precipitation_csv, str):
+            raise ConfigError(f"precipitation_csv must be a path string, got {self.precipitation_csv!r}")
         if self.precipitation_mm_h is not None and self.precipitation_mm_h < 0.0:
             raise ConfigError(
                 f"precipitation_mm_h must be >= 0, got {self.precipitation_mm_h}"
@@ -93,14 +95,15 @@ class SimulationConfig:
 
 
 def _reject_bool_and_non_finite(value, path: str) -> None:
-    """Raise naming the path of any bool or NaN/infinite float in a document.
+    """Raise naming the path of any bool or non-finite number in a document.
 
     json parses NaN, Infinity and 1e999 as floats, and bool is an int, so
     range checks let them through (a NaN duration_s never ends a sampler).
+    An integer beyond the float range overflows the first float operation.
     """
     if isinstance(value, bool):
         raise ConfigError(f"{path} must not be a boolean, got {json.dumps(value)}")
-    if isinstance(value, float) and not math.isfinite(value):
+    if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{path} must be a finite number, got {value}")
     if isinstance(value, dict):
         for key, item in value.items():
@@ -197,7 +200,7 @@ def load_config(path) -> SimulationConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also over-long integers and deep nesting
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     return config_from_dict(obj)
 

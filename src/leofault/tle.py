@@ -129,11 +129,14 @@ def _field(
 ) -> T:
     raw = line[start:end]
     try:
-        return conv(raw)
+        value = conv(raw)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(raw)
     except (ValueError, TypeError):
         raise TleFormatError(
             f"line {line_no}, columns {start + 1}-{end}: invalid {what} field {raw!r}"
         ) from None
+    return value
 
 
 def _int_or_zero(raw: str) -> int:
@@ -244,8 +247,9 @@ def parse_tle_text(text: str) -> List[TleRecord]:
                 raise TleFormatError(f"input line {i + 1}: element line 1 without a line 2")
             try:
                 records.append(parse_tle(line, lines[i + 1], name=pending_name))
-            except TleFormatError as exc:
-                raise type(exc)(f"record starting at input line {i + 1}: {exc}") from None
+            except ValueError as exc:  # TleRecord's range checks raise plain ValueError
+                error = type(exc) if isinstance(exc, TleFormatError) else TleFormatError
+                raise error(f"record starting at input line {i + 1}: {exc}") from None
             pending_name = None
             i += 2
         else:

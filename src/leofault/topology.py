@@ -11,8 +11,11 @@ evaluates grazing altitude only, one step at a time over a time grid,
 with the maneuver offsets active at each step; simulate and the ISL
 altitude CDF both read link state that way. Steps are not batched into
 (steps x edges) arrays: that raises peak memory without saving time.
-Ground visibility windows and a highest-elevation handover schedule are
-derived by time sampling with bisection-refined window edges.
+Ground geometry reads satellites through the fleet arrays, one station
+position per instant: visibility runs come from one diff along time of a
+(steps x satellites) elevation matrix, their edges refined by scalar
+bisection; the handover schedule takes, per step, the highest elevation
+among the owners of open windows, lowest id on ties.
 """
 
 from __future__ import annotations
@@ -246,37 +249,28 @@ def visibility_windows(
         gs_pos = ground_station_eci(gs, float(t), earth_radius_km)
         elevations[k] = elevation_angle(gs_pos, pos)
 
+    # run boundaries per satellite: +1 at a run's first sample, -1 one past its last
+    visible = (elevations >= gs.min_elevation_deg).T.astype(np.int8)
+    steps = np.diff(visible, axis=1, prepend=0, append=0)
+    run_ends = np.argwhere(steps == -1)[:, 1] - 1
     windows: List[VisibilityWindow] = []
-    visible = elevations >= gs.min_elevation_deg
-    for j, sat in enumerate(fleet.sat_ids):
-        col = visible[:, j]
-        k = 0
-        while k < len(times):
-            if not col[k]:
-                k += 1
-                continue
-            start_idx = k
-            while k + 1 < len(times) and col[k + 1]:
-                k += 1
-            end_idx = k
-            start = float(times[start_idx])
-            if start_idx > 0:
-                start = _refine_crossing(
-                    constellation[sat], gs, gs.min_elevation_deg,
-                    float(times[start_idx - 1]), start, earth_radius_km,
-                )
-            end = float(times[end_idx])
-            if end_idx + 1 < len(times):
-                end = _refine_crossing(
-                    constellation[sat], gs, gs.min_elevation_deg,
-                    float(times[end_idx + 1]), end, earth_radius_km,
-                )
-            else:
-                end = float(times[-1])
-            max_elev = float(np.max(elevations[start_idx : end_idx + 1, j]))
-            if end > start:
-                windows.append(VisibilityWindow(gs.id, sat, start, end, max_elev))
-            k += 1
+    for (j, start_idx), end_idx in zip(np.argwhere(steps == 1).tolist(), run_ends.tolist()):
+        sat = fleet.sat_ids[j]
+        start = float(times[start_idx])
+        if start_idx > 0:
+            start = _refine_crossing(
+                constellation[sat], gs, gs.min_elevation_deg,
+                float(times[start_idx - 1]), start, earth_radius_km,
+            )
+        end = float(times[end_idx])
+        if end_idx + 1 < len(times):
+            end = _refine_crossing(
+                constellation[sat], gs, gs.min_elevation_deg,
+                float(times[end_idx + 1]), end, earth_radius_km,
+            )
+        max_elev = float(np.max(elevations[start_idx : end_idx + 1, j]))
+        if end > start:
+            windows.append(VisibilityWindow(gs.id, sat, start, end, max_elev))
     windows.sort(key=lambda w: (w.start_s, tuple(w.sat)))
     return windows
 
@@ -301,24 +295,25 @@ def handover_schedule(
     if step_s <= 0.0:
         raise ValueError("step_s must be positive")
 
+    # owners in id order, so argmax's first maximum is the lowest-id tie-break
+    fleet = FleetArrays.from_constellation({w.sat: constellation[w.sat] for w in windows})
+    owner_index = {sat: j for j, sat in enumerate(fleet.sat_ids)}
+    starts = np.array([w.start_s for w in windows])
+    ends = np.array([w.end_s for w in windows])
+    owners = np.array([owner_index[w.sat] for w in windows])
+
     events: List[Tuple[float, SatelliteId, SatelliteId]] = []
-    t_start = min(w.start_s for w in windows)
-    t_end = max(w.end_s for w in windows)
+    t_end = float(ends.max())
     current: Optional[SatelliteId] = None
-    t = t_start
+    t = float(starts.min())
     while t <= t_end:
-        candidates = [w.sat for w in windows if w.start_s <= t < w.end_s]
-        if candidates:
+        active = owners[(starts <= t) & (t < ends)]
+        best: Optional[SatelliteId] = None
+        if active.size:
             gs_pos = ground_station_eci(gs, t, earth_radius_km)
-            best = max(
-                candidates,
-                key=lambda sat: (
-                    elevation_angle(gs_pos, propagate(constellation[sat], t)),
-                    tuple(-c for c in sat),
-                ),
-            )
-        else:
-            best = None
+            elevation = np.full(len(fleet.sat_ids), -np.inf)
+            elevation[active] = elevation_angle(gs_pos, fleet.propagate(t)[active])
+            best = fleet.sat_ids[int(np.argmax(elevation))]
         if best is not None and current is not None and best != current:
             events.append((t, current, best))
         current = best

@@ -241,6 +241,8 @@ def parse_event(line: str, byte_offset: int = 0) -> FaultEvent:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise TraceParseError(f"invalid JSON: {exc.msg}", byte_offset + exc.pos) from None
+    except (ValueError, RecursionError) as exc:  # over-long integers, deep nesting
+        raise TraceParseError(f"invalid JSON: {exc}", byte_offset) from None
     if not isinstance(obj, dict):
         raise TraceParseError("event line must be a JSON object", byte_offset)
     missing = {"t", "kind", "target", "params"} - set(obj)
@@ -252,13 +254,15 @@ def parse_event(line: str, byte_offset: int = 0) -> FaultEvent:
         raise TraceParseError("params must be an object", byte_offset)
     target = _target_from_obj(obj["target"], byte_offset)
     params = {}
-    for key, value in obj["params"].items():
-        if type(value) is not float and type(value) is not int:
-            raise TraceParseError(f"param {key} must be a number, got {value!r}", byte_offset)
-        params[key] = float(value)
     try:
+        for key, value in obj["params"].items():
+            if type(value) is not float and type(value) is not int:
+                raise TraceParseError(f"param {key} must be a number, got {value!r}", byte_offset)
+            params[key] = float(value)  # an integer beyond the float range overflows
         return FaultEvent(t_s=float(obj["t"]), kind=obj["kind"], target=target, params=params)
-    except (ValueError, TypeError) as exc:
+    except TraceParseError:
+        raise
+    except (ValueError, TypeError, OverflowError) as exc:
         raise TraceParseError(str(exc), byte_offset) from None
 
 
@@ -282,6 +286,8 @@ def read_trace(path) -> List[FaultEvent]:
                     header = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise TraceParseError(f"invalid header: {exc.msg}", offset + exc.pos) from None
+                except (ValueError, RecursionError) as exc:
+                    raise TraceParseError(f"invalid header: {exc}", offset) from None
                 if not isinstance(header, dict) or header.get("schema") != SCHEMA:
                     raise TraceParseError(f"expected schema header {SCHEMA!r}", offset)
                 saw_header = True

@@ -181,8 +181,8 @@ def test_criterion_5_maneuver_model():
 
 
 def test_criterion_6_bent_pipe_latency():
-    zenith = run_cli("rtt", "--gs", "0,0", "--alt-km", "550", "--elevation", "90")
-    slanted = run_cli("rtt", "--gs", "0,0", "--alt-km", "550", "--elevation", "25")
+    zenith = run_cli("rtt", "--alt-km", "550", "--elevation", "90")
+    slanted = run_cli("rtt", "--alt-km", "550", "--elevation", "25")
     rtt_zenith = float(dict(l.split("=") for l in zenith.stdout.splitlines())["rtt_ms"])
     rtt_25 = float(dict(l.split("=") for l in slanted.stdout.splitlines())["rtt_ms"])
     report(

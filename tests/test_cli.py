@@ -72,22 +72,17 @@ class TestDoseCommand:
 
 class TestRttCommand:
     def test_25_degrees(self):
-        result = run_cli("rtt", "--gs", "0,0", "--alt-km", "550", "--elevation", "25")
+        result = run_cli("rtt", "--alt-km", "550", "--elevation", "25")
         assert result.returncode == 0
         values = dict(line.split("=") for line in result.stdout.splitlines())
         assert float(values["slant_range_km"]) == pytest.approx(1123.277, abs=0.01)
         assert float(values["rtt_ms"]) == pytest.approx(14.987, abs=0.01)
 
     def test_zenith(self):
-        result = run_cli("rtt", "--gs", "47.0,8.5", "--alt-km", "550", "--elevation", "90")
+        result = run_cli("rtt", "--alt-km", "550", "--elevation", "90")
         values = dict(line.split("=") for line in result.stdout.splitlines())
         assert float(values["slant_range_km"]) == pytest.approx(550.0, abs=1e-6)
         assert float(values["rtt_ms"]) == pytest.approx(7.338, abs=0.01)
-
-    def test_bad_gs_argument(self):
-        result = run_cli("rtt", "--gs", "monaco", "--alt-km", "550", "--elevation", "25")
-        assert result.returncode == 2
-        assert "lat,lon" in result.stderr
 
 
 class TestTleCommand:

@@ -377,6 +377,16 @@ class TestPrecipitationCsv:
         with pytest.raises(ValueError, match="negative"):
             read_precipitation_csv(path)
 
+    @pytest.mark.parametrize(
+        "row", ["600,nan", "600,inf", "nan,1", "-inf,1", "600,heavy", "ten,1"]
+    )
+    def test_non_finite_or_non_numeric_cell(self, tmp_path, row):
+        # a NaN t_s would also pass the strictly-increasing check
+        path = tmp_path / "rain.csv"
+        path.write_text(f"t_s,mm_per_h\n0,0\n{row}\n1200,0\n")
+        with pytest.raises(ValueError, match="line 3: t_s and mm_per_h must be finite numbers"):
+            read_precipitation_csv(path)
+
 
 class TestConfigValidation:
     def test_defaults_valid(self):

@@ -194,6 +194,8 @@ class TestGroundStationEci:
             dict(longitude_deg=181.0),
             dict(min_elevation_deg=-1.0),
             dict(min_elevation_deg=90.0),
+            dict(id=5),
+            dict(id=["a"]),
         ],
     )
     def test_station_validation(self, kwargs):

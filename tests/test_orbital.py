@@ -52,6 +52,8 @@ class TestShellSpec:
             dict(inclination_deg=181.0),
             dict(planes=0),
             dict(sats_per_plane=0),
+            dict(raan_spread_deg=0.0),
+            dict(raan_spread_deg=361.0),
         ],
     )
     def test_invalid(self, kwargs):

@@ -112,6 +112,8 @@ class TestConfigParsing:
             ("faults.maneuver_rate_per_sat_year", float("nan")),
             ("faults.dose_profile.anchors[1][1]", float("inf")),
             ("ground_stations[0].latitude_deg", float("nan")),
+            ("duration_s", 10**400),
+            ("faults.dose_profile.anchors[1][1]", -(10**400)),
         ],
     )
     def test_bool_and_non_finite_rejected_by_path(self, path, value):
@@ -152,10 +154,32 @@ class TestConfigParsing:
             config_from_dict(minimal_config(duration_s=MAX_STEPS + 1.0, step_s=1.0))
         assert config_from_dict(minimal_config(duration_s=86400.0, step_s=0.1))
 
+    @pytest.mark.parametrize("gs_id", [5, ["a"], None])
+    def test_non_string_station_id_rejected(self, gs_id):
+        # a trace names stations by id, and read_trace accepts only strings
+        station = {"id": gs_id, "latitude_deg": 52.5, "longitude_deg": 13.4}
+        with pytest.raises(ConfigError, match=r"ground_stations\[0\]: id must be a string"):
+            config_from_dict(minimal_config(ground_stations=[station]))
+
     def test_duplicate_station_ids_rejected(self):
         station = {"id": "berlin", "latitude_deg": 52.5, "longitude_deg": 13.4}
         with pytest.raises(ConfigError, match=r"ground_stations\[1\]: duplicate id 'berlin'"):
             config_from_dict(minimal_config(ground_stations=[station, dict(station)]))
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"precipitation_csv": 5}, "precipitation_csv must be a path string"),
+            ({"faults": {"dose_profile": {"anchors": [[0.0, 1.0]], "shielding_label": 5}}}, "shielding_label"),
+            ({"shells": [dict(SMALL, raan_spread_deg=None)]}, r"shells\[0\]"),
+            ({"shells": [dict(SMALL, raan_spread_deg="360")]}, r"shells\[0\]"),
+        ],
+        ids=["precipitation-csv", "shielding-label", "raan-spread-null", "raan-spread-string"],
+    )
+    def test_wrong_type_rejected(self, overrides, match):
+        # each of these used to pass config_from_dict
+        with pytest.raises(ConfigError, match=match):
+            config_from_dict(minimal_config(**overrides))
 
     def test_dose_profile_override(self):
         config = config_from_dict(
@@ -173,6 +197,18 @@ class TestConfigParsing:
         path = tmp_path / "config.json"
         path.write_text("{nope")
         with pytest.raises(ConfigError, match="JSON"):
+            load_config(path)
+
+    def test_load_config_deeply_nested_json(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_config(path)
+
+    def test_load_config_over_long_integer(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"seed": 1%s}' % ("0" * 5000))
+        with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(path)
 
     def test_load_config_missing_file(self, tmp_path):

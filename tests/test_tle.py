@@ -172,6 +172,28 @@ class TestParse:
         with pytest.raises(TleFormatError, match="columns 9-16"):
             parse_tle(ISS_L1, line2)
 
+    @pytest.mark.parametrize(
+        "start,end,text",
+        [(52, 63, "        nan"), (8, 16, "     inf"), (43, 51, "-inf    "), (20, 32, "         NaN")],
+        ids=["mean-motion-nan", "inclination-inf", "mean-anomaly-neg-inf", "epoch-day-nan"],
+    )
+    def test_non_finite_field_rejected(self, start, end, text):
+        lines = [ISS_L1, ISS_L2]
+        line_no = 1 if start == 20 else 2
+        body = lines[line_no - 1][:start] + text + lines[line_no - 1][end:68]
+        lines[line_no - 1] = body + str(checksum(body))
+        match = f"line {line_no}, columns {start + 1}-{end}"
+        with pytest.raises(TleFormatError, match=match):
+            parse_tle(*lines)
+        with pytest.raises(TleFormatError, match=f"input line 1: {match}"):
+            parse_tle_text("\n".join(lines) + "\n")
+
+    def test_out_of_range_field_carries_input_line(self):
+        body = ISS_L2[:8] + "400.0000" + ISS_L2[16:68]
+        text = f"{ISS_NAME}\n{ISS_L1}\n{body}{checksum(body)}\n"
+        with pytest.raises(TleFormatError, match="input line 2: inclination_deg"):
+            parse_tle_text(text)
+
 
 class TestTleToElements:
     def test_semi_major_axis_from_mean_motion(self):

@@ -12,15 +12,57 @@ from leofault import (
     ShellSpec,
     VisibilityWindow,
     build_constellation,
+    elevation_angle,
     grazing_altitude,
     grid_edges,
+    ground_station_eci,
     handover_schedule,
     offsets_at,
+    propagate,
     visibility_windows,
 )
-from leofault.constants import EARTH_RADIUS_KM
-from leofault.orbital import time_grid
+from leofault.constants import EARTH_RADIUS_KM, SIDEREAL_DAY_S
+from leofault.orbital import mean_motion_rad_s, time_grid
 from leofault.topology import CROSS_PLANE, INTRA_PLANE
+
+
+EQUATOR_STATION = GroundStation("eq", 0.0, 0.0)
+
+
+def zenith_pass(t_zenith_s, altitude_km=550.0):
+    """Elements of an equatorial satellite at the zenith of (0, 0) at t_zenith_s."""
+    a_km = EARTH_RADIUS_KM + altitude_km
+    rate_deg_s = math.degrees(mean_motion_rad_s(a_km)) - 360.0 / SIDEREAL_DAY_S
+    return CircularElements(a_km, 0.0, 0.0, -rate_deg_s * t_zenith_s)
+
+
+def elevation_at(gs, elements, t):
+    return elevation_angle(ground_station_eci(gs, t), propagate(elements, t))
+
+
+def reference_handover_schedule(windows, gs, constellation, step_s=1.0):
+    """The scalar loop handover_schedule replaced: one propagate per candidate."""
+    events = []
+    t_end = max(w.end_s for w in windows)
+    current = None
+    t = min(w.start_s for w in windows)
+    while t <= t_end:
+        candidates = [w.sat for w in windows if w.start_s <= t < w.end_s]
+        best = None
+        if candidates:
+            gs_pos = ground_station_eci(gs, t)
+            best = max(
+                candidates,
+                key=lambda sat: (
+                    elevation_angle(gs_pos, propagate(constellation[sat], t)),
+                    tuple(-c for c in sat),
+                ),
+            )
+        if best is not None and current is not None and best != current:
+            events.append((t, current, best))
+        current = best
+        t += step_s
+    return events
 
 
 def grid_adjacency(planes, sats):
@@ -191,6 +233,50 @@ class TestVisibilityWindows:
             visibility_windows(gs, {}, 0.0, 10.0, 0.0)
 
 
+class TestVisibilityRuns:
+    """Run boundaries at the ends of the time grid and one-sample runs."""
+
+    def test_run_spans_whole_window(self):
+        c = {SatelliteId(0, 0, 0): zenith_pass(30.0)}
+        windows = visibility_windows(EQUATOR_STATION, c, 0.0, 60.0, 10.0)
+        assert [(w.start_s, w.end_s) for w in windows] == [(0.0, 60.0)]
+        assert windows[0].max_elevation_deg == pytest.approx(
+            elevation_at(EQUATOR_STATION, c[SatelliteId(0, 0, 0)], 30.0), abs=1e-9
+        )
+
+    def test_run_starts_at_t0(self):
+        elements = zenith_pass(0.0)
+        windows = visibility_windows(EQUATOR_STATION, {SatelliteId(0, 0, 0): elements}, 0.0, 600.0, 10.0)
+        assert len(windows) == 1
+        w = windows[0]
+        assert w.start_s == 0.0
+        assert 0.0 < w.end_s < 600.0 and w.end_s % 10.0 != 0.0
+        assert elevation_at(EQUATOR_STATION, elements, w.end_s) == pytest.approx(25.0, abs=0.05)
+
+    def test_run_ends_on_clipped_last_sample(self):
+        times = time_grid(0.0, 156.0, 10.0)
+        assert times[-1] == 156.0 and times[-2] == 150.0
+        elements = zenith_pass(250.0)
+        windows = visibility_windows(EQUATOR_STATION, {SatelliteId(0, 0, 0): elements}, 0.0, 156.0, 10.0)
+        assert len(windows) == 1
+        w = windows[0]
+        assert w.end_s == 156.0
+        assert 0.0 < w.start_s < 150.0
+        assert elevation_at(EQUATOR_STATION, elements, w.start_s) == pytest.approx(25.0, abs=0.05)
+
+    def test_single_sample_runs_of_several_satellites(self):
+        # above 85 degrees for about 13 s around each zenith: one 10 s sample
+        gs = GroundStation("eq", 0.0, 0.0, min_elevation_deg=85.0)
+        zenith = {SatelliteId(0, 0, 0): 500.0, SatelliteId(0, 0, 1): 100.0, SatelliteId(0, 0, 2): 250.0}
+        c = {sat: zenith_pass(t) for sat, t in zenith.items()}
+        windows = visibility_windows(gs, c, 0.0, 600.0, 10.0)
+        assert [w.sat for w in windows] == sorted(zenith, key=zenith.get)
+        for w in windows:
+            t = zenith[w.sat]
+            assert t - 10.0 < w.start_s < t < w.end_s < t + 10.0
+            assert w.max_elevation_deg == pytest.approx(elevation_at(gs, c[w.sat], t), abs=1e-9)
+
+
 class TestHandoverSchedule:
     def test_single_window_no_handover(self):
         c = build_constellation([ShellSpec(550.0, 53.0, 1, 1)])
@@ -221,6 +307,32 @@ class TestHandoverSchedule:
         # while coverage is continuous the attachment chain has no gaps
         for (t0, _, to_sat), (t1, from_sat, _) in zip(schedule, schedule[1:]):
             assert from_sat == to_sat
+
+    def test_lowest_id_wins_a_tie(self):
+        gs = GroundStation("x", 0.0, 0.0, min_elevation_deg=0.0)
+        twin = CircularElements(6921.0, 53.0, 0.0, 20.0)
+        c = {
+            SatelliteId(0, 0, 5): CircularElements(6921.0, 53.0, 0.0, 0.0),
+            SatelliteId(0, 0, 3): twin,
+            SatelliteId(0, 0, 2): twin,
+        }
+        windows = [
+            VisibilityWindow(gs.id, SatelliteId(0, 0, 5), 0.0, 100.0, 50.0),
+            VisibilityWindow(gs.id, SatelliteId(0, 0, 3), 100.0, 200.0, 50.0),
+            VisibilityWindow(gs.id, SatelliteId(0, 0, 2), 100.0, 200.0, 50.0),
+        ]
+        expected = [(100.0, SatelliteId(0, 0, 5), SatelliteId(0, 0, 2))]
+        assert handover_schedule(windows, gs, c) == expected
+        assert handover_schedule(windows[::-1], gs, c) == expected
+
+    @pytest.mark.parametrize("lat,lon", [(52.5, 13.4), (30.0, 0.0)])
+    def test_matches_scalar_reference(self, dense_constellation, lat, lon):
+        gs = GroundStation("gs", lat, lon)
+        windows = visibility_windows(gs, dense_constellation, 0.0, 1800.0, 10.0)
+        expected = reference_handover_schedule(windows, gs, dense_constellation)
+        assert len(expected) > 10
+        assert handover_schedule(windows, gs, dense_constellation) == expected
+        assert handover_schedule(windows[::-1], gs, dense_constellation) == expected
 
     def test_deterministic(self, dense_constellation):
         gs = GroundStation("mid", 30.0, 0.0)

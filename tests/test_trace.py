@@ -189,6 +189,23 @@ class TestSerialization:
         assert type(event.params["downtime_s"]) is float
 
     @pytest.mark.parametrize(
+        "line",
+        [
+            '{"t": 1%s, "kind": "device_reboot", "target": {"type": "device", "sat": [0, 1, 2], '
+            '"device": 0}, "params": {"downtime_s": 3}}' % ("0" * 400),
+            '{"t": 1, "kind": "device_reboot", "target": {"type": "device", "sat": [0, 1, 2], '
+            '"device": 0}, "params": {"downtime_s": 1%s}}' % ("0" * 400),
+            "[" * 100_000 + "]" * 100_000,
+            '{"t": 1%s}' % ("0" * 5000),
+        ],
+        ids=["integer-time-beyond-float", "integer-param-beyond-float", "deep-nesting", "over-long-integer"],
+    )
+    def test_parse_rejects_overflow_and_deep_nesting(self, line):
+        # these used to escape as OverflowError, RecursionError and ValueError
+        with pytest.raises(TraceParseError):
+            parse_event(line, byte_offset=100)
+
+    @pytest.mark.parametrize(
         "t, device, downtime",
         [
             ("Infinity", "0", "30.0"),
@@ -237,6 +254,16 @@ class TestTraceFiles:
         path = tmp_path / "trace.jsonl"
         path.write_text(serialize_event(make_event("isl_down", 1.0)) + "\n")
         with pytest.raises(TraceParseError, match="schema"):
+            read_trace(path)
+
+    @pytest.mark.parametrize(
+        "header", ['{"schema": 1%s}' % ("0" * 5000), "[" * 100_000 + "]" * 100_000],
+        ids=["over-long-integer", "deep-nesting"],
+    )
+    def test_unreadable_header_rejected(self, tmp_path, header):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(header + "\n")
+        with pytest.raises(TraceParseError, match="invalid header"):
             read_trace(path)
 
     def test_malformed_line_reports_absolute_offset(self, tmp_path):
