@@ -28,7 +28,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -269,6 +269,17 @@ def rain_multiplier(precip_mm_h: float, config: Optional[FaultModelConfig] = Non
     return 1.0 + frac * (cfg.rain_moderate_multiplier - 1.0)
 
 
+def _renewal_times(
+    rng: np.random.Generator, config: FaultModelConfig, t0_s: float, t1_s: float
+) -> Iterator[float]:
+    t = t0_s
+    while True:
+        t += rng.uniform(config.handover_min_s, config.handover_max_s)
+        if t >= t1_s:
+            return
+        yield t
+
+
 def sample_handover_spikes(
     config: FaultModelConfig,
     gs_ids: Sequence[str],
@@ -294,33 +305,20 @@ def sample_handover_spikes(
     for gs_id in gs_ids:
         rng = streams.stream(f"handover/{gs_id}")
         if mode == "renewal":
-            t = t0_s
-            while True:
-                t += rng.uniform(config.handover_min_s, config.handover_max_s)
-                if t >= t1_s:
-                    break
-                loss = rng.uniform(config.handover_loss_min, config.handover_loss_max)
-                events.append(
-                    FaultEvent(
-                        t,
-                        "handover_spike",
-                        GroundLinkTarget(gs_id),
-                        {"loss_rate": loss, "duration_s": config.handover_spike_s},
-                    )
-                )
+            spike_times = _renewal_times(rng, config, t0_s, t1_s)
         else:
-            for t in schedules.get(gs_id, ()):
-                if not t0_s <= t < t1_s:
-                    continue
-                loss = rng.uniform(config.handover_loss_min, config.handover_loss_max)
-                events.append(
-                    FaultEvent(
-                        float(t),
-                        "handover_spike",
-                        GroundLinkTarget(gs_id),
-                        {"loss_rate": loss, "duration_s": config.handover_spike_s},
-                    )
+            spike_times = (float(t) for t in schedules.get(gs_id, ()) if t0_s <= t < t1_s)
+        # lazy times: a renewal gap is drawn only after the previous spike's loss
+        for t in spike_times:
+            loss = rng.uniform(config.handover_loss_min, config.handover_loss_max)
+            events.append(
+                FaultEvent(
+                    t,
+                    "handover_spike",
+                    GroundLinkTarget(gs_id),
+                    {"loss_rate": loss, "duration_s": config.handover_spike_s},
                 )
+            )
     events.sort(key=lambda e: e.sort_key)
     return events
 
@@ -409,6 +407,8 @@ def read_precipitation_csv(path) -> List[Tuple[float, float]]:
             if len(row) != 2:
                 raise ValueError(f"precipitation CSV line {line_no}: expected 2 columns, got {len(row)}")
             try:
+                if "_" in row[0] + row[1]:  # float() reads digit separators
+                    raise ValueError(row)
                 t, mm = float(row[0]), float(row[1])
                 if not (math.isfinite(t) and math.isfinite(mm)):
                     raise ValueError(row)

@@ -94,26 +94,31 @@ def is_isl_viable(grazing_km, threshold_km: float = DEFAULT_ISL_THRESHOLD_KM):
 
 
 def ground_station_eci(
-    gs: GroundStation, t_s: float, earth_radius_km: float = EARTH_RADIUS_KM
+    gs: GroundStation, t_s, earth_radius_km: float = EARTH_RADIUS_KM
 ) -> np.ndarray:
-    """ECI position of a ground station at time t_s.
+    """ECI position of a ground station at time t_s, shape (3,).
 
     The Earth rotates 360 degrees per sidereal day; longitude 0 is aligned
-    with the inertial x-axis at t = 0.
+    with the inertial x-axis at t = 0. An array of times gives one
+    position per time, shape (..., 3), equal to the one-time results.
     """
     lat = math.radians(gs.latitude_deg)
     lon = math.radians(gs.longitude_deg) + 2.0 * math.pi * t_s / SIDEREAL_DAY_S
     cos_lat = math.cos(lat)
-    return earth_radius_km * np.array(
-        [cos_lat * math.cos(lon), cos_lat * math.sin(lon), math.sin(lat)]
+    if isinstance(lon, float):  # one time: math is faster than numpy on scalars
+        return earth_radius_km * np.array(
+            [cos_lat * math.cos(lon), cos_lat * math.sin(lon), math.sin(lat)]
+        )
+    return earth_radius_km * np.stack(
+        [cos_lat * np.cos(lon), cos_lat * np.sin(lon), np.full_like(lon, math.sin(lat))], axis=-1
     )
 
 
 def elevation_angle(gs_pos, sat_pos):
     """Elevation of a satellite above the station's local horizontal, degrees.
 
-    gs_pos has shape (3,); sat_pos may be (3,) or a batch (..., 3).
-    Raises ValueError for coincident points.
+    gs_pos and sat_pos are (3,) or batches (..., 3) that broadcast
+    against each other. Raises ValueError for coincident points.
     """
     gs_pos = np.asarray(gs_pos, dtype=float)
     sat_pos = np.asarray(sat_pos, dtype=float)
@@ -121,7 +126,8 @@ def elevation_angle(gs_pos, sat_pos):
     d_norm = np.sqrt(np.sum(d * d, axis=-1))
     if np.any(d_norm == 0.0):
         raise ValueError("satellite position coincides with the ground station")
-    up = gs_pos / np.linalg.norm(gs_pos)
+    # a dot product per station row: equal to np.linalg.norm of each row
+    up = gs_pos / np.sqrt(gs_pos[..., None, :] @ gs_pos[..., :, None])[..., 0]
     sin_e = np.clip(np.sum(d * up, axis=-1) / d_norm, -1.0, 1.0)
     elev = np.degrees(np.arcsin(sin_e))
     if elev.ndim == 0:

@@ -75,7 +75,7 @@ class SatelliteId(NamedTuple):
 class CircularElements:
     """Orbital state of one satellite, sufficient for circular propagation.
 
-    phase_deg is the argument of latitude at the epoch (angle from the
+    phase_deg is the argument of latitude at t = 0 (angle from the
     ascending node along the orbit). Angles are normalized to [0, 360).
     """
 
@@ -83,7 +83,6 @@ class CircularElements:
     inclination_deg: float
     raan_deg: float
     phase_deg: float
-    epoch_s: float = 0.0
 
     def __post_init__(self) -> None:
         if self.semi_major_axis_km <= 0.0:
@@ -147,18 +146,17 @@ def propagate_arrays(
     inclination_rad: np.ndarray,
     raan_rad: np.ndarray,
     phase_rad: np.ndarray,
-    epoch_s: np.ndarray,
-    t_s: float,
+    t_s: np.ndarray | float,
     offset_km: np.ndarray | float = 0.0,
 ) -> np.ndarray:
     """Vectorized circular propagation; returns positions with shape (..., 3).
 
     The radius is a + offset and the argument of latitude advances at the
-    mean motion of the offset radius.
+    mean motion of the offset radius. t_s may be one time or one per row.
     """
     r_km = np.asarray(a_km, dtype=float) + np.asarray(offset_km, dtype=float)
     n = np.sqrt(MU_EARTH_M3_S2 / (r_km * 1e3) ** 3)
-    u = phase_rad + n * (t_s - epoch_s)
+    u = phase_rad + n * t_s
     cos_u, sin_u = np.cos(u), np.sin(u)
     cos_i, sin_i = np.cos(inclination_rad), np.sin(inclination_rad)
     cos_o, sin_o = np.cos(raan_rad), np.sin(raan_rad)
@@ -177,7 +175,6 @@ class FleetArrays:
     inclination_rad: np.ndarray
     raan_rad: np.ndarray
     phase_rad: np.ndarray
-    epoch_s: np.ndarray
 
     @classmethod
     def from_constellation(cls, constellation: Constellation) -> "FleetArrays":
@@ -189,14 +186,12 @@ class FleetArrays:
             inclination_rad=np.radians([e.inclination_deg for e in elements]),
             raan_rad=np.radians([e.raan_deg for e in elements]),
             phase_rad=np.radians([e.phase_deg for e in elements]),
-            epoch_s=np.array([e.epoch_s for e in elements]),
         )
 
     def propagate(self, t_s: float, offset_km: np.ndarray | float = 0.0) -> np.ndarray:
         """Positions of every satellite at t_s, shape (N, 3), km."""
         return propagate_arrays(
-            self.a_km, self.inclination_rad, self.raan_rad, self.phase_rad, self.epoch_s,
-            t_s, offset_km,
+            self.a_km, self.inclination_rad, self.raan_rad, self.phase_rad, t_s, offset_km
         )
 
 
@@ -220,7 +215,6 @@ def propagate(
         math.radians(elements.inclination_deg),
         math.radians(elements.raan_deg),
         math.radians(elements.phase_deg),
-        elements.epoch_s,
         t_s,
         altitude_offset_km,
     )

@@ -92,9 +92,10 @@ class TleRecord:
     def __post_init__(self) -> None:
         if not 0 <= self.catalog_number <= 99999:
             raise ValueError(f"catalog_number must be 0-99999, got {self.catalog_number}")
-        if self.mean_motion_rev_per_day <= 0.0:
+        # what the 11-column field holds; a tinier rate overflows the semi-major axis
+        if not 1e-8 <= self.mean_motion_rev_per_day < 100.0:
             raise ValueError(
-                f"mean_motion_rev_per_day must be positive, got {self.mean_motion_rev_per_day}"
+                f"mean_motion_rev_per_day must be in [1e-8, 100), got {self.mean_motion_rev_per_day}"
             )
         if not 0.0 <= self.eccentricity < 1.0:
             raise ValueError(f"eccentricity must be in [0, 1), got {self.eccentricity}")
@@ -129,6 +130,8 @@ def _field(
 ) -> T:
     raw = line[start:end]
     try:
+        if "_" in raw:  # int() and float() read digit separators
+            raise ValueError(raw)
         value = conv(raw)
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(raw)
@@ -205,14 +208,12 @@ def serialize_tle(rec: TleRecord) -> Tuple[str, str]:
     return body1 + str(checksum(body1)), body2 + str(checksum(body2))
 
 
-def tle_to_elements(rec: TleRecord, epoch_s: float = 0.0) -> CircularElements:
+def tle_to_elements(rec: TleRecord) -> CircularElements:
     """Circular-orbit approximation of a mean element set.
 
     The semi-major axis follows from the mean motion (T = 86400/n,
     a = (mu*(T/2pi)^2)^(1/3)); the phase is arg_perigee + mean_anomaly.
     """
-    if rec.mean_motion_rev_per_day <= 0.0:
-        raise ValueError("mean motion must be positive")
     if rec.eccentricity > ECCENTRICITY_WARN_LIMIT:
         warnings.warn(
             f"catalog {rec.catalog_number}: eccentricity {rec.eccentricity:.4f} exceeds "
@@ -227,7 +228,6 @@ def tle_to_elements(rec: TleRecord, epoch_s: float = 0.0) -> CircularElements:
         inclination_deg=rec.inclination_deg,
         raan_deg=rec.raan_deg,
         phase_deg=(rec.arg_perigee_deg + rec.mean_anomaly_deg) % 360.0,
-        epoch_s=epoch_s,
     )
 
 

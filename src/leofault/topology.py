@@ -11,11 +11,11 @@ evaluates grazing altitude only, one step at a time over a time grid,
 with the maneuver offsets active at each step; simulate and the ISL
 altitude CDF both read link state that way. Steps are not batched into
 (steps x edges) arrays: that raises peak memory without saving time.
-Ground geometry reads satellites through the fleet arrays, one station
-position per instant: visibility runs come from one diff along time of a
-(steps x satellites) elevation matrix, their edges refined by scalar
-bisection; the handover schedule takes, per step, the highest elevation
-among the owners of open windows, lowest id on ties.
+Ground geometry reads satellites through the fleet arrays: visibility runs
+come from one diff along time of a (steps x satellites) elevation matrix,
+and all their edges are bisected together, each open edge at its own
+midpoint and station position; the handover schedule takes, per step, the
+highest elevation among the owners of open windows, lowest id on ties.
 """
 
 from __future__ import annotations
@@ -35,14 +35,7 @@ from .geometry import (
     is_isl_viable,
 )
 from .faults import ManeuverEvent, offsets_at
-from .orbital import (
-    CircularElements,
-    Constellation,
-    FleetArrays,
-    SatelliteId,
-    propagate,
-    time_grid,
-)
+from .orbital import Constellation, FleetArrays, SatelliteId, propagate_arrays, time_grid
 
 INTRA_PLANE = "intra_plane"
 CROSS_PLANE = "cross_plane"
@@ -198,32 +191,33 @@ class GridTopology:
         ]
 
 
-def _refine_crossing(
-    elements: CircularElements,
+def _bisect_crossings(
+    fleet: FleetArrays,
+    rows: np.ndarray,
+    t_outside: np.ndarray,
+    t_inside: np.ndarray,
     gs: GroundStation,
-    min_elevation_deg: float,
-    t_outside: float,
-    t_inside: float,
     earth_radius_km: float,
-    tol_s: float = 0.1,
-) -> float:
-    """Bisect the elevation threshold crossing between two sample times.
+) -> np.ndarray:
+    """Bisect the elevation threshold crossing of each fleet row to 0.1 s.
 
-    t_outside samples below the minimum elevation, t_inside at or above;
-    the two may be in either temporal order.
+    Edge k of satellite rows[k] samples below the minimum elevation at
+    t_outside[k] and at or above it at t_inside[k], in either temporal
+    order. All edges still wider than the tolerance are halved together.
     """
-
-    def above(t: float) -> bool:
-        gs_pos = ground_station_eci(gs, t, earth_radius_km)
-        return elevation_angle(gs_pos, propagate(elements, t)) >= min_elevation_deg
-
-    lo, hi = t_outside, t_inside
-    while abs(hi - lo) > tol_s:
-        mid = 0.5 * (lo + hi)
-        if above(mid):
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = t_outside.copy(), t_inside.copy()
+    open_ = np.flatnonzero(np.abs(hi - lo) > 0.1)
+    while open_.size:
+        mid = 0.5 * (lo[open_] + hi[open_])
+        r = rows[open_]
+        pos = propagate_arrays(
+            fleet.a_km[r], fleet.inclination_rad[r], fleet.raan_rad[r], fleet.phase_rad[r], mid
+        )
+        gs_pos = ground_station_eci(gs, mid, earth_radius_km)
+        above = elevation_angle(gs_pos, pos) >= gs.min_elevation_deg
+        hi[open_[above]] = mid[above]
+        lo[open_[~above]] = mid[~above]
+        open_ = open_[np.abs(hi[open_] - lo[open_]) > 0.1]
     return 0.5 * (lo + hi)
 
 
@@ -252,25 +246,25 @@ def visibility_windows(
     # run boundaries per satellite: +1 at a run's first sample, -1 one past its last
     visible = (elevations >= gs.min_elevation_deg).T.astype(np.int8)
     steps = np.diff(visible, axis=1, prepend=0, append=0)
-    run_ends = np.argwhere(steps == -1)[:, 1] - 1
-    windows: List[VisibilityWindow] = []
-    for (j, start_idx), end_idx in zip(np.argwhere(steps == 1).tolist(), run_ends.tolist()):
-        sat = fleet.sat_ids[j]
-        start = float(times[start_idx])
-        if start_idx > 0:
-            start = _refine_crossing(
-                constellation[sat], gs, gs.min_elevation_deg,
-                float(times[start_idx - 1]), start, earth_radius_km,
-            )
-        end = float(times[end_idx])
-        if end_idx + 1 < len(times):
-            end = _refine_crossing(
-                constellation[sat], gs, gs.min_elevation_deg,
-                float(times[end_idx + 1]), end, earth_radius_km,
-            )
-        max_elev = float(np.max(elevations[start_idx : end_idx + 1, j]))
-        if end > start:
-            windows.append(VisibilityWindow(gs.id, sat, start, end, max_elev))
+    sats, first = np.nonzero(steps == 1)
+    last = np.nonzero(steps == -1)[1] - 1
+    # start edges, then end edges; one inside the grid lies between an inner and an outer sample
+    inner = np.concatenate([first, last])
+    outer = np.concatenate([first - 1, last + 1])
+    edges = times[inner]
+    refine = (outer >= 0) & (outer < len(times))
+    edges[refine] = _bisect_crossings(
+        fleet, np.concatenate([sats, sats])[refine], times[outer[refine]], edges[refine],
+        gs, earth_radius_km,
+    )
+    starts, ends = np.split(edges, 2)
+    windows = [
+        VisibilityWindow(gs.id, fleet.sat_ids[j], start, end, float(np.max(elevations[a : b + 1, j])))
+        for j, a, b, start, end in zip(
+            sats.tolist(), first.tolist(), last.tolist(), starts.tolist(), ends.tolist()
+        )
+        if end > start
+    ]
     windows.sort(key=lambda w: (w.start_s, tuple(w.sat)))
     return windows
 

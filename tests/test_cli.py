@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from leofault import TleRecord, read_cdf_csv, read_trace, serialize_tle
+from leofault import TleRecord, checksum, read_cdf_csv, read_trace, serialize_tle
 
 SPARSE_CONFIG = {
     "shells": [
@@ -107,6 +107,22 @@ class TestTleCommand:
         result = run_cli("tle", "parse", str(path))
         assert result.returncode == 2
         assert "error" in result.stderr
+
+    def test_tiny_mean_motion_exits_2(self, tmp_path):
+        lines = serialize_tle(
+            TleRecord(
+                catalog_number=44713, epoch_year=2023, epoch_day=15.5, inclination_deg=53.05,
+                raan_deg=100.0, eccentricity=0.0001, arg_perigee_deg=90.0, mean_anomaly_deg=270.0,
+                mean_motion_rev_per_day=15.06,
+            )
+        )
+        body = lines[1][:52] + "     1e-300" + lines[1][63:68]
+        path = tmp_path / "tiny.tle"
+        path.write_text(f"{lines[0]}\n{body}{checksum(body)}\n")
+        result = run_cli("tle", "parse", str(path))
+        assert result.returncode == 2
+        assert "input line 1" in result.stderr and "mean_motion_rev_per_day" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_eccentric_warning_on_stderr(self, tmp_path):
         rec = TleRecord(

@@ -378,10 +378,10 @@ class TestPrecipitationCsv:
             read_precipitation_csv(path)
 
     @pytest.mark.parametrize(
-        "row", ["600,nan", "600,inf", "nan,1", "-inf,1", "600,heavy", "ten,1"]
+        "row", ["600,nan", "600,inf", "nan,1", "-inf,1", "600,heavy", "ten,1", "6_00,1", "600,4_5"]
     )
     def test_non_finite_or_non_numeric_cell(self, tmp_path, row):
-        # a NaN t_s would also pass the strictly-increasing check
+        # a NaN t_s would also pass the strictly-increasing check; float() reads "6_00" as 600.0
         path = tmp_path / "rain.csv"
         path.write_text(f"t_s,mm_per_h\n0,0\n{row}\n1200,0\n")
         with pytest.raises(ValueError, match="line 3: t_s and mm_per_h must be finite numbers"):

@@ -187,6 +187,15 @@ class TestGroundStationEci:
             pos = ground_station_eci(gs, float(rng.uniform(0, 1e6)))
             assert abs(np.linalg.norm(pos) - R) < 1e-9
 
+    def test_time_array_equals_scalar_calls(self, rng):
+        for lat, lon in ((52.5, 13.4), (-89.0, 179.0), (0.0, 0.0), (90.0, -180.0)):
+            gs = GroundStation("x", lat, lon)
+            times = rng.uniform(-1e4, 2e5, 5000)
+            expected = np.array([ground_station_eci(gs, float(t)) for t in times])
+            assert np.array_equal(ground_station_eci(gs, times), expected)
+            grid = times.reshape(50, 100)
+            assert np.array_equal(ground_station_eci(gs, grid), expected.reshape(50, 100, 3))
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -227,6 +236,29 @@ class TestElevation:
             sat = rng.normal(size=3)
             sat *= rng.uniform(6500.0, 9000.0) / np.linalg.norm(sat)
             assert -90.0 <= elevation_angle(gs, sat) <= 90.0
+
+    def test_per_row_stations_equal_scalar_calls(self, rng):
+        stations = rng.normal(size=(4000, 3))
+        stations *= R / np.linalg.norm(stations, axis=1)[:, None]
+        sats = rng.normal(size=(4000, 3)) * 7000.0
+        expected = np.array([elevation_angle(g, p) for g, p in zip(stations, sats)])
+        assert np.array_equal(elevation_angle(stations, sats), expected)
+        # one station against a batch, and a batch of stations against one satellite
+        assert np.array_equal(
+            elevation_angle(stations[0], sats), [elevation_angle(stations[0], p) for p in sats]
+        )
+        assert np.array_equal(
+            elevation_angle(stations, sats[0]), [elevation_angle(g, sats[0]) for g in stations]
+        )
+
+    def test_per_row_norm_equals_linalg_norm(self, rng):
+        # reference: the station's up vector from np.linalg.norm
+        stations = rng.normal(size=(4000, 3)) * R
+        sats = rng.normal(size=(4000, 3)) * 7000.0
+        for g, p in zip(stations, sats):
+            d = p - g
+            sin_e = np.clip(np.sum(d * (g / np.linalg.norm(g))) / np.sqrt(np.sum(d * d)), -1.0, 1.0)
+            assert elevation_angle(g, p) == float(np.degrees(np.arcsin(sin_e)))
 
     def test_slant_range_at_25_degrees(self):
         # place the satellite at exactly 25 deg elevation by bisecting the

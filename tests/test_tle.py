@@ -188,6 +188,30 @@ class TestParse:
         with pytest.raises(TleFormatError, match=f"input line 1: {match}"):
             parse_tle_text("\n".join(lines) + "\n")
 
+    @pytest.mark.parametrize("start,end,text", [(8, 16, " 5_3.000"), (52, 63, "15.4_939861"), (63, 68, "22_98")])
+    def test_digit_separator_rejected(self, start, end, text):
+        # int() and float() read "5_3.000" as 53.0
+        lines = [ISS_L1, ISS_L2]
+        body = ISS_L2[:start] + text + ISS_L2[end:68]
+        lines[1] = body + str(checksum(body))
+        with pytest.raises(TleFormatError, match=f"line 2, columns {start + 1}-{end}"):
+            parse_tle(*lines)
+
+    @pytest.mark.parametrize("text", ["     1e-300", "     6e-150", "      1e-09", "100.0000000"])
+    def test_mean_motion_out_of_range_carries_input_line(self, text):
+        # unbounded, 1e-300 overflows tle_to_elements and 6e-150 gives an infinite semi-major axis
+        body = ISS_L2[:52] + text + ISS_L2[63:68]
+        tle = f"{ISS_NAME}\n{ISS_L1}\n{body}{checksum(body)}\n"
+        with pytest.raises(TleFormatError, match="input line 2: .*mean.motion"):
+            parse_tle_text(tle)
+
+    def test_mean_motion_range_ends(self):
+        for mean_motion in (1e-8, 99.99999999):
+            body = ISS_L2[:52] + f"{mean_motion:11.8f}" + ISS_L2[63:68]
+            (record,) = parse_tle_text(f"{ISS_L1}\n{body}{checksum(body)}\n")
+            assert record.mean_motion_rev_per_day == mean_motion
+            assert math.isfinite(tle_to_elements(record).semi_major_axis_km)
+
     def test_out_of_range_field_carries_input_line(self):
         body = ISS_L2[:8] + "400.0000" + ISS_L2[16:68]
         text = f"{ISS_NAME}\n{ISS_L1}\n{body}{checksum(body)}\n"

@@ -22,7 +22,7 @@ from leofault import (
     visibility_windows,
 )
 from leofault.constants import EARTH_RADIUS_KM, SIDEREAL_DAY_S
-from leofault.orbital import mean_motion_rad_s, time_grid
+from leofault.orbital import FleetArrays, mean_motion_rad_s, time_grid
 from leofault.topology import CROSS_PLANE, INTRA_PLANE
 
 
@@ -63,6 +63,50 @@ def reference_handover_schedule(windows, gs, constellation, step_s=1.0):
         current = best
         t += step_s
     return events
+
+
+def reference_refine_crossing(elements, gs, t_outside, t_inside, tol_s=0.1):
+    """The scalar bisection visibility_windows replaced: one edge at a time."""
+
+    def above(t):
+        return elevation_at(gs, elements, t) >= gs.min_elevation_deg
+
+    lo, hi = t_outside, t_inside
+    while abs(hi - lo) > tol_s:
+        mid = 0.5 * (lo + hi)
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def reference_visibility_windows(gs, constellation, t0_s, t1_s, step_s):
+    """Sampled runs found per satellite, each inner edge refined by the scalar bisection."""
+    times = time_grid(t0_s, t1_s, step_s).tolist()
+    fleet = FleetArrays.from_constellation(constellation)
+    elevations = [elevation_angle(ground_station_eci(gs, t), fleet.propagate(t)) for t in times]
+    windows = []
+    for j, sat in enumerate(fleet.sat_ids):
+        column = [float(row[j]) for row in elevations]
+        k = 0
+        while k < len(times):
+            if column[k] < gs.min_elevation_deg:
+                k += 1
+                continue
+            first = k
+            while k + 1 < len(times) and column[k + 1] >= gs.min_elevation_deg:
+                k += 1
+            start, end = times[first], times[k]
+            if first > 0:
+                start = reference_refine_crossing(constellation[sat], gs, times[first - 1], start)
+            if k + 1 < len(times):
+                end = reference_refine_crossing(constellation[sat], gs, times[k + 1], end)
+            if end > start:
+                windows.append(VisibilityWindow(gs.id, sat, start, end, max(column[first : k + 1])))
+            k += 1
+    windows.sort(key=lambda w: (w.start_s, tuple(w.sat)))
+    return windows
 
 
 def grid_adjacency(planes, sats):
@@ -225,6 +269,26 @@ class TestVisibilityWindows:
                 elev = elevation_angle(pos, propagate(dense_constellation[w.sat], edge))
                 assert abs(elev - gs.min_elevation_deg) < 0.05
 
+    @pytest.mark.parametrize(
+        "gs",
+        [
+            GroundStation("berlin", 52.5, 13.4),
+            GroundStation("sydney", -33.9, 151.2, min_elevation_deg=10.0),
+            GroundStation("quito", -0.2, -78.5, min_elevation_deg=10.0),
+        ],
+        ids=lambda gs: gs.id,
+    )
+    @pytest.mark.parametrize(
+        "shell,t0,t1,step",
+        [("dense", 0.0, 1800.0, 10.0), ("sparse", 250.0, 3484.5, 7.0)],
+        ids=["dense", "polar"],
+    )
+    def test_matches_scalar_bisection(self, request, gs, shell, t0, t1, step):
+        constellation = request.getfixturevalue(f"{shell}_constellation")
+        expected = reference_visibility_windows(gs, constellation, t0, t1, step)
+        assert sum(t0 < w.start_s and w.end_s < t1 for w in expected) >= 20
+        assert visibility_windows(gs, constellation, t0, t1, step) == expected
+
     def test_invalid_interval(self):
         gs = GroundStation("x", 0.0, 0.0)
         with pytest.raises(ValueError):
@@ -263,6 +327,14 @@ class TestVisibilityRuns:
         assert w.end_s == 156.0
         assert 0.0 < w.start_s < 150.0
         assert elevation_at(EQUATOR_STATION, elements, w.start_s) == pytest.approx(25.0, abs=0.05)
+
+    def test_edge_in_clipped_last_step(self):
+        # the last step is 6 s wide, so its edge takes one halving fewer than a 10 s step
+        c = {SatelliteId(0, 0, 0): zenith_pass(297.5)}
+        windows = visibility_windows(EQUATOR_STATION, c, 0.0, 156.0, 10.0)
+        assert len(windows) == 1
+        assert 150.0 < windows[0].start_s < 156.0 and windows[0].end_s == 156.0
+        assert windows == reference_visibility_windows(EQUATOR_STATION, c, 0.0, 156.0, 10.0)
 
     def test_single_sample_runs_of_several_satellites(self):
         # above 85 degrees for about 13 s around each zenith: one 10 s sample
