@@ -16,13 +16,19 @@ from leofault import (
     FaultModelConfig,
     GroundStation,
     RandomStreams,
+    build_fleet,
+    config_from_dict,
     handover_schedule,
+    offsets_at,
     read_trace,
     sample_handover_spikes,
+    sample_maneuvers,
     serialize_event,
     visibility_windows,
 )
 from leofault.cli import main
+from leofault.faults import MAX_TOTAL_OFFSET_KM
+from leofault.orbital import time_grid
 
 GEN1_SHELLS = [
     {"altitude_km": 550.0, "inclination_deg": 53.0, "planes": 72, "sats_per_plane": 22},
@@ -49,6 +55,17 @@ GEN1_CONFIG = {
     "seed": 1,
 }
 
+# Maneuvers far denser than their dwell: on one polar shell most
+# satellites carry several at once, so overlapping offsets, their sums and
+# the +-10 km clamp all shape which links go down.
+OVERLAP_CONFIG = {
+    "shells": [{"altitude_km": 560.0, "inclination_deg": 97.6, "planes": 4, "sats_per_plane": 43}],
+    "faults": {"maneuver_rate_per_sat_year": 200000.0, "maneuver_dwell_s": 1200.0},
+    "duration_s": 3600.0,
+    "step_s": 10.0,
+    "seed": 1,
+}
+
 DENSE_CONFIG = {
     "shells": [{"altitude_km": 550.0, "inclination_deg": 53.0, "planes": 72, "sats_per_plane": 22}],
     "duration_s": 3600.0,
@@ -57,6 +74,7 @@ DENSE_CONFIG = {
 }
 
 GEN1_TRACE_SHA256 = "27557f975ca7a9bb629b4f7ba5cadda2fdca551561d9f7cefbe2b01a90f524d8"
+OVERLAP_TRACE_SHA256 = "2bb650d898740459ca891e54756763c8c9c50ad36a2eafa59f0adba5f5e73062"
 DENSE_CDF_PER_STEP_SHA256 = "e0feba950a4d0692c4e9adb08bab776cc651f02004d2d2bf583e876dd1336d0d"
 DENSE_CDF_PER_LINK_MIN_SHA256 = "16cee8be245f935672a6dee1e7ff6b03ce528e6e1aa679632d5dff970ff6f867"
 
@@ -95,6 +113,27 @@ def test_gen1_trace_digest(tmp_path, capsys):
     for kind in ("maneuver_start", "maneuver_end", "isl_down", "isl_up"):
         assert kinds[kind] > 0, kind
     assert sha256_of(out) == GEN1_TRACE_SHA256
+
+
+def test_overlapping_maneuvers_trace_digest(tmp_path, capsys):
+    config = write_config(tmp_path, OVERLAP_CONFIG)
+    out = tmp_path / "trace.jsonl"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    kinds = Counter(e.kind for e in read_trace(out))
+    for kind in ("maneuver_start", "maneuver_end", "isl_down", "isl_up"):
+        assert kinds[kind] > 0, kind
+    parsed = config_from_dict(OVERLAP_CONFIG)
+    fleet = sorted(build_fleet(parsed))
+    maneuvers = sample_maneuvers(
+        parsed.faults, fleet, 0.0, parsed.duration_s, RandomStreams(parsed.seed)
+    )
+    clamped = sum(
+        abs(v) == MAX_TOTAL_OFFSET_KM
+        for t in time_grid(0.0, parsed.duration_s, parsed.step_s)
+        for v in offsets_at(maneuvers, float(t)).values()
+    )
+    assert clamped > 0
+    assert sha256_of(out) == OVERLAP_TRACE_SHA256
 
 
 @pytest.mark.parametrize(
