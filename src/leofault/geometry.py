@@ -60,8 +60,16 @@ def grazing_altitude(p1, p2, earth_radius_km: float = EARTH_RADIUS_KM):
     """
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
-    x1, y1, z1 = p1[..., 0], p1[..., 1], p1[..., 2]
-    x2, y2, z2 = p2[..., 0], p2[..., 1], p2[..., 2]
+    altitude = _grazing_planes(
+        p1[..., 0], p1[..., 1], p1[..., 2], p2[..., 0], p2[..., 1], p2[..., 2], earth_radius_km
+    )
+    if altitude.ndim == 0:
+        return float(altitude)
+    return altitude
+
+
+def _grazing_planes(x1, y1, z1, x2, y2, z2, earth_radius_km: float) -> np.ndarray:
+    """grazing_altitude on endpoints given as x, y, z component planes."""
     # lexicographic (x, y, z) order: swap where p2 < p1
     swap = (x2 < x1) | ((x2 == x1) & ((y2 < y1) | ((y2 == y1) & (z2 < z1))))
     if np.any(swap):
@@ -79,10 +87,7 @@ def grazing_altitude(p1, p2, earth_radius_km: float = EARTH_RADIUS_KM):
     t = np.clip(t, 0.0, 1.0)
     cx, cy, cz = x1 + t * dx, y1 + t * dy, z1 + t * dz
     del x1, y1, z1, dx, dy, dz, t
-    altitude = np.sqrt(cx * cx + cy * cy + cz * cz) - earth_radius_km
-    if altitude.ndim == 0:
-        return float(altitude)
-    return altitude
+    return np.sqrt(cx * cx + cy * cy + cz * cz) - earth_radius_km
 
 
 def is_isl_viable(grazing_km, threshold_km: float = DEFAULT_ISL_THRESHOLD_KM):

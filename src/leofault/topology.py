@@ -11,15 +11,28 @@ evaluates grazing altitude only, one step at a time over a time grid,
 with the maneuver offsets active at each step; simulate and the ISL
 altitude CDF both read link state that way. Steps are not batched into
 (steps x edges) arrays: that raises peak memory without saving time.
+
+The scan owns the maneuver offsets as one dense per-satellite array. It
+touches that array only when a maneuver starts or ends, found by a
+pointer into the start-sorted maneuvers and a heap of end times, and it
+recomputes the radii and mean motions only on those steps. A satellite
+whose active maneuvers change gets the left-to-right sum of their
+offsets in start order, clamped to +-10 km, which is bit for bit what
+faults.offsets_at returns; a running add and subtract would not be.
+Positions stay as x, y, z planes from propagation to the grazing kernel:
+no (N, 3) array is stacked and the edge endpoints are six 1-D gathers.
+
 Ground geometry reads satellites through the fleet arrays: visibility runs
 come from one diff along time of a (steps x satellites) elevation matrix,
 and all their edges are bisected together, each open edge at its own
 midpoint and station position; the handover schedule takes, per step, the
-highest elevation among the owners of open windows, lowest id on ties.
+highest elevation among the owners of open windows, lowest id on ties,
+propagating only those owners.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -30,12 +43,13 @@ from .geometry import (
     DEFAULT_ISL_THRESHOLD_KM,
     GroundStation,
     elevation_angle,
+    _grazing_planes,
     grazing_altitude,
     ground_station_eci,
     is_isl_viable,
 )
-from .faults import ManeuverEvent, offsets_at
-from .orbital import Constellation, FleetArrays, SatelliteId, propagate_arrays, time_grid
+from .faults import MAX_TOTAL_OFFSET_KM, ManeuverEvent
+from .orbital import Constellation, FleetArrays, SatelliteId, _mean_motion, time_grid
 
 INTRA_PLANE = "intra_plane"
 CROSS_PLANE = "cross_plane"
@@ -139,17 +153,12 @@ class GridTopology:
                 offset_km[self._index_of[sat]] = dh_km
         return self._fleet.propagate(t_s, offset_km)
 
-    def _endpoints(
-        self, t_s: float, offsets: Optional[Mapping[SatelliteId, float]]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        pos = self.positions(t_s, offsets)
-        return pos.take(self._edge_a, axis=0), pos.take(self._edge_b, axis=0)
-
     def grazing(
         self, t_s: float, offsets: Optional[Mapping[SatelliteId, float]] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Per-edge (grazing_km, length_km) arrays at t_s."""
-        p1, p2 = self._endpoints(t_s, offsets)
+        pos = self.positions(t_s, offsets)
+        p1, p2 = pos.take(self._edge_a, axis=0), pos.take(self._edge_b, axis=0)
         dx, dy, dz = (p2 - p1).T
         length = np.sqrt(dx * dx + dy * dy + dz * dz)
         return grazing_altitude(p1, p2, self.earth_radius_km), length
@@ -159,13 +168,40 @@ class GridTopology:
     ) -> Iterator[Tuple[float, np.ndarray]]:
         """(t, per-edge grazing_km) at each time, one step at a time.
 
-        Each step applies the offsets of the maneuvers (sorted by start)
-        active at t.
+        Each step applies the offsets of the maneuvers active at t, as
+        faults.offsets_at gives them. times must not decrease and
+        maneuvers must be sorted by start_s; ValueError names the first
+        entry out of order. Every step yields a fresh array.
         """
-        for t in times:
-            t = float(t)
-            p1, p2 = self._endpoints(t, offsets_at(maneuvers, t))
-            yield t, grazing_altitude(p1, p2, self.earth_radius_km)
+        times = np.asarray(times, dtype=float)
+        bad = _first_out_of_order(times)
+        if bad is not None:
+            raise ValueError(f"times must not decrease: times[{bad}] is {times[bad]}")
+        starts = np.array([m.start_s for m in maneuvers], dtype=float)
+        bad = _first_out_of_order(starts)
+        if bad is not None:
+            raise ValueError(
+                f"maneuvers must be sorted by start_s: maneuvers[{bad}] starts at {starts[bad]}"
+            )
+        return self._scan(times, maneuvers)
+
+    def _scan(
+        self, times: np.ndarray, maneuvers: Sequence[ManeuverEvent]
+    ) -> Iterator[Tuple[float, np.ndarray]]:
+        fleet = self._fleet
+        edge_a, edge_b = self._edge_a, self._edge_b
+        offsets = _ManeuverOffsets(maneuvers, self._index_of, len(self.sat_ids))
+        r_km, n_rad_s = fleet.a_km, _mean_motion(fleet.a_km)
+        for t in times.tolist():
+            if offsets.advance(t):
+                r_km = fleet.a_km + offsets.km
+                n_rad_s = _mean_motion(r_km)
+            x, y, z = fleet._planes(t, r_km=r_km, n_rad_s=n_rad_s)
+            yield t, _grazing_planes(
+                x.take(edge_a), y.take(edge_a), z.take(edge_a),
+                x.take(edge_b), y.take(edge_b), z.take(edge_b),
+                self.earth_radius_km,
+            )
 
     def snapshot(
         self,
@@ -191,6 +227,61 @@ class GridTopology:
         ]
 
 
+def _first_out_of_order(values: np.ndarray) -> Optional[int]:
+    """Index of the first value that is NaN or below its predecessor."""
+    bad = np.isnan(values)
+    bad[1:] |= values[1:] < values[:-1]
+    hits = np.flatnonzero(bad)
+    return int(hits[0]) if hits.size else None
+
+
+class _ManeuverOffsets:
+    """Per-satellite radial offsets of the maneuvers active at a forward-moving time.
+
+    km[row] equals faults.offsets_at at the last time passed to advance,
+    bit for bit, with 0.0 for satellites without a net offset. maneuvers
+    must be sorted by start_s and the times must not decrease.
+    """
+
+    def __init__(
+        self,
+        maneuvers: Sequence[ManeuverEvent],
+        index_of: Mapping[SatelliteId, int],
+        n_sats: int,
+    ) -> None:
+        self.km = np.zeros(n_sats)
+        self._maneuvers = maneuvers
+        self._index_of = index_of
+        self._next = 0
+        self._ends: List[Tuple[float, int, int]] = []  # heap of (end_s, index, row)
+        self._active: Dict[int, List[int]] = {}  # row -> active indices, in start order
+
+    def advance(self, t_s: float) -> bool:
+        """Move to t_s; True if any satellite's offset was recomputed."""
+        maneuvers, active = self._maneuvers, self._active
+        changed = set()
+        while self._next < len(maneuvers) and maneuvers[self._next].start_s <= t_s:
+            m = maneuvers[self._next]
+            # one that ended by t_s, or whose end is NaN, is never active
+            if t_s < m.end_s:
+                row = self._index_of[m.sat]
+                active.setdefault(row, []).append(self._next)
+                heapq.heappush(self._ends, (m.end_s, self._next, row))
+                changed.add(row)
+            self._next += 1
+        while self._ends and self._ends[0][0] <= t_s:
+            _, index, row = heapq.heappop(self._ends)
+            active[row].remove(index)
+            changed.add(row)
+        for row in changed:
+            # summed from +0.0 as offsets_at sums, so a zero sum is +0.0, never -0.0
+            total = 0.0
+            for index in active[row]:
+                total += maneuvers[index].dh_km
+            self.km[row] = max(-MAX_TOTAL_OFFSET_KM, min(MAX_TOTAL_OFFSET_KM, total))
+        return bool(changed)
+
+
 def _bisect_crossings(
     fleet: FleetArrays,
     rows: np.ndarray,
@@ -209,10 +300,7 @@ def _bisect_crossings(
     open_ = np.flatnonzero(np.abs(hi - lo) > 0.1)
     while open_.size:
         mid = 0.5 * (lo[open_] + hi[open_])
-        r = rows[open_]
-        pos = propagate_arrays(
-            fleet.a_km[r], fleet.inclination_rad[r], fleet.raan_rad[r], fleet.phase_rad[r], mid
-        )
+        pos = np.stack(fleet._planes(mid, rows[open_]), axis=-1)
         gs_pos = ground_station_eci(gs, mid, earth_radius_km)
         above = elevation_angle(gs_pos, pos) >= gs.min_elevation_deg
         hi[open_[above]] = mid[above]
@@ -306,7 +394,7 @@ def handover_schedule(
         if active.size:
             gs_pos = ground_station_eci(gs, t, earth_radius_km)
             elevation = np.full(len(fleet.sat_ids), -np.inf)
-            elevation[active] = elevation_angle(gs_pos, fleet.propagate(t)[active])
+            elevation[active] = elevation_angle(gs_pos, np.stack(fleet._planes(t, active), axis=-1))
             best = fleet.sat_ids[int(np.argmax(elevation))]
         if best is not None and current is not None and best != current:
             events.append((t, current, best))

@@ -7,6 +7,11 @@ inputs are a valid document with one or two parts replaced by arbitrary
 JSON (or a TLE with one column span overwritten), so a type or range
 hole in one field is not hidden by an error elsewhere. Runs are
 derandomized: a failure reproduces on every run.
+
+The link-state scan is fuzzed the same way against its per-step
+reference: random maneuver sets on a small shell, starting and ending on
+and between grid points, must give bit-identical offsets and grazing
+altitudes.
 """
 
 import copy
@@ -22,12 +27,15 @@ from leofault import (
     DeviceTarget,
     EccentricityWarning,
     FaultEvent,
+    GridTopology,
     GroundLinkTarget,
     IslTarget,
+    ManeuverEvent,
     SatelliteId,
     SatelliteTarget,
     TleFormatError,
     TraceParseError,
+    build_constellation,
     checksum,
     config_from_dict,
     config_to_dict,
@@ -36,6 +44,8 @@ from leofault import (
     serialize_event,
     tle_to_elements,
 )
+from leofault.orbital import time_grid
+from test_topology import SMALL_SHELL, assert_scan_matches_reference
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=1000)
 
@@ -231,3 +241,27 @@ def test_parse_tle_text_rejects_or_returns_finite_records(text):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EccentricityWarning)
             assert_finite(list(vars(tle_to_elements(record)).values()))
+
+
+# ---------------------------------------------------------------- link-state scan
+
+SCAN_TOPOLOGY = GridTopology(build_constellation([SMALL_SHELL]))
+SCAN_STEP_S = 30.0
+SCAN_TIMES = time_grid(0.0, 300.0, SCAN_STEP_S)
+on_grid = st.integers(0, len(SCAN_TIMES) - 1).map(lambda k: k * SCAN_STEP_S)
+maneuvers = st.lists(
+    st.builds(
+        ManeuverEvent,
+        sat=st.sampled_from(SCAN_TOPOLOGY.sat_ids[:6]),
+        start_s=on_grid | st.floats(-50.0, 350.0),
+        dh_km=st.sampled_from([-6.0, -2.0, 2.0, 6.0]) | st.floats(-12.0, 12.0),
+        dwell_s=on_grid | st.floats(0.0, 200.0),
+    ),
+    max_size=12,
+).map(lambda ms: sorted(ms, key=lambda m: m.start_s))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(maneuvers)
+def test_scan_matches_per_step_reference(maneuvers):
+    assert_scan_matches_reference(SCAN_TOPOLOGY, SCAN_TIMES, maneuvers)

@@ -22,8 +22,9 @@ from leofault import (
     visibility_windows,
 )
 from leofault.constants import EARTH_RADIUS_KM, SIDEREAL_DAY_S
-from leofault.orbital import FleetArrays, mean_motion_rad_s, time_grid
-from leofault.topology import CROSS_PLANE, INTRA_PLANE
+from leofault.faults import MAX_TOTAL_OFFSET_KM
+from leofault.orbital import FleetArrays, mean_motion_rad_s, propagate_arrays, time_grid
+from leofault.topology import CROSS_PLANE, INTRA_PLANE, _ManeuverOffsets
 
 
 EQUATOR_STATION = GroundStation("eq", 0.0, 0.0)
@@ -107,6 +108,34 @@ def reference_visibility_windows(gs, constellation, t0_s, t1_s, step_s):
             k += 1
     windows.sort(key=lambda w: (w.start_s, tuple(w.sat)))
     return windows
+
+
+def reference_scan(topo, times, maneuvers):
+    """The per-step path scan replaced: offsets_at, positions, grazing_altitude."""
+    index = {sat: i for i, sat in enumerate(topo.sat_ids)}
+    a = np.array([index[x] for x, _ in topo.edge_ids], dtype=int)
+    b = np.array([index[y] for _, y in topo.edge_ids], dtype=int)
+    for t in times:
+        t = float(t)
+        pos = topo.positions(t, offsets_at(maneuvers, t))
+        yield t, grazing_altitude(pos[a], pos[b])
+
+
+def assert_scan_matches_reference(topo, times, maneuvers):
+    """scan equals reference_scan, and its offset state equals offsets_at, bit for bit."""
+    index = {sat: i for i, sat in enumerate(topo.sat_ids)}
+    state = _ManeuverOffsets(maneuvers, index, len(index))
+    for t in times:
+        state.advance(float(t))
+        want = np.zeros(len(index))
+        for sat, dh_km in offsets_at(maneuvers, float(t)).items():
+            want[index[sat]] = dh_km
+        assert np.array_equal(state.km, want)
+    steps = list(topo.scan(times, maneuvers))
+    expected = list(reference_scan(topo, times, maneuvers))
+    assert [t for t, _ in steps] == [t for t, _ in expected]
+    for (_, grazing), (_, want) in zip(steps, expected):
+        assert np.array_equal(grazing, want)
 
 
 def grid_adjacency(planes, sats):
@@ -225,6 +254,146 @@ class TestLinkSnapshot:
     def test_small_shells_have_no_links(self):
         c = build_constellation([ShellSpec(550.0, 53.0, 1, 1)])
         assert GridTopology(c).snapshot(0.0) == []
+
+
+SMALL_SHELL = ShellSpec(altitude_km=560.0, inclination_deg=97.6, planes=4, sats_per_plane=5)
+SCAN_TIMES = time_grid(0.0, 600.0, 50.0)
+SAT = SatelliteId(0, 1, 2)
+OTHER = SatelliteId(0, 3, 0)
+
+
+def active_counts(maneuvers, t):
+    """Per satellite, how many maneuvers are active at t."""
+    counts = {}
+    for m in maneuvers:
+        if m.start_s <= t < m.end_s:
+            counts[m.sat] = counts.get(m.sat, 0) + 1
+    return counts
+
+
+def seeded_maneuvers(seed, count=60):
+    """Start-sorted maneuvers on a few satellites, on and between grid points.
+
+    Half the offsets are not dyadic, so their sums round differently in
+    another order.
+    """
+    rng = np.random.default_rng(seed)
+    sats = [SatelliteId(0, p, i) for p in range(4) for i in range(5)][::3]
+    owners = rng.integers(0, len(sats), count)
+    starts = np.where(rng.random(count) < 0.5, rng.integers(0, 12, count) * 50.0, rng.uniform(0.0, 600.0, count))
+    dh = np.where(rng.random(count) < 0.5, rng.choice([-7.0, -2.0, 2.0, 6.0], count), rng.uniform(-7.0, 7.0, count))
+    dwells = np.where(rng.random(count) < 0.2, 0.0, rng.choice([25.0, 50.0, 100.0, 230.0], count))
+    maneuvers = [
+        ManeuverEvent(sats[k], start, dh_km, dwell)
+        for k, start, dh_km, dwell in zip(owners.tolist(), starts.tolist(), dh.tolist(), dwells.tolist())
+    ]
+    return sorted(maneuvers, key=lambda m: m.start_s)
+
+
+# (maneuvers, a check that the case reaches what it is named after)
+SCAN_CASES = {
+    "overlaps": (
+        [
+            ManeuverEvent(SAT, 0.0, 3.0, 300.0),
+            ManeuverEvent(OTHER, 20.0, -1.5, 100.0),
+            ManeuverEvent(SAT, 100.0, 1.25, 300.0),
+            ManeuverEvent(SAT, 150.0, -0.5, 100.0),
+        ],
+        lambda ms, t: max(active_counts(ms, t).values(), default=0) == 3,
+    ),
+    "zero-sum": (
+        [ManeuverEvent(SAT, 50.0, 2.0, 200.0), ManeuverEvent(SAT, 100.0, -2.0, 300.0)],
+        lambda ms, t: active_counts(ms, t).get(SAT) == 2 and SAT not in offsets_at(ms, t),
+    ),
+    "clamp": (
+        [
+            ManeuverEvent(SAT, 0.0, 6.0, 400.0),
+            ManeuverEvent(SAT, 100.0, 6.0, 200.0),
+            ManeuverEvent(OTHER, 100.0, -7.0, 300.0),
+            ManeuverEvent(OTHER, 150.0, -8.0, 100.0),
+        ],
+        lambda ms, t: sorted(offsets_at(ms, t).values()) == [-MAX_TOTAL_OFFSET_KM, MAX_TOTAL_OFFSET_KM],
+    ),
+    "zero-dwell": (
+        [
+            ManeuverEvent(SAT, 100.0, 5.0, 0.0),
+            ManeuverEvent(SAT, 100.0, -3.0, 100.0),
+            ManeuverEvent(OTHER, 130.0, 4.0, 0.0),
+        ],
+        lambda ms, t: offsets_at(ms, t) == {SAT: -3.0},
+    ),
+    "between-samples": (
+        [ManeuverEvent(SAT, 105.0, 5.0, 30.0), ManeuverEvent(SAT, 120.0, 2.0, 60.0)],
+        lambda ms, t: offsets_at(ms, t) == {SAT: 2.0},
+    ),
+    "on-samples": (
+        [ManeuverEvent(SAT, 100.0, 5.0, 100.0), ManeuverEvent(SAT, 200.0, -4.0, 50.0)],
+        lambda ms, t: offsets_at(ms, t) == {SAT: -4.0},
+    ),
+}
+
+
+class TestScanOffsets:
+    @pytest.fixture(scope="class")
+    def topo(self):
+        return GridTopology(build_constellation([SMALL_SHELL]))
+
+    @pytest.mark.parametrize("case", sorted(SCAN_CASES))
+    def test_matches_per_step_reference(self, topo, case):
+        maneuvers, reaches = SCAN_CASES[case]
+        assert any(reaches(maneuvers, float(t)) for t in SCAN_TIMES)
+        assert_scan_matches_reference(topo, SCAN_TIMES, maneuvers)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_per_step_reference_on_seeded_maneuvers(self, topo, seed):
+        maneuvers = seeded_maneuvers(seed)
+        clamped = [
+            v for t in SCAN_TIMES for v in offsets_at(maneuvers, float(t)).values()
+            if abs(v) == MAX_TOTAL_OFFSET_KM
+        ]
+        assert clamped
+        assert_scan_matches_reference(topo, SCAN_TIMES, maneuvers)
+
+    def test_repeated_times(self, topo):
+        maneuvers = SCAN_CASES["on-samples"][0]
+        times = [0.0, 100.0, 100.0, 199.9, 200.0, 200.0, 260.0]
+        assert_scan_matches_reference(topo, times, maneuvers)
+
+    def test_yields_fresh_arrays(self, topo):
+        maneuvers = SCAN_CASES["overlaps"][0]
+        grazing = [g for _, g in topo.scan(SCAN_TIMES, maneuvers)]
+        for i, g in enumerate(grazing):
+            assert not any(np.shares_memory(g, h) for h in grazing[:i])
+
+    def test_rejects_unsorted_maneuvers(self, topo):
+        maneuvers = [
+            ManeuverEvent(SAT, 0.0, 1.0, 50.0),
+            ManeuverEvent(SAT, 200.0, 1.0, 50.0),
+            ManeuverEvent(OTHER, 100.0, 1.0, 50.0),
+            ManeuverEvent(OTHER, 50.0, 1.0, 50.0),
+        ]
+        with pytest.raises(ValueError, match=r"sorted by start_s: maneuvers\[2\]"):
+            topo.scan(SCAN_TIMES, maneuvers)
+
+    @pytest.mark.parametrize(
+        "times, bad",
+        [([0.0, 10.0, 5.0, 20.0], 2), ([0.0, 10.0, 10.0, 20.0, 15.0], 4), ([0.0, float("nan"), 20.0], 1)],
+    )
+    def test_rejects_decreasing_times(self, topo, times, bad):
+        with pytest.raises(ValueError, match=rf"must not decrease: times\[{bad}\]"):
+            topo.scan(times)
+
+    def test_cached_trig_matches_propagate_arrays_on_row_subsets(self, sparse_constellation, rng):
+        fleet = FleetArrays.from_constellation(sparse_constellation)
+        n = len(fleet.sat_ids)
+        for rows in (rng.integers(0, n, 37), np.sort(rng.choice(n, 120, replace=False)), np.arange(n)):
+            columns = (fleet.a_km[rows], fleet.inclination_rad[rows], fleet.raan_rad[rows], fleet.phase_rad[rows])
+            for t in (0.0, 1234.5, rng.uniform(0.0, 86400.0, len(rows))):
+                got = np.stack(fleet._planes(t, rows), axis=-1)
+                assert np.array_equal(got, propagate_arrays(*columns, t))
+        offset = rng.uniform(-10.0, 10.0, n)
+        want = propagate_arrays(fleet.a_km, fleet.inclination_rad, fleet.raan_rad, fleet.phase_rad, 777.0, offset)
+        assert np.array_equal(fleet.propagate(777.0, offset), want)
 
 
 class TestVisibilityWindows:
