@@ -10,12 +10,14 @@ import hashlib
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from leofault import (
     FaultModelConfig,
     GroundStation,
     RandomStreams,
+    TleRecord,
     build_fleet,
     config_from_dict,
     handover_schedule,
@@ -24,6 +26,7 @@ from leofault import (
     sample_handover_spikes,
     sample_maneuvers,
     serialize_event,
+    serialize_tle,
     visibility_windows,
 )
 from leofault.cli import main
@@ -66,6 +69,28 @@ OVERLAP_CONFIG = {
     "seed": 1,
 }
 
+# Every event kind, from a grid shell, a TLE catalog and two stations
+# under rain that crosses both thresholds. The TLE file and the
+# precipitation CSV are written into the test's directory.
+ALL_KINDS_CONFIG = {
+    "shells": [{"altitude_km": 560.0, "inclination_deg": 97.6, "planes": 4, "sats_per_plane": 43}],
+    "ground_stations": [
+        {"id": "a", "latitude_deg": 52.5, "longitude_deg": 13.4},
+        {"id": "b", "latitude_deg": -33.9, "longitude_deg": 151.2},
+    ],
+    "faults": {
+        "seu_rate_per_device_day": 0.05,
+        "seu_permanent_prob": 0.2,
+        "maneuver_rate_per_sat_year": 20000.0,
+        "maneuver_dwell_s": 600.0,
+    },
+    "duration_s": 3600.0,
+    "step_s": 10.0,
+    "seed": 1,
+}
+ALL_KINDS_PRECIPITATION = "t_s,mm_per_h\n0,0.5\n600,3.0\n1200,6.0\n2400,3.0\n3000,1.0\n"
+ALL_KINDS_TLE_RECORDS = 40
+
 DENSE_CONFIG = {
     "shells": [{"altitude_km": 550.0, "inclination_deg": 53.0, "planes": 72, "sats_per_plane": 22}],
     "duration_s": 3600.0,
@@ -74,6 +99,7 @@ DENSE_CONFIG = {
 }
 
 GEN1_TRACE_SHA256 = "27557f975ca7a9bb629b4f7ba5cadda2fdca551561d9f7cefbe2b01a90f524d8"
+ALL_KINDS_TRACE_SHA256 = "46bb5cb0684b5ba729b136244ba7df1c1eff8624b08955590a0edac735023437"
 OVERLAP_TRACE_SHA256 = "2bb650d898740459ca891e54756763c8c9c50ad36a2eafa59f0adba5f5e73062"
 DENSE_CDF_PER_STEP_SHA256 = "e0feba950a4d0692c4e9adb08bab776cc651f02004d2d2bf583e876dd1336d0d"
 DENSE_CDF_PER_LINK_MIN_SHA256 = "16cee8be245f935672a6dee1e7ff6b03ce528e6e1aa679632d5dff970ff6f867"
@@ -134,6 +160,51 @@ def test_overlapping_maneuvers_trace_digest(tmp_path, capsys):
     )
     assert clamped > 0
     assert sha256_of(out) == OVERLAP_TRACE_SHA256
+
+
+def catalog_text(n: int) -> str:
+    rng = np.random.default_rng(40)
+    lines = []
+    for i in range(n):
+        rec = TleRecord(
+            catalog_number=20000 + i,
+            epoch_year=2023,
+            epoch_day=round(float(rng.uniform(1.0, 365.0)), 8),
+            inclination_deg=round(float(rng.uniform(0.0, 110.0)), 4),
+            raan_deg=round(float(rng.uniform(0.0, 359.99)), 4),
+            eccentricity=int(rng.integers(0, 100000)) / 1e7,
+            arg_perigee_deg=round(float(rng.uniform(0.0, 359.99)), 4),
+            mean_anomaly_deg=round(float(rng.uniform(0.0, 359.99)), 4),
+            mean_motion_rev_per_day=round(float(rng.uniform(14.5, 15.6)), 8),
+        )
+        lines.extend(serialize_tle(rec))
+    return "\n".join(lines) + "\n"
+
+
+def test_all_kinds_trace_digest(tmp_path, capsys):
+    tle_path = tmp_path / "catalog.tle"
+    tle_path.write_text(catalog_text(ALL_KINDS_TLE_RECORDS), encoding="utf-8")
+    rain_path = tmp_path / "rain.csv"
+    rain_path.write_text(ALL_KINDS_PRECIPITATION, encoding="utf-8")
+    config = write_config(
+        tmp_path,
+        {**ALL_KINDS_CONFIG, "tle_files": [str(tle_path)], "precipitation_csv": str(rain_path)},
+    )
+    out = tmp_path / "trace.jsonl"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    kinds = Counter(e.kind for e in read_trace(out))
+    for kind in (
+        "device_permanent_failure",
+        "device_reboot",
+        "gs_link_degraded",
+        "handover_spike",
+        "isl_down",
+        "isl_up",
+        "maneuver_end",
+        "maneuver_start",
+    ):
+        assert kinds[kind] > 0, kind
+    assert sha256_of(out) == ALL_KINDS_TRACE_SHA256
 
 
 @pytest.mark.parametrize(
