@@ -27,8 +27,9 @@ import csv
 import hashlib
 import math
 from dataclasses import dataclass, field as dataclass_field
+from functools import partial
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -174,6 +175,17 @@ def expected_seu_count(
     return rate_per_device_day * devices * satellites * days
 
 
+def _arrivals(gap: Callable[[], float], t0_s: float, t1_s: float) -> Iterator[float]:
+    """Arrivals in [t0_s, t1_s) spaced by gap() draws, each drawn lazily after
+    the previous arrival's own draws."""
+    t = t0_s
+    while True:
+        t += gap()
+        if t >= t1_s:
+            return
+        yield t
+
+
 def sample_seu_events(
     config: FaultModelConfig,
     fleet: Sequence[SatelliteId],
@@ -198,11 +210,7 @@ def sample_seu_events(
     scale = 1.0 / sat_rate_per_s
     for sat in fleet:
         rng = streams.stream(f"seu/{sat.label()}")
-        t = t0_s
-        while True:
-            t += rng.exponential(scale)
-            if t >= t1_s:
-                break
+        for t in _arrivals(partial(rng.exponential, scale), t0_s, t1_s):
             device = int(rng.integers(config.devices_per_satellite))
             permanent = rng.random() < config.seu_permanent_prob
             target = DeviceTarget(sat, device)
@@ -269,17 +277,6 @@ def rain_multiplier(precip_mm_h: float, config: Optional[FaultModelConfig] = Non
     return 1.0 + frac * (cfg.rain_moderate_multiplier - 1.0)
 
 
-def _renewal_times(
-    rng: np.random.Generator, config: FaultModelConfig, t0_s: float, t1_s: float
-) -> Iterator[float]:
-    t = t0_s
-    while True:
-        t += rng.uniform(config.handover_min_s, config.handover_max_s)
-        if t >= t1_s:
-            return
-        yield t
-
-
 def sample_handover_spikes(
     config: FaultModelConfig,
     gs_ids: Sequence[str],
@@ -305,20 +302,15 @@ def sample_handover_spikes(
     for gs_id in gs_ids:
         rng = streams.stream(f"handover/{gs_id}")
         if mode == "renewal":
-            spike_times = _renewal_times(rng, config, t0_s, t1_s)
+            gap = partial(rng.uniform, config.handover_min_s, config.handover_max_s)
+            spike_times = _arrivals(gap, t0_s, t1_s)
         else:
             spike_times = (float(t) for t in schedules.get(gs_id, ()) if t0_s <= t < t1_s)
-        # lazy times: a renewal gap is drawn only after the previous spike's loss
+        target = GroundLinkTarget(gs_id)
         for t in spike_times:
             loss = rng.uniform(config.handover_loss_min, config.handover_loss_max)
-            events.append(
-                FaultEvent(
-                    t,
-                    "handover_spike",
-                    GroundLinkTarget(gs_id),
-                    {"loss_rate": loss, "duration_s": config.handover_spike_s},
-                )
-            )
+            params = {"loss_rate": loss, "duration_s": config.handover_spike_s}
+            events.append(FaultEvent(t, "handover_spike", target, params))
     events.sort(key=lambda e: e.sort_key)
     return events
 
@@ -357,11 +349,7 @@ def sample_maneuvers(
     scale = 1.0 / rate_per_s
     for sat in fleet:
         rng = streams.stream(f"maneuver/{sat.label()}")
-        t = t0_s
-        while True:
-            t += rng.exponential(scale)
-            if t >= t1_s:
-                break
+        for t in _arrivals(partial(rng.exponential, scale), t0_s, t1_s):
             magnitude = rng.uniform(config.maneuver_dh_min_km, config.maneuver_dh_max_km)
             sign = 1.0 if rng.random() < 0.5 else -1.0
             events.append(

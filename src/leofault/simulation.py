@@ -237,23 +237,14 @@ def build_fleet(config: SimulationConfig) -> Constellation:
     return constellation
 
 
-def _maneuver_trace(
-    maneuvers: Sequence[ManeuverEvent], duration_s: float
-) -> List[FaultEvent]:
+def _maneuver_trace(maneuvers: Sequence[ManeuverEvent], duration_s: float) -> List[FaultEvent]:
     events: List[FaultEvent] = []
     for m in maneuvers:
-        events.append(
-            FaultEvent(
-                m.start_s,
-                "maneuver_start",
-                SatelliteTarget(m.sat),
-                {"dh_km": m.dh_km, "dwell_s": m.dwell_s},
-            )
-        )
+        target = SatelliteTarget(m.sat)
+        start_params = {"dh_km": m.dh_km, "dwell_s": m.dwell_s}
+        events.append(FaultEvent(m.start_s, "maneuver_start", target, start_params))
         if m.end_s < duration_s:
-            events.append(
-                FaultEvent(m.end_s, "maneuver_end", SatelliteTarget(m.sat), {"dh_km": m.dh_km})
-            )
+            events.append(FaultEvent(m.end_s, "maneuver_end", target, {"dh_km": m.dh_km}))
     events.sort(key=lambda e: e.sort_key)
     return events
 
@@ -298,13 +289,12 @@ def run_simulation(config: SimulationConfig, trace_path) -> dict:
     gs_ids = [gs.id for gs in config.ground_stations]
     spikes = sample_handover_spikes(config.faults, gs_ids, 0.0, duration, streams)
 
-    rain: List[FaultEvent] = []
+    series: List[Tuple[float, float]] = []
     if config.precipitation_csv is not None:
         series = read_precipitation_csv(config.precipitation_csv)
-        rain = rain_events(config.faults, gs_ids, series, 0.0, duration)
     elif config.precipitation_mm_h is not None:
         series = [(0.0, config.precipitation_mm_h)]
-        rain = rain_events(config.faults, gs_ids, series, 0.0, duration)
+    rain = rain_events(config.faults, gs_ids, series, 0.0, duration)
 
     isl, infeasible_fraction = _isl_transition_trace(topo, maneuvers, config)
 

@@ -9,6 +9,7 @@ sample value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Sequence, Tuple
@@ -30,12 +31,15 @@ class CdfTable:
     def __post_init__(self) -> None:
         previous_value = -np.inf
         previous_prop = 0.0
+        # negated comparisons also reject NaN; only the last value can be +inf
         for value, proportion in self.points:
-            if value <= previous_value:
-                raise ValueError("CDF values must be strictly increasing")
-            if proportion < previous_prop:
-                raise ValueError("CDF proportions must be non-decreasing")
+            if not value > previous_value:
+                raise ValueError(f"CDF values must be finite and strictly increasing, got {value}")
+            if not proportion >= previous_prop:
+                raise ValueError(f"CDF proportions must be non-decreasing, got {proportion}")
             previous_value, previous_prop = value, proportion
+        if self.points and not math.isfinite(self.points[-1][0]):
+            raise ValueError(f"CDF values must be finite, got {self.points[-1][0]}")
         if self.points and abs(self.points[-1][1] - 1.0) > 1e-12:
             raise ValueError(f"final CDF proportion must be 1.0, got {self.points[-1][1]}")
 
@@ -133,14 +137,21 @@ def write_cdf_csv(cdf: CdfTable, path) -> None:
 
 
 def read_cdf_csv(path) -> CdfTable:
-    """Read a CDF written by write_cdf_csv."""
-    text = Path(path).read_text(encoding="utf-8").splitlines()
+    """Read a CDF written by write_cdf_csv; a malformed row names its line."""
+    data = Path(path).read_text(encoding="utf-8")
+    text = data.splitlines()
     if not text or text[0].strip() != "value_km,proportion":
         raise ValueError("CDF CSV must start with header 'value_km,proportion'")
+    if data.find("_", len(text[0])) >= 0:  # one scan of the body; float() reads 1_0 as 10
+        raise ValueError("CDF CSV values must not contain '_'")
     points: List[Tuple[float, float]] = []
     for line in text[1:]:
         if not line.strip():
             continue
-        value, proportion = line.split(",")
-        points.append((float(value), float(proportion)))
+        try:
+            value, proportion = line.split(",")
+            points.append((float(value), float(proportion)))
+        except ValueError:  # the first row equal to this one is this one
+            line_no = text.index(line, 1) + 1
+            raise ValueError(f"CDF CSV line {line_no}: expected two numbers, got {line!r}") from None
     return CdfTable(points=tuple(points))

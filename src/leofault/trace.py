@@ -18,16 +18,20 @@ Event kinds and their required params keys:
 
 Targets: device events target a (satellite, device index) pair, maneuvers
 target a satellite, isl events an unordered satellite pair, and ground
-link events a ground-station id.
+link events a ground-station id. Targets order by their fields (a kind
+fixes its target type), so events order by (t, kind, target, params).
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Sequence, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
 from .orbital import SatelliteId
 
@@ -42,18 +46,18 @@ class TraceParseError(ValueError):
         self.byte_offset = byte_offset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class DeviceTarget:
     sat: SatelliteId
     device: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class SatelliteTarget:
     sat: SatelliteId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class IslTarget:
     a: SatelliteId
     b: SatelliteId
@@ -67,7 +71,7 @@ class IslTarget:
             object.__setattr__(self, "b", b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class GroundLinkTarget:
     gs_id: str
 
@@ -102,14 +106,22 @@ def canonical_number(x: float) -> float:
     return float(f"{float(x):.9g}")
 
 
-def _target_sort_key(target: Target) -> tuple:
-    if isinstance(target, DeviceTarget):
-        return ("device", tuple(target.sat), target.device)
-    if isinstance(target, SatelliteTarget):
-        return ("satellite", tuple(target.sat))
-    if isinstance(target, IslTarget):
-        return ("isl", tuple(target.a), tuple(target.b))
-    return ("ground_link", target.gs_id)
+def _check_event(t_s: float, kind: str, target: Target, params: Mapping[str, float]) -> None:
+    if not 0.0 <= t_s < math.inf:
+        raise ValueError(f"t_s must be finite and >= 0, got {t_s}")
+    expected_type = KIND_TARGET_TYPE.get(kind)
+    if expected_type is None:
+        raise ValueError(f"unknown event kind {kind!r}")
+    if not isinstance(target, expected_type):
+        raise ValueError(
+            f"{kind} events target a {expected_type.__name__}, got {type(target).__name__}"
+        )
+    if set(params) != KIND_PARAM_KEYS[kind]:
+        expected = sorted(KIND_PARAM_KEYS[kind])
+        raise ValueError(f"{kind} params must be exactly {expected}, got {sorted(params)}")
+    for key, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{kind} param {key} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -122,34 +134,11 @@ class FaultEvent:
     params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.t_s < math.inf:
-            raise ValueError(f"t_s must be finite and >= 0, got {self.t_s}")
-        expected_type = KIND_TARGET_TYPE.get(self.kind)
-        if expected_type is None:
-            raise ValueError(f"unknown event kind {self.kind!r}")
-        if not isinstance(self.target, expected_type):
-            raise ValueError(
-                f"{self.kind} events target a {expected_type.__name__}, "
-                f"got {type(self.target).__name__}"
-            )
-        expected_keys = KIND_PARAM_KEYS[self.kind]
-        if set(self.params) != expected_keys:
-            raise ValueError(
-                f"{self.kind} params must be exactly {sorted(expected_keys)}, "
-                f"got {sorted(self.params)}"
-            )
-        for key, value in self.params.items():
-            if not math.isfinite(value):
-                raise ValueError(f"{self.kind} param {key} must be finite, got {value}")
+        _check_event(self.t_s, self.kind, self.target, self.params)
 
     @property
     def sort_key(self) -> tuple:
-        return (
-            self.t_s,
-            self.kind,
-            _target_sort_key(self.target),
-            tuple(sorted(self.params.items())),
-        )
+        return (self.t_s, self.kind, self.target, tuple(sorted(self.params.items())))
 
     def canonical(self) -> "FaultEvent":
         """Copy with all numbers rounded to the 9-significant-digit wire form."""
@@ -160,19 +149,26 @@ class FaultEvent:
         )
 
 
-def merge_traces(traces: Sequence[Sequence[FaultEvent]]) -> List[FaultEvent]:
-    """Merge time-sorted event lists into one deterministic ordering.
+def _keyed(idx: int, trace: Iterable[FaultEvent]) -> Iterator[Tuple[tuple, FaultEvent]]:
+    previous: tuple = ()  # sorts before every key
+    for event in trace:
+        key = event.sort_key
+        if key < previous:
+            raise ValueError(f"input trace {idx} is not time-sorted by sort_key at t={event.t_s}")
+        previous = key
+        yield key, event
 
-    Ties in time are broken by (kind, target), then params, so the result
-    does not depend on the order of the input lists.
+
+def merge_traces(traces: Sequence[Iterable[FaultEvent]]) -> List[FaultEvent]:
+    """Heap-merge event sources into one deterministic ordering.
+
+    Each source must already be sorted by sort_key, not just by time; one
+    that is not raises ValueError naming its index. Ties in time are
+    broken by (kind, target), then params, so the result does not depend
+    on the order of the sources; events with equal keys keep input order.
     """
-    for idx, trace in enumerate(traces):
-        for prev, cur in zip(trace, trace[1:]):
-            if cur.t_s < prev.t_s:
-                raise ValueError(f"input trace {idx} is not time-sorted at t={cur.t_s}")
-    merged = [event for trace in traces for event in trace]
-    merged.sort(key=lambda e: e.sort_key)
-    return merged
+    keyed = (_keyed(idx, trace) for idx, trace in enumerate(traces))
+    return [event for _, event in heapq.merge(*keyed, key=itemgetter(0))]
 
 
 def _target_to_obj(target: Target) -> dict:
@@ -224,14 +220,15 @@ def _target_from_obj(obj, offset: int) -> Target:
 
 
 def serialize_event(event: FaultEvent) -> str:
-    """One-line JSON rendering of an event (canonical numbers, sorted keys)."""
-    canon = event.canonical()
-    obj = {
-        "t": canon.t_s,
-        "kind": canon.kind,
-        "target": _target_to_obj(canon.target),
-        "params": {k: canon.params[k] for k in sorted(canon.params)},
-    }
+    """One-line JSON rendering of an event (canonical numbers, sorted keys).
+
+    The rendered numbers are checked again, because params is a mutable
+    dict that may have changed since the event was constructed.
+    """
+    t_s = canonical_number(event.t_s)
+    params = {k: canonical_number(event.params[k]) for k in sorted(event.params)}
+    _check_event(t_s, event.kind, event.target, params)
+    obj = {"t": t_s, "kind": event.kind, "target": _target_to_obj(event.target), "params": params}
     return json.dumps(obj, separators=(",", ":"))
 
 
@@ -267,10 +264,22 @@ def parse_event(line: str, byte_offset: int = 0) -> FaultEvent:
 
 
 def write_trace(path, events: Iterable[FaultEvent]) -> None:
-    """Write a schema-versioned JSON-lines trace (UTF-8, newline-terminated)."""
-    lines = [json.dumps({"schema": SCHEMA}, separators=(",", ":"))]
-    lines.extend(serialize_event(e) for e in events)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write a schema-versioned JSON-lines trace (UTF-8, newline-terminated).
+
+    Lines stream into a temporary file beside the symlink-resolved target,
+    which os.replace then swaps in; a failed write removes the temporary
+    file and leaves an existing trace untouched.
+    """
+    target = Path(path).resolve()
+    tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            fh.write(json.dumps({"schema": SCHEMA}, separators=(",", ":")) + "\n")
+            fh.writelines(serialize_event(e) + "\n" for e in events)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_trace(path) -> List[FaultEvent]:
@@ -279,7 +288,8 @@ def read_trace(path) -> List[FaultEvent]:
     events: List[FaultEvent] = []
     offset = 0
     saw_header = False
-    for line in data.splitlines():
+    # "\n" only: splitlines() also breaks on U+2028 and U+0085, which JSON strings may hold
+    for line in data.split("\n"):
         if line.strip():
             if not saw_header:
                 try:

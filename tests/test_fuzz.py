@@ -12,6 +12,9 @@ The link-state scan is fuzzed the same way against its per-step
 reference: random maneuver sets on a small shell, starting and ending on
 and between grid points, must give bit-identical offsets and grazing
 altitudes.
+
+merge_traces is checked the same way against its concatenate-and-sort
+reference on random key-sorted sources with many ties.
 """
 
 import copy
@@ -39,13 +42,16 @@ from leofault import (
     checksum,
     config_from_dict,
     config_to_dict,
+    merge_traces,
     parse_event,
     parse_tle_text,
     serialize_event,
     tle_to_elements,
 )
 from leofault.orbital import time_grid
+from leofault.trace import KIND_PARAM_KEYS
 from test_topology import SMALL_SHELL, assert_scan_matches_reference
+from test_trace import SATS, pooled_event, reference_merge, reference_sort_key
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=1000)
 
@@ -265,3 +271,26 @@ maneuvers = st.lists(
 @given(maneuvers)
 def test_scan_matches_per_step_reference(maneuvers):
     assert_scan_matches_reference(SCAN_TOPOLOGY, SCAN_TIMES, maneuvers)
+
+
+pooled_events = st.builds(
+    pooled_event,
+    kind=st.sampled_from(sorted(KIND_PARAM_KEYS)),
+    t=st.sampled_from([0.0, 1.0, 2.5]) | st.floats(0.0, 10.0),
+    a=st.integers(0, len(SATS) - 1),
+    b=st.integers(0, 2),
+    value=st.sampled_from([0.0, -0.0, 1.5]),
+)
+sorted_sources = st.lists(
+    st.lists(pooled_events, max_size=8).map(lambda s: sorted(s, key=reference_sort_key)),
+    max_size=5,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(sorted_sources)
+def test_merge_traces_matches_reference(sources):
+    merged = merge_traces(sources)
+    expected = reference_merge(sources)
+    assert merged == expected
+    assert [serialize_event(e) for e in merged] == [serialize_event(e) for e in expected]

@@ -192,3 +192,47 @@ class TestCdfCsv:
         path.write_text("a,b\n1,1\n")
         with pytest.raises(ValueError, match="header"):
             read_cdf_csv(path)
+
+    @pytest.mark.parametrize(
+        "body, line_no",
+        [
+            ("nan,0.5\n10,1\n", None),
+            ("1,0.5\ninf,1\n", None),
+            ("-inf,0.5\n1,1\n", None),
+            ("1,nan\n2,1\n", None),
+            ("1,0.5\n1_0,1\n", None),
+            ("1,0.5\n2,1,3\n", 3),
+            ("1,0.5\n2\n", 3),
+            ("1,0.5\nten,1\n", 3),
+        ],
+        ids=["nan-value", "inf-value", "minus-inf-value", "nan-proportion", "digit-separator",
+             "three-columns", "one-column", "not-a-number"],
+    )
+    def test_malformed_rows_rejected(self, tmp_path, body, line_no):
+        path = tmp_path / "cdf.csv"
+        path.write_text("value_km,proportion\n" + body)
+        match = f"line {line_no}" if line_no else "CDF (values|proportions)|'_'"
+        with pytest.raises(ValueError, match=match):
+            read_cdf_csv(path)
+
+    def test_crlf_rows_read(self, tmp_path):
+        path = tmp_path / "cdf.csv"
+        path.write_bytes(b"value_km,proportion\r\n1,0.5\r\n2,1\r\n")
+        assert read_cdf_csv(path).points == ((1.0, 0.5), (2.0, 1.0))
+
+
+class TestCdfTableNonFinite:
+    @pytest.mark.parametrize(
+        "points",
+        [
+            ((math.nan, 0.5), (10.0, 1.0)),
+            ((1.0, 0.5), (math.nan, 1.0)),
+            ((1.0, 0.5), (math.inf, 1.0)),
+            ((-math.inf, 0.5), (1.0, 1.0)),
+            ((1.0, math.nan), (2.0, 1.0)),
+            ((1.0, 0.5), (2.0, math.nan)),
+        ],
+    )
+    def test_rejected(self, points):
+        with pytest.raises(ValueError, match="CDF"):
+            CdfTable(points=points)

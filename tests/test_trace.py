@@ -1,5 +1,8 @@
 import json
+import math
+import os
 
+import numpy as np
 import pytest
 
 from leofault import (
@@ -16,7 +19,7 @@ from leofault import (
     serialize_event,
     write_trace,
 )
-from leofault.trace import KIND_PARAM_KEYS, canonical_number
+from leofault.trace import KIND_PARAM_KEYS, KIND_TARGET_TYPE, canonical_number
 
 SAT_A = SatelliteId(0, 1, 2)
 SAT_B = SatelliteId(0, 1, 3)
@@ -34,6 +37,55 @@ def make_event(kind: str, t: float, rng=None) -> FaultEvent:
         target = GroundLinkTarget("gs0")
     params = {key: val() for key in KIND_PARAM_KEYS[kind]}
     return FaultEvent(canonical_number(t), kind, target, params)
+
+
+def reference_target_key(target) -> tuple:
+    """The tie-break key merge_traces used before targets were ordered."""
+    if isinstance(target, DeviceTarget):
+        return ("device", tuple(target.sat), target.device)
+    if isinstance(target, SatelliteTarget):
+        return ("satellite", tuple(target.sat))
+    if isinstance(target, IslTarget):
+        return ("isl", tuple(target.a), tuple(target.b))
+    return ("ground_link", target.gs_id)
+
+
+def reference_sort_key(event: FaultEvent) -> tuple:
+    return (
+        event.t_s,
+        event.kind,
+        reference_target_key(event.target),
+        tuple(sorted(event.params.items())),
+    )
+
+
+def reference_merge(traces):
+    """Concatenate every source, then one stable sort on the reference key."""
+    merged = [event for trace in traces for event in trace]
+    merged.sort(key=reference_sort_key)
+    return merged
+
+
+SATS = [SatelliteId(s, p, i) for s in (0, 1) for p in (0, 2) for i in (0, 1)]
+
+
+def pooled_event(kind: str, t: float, a: int, b: int, value: float) -> FaultEvent:
+    """An event whose target and params come from small pools, so keys tie often."""
+    target_type = KIND_TARGET_TYPE[kind]
+    if target_type is DeviceTarget:
+        target = DeviceTarget(SATS[a], b)
+    elif target_type is SatelliteTarget:
+        target = SatelliteTarget(SATS[a])
+    elif target_type is IslTarget:
+        target = IslTarget(SATS[a], SATS[(a + 1 + b) % len(SATS)])
+    else:
+        target = GroundLinkTarget(f"gs{b}")
+    return FaultEvent(t, kind, target, {key: value for key in KIND_PARAM_KEYS[kind]})
+
+
+def reference_bytes(events) -> bytes:
+    lines = ['{"schema":"leofault/1"}', *(serialize_event(e) for e in events)]
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 class TestEventValidation:
@@ -104,8 +156,59 @@ class TestMergeTraces:
         with pytest.raises(ValueError, match="not time-sorted"):
             merge_traces([bad])
 
+    def test_tie_out_of_key_order_rejected(self):
+        # time-sorted, but isl_down sorts before isl_up at t=5
+        bad = [make_event("isl_up", 5.0), make_event("isl_down", 5.0)]
+        with pytest.raises(ValueError, match=r"input trace 1 .*t=5\.0"):
+            merge_traces([[make_event("maneuver_end", 1.0)], bad])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_concatenate_and_sort_reference(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        kinds = sorted(KIND_PARAM_KEYS)
+        sources = [[] for _ in range(int(rng.integers(2, 6)))]
+        for _ in range(400):
+            event = pooled_event(
+                kinds[int(rng.integers(len(kinds)))],
+                float(rng.integers(0, 12)),  # few distinct times: ties across sources
+                int(rng.integers(len(SATS))),
+                int(rng.integers(3)),
+                float(rng.choice([0.0, -0.0, 1.5, 2.0])),
+            )
+            sources[int(rng.integers(len(sources)))].append(event)
+        shared = pooled_event("isl_down", 3.0, 0, 0, 1.5)
+        sources[0].append(shared)
+        sources[-1].append(shared)
+        for source in sources:
+            source.sort(key=reference_sort_key)
+        expected = reference_merge(sources)
+        merged = merge_traces(sources)
+        assert merged == expected
+        assert [e.t_s for e in merged] == [e.t_s for e in expected]
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, merged)
+        # signed zeros compare equal but serialize apart, so equal keys
+        # must still come out in input order
+        assert path.read_bytes() == reference_bytes(expected)
+
 
 class TestSerialization:
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda p: p.update(dh_km=float("nan")),
+            lambda p: p.update(dh_km=float("inf")),
+            lambda p: p.update(extra=1.0),
+            lambda p: p.pop("dh_km"),
+        ],
+        ids=["nan", "inf", "extra-key", "missing-key"],
+    )
+    def test_serialize_rejects_params_mutated_after_construction(self, mutate):
+        event = make_event("maneuver_end", 1.0)
+        mutate(event.params)
+        with pytest.raises(ValueError):
+            serialize_event(event)
+
     def test_round_trip_10000_random_events(self, rng):
         kinds = sorted(KIND_PARAM_KEYS)
         for i in range(10000):
@@ -285,6 +388,85 @@ class TestTraceFiles:
         with pytest.raises(TraceParseError) as excinfo:
             read_trace(path)
         assert excinfo.value.byte_offset == len(header) + 1 + len(good) + 1
+
+    def test_failed_write_keeps_old_trace(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, [make_event("isl_down", 1.0)])
+        old = path.read_bytes()
+
+        def failing():
+            yield make_event("isl_down", 2.0)
+            raise RuntimeError("sampler failed")
+
+        with pytest.raises(RuntimeError, match="sampler failed"):
+            write_trace(path, failing())
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["trace.jsonl"]
+
+    def test_invalid_event_keeps_old_trace(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, [make_event("isl_down", 1.0)])
+        old = path.read_bytes()
+        bad = make_event("isl_up", 2.0)
+        bad.params["grazing_km"] = math.nan
+        with pytest.raises(ValueError):
+            write_trace(path, [make_event("isl_down", 2.0), bad])
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["trace.jsonl"]
+
+    def test_new_trace_mode_matches_write_text(self, tmp_path):
+        reference = tmp_path / "reference.txt"
+        reference.write_text("x\n", encoding="utf-8")
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, [make_event("isl_down", 1.0)])
+        assert os.stat(path).st_mode == os.stat(reference).st_mode
+
+    def test_write_through_symlink(self, tmp_path):
+        target = tmp_path / "real" / "trace.jsonl"
+        target.parent.mkdir()
+        target.write_text("old\n", encoding="utf-8")
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(target)
+        write_trace(link, [make_event("isl_down", 1.0)])
+        assert link.is_symlink()
+        assert read_trace(target) == [make_event("isl_down", 1.0)]
+        assert sorted(os.listdir(target.parent)) == ["trace.jsonl"]
+
+    @pytest.mark.parametrize("char", ["\u2028", "\u0085", "\u001c"])
+    def test_line_separators_inside_strings_read_back(self, tmp_path, char):
+        event = FaultEvent(
+            1.0, "handover_spike", GroundLinkTarget(f"gs{char}0"), {"loss_rate": 0.5, "duration_s": 1.0}
+        )
+        raw = serialize_event(event).replace(json.dumps(char)[1:-1], char)
+        assert char in raw
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"schema":"leofault/1"}\n' + raw + "\n", encoding="utf-8")
+        if char < " ":  # JSON forbids raw control characters, so this one is an error
+            with pytest.raises(TraceParseError, match="control character") as excinfo:
+                read_trace(path)
+            assert excinfo.value.byte_offset == len('{"schema":"leofault/1"}\n') + raw.index(char)
+        else:
+            assert read_trace(path) == [event]
+
+    def test_offset_after_line_separator_is_byte_exact(self, tmp_path):
+        header = '{"schema":"leofault/1"}'
+        event = FaultEvent(
+            1.0, "handover_spike", GroundLinkTarget("a\u2028b"), {"loss_rate": 0.5, "duration_s": 1.0}
+        )
+        raw = serialize_event(event).replace("\\u2028", "\u2028")
+        good = serialize_event(make_event("isl_down", 1.0))
+        bad = good.replace('"t":1.0', '"t":NaN')
+        path = tmp_path / "trace.jsonl"
+        path.write_text("\n".join([header, raw, bad]) + "\n", encoding="utf-8")
+        with pytest.raises(TraceParseError) as excinfo:
+            read_trace(path)
+        assert excinfo.value.byte_offset == len(header) + 1 + len(raw.encode("utf-8")) + 1
+
+    def test_crlf_trace_reads(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, [make_event("isl_down", 1.0), make_event("isl_up", 2.0)])
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert read_trace(path) == [make_event("isl_down", 1.0), make_event("isl_up", 2.0)]
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "trace.jsonl"
