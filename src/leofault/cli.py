@@ -34,6 +34,16 @@ from .tle import TleFormatError, read_tle_file, tle_to_elements
 from .trace import TraceParseError
 
 
+def _finite(text: str) -> float:
+    """argparse type: float() without nan and +-inf; argparse names the flag."""
+    try:
+        if abs(value := float(text)) <= sys.float_info.max:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+
+
 def _fmt(value: float) -> str:
     return f"{value:.10g}"
 
@@ -77,14 +87,9 @@ def _cmd_dose(args) -> int:
 
 
 def _cmd_seu(args) -> int:
-    for name, value in (
-        ("--satellites", args.satellites),
-        ("--devices", args.devices),
-        ("--rate", args.rate),
-        ("--days", args.days),
-    ):
-        if value < 0:
-            raise ConfigError(f"{name} must be >= 0, got {value}")
+    for name in ("satellites", "devices", "rate", "days"):
+        if (value := getattr(args, name)) < 0:
+            raise ConfigError(f"--{name} must be >= 0, got {value}")
     print(_fmt(expected_seu_count(args.rate, args.devices, args.satellites, args.days)))
     return 0
 
@@ -110,6 +115,8 @@ def _cmd_tle_parse(args) -> int:
 
 
 def _cmd_rtt(args) -> int:
+    if args.alt_km <= 0.0:
+        raise ConfigError(f"--alt-km must be > 0, got {args.alt_km}")
     # on a spherical Earth the slant range depends only on altitude and elevation
     slant = slant_range_km(args.alt_km, args.elevation)
     rtt_s = 4.0 * propagation_delay(slant)
@@ -141,16 +148,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_cdf.set_defaults(func=_cmd_isl_cdf)
 
     p_dose = sub.add_parser("dose", help="mission ionizing dose and lifetime")
-    p_dose.add_argument("--inclination", type=float, required=True, help="degrees")
-    p_dose.add_argument("--limit-krad", type=float, default=50.0)
-    p_dose.add_argument("--years", type=float, default=5.0)
+    p_dose.add_argument("--inclination", type=_finite, required=True, help="degrees")
+    p_dose.add_argument("--limit-krad", type=_finite, default=50.0)
+    p_dose.add_argument("--years", type=_finite, default=5.0)
     p_dose.set_defaults(func=_cmd_dose)
 
     p_seu = sub.add_parser("seu", help="expected upset count for a fleet")
     p_seu.add_argument("--satellites", type=int, required=True)
     p_seu.add_argument("--devices", type=int, required=True)
-    p_seu.add_argument("--rate", type=float, required=True, help="events/device/day")
-    p_seu.add_argument("--days", type=float, required=True)
+    p_seu.add_argument("--rate", type=_finite, required=True, help="events/device/day")
+    p_seu.add_argument("--days", type=_finite, required=True)
     p_seu.set_defaults(func=_cmd_seu)
 
     p_tle = sub.add_parser("tle", help="element-set utilities")
@@ -160,8 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tle_parse.set_defaults(func=_cmd_tle_parse)
 
     p_rtt = sub.add_parser("rtt", help="bent-pipe round-trip time")
-    p_rtt.add_argument("--alt-km", type=float, required=True, help="satellite altitude")
-    p_rtt.add_argument("--elevation", type=float, required=True, help="degrees")
+    p_rtt.add_argument("--alt-km", type=_finite, required=True, help="satellite altitude")
+    p_rtt.add_argument("--elevation", type=_finite, required=True, help="degrees")
     p_rtt.set_defaults(func=_cmd_rtt)
 
     return parser
@@ -172,7 +179,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, TleFormatError, TraceParseError, ValueError, OSError) as exc:
+    except (ConfigError, TleFormatError, TraceParseError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

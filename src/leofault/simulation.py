@@ -5,9 +5,10 @@ schema). Configuration parsing is strict: unknown keys anywhere in the
 document are rejected so typos cannot silently fall back to defaults.
 
 run_simulation builds the constellation, samples every enabled fault
-model over [0, duration], tracks ISL viability transitions on the
-configured timestep, and writes one merged, schema-versioned JSON-lines
-trace. The returned summary materializes every default for auditability.
+model over [0, duration], and streams one merged, schema-versioned trace
+to disk: ISL viability transitions are scanned step by step as the write
+pulls them through the merge, and event kinds are counted as written. The
+returned summary materializes every default for auditability.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields as dataclass_fields
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -250,31 +251,26 @@ def _maneuver_trace(maneuvers: Sequence[ManeuverEvent], duration_s: float) -> Li
 
 
 def _isl_transition_trace(
-    topo: GridTopology,
-    maneuvers: Sequence[ManeuverEvent],
-    config: SimulationConfig,
-) -> Tuple[List[FaultEvent], float]:
-    """ISL viability transitions on the step grid, plus the fraction of
-    (link, step) samples below the threshold."""
+    topo: GridTopology, maneuvers: Sequence[ManeuverEvent], config: SimulationConfig, samples: Counter
+) -> Iterator[FaultEvent]:
+    """ISL viability transitions on the step grid in sort_key order, one step
+    at a time; counts (link, step) samples as "total" and "infeasible"."""
     if topo.n_edges == 0:
-        return [], 0.0
-    times = time_grid(0.0, config.duration_s, config.step_s)
-    events: List[FaultEvent] = []
+        return
     previous: Optional[np.ndarray] = None
-    infeasible_samples = 0
-    for t, grazing in topo.scan(times, maneuvers):
+    for t, grazing in topo.scan(time_grid(0.0, config.duration_s, config.step_s), maneuvers):
         viable = is_isl_viable(grazing, config.isl_threshold_km)
-        infeasible_samples += int(np.sum(~viable))
+        samples["total"] += len(viable)
+        samples["infeasible"] += int(np.sum(~viable))
         if previous is not None:
+            step: List[FaultEvent] = []
             for idx in np.nonzero(viable != previous)[0]:
-                a, b = topo.edge_ids[idx]
                 kind = "isl_up" if viable[idx] else "isl_down"
-                events.append(
-                    FaultEvent(t, kind, IslTarget(a, b), {"grazing_km": float(grazing[idx])})
-                )
+                target = IslTarget(*topo.edge_ids[idx])
+                step.append(FaultEvent(t, kind, target, {"grazing_km": float(grazing[idx])}))
+            step.sort(key=lambda e: e.sort_key)  # all at t, so by (kind, target)
+            yield from step
         previous = viable
-    events.sort(key=lambda e: e.sort_key)
-    return events, infeasible_samples / (len(times) * topo.n_edges)
 
 
 def run_simulation(config: SimulationConfig, trace_path) -> dict:
@@ -296,12 +292,11 @@ def run_simulation(config: SimulationConfig, trace_path) -> dict:
         series = [(0.0, config.precipitation_mm_h)]
     rain = rain_events(config.faults, gs_ids, series, 0.0, duration)
 
-    isl, infeasible_fraction = _isl_transition_trace(topo, maneuvers, config)
-
+    samples: Counter = Counter()  # filled as write_trace pulls the ISL scan through the merge
+    isl = _isl_transition_trace(topo, maneuvers, config, samples)
     events = merge_traces([seu, _maneuver_trace(maneuvers, duration), spikes, rain, isl])
-    write_trace(trace_path, events)
+    counts = write_trace(trace_path, events)
 
-    counts = Counter(e.kind for e in events)
     expected_seu = expected_seu_count(
         config.faults.seu_rate_per_device_day,
         config.faults.devices_per_satellite,
@@ -313,12 +308,12 @@ def run_simulation(config: SimulationConfig, trace_path) -> dict:
         "trace_path": str(trace_path),
         "n_satellites": len(fleet),
         "n_isl_links": topo.n_edges,
-        "n_events": len(events),
+        "n_events": sum(counts.values()),
         "event_counts": dict(sorted(counts.items())),
         "expected_seu_count": expected_seu,
         "sampled_seu_count": counts.get("device_reboot", 0)
         + counts.get("device_permanent_failure", 0),
-        "infeasible_link_sample_fraction": infeasible_fraction,
+        "infeasible_link_sample_fraction": samples["infeasible"] / max(samples["total"], 1),
     }
 
 

@@ -139,8 +139,8 @@ def write_cdf_csv(cdf: CdfTable, path) -> None:
 def read_cdf_csv(path) -> CdfTable:
     """Read a CDF written by write_cdf_csv; a malformed row names its line."""
     data = Path(path).read_text(encoding="utf-8")
-    text = data.splitlines()
-    if not text or text[0].strip() != "value_km,proportion":
+    text = data.split("\n")  # read_text maps \r\n to \n; splitlines() also splits on \x0c
+    if text[0].strip() != "value_km,proportion":
         raise ValueError("CDF CSV must start with header 'value_km,proportion'")
     if data.find("_", len(text[0])) >= 0:  # one scan of the body; float() reads 1_0 as 10
         raise ValueError("CDF CSV values must not contain '_'")

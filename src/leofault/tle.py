@@ -232,10 +232,10 @@ def tle_to_elements(rec: TleRecord) -> CircularElements:
 
 
 def parse_tle_text(text: str) -> List[TleRecord]:
-    """Parse a 2-line or 3-line (named) element-set listing."""
+    """Parse a 2-line or 3-line (named) element-set listing; only "\\n" ends a line."""
     records: List[TleRecord] = []
     pending_name: Optional[str] = None
-    lines = [ln.rstrip("\r\n") for ln in text.splitlines()]
+    lines = [ln.removesuffix("\r") for ln in text.removesuffix("\n").split("\n")]
     i = 0
     while i < len(lines):
         line = lines[i]

@@ -28,6 +28,7 @@ import heapq
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from pathlib import Path
@@ -159,16 +160,16 @@ def _keyed(idx: int, trace: Iterable[FaultEvent]) -> Iterator[Tuple[tuple, Fault
         yield key, event
 
 
-def merge_traces(traces: Sequence[Iterable[FaultEvent]]) -> List[FaultEvent]:
-    """Heap-merge event sources into one deterministic ordering.
+def merge_traces(traces: Sequence[Iterable[FaultEvent]]) -> Iterator[FaultEvent]:
+    """Lazily heap-merge event sources into one deterministic ordering.
 
     Each source must already be sorted by sort_key, not just by time; one
-    that is not raises ValueError naming its index. Ties in time are
-    broken by (kind, target), then params, so the result does not depend
-    on the order of the sources; events with equal keys keep input order.
+    that is not raises ValueError naming its index once that is consumed.
+    Ties in time are broken by (kind, target), then params, so the result
+    does not depend on the source order; equal keys keep input order.
     """
     keyed = (_keyed(idx, trace) for idx, trace in enumerate(traces))
-    return [event for _, event in heapq.merge(*keyed, key=itemgetter(0))]
+    return map(itemgetter(1), heapq.merge(*keyed, key=itemgetter(0)))
 
 
 def _target_to_obj(target: Target) -> dict:
@@ -232,14 +233,18 @@ def serialize_event(event: FaultEvent) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+def _decode(line: str, what: str, offset: int):
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:  # exc.pos counts characters, not bytes
+        raise TraceParseError(f"invalid {what}: {exc.msg}", offset + len(line[: exc.pos].encode())) from None
+    except (ValueError, RecursionError) as exc:  # over-long integers, deep nesting
+        raise TraceParseError(f"invalid {what}: {exc}", offset) from None
+
+
 def parse_event(line: str, byte_offset: int = 0) -> FaultEvent:
     """Inverse of serialize_event; byte_offset is added to error locations."""
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise TraceParseError(f"invalid JSON: {exc.msg}", byte_offset + exc.pos) from None
-    except (ValueError, RecursionError) as exc:  # over-long integers, deep nesting
-        raise TraceParseError(f"invalid JSON: {exc}", byte_offset) from None
+    obj = _decode(line, "JSON", byte_offset)
     if not isinstance(obj, dict):
         raise TraceParseError("event line must be a JSON object", byte_offset)
     missing = {"t", "kind", "target", "params"} - set(obj)
@@ -263,47 +268,49 @@ def parse_event(line: str, byte_offset: int = 0) -> FaultEvent:
         raise TraceParseError(str(exc), byte_offset) from None
 
 
-def write_trace(path, events: Iterable[FaultEvent]) -> None:
-    """Write a schema-versioned JSON-lines trace (UTF-8, newline-terminated).
+def write_trace(path, events: Iterable[FaultEvent]) -> Counter:
+    """Write a JSON-lines trace (UTF-8, newline-terminated); returns kind counts.
 
     Lines stream into a temporary file beside the symlink-resolved target,
-    which os.replace then swaps in; a failed write removes the temporary
-    file and leaves an existing trace untouched.
+    which os.replace then swaps in; a failed write or source removes the
+    temporary file and leaves an existing trace untouched.
     """
     target = Path(path).resolve()
     tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
+    counts: Counter = Counter()
     try:
         with open(tmp, "x", encoding="utf-8") as fh:
             fh.write(json.dumps({"schema": SCHEMA}, separators=(",", ":")) + "\n")
-            fh.writelines(serialize_event(e) + "\n" for e in events)
+            for event in events:
+                fh.write(serialize_event(event) + "\n")
+                counts[event.kind] += 1
         os.replace(tmp, target)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return counts
 
 
 def read_trace(path) -> List[FaultEvent]:
     """Read a trace file, validating the schema header and every event line."""
-    data = Path(path).read_text(encoding="utf-8")
     events: List[FaultEvent] = []
     offset = 0
     saw_header = False
-    # "\n" only: splitlines() also breaks on U+2028 and U+0085, which JSON strings may hold
-    for line in data.split("\n"):
-        if line.strip():
-            if not saw_header:
-                try:
-                    header = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise TraceParseError(f"invalid header: {exc.msg}", offset + exc.pos) from None
-                except (ValueError, RecursionError) as exc:
-                    raise TraceParseError(f"invalid header: {exc}", offset) from None
+    # binary lines split on b"\n" only; str.splitlines() also splits inside JSON strings
+    with open(path, "rb") as fh:
+        for raw in fh:
+            try:
+                line = raw.decode("utf-8").removesuffix("\n")
+            except UnicodeDecodeError as exc:
+                raise TraceParseError(f"invalid UTF-8: {exc.reason}", offset + exc.start) from None
+            if saw_header and line.strip():
+                events.append(parse_event(line, byte_offset=offset))
+            elif line.strip():
+                header = _decode(line, "header", offset)
                 if not isinstance(header, dict) or header.get("schema") != SCHEMA:
                     raise TraceParseError(f"expected schema header {SCHEMA!r}", offset)
                 saw_header = True
-            else:
-                events.append(parse_event(line, byte_offset=offset))
-        offset += len(line.encode("utf-8")) + 1
+            offset += len(raw)
     if not saw_header:
         raise TraceParseError("empty trace: missing schema header", 0)
     return events

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import sys
 import pytest
 
 from leofault import TleRecord, checksum, read_cdf_csv, read_trace, serialize_tle
+from leofault.cli import build_parser, main
 
 SPARSE_CONFIG = {
     "shells": [
@@ -83,6 +85,62 @@ class TestRttCommand:
         values = dict(line.split("=") for line in result.stdout.splitlines())
         assert float(values["slant_range_km"]) == pytest.approx(550.0, abs=1e-6)
         assert float(values["rtt_ms"]) == pytest.approx(7.338, abs=0.01)
+
+
+VALID_ARGS = {
+    "dose": {"--inclination": "53", "--limit-krad": "50", "--years": "5"},
+    "seu": {"--satellites": "1", "--devices": "1", "--rate": "1e-4", "--days": "1"},
+    "rtt": {"--alt-km": "550", "--elevation": "30"},
+}
+FLOAT_FLAGS = [
+    ("dose", "--inclination"),
+    ("dose", "--limit-krad"),
+    ("dose", "--years"),
+    ("rtt", "--alt-km"),
+    ("rtt", "--elevation"),
+    ("seu", "--days"),
+    ("seu", "--rate"),
+]
+
+
+def cli_args(command, **overrides):
+    flags = {**VALID_ARGS[command], **overrides}
+    return [command, *(f"{flag}={value}" for flag, value in flags.items())]  # "=": -inf is no option
+
+
+class TestFloatFlags:
+    def test_every_non_integer_flag_listed(self):
+        subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        numeric = sorted(
+            (command, action.option_strings[0])
+            for command, sub in subparsers.choices.items()
+            for action in sub._actions
+            if action.type not in (None, int)
+        )
+        assert numeric == FLOAT_FLAGS
+
+    @pytest.mark.parametrize("command", sorted(VALID_ARGS))
+    def test_valid_values_accepted(self, capsys, command):
+        assert main(cli_args(command)) == 0
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "ten"])
+    @pytest.mark.parametrize("command, flag", FLOAT_FLAGS)
+    def test_non_finite_rejected(self, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(cli_args(command, **{flag: value}))
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: must be a finite number, got '{value}'" in captured.err
+
+    def test_rtt_overflow_is_an_error_not_a_crash(self, capsys):
+        assert main(cli_args("rtt", **{"--alt-km": "1e300"})) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("value", ["0", "-7000"])
+    def test_rtt_altitude_must_be_positive(self, capsys, value):
+        assert main(cli_args("rtt", **{"--alt-km": value})) == 2
+        assert f"--alt-km must be > 0, got {float(value)}" in capsys.readouterr().err
 
 
 class TestTleCommand:

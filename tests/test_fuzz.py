@@ -290,7 +290,7 @@ sorted_sources = st.lists(
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(sorted_sources)
 def test_merge_traces_matches_reference(sources):
-    merged = merge_traces(sources)
+    merged = list(merge_traces(sources))
     expected = reference_merge(sources)
     assert merged == expected
     assert [serialize_event(e) for e in merged] == [serialize_event(e) for e in expected]

@@ -23,6 +23,7 @@ from leofault import (
     handover_schedule,
     offsets_at,
     read_trace,
+    run_simulation,
     sample_handover_spikes,
     sample_maneuvers,
     serialize_event,
@@ -32,6 +33,7 @@ from leofault import (
 from leofault.cli import main
 from leofault.faults import MAX_TOTAL_OFFSET_KM
 from leofault.orbital import time_grid
+from leofault.trace import KIND_TARGET_TYPE
 
 GEN1_SHELLS = [
     {"altitude_km": 550.0, "inclination_deg": 53.0, "planes": 72, "sats_per_plane": 22},
@@ -205,6 +207,24 @@ def test_all_kinds_trace_digest(tmp_path, capsys):
     ):
         assert kinds[kind] > 0, kind
     assert sha256_of(out) == ALL_KINDS_TRACE_SHA256
+
+
+def test_all_kinds_summary_counts_match_written_trace(tmp_path):
+    # the summary counts kinds while the trace is written; the file is the truth
+    tle_path = tmp_path / "catalog.tle"
+    tle_path.write_text(catalog_text(ALL_KINDS_TLE_RECORDS), encoding="utf-8")
+    rain_path = tmp_path / "rain.csv"
+    rain_path.write_text(ALL_KINDS_PRECIPITATION, encoding="utf-8")
+    config = config_from_dict(
+        {**ALL_KINDS_CONFIG, "tle_files": [str(tle_path)], "precipitation_csv": str(rain_path)}
+    )
+    out = tmp_path / "trace.jsonl"
+    summary = run_simulation(config, out)
+    assert sha256_of(out) == ALL_KINDS_TRACE_SHA256
+    kinds = Counter(e.kind for e in read_trace(out))
+    assert summary["n_events"] == sum(kinds.values())
+    assert summary["event_counts"] == dict(sorted(kinds.items()))
+    assert sorted(summary["event_counts"]) == sorted(KIND_TARGET_TYPE)
 
 
 @pytest.mark.parametrize(

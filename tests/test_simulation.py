@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from leofault import (
@@ -14,6 +15,8 @@ from leofault import (
     run_simulation,
     serialize_tle,
 )
+from leofault.geometry import is_isl_viable
+from leofault.orbital import time_grid
 from leofault.simulation import MAX_STEPS
 from leofault.topology import GridTopology
 
@@ -355,6 +358,17 @@ class TestRunSimulation:
         run_simulation(config, tmp_path / "t.jsonl")
         events = [e for e in read_trace(tmp_path / "t.jsonl") if e.kind == "gs_link_degraded"]
         assert [e.t_s for e in events] == [120.0, 300.0]
+
+    def test_infeasible_fraction_counts_every_link_step_sample(self, tmp_path):
+        config = config_from_dict(
+            {**minimal_config(shells=[dict(SPARSE)]), "faults": {"maneuver_rate_per_sat_year": 0.0}}
+        )
+        summary = run_simulation(config, tmp_path / "t.jsonl")
+        topo = GridTopology(build_fleet(config), config.earth_radius_km)
+        times = time_grid(0.0, config.duration_s, config.step_s)
+        below = sum(int(np.sum(~is_isl_viable(g, config.isl_threshold_km))) for _, g in topo.scan(times))
+        assert below > 0
+        assert summary["infeasible_link_sample_fraction"] == below / (len(times) * topo.n_edges)
 
     def test_summary_structure(self, tmp_path):
         config = config_from_dict(minimal_config())

@@ -298,6 +298,24 @@ class TestFileParsing:
         with pytest.raises(TleFormatError, match="trailing name"):
             parse_tle_text("DANGLING NAME\n")
 
+    @pytest.mark.parametrize("char", ["\u2028", "\u0085", "\x0c", "\x1c"])
+    def test_line_separator_characters_stay_in_the_name(self, char):
+        text = f"SAT{char}1\n{ISS_L1}\n{ISS_L2}\nBAD\nNAME\n"
+        with pytest.raises(TleFormatError, match="input line 5: expected element line 1 after name 'BAD'"):
+            parse_tle_text(text)
+        assert parse_tle_text(f"SAT{char}1\n{ISS_L1}\n{ISS_L2}\n")[0].name == f"SAT{char}1"
+
+    @pytest.mark.parametrize(
+        "text", [f"{ISS_NAME}\n{ISS_L1}", f"{ISS_NAME}\n{ISS_L1}\n", f"{ISS_NAME}\r\n{ISS_L1}\r\n"]
+    )
+    def test_missing_line_2_names_line_1(self, text):
+        with pytest.raises(TleFormatError, match="input line 2: element line 1 without a line 2"):
+            parse_tle_text(text)
+
+    def test_crlf_lines_read(self):
+        records = parse_tle_text(f"{ISS_NAME}\r\n{ISS_L1}\r\n{ISS_L2}\r\n")
+        assert [(r.name, r.catalog_number) for r in records] == [(ISS_NAME, 25544)]
+
     def test_error_carries_input_line(self):
         text = f"{ISS_NAME}\n{ISS_L1}\n{ISS_L2[:-1]}9\n"
         with pytest.raises(TleFormatError, match="input line 2"):

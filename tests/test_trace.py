@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -133,20 +134,20 @@ class TestEventValidation:
 class TestMergeTraces:
     def test_single_list_identity(self):
         events = [make_event("isl_down", 1.0), make_event("isl_up", 3.0)]
-        assert merge_traces([events]) == events
+        assert list(merge_traces([events])) == events
 
     def test_interleaving(self):
         a1 = make_event("maneuver_end", 1.0)
         a3 = make_event("maneuver_end", 3.0)
         b2 = make_event("handover_spike", 2.0)
-        assert merge_traces([[a1, a3], [b2]]) == [a1, b2, a3]
+        assert list(merge_traces([[a1, a3], [b2]])) == [a1, b2, a3]
 
     def test_tie_break_independent_of_input_order(self):
         x = make_event("isl_down", 5.0)
         y = make_event("device_reboot", 5.0)
         z = make_event("handover_spike", 5.0)
         orders = [[[x], [y], [z]], [[z], [y], [x]], [[y, z], [x]]]
-        results = [merge_traces(o) for o in orders]
+        results = [list(merge_traces(o)) for o in orders]
         assert results[0] == results[1] == results[2]
         # deterministic rule: sorted by kind for equal times
         assert [e.kind for e in results[0]] == ["device_reboot", "handover_spike", "isl_down"]
@@ -154,13 +155,27 @@ class TestMergeTraces:
     def test_unsorted_input_rejected(self):
         bad = [make_event("isl_down", 5.0), make_event("isl_up", 1.0)]
         with pytest.raises(ValueError, match="not time-sorted"):
-            merge_traces([bad])
+            list(merge_traces([bad]))
 
     def test_tie_out_of_key_order_rejected(self):
         # time-sorted, but isl_down sorts before isl_up at t=5
         bad = [make_event("isl_up", 5.0), make_event("isl_down", 5.0)]
         with pytest.raises(ValueError, match=r"input trace 1 .*t=5\.0"):
-            merge_traces([[make_event("maneuver_end", 1.0)], bad])
+            list(merge_traces([[make_event("maneuver_end", 1.0)], bad]))
+
+    def test_sources_pulled_only_as_consumed(self):
+        pulled = []
+
+        def source():
+            for t in (1.0, 2.0):
+                pulled.append(t)
+                yield make_event("isl_down", t)
+
+        merged = merge_traces([source()])
+        assert pulled == []
+        assert next(merged) == make_event("isl_down", 1.0)
+        assert pulled == [1.0]
+        assert list(merged) == [make_event("isl_down", 2.0)]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_concatenate_and_sort_reference(self, tmp_path, seed):
@@ -182,7 +197,7 @@ class TestMergeTraces:
         for source in sources:
             source.sort(key=reference_sort_key)
         expected = reference_merge(sources)
-        merged = merge_traces(sources)
+        merged = list(merge_traces(sources))
         assert merged == expected
         assert [e.t_s for e in merged] == [e.t_s for e in expected]
         path = tmp_path / "trace.jsonl"
@@ -333,9 +348,9 @@ class TestSerialization:
 
 class TestTraceFiles:
     def test_write_read_roundtrip(self, tmp_path, rng):
-        events = merge_traces(
+        events = list(merge_traces(
             [[make_event(k, float(t), rng) for t in range(5)] for k in sorted(KIND_PARAM_KEYS)]
-        )
+        ))
         path = tmp_path / "trace.jsonl"
         write_trace(path, events)
         assert read_trace(path) == [e.canonical() for e in events]
@@ -414,6 +429,23 @@ class TestTraceFiles:
         assert path.read_bytes() == old
         assert os.listdir(tmp_path) == ["trace.jsonl"]
 
+    def test_out_of_order_source_keeps_old_trace(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, [make_event("isl_down", 1.0)])
+        old = path.read_bytes()
+        good = [make_event("maneuver_end", 1.0), make_event("maneuver_end", 6.0)]
+        bad = [make_event("isl_up", 5.0), make_event("isl_down", 5.0)]
+        with pytest.raises(ValueError, match=r"input trace 1 .*t=5\.0"):
+            write_trace(path, merge_traces([good, bad]))
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["trace.jsonl"]
+
+    def test_write_returns_kind_counts(self, tmp_path):
+        events = [make_event("isl_down", 1.0), make_event("isl_up", 2.0), make_event("isl_down", 3.0)]
+        counts = write_trace(tmp_path / "trace.jsonl", iter(events))
+        assert counts == Counter({"isl_down": 2, "isl_up": 1})
+        assert counts == Counter(e.kind for e in read_trace(tmp_path / "trace.jsonl"))
+
     def test_new_trace_mode_matches_write_text(self, tmp_path):
         reference = tmp_path / "reference.txt"
         reference.write_text("x\n", encoding="utf-8")
@@ -461,6 +493,45 @@ class TestTraceFiles:
         with pytest.raises(TraceParseError) as excinfo:
             read_trace(path)
         assert excinfo.value.byte_offset == len(header) + 1 + len(raw.encode("utf-8")) + 1
+
+    @pytest.mark.parametrize("where", ["header", "event"])
+    def test_invalid_utf8_reports_byte_offset(self, tmp_path, where):
+        header = '{"schema":"leofault/1"}\n'.encode("utf-8")
+        good = (serialize_event(make_event("isl_down", 1.0)) + "\n").encode("utf-8")
+        event = FaultEvent(
+            2.0, "handover_spike", GroundLinkTarget("\u00e9?"), {"loss_rate": 0.5, "duration_s": 1.0}
+        )
+        # a two-byte character before the bad byte: the offset counts bytes
+        raw = serialize_event(event).replace("\\u00e9", "\u00e9").encode("utf-8")
+        bad = raw.replace(b"?", b"\xff") + b"\n"
+        lines = [bad, good] if where == "header" else [header, good, bad]
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(TraceParseError, match="invalid UTF-8") as excinfo:
+            read_trace(path)
+        assert excinfo.value.byte_offset == sum(map(len, lines[: lines.index(bad)])) + bad.index(b"\xff")
+
+    def test_error_at_end_of_line_points_at_its_newline(self, tmp_path):
+        header = '{"schema":"leofault/1"}'
+        truncated = serialize_event(make_event("isl_down", 1.0))[:-1]
+        path = tmp_path / "trace.jsonl"
+        path.write_text("\n".join([header, truncated, header]) + "\n")
+        with pytest.raises(TraceParseError, match="Expecting") as excinfo:
+            read_trace(path)
+        assert excinfo.value.byte_offset == len(header) + 1 + len(truncated)
+
+    def test_json_error_offset_counts_bytes_after_non_ascii(self, tmp_path):
+        header = '{"schema":"leofault/1"}\n'
+        event = FaultEvent(
+            1.0, "handover_spike", GroundLinkTarget("\u00e9\u2028"), {"loss_rate": 0.5, "duration_s": 1.0}
+        )
+        raw = serialize_event(event).replace("\\u00e9", "\u00e9").replace("\\u2028", "\u2028")
+        bad = raw.replace("}}", ",}}")  # a trailing comma, after five bytes of two characters
+        path = tmp_path / "trace.jsonl"
+        path.write_text(header + bad + "\n", encoding="utf-8")
+        with pytest.raises(TraceParseError, match="invalid JSON") as excinfo:
+            read_trace(path)
+        assert excinfo.value.byte_offset == len(header) + len(bad[: bad.index(",}}") + 1].encode("utf-8"))
 
     def test_crlf_trace_reads(self, tmp_path):
         path = tmp_path / "trace.jsonl"
