@@ -118,7 +118,10 @@ def _cmd_rtt(args) -> int:
     if args.alt_km <= 0.0:
         raise ConfigError(f"--alt-km must be > 0, got {args.alt_km}")
     # on a spherical Earth the slant range depends only on altitude and elevation
-    slant = slant_range_km(args.alt_km, args.elevation)
+    try:
+        slant = slant_range_km(args.alt_km, args.elevation)
+    except OverflowError:
+        raise ConfigError(f"--alt-km is too large, got {args.alt_km}") from None
     rtt_s = 4.0 * propagation_delay(slant)
     print(f"slant_range_km={_fmt(slant)}")
     print(f"rtt_ms={_fmt(rtt_s * 1e3)}")

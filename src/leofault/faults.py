@@ -26,7 +26,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -81,15 +81,12 @@ def default_dose_profile() -> DoseProfile:
 
 @dataclass(frozen=True)
 class FaultModelConfig:
-    """All stochastic-model rates, thresholds, and profiles."""
+    """All stochastic-model rates and thresholds."""
 
     seu_rate_per_device_day: float = 1e-4
     devices_per_satellite: int = 60
     seu_downtime_s: float = 30.0
     seu_permanent_prob: float = 0.0
-    tid_limit_krad: float = 50.0
-    dose_profile: DoseProfile = dataclass_field(default_factory=default_dose_profile)
-    mission_years: float = 5.0
     rain_light_mm_h: float = 2.0
     rain_moderate_mm_h: float = 4.0
     rain_moderate_multiplier: float = 120.0 / 215.0
@@ -124,10 +121,9 @@ class FaultModelConfig:
         for name in nonnegative:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.tid_limit_krad <= 0.0:
-            raise ValueError(f"tid_limit_krad must be > 0, got {self.tid_limit_krad}")
-        if self.mission_years <= 0.0:
-            raise ValueError(f"mission_years must be > 0, got {self.mission_years}")
+        # zero gaps never advance a station's spike arrivals
+        if self.handover_max_s <= 0.0:
+            raise ValueError(f"handover_max_s must be > 0, got {self.handover_max_s}")
         for low, high in (
             ("rain_light_mm_h", "rain_moderate_mm_h"),
             ("handover_min_s", "handover_max_s"),

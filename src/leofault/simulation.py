@@ -16,15 +16,16 @@ from __future__ import annotations
 import json
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields as dataclass_fields
+from dataclasses import asdict, dataclass, field, is_dataclass
+from functools import cache
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .constants import EARTH_RADIUS_KM, SECONDS_PER_DAY
 from .faults import (
-    DoseProfile,
     FaultModelConfig,
     ManeuverEvent,
     RandomStreams,
@@ -44,6 +45,8 @@ from .trace import FaultEvent, IslTarget, SatelliteTarget, merge_traces, write_t
 
 # a little over 24 h at 0.1 s; bounds the time grid a scan allocates
 MAX_STEPS = 1_000_000
+# over twice Starlink's ~42k filing; bounds the fleet build_fleet allocates
+MAX_SATELLITES = 100_000
 
 
 class ConfigError(ValueError):
@@ -74,10 +77,21 @@ class SimulationConfig:
                 f"duration_s / step_s must be at most {MAX_STEPS} steps, "
                 f"got {self.duration_s} / {self.step_s}"
             )
+        # a station draws about duration_s / mean gap spikes; a tiny positive gap never ends
+        gap = (self.faults.handover_min_s + self.faults.handover_max_s) / 2.0
+        if self.duration_s / gap > MAX_STEPS:
+            raise ConfigError(
+                f"duration_s / mean handover gap must be at most {MAX_STEPS} spikes per station, "
+                f"got {self.duration_s} / {gap}"
+            )
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if not self.shells and not self.tle_files:
             raise ConfigError("at least one of shells/tle_files must be non-empty")
+        if (n_sats := sum(shell.total_sats for shell in self.shells)) > MAX_SATELLITES:
+            raise ConfigError(f"shells must declare at most {MAX_SATELLITES} satellites, got {n_sats}")
+        if not all(isinstance(p, str) for p in self.tle_files):
+            raise ConfigError("tle_files must be an array of paths")
         if self.isl_threshold_km < 0.0:
             raise ConfigError(f"isl_threshold_km must be >= 0, got {self.isl_threshold_km}")
         if self.earth_radius_km <= 0.0:
@@ -88,6 +102,8 @@ class SimulationConfig:
             raise ConfigError(
                 f"precipitation_mm_h must be >= 0, got {self.precipitation_mm_h}"
             )
+        if self.precipitation_mm_h is not None and self.precipitation_csv is not None:
+            raise ConfigError("precipitation_mm_h and precipitation_csv are exclusive; set at most one")
         # stations with one id would share the handover/<id> substream
         ids = [gs.id for gs in self.ground_stations]
         for i, gs_id in enumerate(ids):
@@ -95,102 +111,54 @@ class SimulationConfig:
                 raise ConfigError(f"ground_stations[{i}]: duplicate id {gs_id!r}")
 
 
-def _reject_bool_and_non_finite(value, path: str) -> None:
-    """Raise naming the path of any bool or non-finite number in a document.
+_type_hints = cache(get_type_hints)
 
-    json parses NaN, Infinity and 1e999 as floats, and bool is an int, so
-    range checks let them through (a NaN duration_s never ends a sampler).
-    An integer beyond the float range overflows the first float operation.
+
+def _decode(tp, value, path: str):
+    """Build a value of annotation tp from parsed JSON, naming path on error.
+
+    Objects become dataclasses (unknown keys rejected), arrays become
+    Tuple[X, ...] and null an Optional's None. Number fields reject bools
+    (bool is an int), other types and values beyond the float range (json
+    parses NaN, Infinity and 1e999 as floats, and a NaN duration_s never
+    ends a sampler). str leaves pass through: their dataclass checks them.
     """
-    if isinstance(value, bool):
-        raise ConfigError(f"{path} must not be a boolean, got {json.dumps(value)}")
-    if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"{path} must be a finite number, got {value}")
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _reject_bool_and_non_finite(item, f"{path}.{key}" if path else str(key))
-    elif isinstance(value, list):
-        for index, item in enumerate(value):
-            _reject_bool_and_non_finite(item, f"{path}[{index}]")
-
-
-def _reject_unknown(obj: dict, allowed: Sequence[str], context: str) -> None:
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown key {unknown[0]!r} in {context}")
-
-
-def _build_dataclass(cls, obj: dict, context: str):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{context} must be an object, got {type(obj).__name__}")
-    names = [f.name for f in dataclass_fields(cls)]
-    _reject_unknown(obj, names, context)
-    try:
-        return cls(**obj)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{context}: {exc}") from None
+    if is_dataclass(tp):
+        where = path or "simulation config"
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be an object, got {json.dumps(value, default=repr)}")
+        hints = _type_hints(tp)
+        unknown = sorted(set(value) - set(hints))
+        if unknown:
+            raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
+        kwargs = {
+            key: _decode(hints[key], item, f"{path}.{key}" if path else key)
+            for key, item in value.items()
+        }
+        try:
+            return tp(**kwargs)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+    if get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} must be an array, got {json.dumps(value, default=repr)}")
+        return tuple(_decode(get_args(tp)[0], item, f"{path}[{i}]") for i, item in enumerate(value))
+    if get_origin(tp) is Union:  # Optional[X]
+        return None if value is None else _decode(get_args(tp)[0], value, path)
+    if tp is int or tp is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float) if tp is float else int):
+            kind = "a number" if tp is float else "an integer"
+            raise ConfigError(f"{path} must be {kind}, got {json.dumps(value, default=repr)}")
+        if not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{path} must be a finite number, got {value}")
+    return value
 
 
 def config_from_dict(obj: dict) -> SimulationConfig:
     """Build a SimulationConfig from a parsed JSON document (strict keys)."""
-    if not isinstance(obj, dict):
-        raise ConfigError("configuration document must be a JSON object")
-    _reject_bool_and_non_finite(obj, "")
-    kwargs = dict(obj)
-    if "shells" in kwargs:
-        if not isinstance(kwargs["shells"], list):
-            raise ConfigError("shells must be an array")
-        kwargs["shells"] = tuple(
-            _build_dataclass(ShellSpec, shell, f"shells[{i}]")
-            for i, shell in enumerate(kwargs["shells"])
-        )
-    if "tle_files" in kwargs:
-        if not isinstance(kwargs["tle_files"], list) or not all(
-            isinstance(p, str) for p in kwargs["tle_files"]
-        ):
-            raise ConfigError("tle_files must be an array of paths")
-        kwargs["tle_files"] = tuple(kwargs["tle_files"])
-    if "ground_stations" in kwargs:
-        if not isinstance(kwargs["ground_stations"], list):
-            raise ConfigError("ground_stations must be an array")
-        kwargs["ground_stations"] = tuple(
-            _build_dataclass(GroundStation, gs, f"ground_stations[{i}]")
-            for i, gs in enumerate(kwargs["ground_stations"])
-        )
-    if "faults" in kwargs:
-        faults_obj = kwargs["faults"]
-        if not isinstance(faults_obj, dict):
-            raise ConfigError("faults must be an object")
-        faults_obj = dict(faults_obj)
-        if "dose_profile" in faults_obj:
-            profile_obj = faults_obj["dose_profile"]
-            if not isinstance(profile_obj, dict):
-                raise ConfigError("faults.dose_profile must be an object")
-            _reject_unknown(profile_obj, ["anchors", "shielding_label"], "faults.dose_profile")
-            anchors = profile_obj.get("anchors")
-            if not isinstance(anchors, list) or not all(
-                isinstance(a, list) and len(a) == 2 for a in anchors
-            ):
-                raise ConfigError("faults.dose_profile.anchors must be an array of [inclination, dose] pairs")
-            for i, anchor in enumerate(anchors):
-                for j, value in enumerate(anchor):
-                    if type(value) is not float and type(value) is not int:
-                        raise ConfigError(
-                            f"faults.dose_profile.anchors[{i}][{j}] must be a number, got {value!r}"
-                        )
-            try:
-                faults_obj["dose_profile"] = DoseProfile(
-                    anchors=tuple((float(i), float(d)) for i, d in anchors),
-                    shielding_label=profile_obj.get("shielding_label", "1mm aluminum"),
-                )
-            except ValueError as exc:
-                raise ConfigError(f"faults.dose_profile: {exc}") from None
-        kwargs["faults"] = _build_dataclass(FaultModelConfig, faults_obj, "faults")
-    if "seed" in kwargs and not isinstance(kwargs["seed"], int):
-        raise ConfigError(f"seed must be an integer, got {kwargs['seed']!r}")
-    return _build_dataclass(SimulationConfig, kwargs, "simulation config")
+    return _decode(SimulationConfig, obj, "")
 
 
 def load_config(path) -> SimulationConfig:
@@ -208,16 +176,7 @@ def load_config(path) -> SimulationConfig:
 
 def config_to_dict(config: SimulationConfig) -> dict:
     """Materialize every field (defaults included) as a JSON-friendly dict."""
-    out = asdict(config)
-    out["shells"] = [asdict(s) for s in config.shells]
-    out["tle_files"] = list(config.tle_files)
-    out["ground_stations"] = [asdict(g) for g in config.ground_stations]
-    out["faults"] = asdict(config.faults)
-    out["faults"]["dose_profile"] = {
-        "anchors": [list(a) for a in config.faults.dose_profile.anchors],
-        "shielding_label": config.faults.dose_profile.shielding_label,
-    }
-    return out
+    return json.loads(json.dumps(asdict(config)))
 
 
 def build_fleet(config: SimulationConfig) -> Constellation:

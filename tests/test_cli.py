@@ -135,7 +135,8 @@ class TestFloatFlags:
 
     def test_rtt_overflow_is_an_error_not_a_crash(self, capsys):
         assert main(cli_args("rtt", **{"--alt-km": "1e300"})) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--alt-km" in err and "1e+300" in err
 
     @pytest.mark.parametrize("value", ["0", "-7000"])
     def test_rtt_altitude_must_be_positive(self, capsys, value):

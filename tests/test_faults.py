@@ -402,7 +402,7 @@ class TestConfigValidation:
             dict(rain_moderate_multiplier=1.5),
             dict(seu_permanent_prob=1.5),
             dict(maneuver_dh_min_km=5.0),  # above dh_max
-            dict(tid_limit_krad=0.0),
+            dict(handover_min_s=0.0, handover_max_s=0.0),
         ],
     )
     def test_invalid(self, kwargs):

@@ -155,19 +155,21 @@ BASE_CONFIG = config_to_dict(
             "step_s": 10.0,
             "seed": 7,
             "precipitation_mm_h": 3.0,
-            "precipitation_csv": "rain.csv",
         }
     )
 )
 
 
-OPTIONAL_KEYS = {"precipitation_mm_h", "precipitation_csv"}
+# the precipitation keys are exclusive, so BASE_CONFIG holds null for one of them
+OPTIONAL_KEYS = {"precipitation_mm_h": float, "precipitation_csv": str}
 
 
 def assert_shaped_like(value, base, key=None):
     """value has base's keys and leaf types; a float field may hold an int."""
-    if value is None and key in OPTIONAL_KEYS:
-        return
+    if key in OPTIONAL_KEYS:
+        if value is None:
+            return
+        base = OPTIONAL_KEYS[key]()  # a leaf of the key's type
     if isinstance(base, dict):
         assert isinstance(value, dict) and value.keys() == base.keys(), (key, value)
         for k in base:

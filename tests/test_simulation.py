@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from leofault import (
 )
 from leofault.geometry import is_isl_viable
 from leofault.orbital import time_grid
-from leofault.simulation import MAX_STEPS
+from leofault.simulation import MAX_SATELLITES, MAX_STEPS
 from leofault.topology import GridTopology
 
 SPARSE = {
@@ -48,11 +50,6 @@ class TestConfigParsing:
         assert materialized["isl_threshold_km"] == 80.0
         assert materialized["earth_radius_km"] == 6371.0
         assert materialized["faults"]["devices_per_satellite"] == 60
-        assert materialized["faults"]["dose_profile"]["anchors"] == [
-            [0.0, 0.0],
-            [73.0, 40.0],
-            [90.0, 35.0],
-        ]
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="'durationn_s'"):
@@ -74,9 +71,10 @@ class TestConfigParsing:
                 minimal_config(ground_stations=[{"id": "a", "lat": 1.0, "longitude_deg": 2.0}])
             )
 
-    def test_unknown_dose_profile_key(self):
-        with pytest.raises(ConfigError, match="'anchor'"):
-            config_from_dict(minimal_config(faults={"dose_profile": {"anchor": []}}))
+    def test_removed_tid_key_is_unknown(self):
+        # TID lifetime is the dose subcommand's; simulate never read these keys
+        with pytest.raises(ConfigError, match="^unknown key 'tid_limit_krad' in faults$"):
+            config_from_dict(minimal_config(faults={"tid_limit_krad": 50}))
 
     def test_invalid_duration_names_field(self):
         with pytest.raises(ConfigError, match="duration_s"):
@@ -113,15 +111,19 @@ class TestConfigParsing:
             ("seed", True),
             ("shells[0].planes", True),
             ("faults.maneuver_rate_per_sat_year", float("nan")),
-            ("faults.dose_profile.anchors[1][1]", float("inf")),
             ("ground_stations[0].latitude_deg", float("nan")),
             ("duration_s", 10**400),
-            ("faults.dose_profile.anchors[1][1]", -(10**400)),
+            ("faults.seu_downtime_s", -(10**400)),
+            ("duration_s", "3600"),
+            ("step_s", None),
+            ("faults.rain_light_mm_h", "2"),
+            ("shells[0].altitude_km", "550"),
+            ("ground_stations[0].latitude_deg", "1"),
         ],
     )
     def test_bool_and_non_finite_rejected_by_path(self, path, value):
         obj = minimal_config(
-            faults={"dose_profile": {"anchors": [[0.0, 1.0], [90.0, 2.0]]}},
+            faults={},
             ground_stations=[{"id": "a", "latitude_deg": 0.0, "longitude_deg": 0.0}],
         )
         *parents, leaf = path.replace("[", ".").replace("]", "").split(".")
@@ -133,18 +135,11 @@ class TestConfigParsing:
             config_from_dict(obj)
         assert str(excinfo.value).startswith(path + " ")
 
-    @pytest.mark.parametrize(
-        "anchors, path",
-        [
-            ([[0.0, "nan"], [90.0, 2.0]], "faults.dose_profile.anchors[0][1]"),
-            ([[0.0, 1.0], ["90", 2.0]], "faults.dose_profile.anchors[1][0]"),
-            ([[0.0, 1.0], [90.0, None]], "faults.dose_profile.anchors[1][1]"),
-        ],
-    )
-    def test_dose_anchor_members_must_be_numbers(self, anchors, path):
-        with pytest.raises(ConfigError) as excinfo:
-            config_from_dict(minimal_config(faults={"dose_profile": {"anchors": anchors}}))
-        assert str(excinfo.value).startswith(path + " ")
+    def test_wrong_typed_leaf_message(self):
+        bad = minimal_config()
+        bad["shells"][0]["altitude_km"] = "550"
+        with pytest.raises(ConfigError, match=r'^shells\[0\]\.altitude_km must be a number, got "550"$'):
+            config_from_dict(bad)
 
     def test_step_count_cap(self):
         # fails at validation, before a 10^15-sample time grid is allocated
@@ -173,22 +168,60 @@ class TestConfigParsing:
         "overrides, match",
         [
             ({"precipitation_csv": 5}, "precipitation_csv must be a path string"),
-            ({"faults": {"dose_profile": {"anchors": [[0.0, 1.0]], "shielding_label": 5}}}, "shielding_label"),
             ({"shells": [dict(SMALL, raan_spread_deg=None)]}, r"shells\[0\]"),
             ({"shells": [dict(SMALL, raan_spread_deg="360")]}, r"shells\[0\]"),
         ],
-        ids=["precipitation-csv", "shielding-label", "raan-spread-null", "raan-spread-string"],
+        ids=["precipitation-csv", "raan-spread-null", "raan-spread-string"],
     )
     def test_wrong_type_rejected(self, overrides, match):
         # each of these used to pass config_from_dict
         with pytest.raises(ConfigError, match=match):
             config_from_dict(minimal_config(**overrides))
 
-    def test_dose_profile_override(self):
-        config = config_from_dict(
-            minimal_config(faults={"dose_profile": {"anchors": [[0.0, 1.0], [90.0, 2.0]]}})
-        )
-        assert config.faults.dose_profile.anchors == ((0.0, 1.0), (90.0, 2.0))
+    @pytest.mark.parametrize(
+        "faults, match",
+        [
+            ({"handover_min_s": 0, "handover_max_s": 0}, "faults: handover_max_s must be > 0"),
+            ({"handover_min_s": 0, "handover_max_s": 1e-300}, "mean handover gap"),
+        ],
+    )
+    def test_handover_gap_that_never_ends_rejected(self, faults, match):
+        # zero or tiny gaps never carry a station's spike arrivals past duration_s
+        with pytest.raises(ConfigError, match=match):
+            config_from_dict(minimal_config(faults=faults))
+        gap = 600.0 / MAX_STEPS  # minimal_config's duration_s over the spike cap
+        assert config_from_dict(minimal_config(faults={"handover_min_s": 2 * gap, "handover_max_s": 2 * gap}))
+        with pytest.raises(ConfigError, match="mean handover gap"):  # twice the cap
+            config_from_dict(minimal_config(faults={"handover_min_s": 0.0, "handover_max_s": gap}))
+
+    def test_precipitation_keys_are_exclusive(self):
+        with pytest.raises(ConfigError, match="precipitation_mm_h and precipitation_csv"):
+            config_from_dict(minimal_config(precipitation_mm_h=1.0, precipitation_csv="rain.csv"))
+
+    def test_fleet_size_cap(self):
+        # fails at validation, before build_fleet allocates 10^16 satellites
+        huge = dict(SMALL, planes=10**8, sats_per_plane=10**8)
+        with pytest.raises(ConfigError, match=f"^shells must declare at most {MAX_SATELLITES}"):
+            config_from_dict(minimal_config(shells=[huge]))
+        at_cap = dict(SMALL, planes=100, sats_per_plane=MAX_SATELLITES // 200)
+        assert config_from_dict(minimal_config(shells=[at_cap, at_cap]))
+        with pytest.raises(ConfigError, match="shells"):
+            config_from_dict(minimal_config(shells=[at_cap, at_cap, dict(SMALL, planes=1, sats_per_plane=1)]))
+
+    def test_readme_config_block_matches_schema(self):
+        # the documented schema is the one config_to_dict materializes
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"```jsonc\n(.*?)```", readme, re.DOTALL).group(1)
+        documented = json.loads(re.sub(r"\s*//.*", "", block))
+
+        def key_tree(value):
+            if isinstance(value, dict):
+                return {key: key_tree(item) for key, item in value.items()}
+            if isinstance(value, list):
+                return [key_tree(item) for item in value]
+            return None
+
+        assert key_tree(documented) == key_tree(config_to_dict(config_from_dict(documented)))
 
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "config.json"
