@@ -19,7 +19,7 @@ import sys
 import warnings
 from typing import List, Optional
 
-from .constants import EARTH_RADIUS_KM
+from .constants import EARTH_RADIUS_KM, is_plain_number_text
 from .faults import default_dose_profile, expected_seu_count, tid_survival
 from .geometry import propagation_delay, slant_range_km
 from .simulation import (
@@ -34,14 +34,23 @@ from .tle import TleFormatError, read_tle_file, tle_to_elements
 from .trace import TraceParseError
 
 
-def _finite(text: str) -> float:
-    """argparse type: float() without nan and +-inf; argparse names the flag."""
+def _number(text: str, convert, kind: str):
     try:
-        if abs(value := float(text)) <= sys.float_info.max:
+        if is_plain_number_text(text) and abs(value := convert(text)) <= sys.float_info.max:
             return value
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    raise argparse.ArgumentTypeError(f"must be {kind}, got {text!r}")
+
+
+def _finite(text: str) -> float:
+    """argparse type: float() of plain text without nan and +-inf; argparse names the flag."""
+    return _number(text, float, "a finite number")
+
+
+def _integer(text: str) -> int:
+    """argparse type: int() of plain text within the float range the models compute in."""
+    return _number(text, int, "an integer within the float range")
 
 
 def _fmt(value: float) -> str:
@@ -157,8 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dose.set_defaults(func=_cmd_dose)
 
     p_seu = sub.add_parser("seu", help="expected upset count for a fleet")
-    p_seu.add_argument("--satellites", type=int, required=True)
-    p_seu.add_argument("--devices", type=int, required=True)
+    p_seu.add_argument("--satellites", type=_integer, required=True)
+    p_seu.add_argument("--devices", type=_integer, required=True)
     p_seu.add_argument("--rate", type=_finite, required=True, help="events/device/day")
     p_seu.add_argument("--days", type=_finite, required=True)
     p_seu.set_defaults(func=_cmd_seu)

@@ -33,7 +33,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .constants import SECONDS_PER_DAY, SECONDS_PER_YEAR
+from .constants import SECONDS_PER_DAY, SECONDS_PER_YEAR, is_plain_number_text
 from .orbital import SatelliteId
 from .trace import DeviceTarget, FaultEvent, GroundLinkTarget
 
@@ -391,7 +391,7 @@ def read_precipitation_csv(path) -> List[Tuple[float, float]]:
             if len(row) != 2:
                 raise ValueError(f"precipitation CSV line {line_no}: expected 2 columns, got {len(row)}")
             try:
-                if "_" in row[0] + row[1]:  # float() reads digit separators
+                if not is_plain_number_text(row[0] + row[1]):
                     raise ValueError(row)
                 t, mm = float(row[0]), float(row[1])
                 if not (math.isfinite(t) and math.isfinite(mm)):

@@ -101,9 +101,6 @@ class CircularElements:
         object.__setattr__(self, "phase_deg", self.phase_deg % 360.0)
 
 
-# An ECI position is a length-3 numpy array (x, y, z) in kilometers.
-EciPosition = np.ndarray
-
 Constellation = Dict[SatelliteId, CircularElements]
 
 
@@ -116,11 +113,6 @@ def orbital_period(altitude_km: float, earth_radius_km: float = EARTH_RADIUS_KM)
         raise ValueError(f"altitude_km must be positive, got {altitude_km}")
     a_m = (earth_radius_km + altitude_km) * 1e3
     return 2.0 * math.pi * math.sqrt(a_m**3 / MU_EARTH_M3_S2)
-
-
-def mean_motion_rad_s(semi_major_axis_km: float) -> float:
-    """Angular rate of a circular orbit of the given radius, rad/s."""
-    return math.sqrt(MU_EARTH_M3_S2 / (semi_major_axis_km * 1e3) ** 3)
 
 
 def build_constellation(
@@ -273,8 +265,8 @@ def time_grid(t0_s: float, t1_s: float, step_s: float) -> np.ndarray:
 
 def propagate(
     elements: CircularElements, t_s: float, altitude_offset_km: float = 0.0
-) -> EciPosition:
-    """ECI position of a satellite at simulation time t_s, in kilometers."""
+) -> np.ndarray:
+    """ECI position (x, y, z) of a satellite at simulation time t_s, in kilometers."""
     return propagate_arrays(
         elements.semi_major_axis_km,
         math.radians(elements.inclination_deg),

@@ -24,7 +24,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .constants import EARTH_RADIUS_KM, SECONDS_PER_DAY
+from .constants import EARTH_RADIUS_KM, SECONDS_PER_DAY, SECONDS_PER_YEAR
 from .faults import (
     FaultModelConfig,
     ManeuverEvent,
@@ -47,6 +47,8 @@ from .trace import FaultEvent, IslTarget, SatelliteTarget, merge_traces, write_t
 MAX_STEPS = 1_000_000
 # over twice Starlink's ~42k filing; bounds the fleet build_fleet allocates
 MAX_SATELLITES = 100_000
+# bounds the arrivals each sampler is expected to draw, and so its time and memory
+MAX_EVENTS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -232,10 +234,32 @@ def _isl_transition_trace(
         previous = viable
 
 
+def _check_expected_events(config: SimulationConfig, n_sats: int) -> float:
+    """Expected SEU count; ConfigError names the field of a sampler expected
+    to draw more than MAX_EVENTS arrivals from n_sats satellites."""
+    faults, duration = config.faults, config.duration_s
+    days = duration / SECONDS_PER_DAY
+    seu = expected_seu_count(faults.seu_rate_per_device_day, faults.devices_per_satellite, n_sats, days)
+    maneuvers = faults.maneuver_rate_per_sat_year * n_sats * duration / SECONDS_PER_YEAR
+    spikes = len(config.ground_stations) * duration / ((faults.handover_min_s + faults.handover_max_s) / 2.0)
+    for name, count in (
+        ("faults.seu_rate_per_device_day", seu),
+        ("faults.maneuver_rate_per_sat_year", maneuvers),
+        ("ground_stations", spikes),
+    ):
+        if count > MAX_EVENTS:
+            raise ConfigError(
+                f"{name} gives {count:.3g} expected events over {n_sats} satellites "
+                f"and {duration} s; at most {MAX_EVENTS} are allowed"
+            )
+    return seu
+
+
 def run_simulation(config: SimulationConfig, trace_path) -> dict:
     """Run every fault model and write the merged trace; returns the summary."""
     topo = GridTopology(build_fleet(config), config.earth_radius_km)
-    fleet = topo.sat_ids
+    fleet = topo.sat_ids  # TLE satellites included
+    expected_seu = _check_expected_events(config, len(fleet))
     streams = RandomStreams(config.seed)
     duration = config.duration_s
 
@@ -255,13 +279,6 @@ def run_simulation(config: SimulationConfig, trace_path) -> dict:
     isl = _isl_transition_trace(topo, maneuvers, config, samples)
     events = merge_traces([seu, _maneuver_trace(maneuvers, duration), spikes, rain, isl])
     counts = write_trace(trace_path, events)
-
-    expected_seu = expected_seu_count(
-        config.faults.seu_rate_per_device_day,
-        config.faults.devices_per_satellite,
-        len(fleet),
-        duration / SECONDS_PER_DAY,
-    )
     return {
         "config": config_to_dict(config),
         "trace_path": str(trace_path),

@@ -16,7 +16,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .constants import EARTH_RADIUS_KM
+from .constants import EARTH_RADIUS_KM, is_plain_number_text
 from .geometry import GroundStation, elevation_angle, ground_station_eci, propagation_delay
 from .orbital import Constellation, time_grid
 from .topology import GridTopology
@@ -142,8 +142,8 @@ def read_cdf_csv(path) -> CdfTable:
     text = data.split("\n")  # read_text maps \r\n to \n; splitlines() also splits on \x0c
     if text[0].strip() != "value_km,proportion":
         raise ValueError("CDF CSV must start with header 'value_km,proportion'")
-    if data.find("_", len(text[0])) >= 0:  # one scan of the body; float() reads 1_0 as 10
-        raise ValueError("CDF CSV values must not contain '_'")
+    if not is_plain_number_text(data[len(text[0]):]):  # one check of the whole body, not per cell
+        raise ValueError("CDF CSV values must be ASCII and must not contain '_'")
     points: List[Tuple[float, float]] = []
     for line in text[1:]:
         if not line.strip():

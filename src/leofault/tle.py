@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple, TypeVar
 
-from .constants import MU_EARTH_M3_S2, SECONDS_PER_DAY
+from .constants import MU_EARTH_M3_S2, SECONDS_PER_DAY, is_plain_number_text
 from .orbital import CircularElements
 
 LINE_LENGTH = 69
@@ -45,20 +45,15 @@ class EccentricityWarning(UserWarning):
 def checksum(line: str) -> int:
     """Checksum digit of a 68-character TLE line body.
 
-    Sum of all digit characters plus one per '-' character, modulo 10.
+    Sum of all ASCII digits plus one per '-' character, modulo 10.
     The checksum column itself (column 69) is excluded from the input.
     """
     if len(line) != LINE_LENGTH - 1:
         raise TleFormatError(
             f"checksum input must be {LINE_LENGTH - 1} characters, got {len(line)}"
         )
-    total = 0
-    for c in line:
-        if c.isdigit():
-            total += int(c)
-        elif c == "-":
-            total += 1
-    return total % 10
+    # str.count matches ASCII digits only; isdigit() also takes other scripts' digits
+    return (sum(d * line.count(str(d)) for d in range(1, 10)) + line.count("-")) % 10
 
 
 @dataclass(frozen=True)
@@ -130,7 +125,7 @@ def _field(
 ) -> T:
     raw = line[start:end]
     try:
-        if "_" in raw:  # int() and float() read digit separators
+        if not is_plain_number_text(raw):
             raise ValueError(raw)
         value = conv(raw)
         if isinstance(value, float) and not math.isfinite(value):
@@ -154,8 +149,10 @@ def _check_line(line_no: int, line: str) -> None:
         )
     if line[0] != str(line_no):
         raise TleFormatError(f"line {line_no}, column 1: expected '{line_no}', got {line[0]!r}")
+    if not line.isascii():  # the drag columns are numbers carried verbatim
+        raise TleFormatError(f"line {line_no}: element lines must be ASCII")
     expected = checksum(line[:68])
-    if not line[68].isdigit() or int(line[68]) != expected:
+    if line[68] != str(expected):
         raise TleChecksumError(
             f"line {line_no}: checksum mismatch, computed {expected}, found {line[68]!r}"
         )

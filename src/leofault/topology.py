@@ -203,14 +203,9 @@ class GridTopology:
                 self.earth_radius_km,
             )
 
-    def snapshot(
-        self,
-        t_s: float,
-        threshold_km: float = DEFAULT_ISL_THRESHOLD_KM,
-        offsets: Optional[Mapping[SatelliteId, float]] = None,
-    ) -> List[IslLink]:
+    def snapshot(self, t_s: float, threshold_km: float = DEFAULT_ISL_THRESHOLD_KM) -> List[IslLink]:
         """All +GRID links evaluated at one instant."""
-        grazing, length = self.grazing(t_s, offsets)
+        grazing, length = self.grazing(t_s)
         viable = is_isl_viable(grazing, threshold_km)
         return [
             IslLink(

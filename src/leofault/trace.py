@@ -5,21 +5,10 @@ by one event object per line with keys t, kind, target, params. Numbers
 are canonicalized to at most 9 significant digits on serialization; an
 event whose numbers are already canonical round-trips exactly.
 
-Event kinds and their required params keys:
-
-    device_reboot            downtime_s
-    device_permanent_failure (none)
-    gs_link_degraded         throughput_multiplier, latency_factor
-    handover_spike           loss_rate, duration_s
-    maneuver_start           dh_km, dwell_s
-    maneuver_end             dh_km
-    isl_down                 grazing_km
-    isl_up                   grazing_km
-
-Targets: device events target a (satellite, device index) pair, maneuvers
-target a satellite, isl events an unordered satellite pair, and ground
-link events a ground-station id. Targets order by their fields (a kind
-fixes its target type), so events order by (t, kind, target, params).
+Targets order by their fields (KIND_TARGET_TYPE fixes a kind's target
+type), so events order by (t, kind, target, params). Building a target or
+an event checks its values, so the writer cannot emit what the reader
+rejects; the reader only maps JSON shape onto these types.
 """
 
 from __future__ import annotations
@@ -29,7 +18,7 @@ import json
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
@@ -47,15 +36,30 @@ class TraceParseError(ValueError):
         self.byte_offset = byte_offset
 
 
+def _check_sat(sat, name: str) -> None:
+    # bool is an int, hence type() rather than isinstance()
+    ints = isinstance(sat, tuple) and len(sat) == 3 and type(sat[0]) is type(sat[1]) is type(sat[2]) is int
+    if not (ints and sat[0] >= 0 and sat[1] >= 0 and sat[2] >= 0):
+        raise ValueError(f"{name} must be three non-negative integers, got {sat!r}")
+
+
 @dataclass(frozen=True, order=True)
 class DeviceTarget:
     sat: SatelliteId
     device: int
 
+    def __post_init__(self) -> None:
+        _check_sat(self.sat, "sat")
+        if type(self.device) is not int or self.device < 0:
+            raise ValueError(f"device must be a non-negative integer, got {self.device!r}")
+
 
 @dataclass(frozen=True, order=True)
 class SatelliteTarget:
     sat: SatelliteId
+
+    def __post_init__(self) -> None:
+        _check_sat(self.sat, "sat")
 
 
 @dataclass(frozen=True, order=True)
@@ -64,6 +68,8 @@ class IslTarget:
     b: SatelliteId
 
     def __post_init__(self) -> None:
+        _check_sat(self.a, "a")
+        _check_sat(self.b, "b")
         if self.a == self.b:
             raise ValueError("isl endpoints must differ")
         if self.b < self.a:  # undirected edge, stored in canonical order
@@ -75,6 +81,10 @@ class IslTarget:
 @dataclass(frozen=True, order=True)
 class GroundLinkTarget:
     gs_id: str
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.gs_id, str):
+            raise ValueError(f"gs_id must be a string, got {self.gs_id!r}")
 
 
 Target = Union[DeviceTarget, SatelliteTarget, IslTarget, GroundLinkTarget]
@@ -110,16 +120,16 @@ def canonical_number(x: float) -> float:
 def _check_event(t_s: float, kind: str, target: Target, params: Mapping[str, float]) -> None:
     if not 0.0 <= t_s < math.inf:
         raise ValueError(f"t_s must be finite and >= 0, got {t_s}")
-    expected_type = KIND_TARGET_TYPE.get(kind)
-    if expected_type is None:
-        raise ValueError(f"unknown event kind {kind!r}")
+    try:
+        expected_type = KIND_TARGET_TYPE[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind, such as a JSON array
+        raise ValueError(f"unknown event kind {kind!r}") from None
     if not isinstance(target, expected_type):
         raise ValueError(
             f"{kind} events target a {expected_type.__name__}, got {type(target).__name__}"
         )
-    if set(params) != KIND_PARAM_KEYS[kind]:
-        expected = sorted(KIND_PARAM_KEYS[kind])
-        raise ValueError(f"{kind} params must be exactly {expected}, got {sorted(params)}")
+    if params.keys() != KIND_PARAM_KEYS[kind]:
+        raise ValueError(f"{kind} params must be exactly {sorted(KIND_PARAM_KEYS[kind])}, got {sorted(params)}")
     for key, value in params.items():
         if not math.isfinite(value):
             raise ValueError(f"{kind} param {key} must be finite, got {value}")
@@ -143,11 +153,8 @@ class FaultEvent:
 
     def canonical(self) -> "FaultEvent":
         """Copy with all numbers rounded to the 9-significant-digit wire form."""
-        return replace(
-            self,
-            t_s=canonical_number(self.t_s),
-            params={k: canonical_number(v) for k, v in self.params.items()},
-        )
+        params = {k: canonical_number(v) for k, v in self.params.items()}
+        return FaultEvent(canonical_number(self.t_s), self.kind, self.target, params)
 
 
 def _keyed(idx: int, trace: Iterable[FaultEvent]) -> Iterator[Tuple[tuple, FaultEvent]]:
@@ -182,42 +189,36 @@ def _target_to_obj(target: Target) -> dict:
     return {"type": "ground_link", "gs": target.gs_id}
 
 
-def _sat_from_obj(obj, offset: int) -> SatelliteId:
-    if type(obj) is list and len(obj) == 3:
-        shell, plane, index = obj
-        if (
-            type(shell) is int and type(plane) is int and type(index) is int
-            and shell >= 0 and plane >= 0 and index >= 0
-        ):
-            return SatelliteId(shell, plane, index)
-    raise TraceParseError(
-        f"satellite id must be a list of 3 non-negative integers, got {obj!r}", offset
-    )
+# wire tag -> target type and the keys of its fields, in field order
+_TARGET_WIRE = {
+    "device": (DeviceTarget, ("sat", "device")),
+    "satellite": (SatelliteTarget, ("sat",)),
+    "isl": (IslTarget, ("a", "b")),
+    "ground_link": (GroundLinkTarget, ("gs",)),
+}
+_TARGET_KEYS = {tag: frozenset(("type", *keys)) for tag, (_, keys) in _TARGET_WIRE.items()}
+_EVENT_KEYS = frozenset(("t", "kind", "target", "params"))
+
+
+def _key_error(obj: dict, keys: frozenset, what: str, offset: int) -> TraceParseError:
+    key = min(obj.keys() ^ keys)
+    return TraceParseError(f"{'unknown' if key in obj else 'missing'} key {key!r} in {what}", offset)
 
 
 def _target_from_obj(obj, offset: int) -> Target:
     if not isinstance(obj, dict):
         raise TraceParseError(f"target must be an object, got {obj!r}", offset)
-    kind = obj.get("type")
-    try:
-        if kind == "device":
-            if type(obj.get("device")) is not int or obj["device"] < 0:
-                raise TraceParseError("device index must be a non-negative integer", offset)
-            return DeviceTarget(_sat_from_obj(obj.get("sat"), offset), obj["device"])
-        if kind == "satellite":
-            return SatelliteTarget(_sat_from_obj(obj.get("sat"), offset))
-        if kind == "isl":
-            return IslTarget(_sat_from_obj(obj.get("a"), offset), _sat_from_obj(obj.get("b"), offset))
-        if kind == "ground_link":
-            gs = obj.get("gs")
-            if not isinstance(gs, str):
-                raise TraceParseError("ground link target needs a string gs id", offset)
-            return GroundLinkTarget(gs)
-    except ValueError as exc:
-        if isinstance(exc, TraceParseError):
-            raise
-        raise TraceParseError(str(exc), offset) from None
-    raise TraceParseError(f"unknown target type {kind!r}", offset)
+    tag = obj.get("type")
+    if not isinstance(tag, str) or tag not in _TARGET_WIRE:
+        raise TraceParseError(f"unknown target type {tag!r}", offset)
+    if obj.keys() != _TARGET_KEYS[tag]:
+        raise _key_error(obj, _TARGET_KEYS[tag], f"{tag} target", offset)
+    target_type, keys = _TARGET_WIRE[tag]
+    args = []
+    for key in keys:  # arrays of three become satellite ids; the target type checks every value
+        value = obj[key]
+        args.append(SatelliteId._make(value) if type(value) is list and len(value) == 3 else value)
+    return target_type(*args)
 
 
 def serialize_event(event: FaultEvent) -> str:
@@ -247,21 +248,20 @@ def parse_event(line: str, byte_offset: int = 0) -> FaultEvent:
     obj = _decode(line, "JSON", byte_offset)
     if not isinstance(obj, dict):
         raise TraceParseError("event line must be a JSON object", byte_offset)
-    missing = {"t", "kind", "target", "params"} - set(obj)
-    if missing:
-        raise TraceParseError(f"event missing keys {sorted(missing)}", byte_offset)
-    if not isinstance(obj["t"], (int, float)) or isinstance(obj["t"], bool):
-        raise TraceParseError(f"event time must be a number, got {obj['t']!r}", byte_offset)
-    if not isinstance(obj["params"], dict):
+    if obj.keys() != _EVENT_KEYS:
+        raise _key_error(obj, _EVENT_KEYS, "event", byte_offset)
+    t, params = obj["t"], obj["params"]
+    if type(t) is not float and type(t) is not int:
+        raise TraceParseError(f"event time must be a number, got {t!r}", byte_offset)
+    if not isinstance(params, dict):
         raise TraceParseError("params must be an object", byte_offset)
-    target = _target_from_obj(obj["target"], byte_offset)
-    params = {}
     try:
-        for key, value in obj["params"].items():
+        target = _target_from_obj(obj["target"], byte_offset)
+        for key, value in params.items():
             if type(value) is not float and type(value) is not int:
                 raise TraceParseError(f"param {key} must be a number, got {value!r}", byte_offset)
             params[key] = float(value)  # an integer beyond the float range overflows
-        return FaultEvent(t_s=float(obj["t"]), kind=obj["kind"], target=target, params=params)
+        return FaultEvent(float(t), obj["kind"], target, params)
     except TraceParseError:
         raise
     except (ValueError, TypeError, OverflowError) as exc:
@@ -304,10 +304,9 @@ def read_trace(path) -> List[FaultEvent]:
             except UnicodeDecodeError as exc:
                 raise TraceParseError(f"invalid UTF-8: {exc.reason}", offset + exc.start) from None
             if saw_header and line.strip():
-                events.append(parse_event(line, byte_offset=offset))
+                events.append(parse_event(line, offset))
             elif line.strip():
-                header = _decode(line, "header", offset)
-                if not isinstance(header, dict) or header.get("schema") != SCHEMA:
+                if _decode(line, "header", offset) != {"schema": SCHEMA}:
                     raise TraceParseError(f"expected schema header {SCHEMA!r}", offset)
                 saw_header = True
             offset += len(raw)

@@ -2,11 +2,12 @@ import argparse
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from leofault import TleRecord, checksum, read_cdf_csv, read_trace, serialize_tle
-from leofault.cli import build_parser, main
+from leofault.cli import _finite, _integer, build_parser, main
 
 SPARSE_CONFIG = {
     "shells": [
@@ -101,6 +102,7 @@ FLOAT_FLAGS = [
     ("seu", "--days"),
     ("seu", "--rate"),
 ]
+INTEGER_FLAGS = [("seu", "--devices"), ("seu", "--satellites")]
 
 
 def cli_args(command, **overrides):
@@ -110,14 +112,16 @@ def cli_args(command, **overrides):
 
 class TestFloatFlags:
     def test_every_non_integer_flag_listed(self):
+        # the integer flags are listed too: they take a checked type rather than int
         subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         numeric = sorted(
-            (command, action.option_strings[0])
+            (command, action.option_strings[0], action.type)
             for command, sub in subparsers.choices.items()
             for action in sub._actions
-            if action.type not in (None, int)
+            if action.type is not None
         )
-        assert numeric == FLOAT_FLAGS
+        expected = [(c, f, _finite) for c, f in FLOAT_FLAGS] + [(c, f, _integer) for c, f in INTEGER_FLAGS]
+        assert numeric == sorted(expected)
 
     @pytest.mark.parametrize("command", sorted(VALID_ARGS))
     def test_valid_values_accepted(self, capsys, command):
@@ -132,6 +136,28 @@ class TestFloatFlags:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument {flag}: must be a finite number, got '{value}'" in captured.err
+
+    @pytest.mark.parametrize("value", ["5_50", "1_0.5", "\u0667\u0663", "\uff15\uff15\uff10", "\u2003550"])
+    @pytest.mark.parametrize("command, flag", FLOAT_FLAGS)
+    def test_digit_separators_and_non_ascii_rejected(self, capsys, command, flag, value):
+        # float() reads each of these as a number
+        with pytest.raises(SystemExit) as excinfo:
+            main(cli_args(command, **{flag: value}))
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: must be a finite number, got {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "value", ["1" + "0" * 400, "1_0", "\u0663", "1.5", "1e3", "ten"],
+        ids=["beyond-float", "separator", "arabic-indic", "fraction", "exponent", "word"],
+    )
+    @pytest.mark.parametrize("command, flag", INTEGER_FLAGS)
+    def test_integer_flags_checked(self, capsys, command, flag, value):
+        # a 401-digit --satellites used to print "error: int too large to convert to float"
+        with pytest.raises(SystemExit) as excinfo:
+            main(cli_args(command, **{flag: value}))
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be an integer within the float range, got {value!r}" in err
 
     def test_rtt_overflow_is_an_error_not_a_crash(self, capsys):
         assert main(cli_args("rtt", **{"--alt-km": "1e300"})) == 2
@@ -224,6 +250,20 @@ class TestSimulateCommand:
         result = run_cli("simulate", "--config", str(config_path), "--out", str(tmp_path / "t"))
         assert result.returncode == 2
         assert "duration_s" in result.stderr
+
+    def test_unbounded_seu_rate_exits_quickly(self, tmp_path, capsys):
+        # one satellite, 600 s: about 4e11 expected arrivals, which used to run past `timeout 5`
+        config = {
+            "shells": [{"altitude_km": 550.0, "inclination_deg": 53.0, "planes": 1, "sats_per_plane": 1}],
+            "duration_s": 600.0,
+            "faults": {"seu_rate_per_device_day": 1e12},
+        }
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        start = time.perf_counter()
+        assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "t.jsonl")]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "faults.seu_rate_per_device_day" in capsys.readouterr().err
 
     def test_trace_only_on_file_not_stdout(self, tmp_path):
         config_path = tmp_path / "config.json"

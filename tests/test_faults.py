@@ -378,7 +378,9 @@ class TestPrecipitationCsv:
             read_precipitation_csv(path)
 
     @pytest.mark.parametrize(
-        "row", ["600,nan", "600,inf", "nan,1", "-inf,1", "600,heavy", "ten,1", "6_00,1", "600,4_5"]
+        "row",
+        ["600,nan", "600,inf", "nan,1", "-inf,1", "600,heavy", "ten,1", "6_00,1", "600,4_5",
+         "\u0666\u0660\u0660,1", "600,\uff14"],
     )
     def test_non_finite_or_non_numeric_cell(self, tmp_path, row):
         # a NaN t_s would also pass the strictly-increasing check; float() reads "6_00" as 600.0

@@ -19,7 +19,7 @@ from leofault import (
 )
 from leofault.geometry import is_isl_viable
 from leofault.orbital import time_grid
-from leofault.simulation import MAX_SATELLITES, MAX_STEPS
+from leofault.simulation import MAX_EVENTS, MAX_SATELLITES, MAX_STEPS, _check_expected_events
 from leofault.topology import GridTopology
 
 SPARSE = {
@@ -402,6 +402,43 @@ class TestRunSimulation:
         below = sum(int(np.sum(~is_isl_viable(g, config.isl_threshold_km))) for _, g in topo.scan(times))
         assert below > 0
         assert summary["infeasible_link_sample_fraction"] == below / (len(times) * topo.n_edges)
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"faults": {"seu_rate_per_device_day": 1e12}}, "faults.seu_rate_per_device_day"),
+            ({"faults": {"maneuver_rate_per_sat_year": 1e12}}, "faults.maneuver_rate_per_sat_year"),
+            (
+                {"ground_stations": [{"id": f"gs{k}", "latitude_deg": 0.0, "longitude_deg": 0.0} for k in range(3)],
+                 "faults": {"handover_min_s": 1200.0 / MAX_STEPS, "handover_max_s": 1200.0 / MAX_STEPS}},
+                "ground_stations",
+            ),
+        ],
+        ids=["seu", "maneuvers", "spikes-across-stations"],
+    )
+    def test_expected_events_capped_before_sampling(self, tmp_path, overrides, field):
+        # the SEU row drew about 4e11 arrivals and ran past any timeout; each
+        # station's spikes here are within the per-station cap, their sum is not
+        config = config_from_dict(minimal_config(**overrides))
+        with pytest.raises(ConfigError, match=f"^{re.escape(field)} gives .* at most {MAX_EVENTS}"):
+            run_simulation(config, tmp_path / "t.jsonl")
+        assert not (tmp_path / "t.jsonl").exists()
+
+    def test_expected_events_count_tle_satellites(self, tmp_path):
+        rec = TleRecord(
+            catalog_number=44713, epoch_year=2023, epoch_day=15.5, inclination_deg=53.05,
+            raan_deg=100.0, eccentricity=0.0001, arg_perigee_deg=90.0, mean_anomaly_deg=270.0,
+            mean_motion_rev_per_day=15.06,
+        )
+        tle_path = tmp_path / "one.tle"
+        tle_path.write_text("\n".join(serialize_tle(rec)) + "\n")
+        # 100 shell satellites sit exactly at the cap; the TLE satellite tips it over
+        rate = MAX_EVENTS / (60 * 100 * 600.0 / 86400.0)
+        config = config_from_dict(minimal_config(faults={"seu_rate_per_device_day": rate}))
+        assert _check_expected_events(config, 100) == pytest.approx(MAX_EVENTS)
+        config = config_from_dict(minimal_config(tle_files=[str(tle_path)], faults={"seu_rate_per_device_day": rate}))
+        with pytest.raises(ConfigError, match="over 101 satellites"):
+            run_simulation(config, tmp_path / "t.jsonl")
 
     def test_summary_structure(self, tmp_path):
         config = config_from_dict(minimal_config())

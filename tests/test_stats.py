@@ -206,9 +206,12 @@ class TestCdfCsv:
             ("1,0.5\nten,1\n", 3),
             ("1.0,0.5\x0c2.0,1.0\n", 2),  # str.splitlines() would split here
             ("1.0,0.5\x1c2.0,1.0\n", 2),
+            ("1,0.5\n\u0662,1\n", None),
+            ("1,0.5\n\uff12,1\n", None),
         ],
         ids=["nan-value", "inf-value", "minus-inf-value", "nan-proportion", "digit-separator",
-             "three-columns", "one-column", "not-a-number", "form-feed", "file-separator"],
+             "three-columns", "one-column", "not-a-number", "form-feed", "file-separator",
+             "arabic-indic-digit", "fullwidth-digit"],
     )
     def test_malformed_rows_rejected(self, tmp_path, body, line_no):
         path = tmp_path / "cdf.csv"

@@ -55,6 +55,11 @@ class TestChecksum:
         assert sum(int(c) for c in line if c.isdigit()) == 123
         assert checksum(line) == 5
 
+    def test_only_ascii_digits_count(self):
+        # isdigit() is also true of other scripts' digits, and int() reads them
+        assert checksum("\u0669" * 13 + " " * 55) == 0
+        assert checksum("\uff19" + "9" + " " * 66) == 9
+
     @pytest.mark.parametrize("length", [0, 67, 69])
     def test_wrong_length(self, length):
         with pytest.raises(TleFormatError):
@@ -187,6 +192,21 @@ class TestParse:
             parse_tle(*lines)
         with pytest.raises(TleFormatError, match=f"input line 1: {match}"):
             parse_tle_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize(
+        "line_no, start, end",
+        [(1, 1, 68), (2, 1, 68), (2, 8, 16), (1, 33, 43), (2, 68, 69)],
+        ids=["line-1", "line-2", "inclination", "drag-column", "checksum-column"],
+    )
+    def test_non_ascii_digits_rejected(self, line_no, start, end):
+        # the whole-line cases parsed before: isdigit() and int() read Arabic-Indic
+        # digits and the checksum counted them; the drag columns are never parsed
+        arabic = str.maketrans("0123456789", "".join(chr(0x660 + i) for i in range(10)))
+        lines = [ISS_L1, ISS_L2]
+        line = lines[line_no - 1]
+        lines[line_no - 1] = line[:start] + line[start:end].translate(arabic) + line[end:]
+        with pytest.raises(TleFormatError, match=f"line {line_no}: element lines must be ASCII"):
+            parse_tle(*lines)
 
     @pytest.mark.parametrize("start,end,text", [(8, 16, " 5_3.000"), (52, 63, "15.4_939861"), (63, 68, "22_98")])
     def test_digit_separator_rejected(self, start, end, text):

@@ -23,7 +23,7 @@ from leofault import (
 )
 from leofault.constants import EARTH_RADIUS_KM, SIDEREAL_DAY_S
 from leofault.faults import MAX_TOTAL_OFFSET_KM
-from leofault.orbital import FleetArrays, mean_motion_rad_s, propagate_arrays, time_grid
+from leofault.orbital import FleetArrays, _mean_motion, propagate_arrays, time_grid
 from leofault.topology import CROSS_PLANE, INTRA_PLANE, _ManeuverOffsets
 
 
@@ -33,7 +33,7 @@ EQUATOR_STATION = GroundStation("eq", 0.0, 0.0)
 def zenith_pass(t_zenith_s, altitude_km=550.0):
     """Elements of an equatorial satellite at the zenith of (0, 0) at t_zenith_s."""
     a_km = EARTH_RADIUS_KM + altitude_km
-    rate_deg_s = math.degrees(mean_motion_rad_s(a_km)) - 360.0 / SIDEREAL_DAY_S
+    rate_deg_s = math.degrees(_mean_motion(a_km)) - 360.0 / SIDEREAL_DAY_S
     return CircularElements(a_km, 0.0, 0.0, -rate_deg_s * t_zenith_s)
 
 

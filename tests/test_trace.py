@@ -1,7 +1,9 @@
 import json
 import math
 import os
+import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,6 +111,9 @@ class TestEventValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             FaultEvent(0.0, "mystery", SatelliteTarget(SAT_A), {})
+        # an unhashable kind used to escape as "unhashable type: 'list'"
+        with pytest.raises(TraceParseError, match=r"unknown event kind \['isl_up'\]"):
+            parse_event('{"t":1.0,"kind":["isl_up"],"target":{"type":"satellite","sat":[0,1,2]},"params":{}}')
 
     def test_negative_time(self):
         with pytest.raises(ValueError):
@@ -129,6 +134,32 @@ class TestEventValidation:
         assert (t.a, t.b) == (SAT_A, SAT_B)
         with pytest.raises(ValueError):
             IslTarget(SAT_A, SAT_A)
+
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: DeviceTarget(SAT_A, -1), "device must be a non-negative integer"),
+            (lambda: DeviceTarget(SAT_A, True), "device must be a non-negative integer"),
+            (lambda: DeviceTarget(SAT_A, 1.0), "device must be a non-negative integer"),
+            (lambda: SatelliteTarget(SatelliteId(-1, 0, 0)), "sat must be three non-negative integers"),
+            (lambda: SatelliteTarget(SatelliteId(0.5, 0, 0)), "sat must be three non-negative integers"),
+            (lambda: SatelliteTarget(SatelliteId(0, True, 0)), "sat must be three non-negative integers"),
+            (lambda: SatelliteTarget([0, 1, 2]), "sat must be three non-negative integers"),
+            (lambda: DeviceTarget((0, 1), 0), "sat must be three non-negative integers"),
+            (lambda: GroundLinkTarget(7), "gs_id must be a string"),
+            (lambda: IslTarget(SAT_A, SatelliteId("x", 0, 0)), "b must be three non-negative integers"),
+        ],
+        ids=["device-negative", "device-bool", "device-float", "sat-negative", "sat-float", "sat-bool",
+             "sat-list", "sat-pair", "gs-int", "isl-endpoint-string"],
+    )
+    def test_target_values_checked_at_construction(self, build, match):
+        # the writer used to emit these, and its own reader rejected them
+        with pytest.raises(ValueError, match=match):
+            build()
+
+    def test_plain_tuple_satellite_id_serializes_like_satellite_id(self):
+        event = FaultEvent(1.0, "maneuver_end", SatelliteTarget((0, 1, 2)), {"dh_km": 1.0})
+        assert parse_event(serialize_event(event)) == make_event("maneuver_end", 1.0)
 
 
 class TestMergeTraces:
@@ -294,6 +325,20 @@ class TestSerialization:
             f'"params": {{"downtime_s": {downtime}}}}}'
         )
         with pytest.raises(TraceParseError) as excinfo:
+            parse_event(line, byte_offset=100)
+        assert excinfo.value.byte_offset == 100
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [('["x", 0, 0]', "[0, 0, 1]"), ("[0, 0, 1]", "[[0], 0, 0]"), ("[0.5, 0, 0]", "[0, 0, 1]"), ("[0, 0, 1]", "[0, 0, 1]")],
+        ids=["string", "nested-list", "float", "same-endpoint"],
+    )
+    def test_parse_rejects_bad_isl_endpoints(self, a, b):
+        line = (
+            f'{{"t": 1.0, "kind": "isl_up", "target": {{"type": "isl", "a": {a}, "b": {b}}}, '
+            f'"params": {{"grazing_km": 90.0}}}}'
+        )
+        with pytest.raises(TraceParseError) as excinfo:  # not a TypeError from ordering the endpoints
             parse_event(line, byte_offset=100)
         assert excinfo.value.byte_offset == 100
 
@@ -539,8 +584,60 @@ class TestTraceFiles:
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
         assert read_trace(path) == [make_event("isl_down", 1.0), make_event("isl_up", 2.0)]
 
+    @pytest.mark.parametrize(
+        "target, params, extra, message",
+        [
+            ('{"type":"satellite","sat":[0,1,2]}', '{"dh_km":1.0}', ',"extra":1', "unknown key 'extra' in event"),
+            ('{"type":"satellite","sat":[0,1,2],"device":3}', '{"dh_km":1.0}', "", "unknown key 'device' in satellite target"),
+            ('{"type":"satellite"}', '{"dh_km":1.0}', "", "missing key 'sat' in satellite target"),
+            ('{"sat":[0,1,2]}', '{"dh_km":1.0}', "", "unknown target type None"),
+        ],
+        ids=["event-extra-key", "satellite-target-device-key", "target-missing-key", "target-without-type"],
+    )
+    def test_unknown_and_missing_keys_rejected_at_line_offset(self, tmp_path, target, params, extra, message):
+        header = '{"schema":"leofault/1"}'
+        good = serialize_event(make_event("maneuver_end", 1.0))
+        bad = f'{{"t":2.0,"kind":"maneuver_end","target":{target},"params":{params}{extra}}}'
+        path = tmp_path / "trace.jsonl"
+        path.write_text("\n".join([header, good, bad]) + "\n")
+        with pytest.raises(TraceParseError, match=re.escape(message)) as excinfo:
+            read_trace(path)
+        assert excinfo.value.byte_offset == len(header) + 1 + len(good) + 1
+
+    def test_event_missing_key_named(self):
+        with pytest.raises(TraceParseError, match="missing key 'params' in event"):
+            parse_event('{"t":1.0,"kind":"maneuver_end","target":{"type":"satellite","sat":[0,1,2]}}')
+
+    @pytest.mark.parametrize("header", ['{"schema":"leofault/1","extra":1}', '{"schema":"leofault/2"}', "[]"])
+    def test_header_must_be_exactly_the_schema(self, tmp_path, header):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(header + "\n")
+        with pytest.raises(TraceParseError, match="expected schema header"):
+            read_trace(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text("")
         with pytest.raises(TraceParseError, match="header"):
             read_trace(path)
+
+
+def test_readme_trace_table_matches_kinds_params_and_writer():
+    """The README trace table lists every kind with its target and params, and
+    each target encoding it shows is what serialize_event writes."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Trace format", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` +\| `(\w+)` +\|([^|]*)\|$", section, re.MULTILINE)
+    encodings = dict(re.findall(r"^- `(\w+)`: `(\{.*?\})`", section, re.MULTILINE))
+    assert sorted(kind for kind, _, _ in rows) == sorted(KIND_TARGET_TYPE)
+    assert {tag for _, tag, _ in rows} == set(encodings)
+    for kind, tag, params in rows:
+        assert frozenset(re.findall(r"`(\w+)`", params)) == KIND_PARAM_KEYS[kind], kind
+        line = json.dumps(
+            {"t": 1.0, "kind": kind, "target": json.loads(encodings[tag]),
+             "params": {key: 1.0 for key in KIND_PARAM_KEYS[kind]}}
+        )
+        event = parse_event(line)
+        assert type(event.target) is KIND_TARGET_TYPE[kind], kind
+        written = json.loads(serialize_event(event))["target"]
+        assert json.dumps(written, separators=(",", ":")) == encodings[tag], kind
