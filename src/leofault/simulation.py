@@ -22,8 +22,6 @@ from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 from typing import get_args, get_origin, get_type_hints
 
-import numpy as np
-
 from .constants import EARTH_RADIUS_KM, SECONDS_PER_DAY, SECONDS_PER_YEAR
 from .faults import (
     FaultModelConfig,
@@ -212,26 +210,32 @@ def _maneuver_trace(maneuvers: Sequence[ManeuverEvent], duration_s: float) -> Li
 
 
 def _isl_transition_trace(
-    topo: GridTopology, maneuvers: Sequence[ManeuverEvent], config: SimulationConfig, samples: Counter
+    topo: GridTopology,
+    times: Sequence[float],
+    maneuvers: Sequence[ManeuverEvent],
+    threshold_km: float,
+    samples: Counter,
 ) -> Iterator[FaultEvent]:
-    """ISL viability transitions on the step grid in sort_key order, one step
-    at a time; counts (link, step) samples as "total" and "infeasible"."""
+    """ISL viability transitions at the given times in sort_key order, one
+    step at a time; counts (link, step) samples as "total" and "infeasible",
+    and the samples actually evaluated as "evaluated"."""
     if topo.n_edges == 0:
         return
-    previous: Optional[np.ndarray] = None
-    for t, grazing in topo.scan(time_grid(0.0, config.duration_s, config.step_s), maneuvers):
-        viable = is_isl_viable(grazing, config.isl_threshold_km)
-        samples["total"] += len(viable)
-        samples["infeasible"] += int(np.sum(~viable))
-        if previous is not None:
-            step: List[FaultEvent] = []
-            for idx in np.nonzero(viable != previous)[0]:
-                kind = "isl_up" if viable[idx] else "isl_down"
-                target = IslTarget(*topo.edge_ids[idx])
-                step.append(FaultEvent(t, kind, target, {"grazing_km": float(grazing[idx])}))
-            step.sort(key=lambda e: e.sort_key)  # all at t, so by (kind, target)
-            yield from step
-        previous = viable
+    for t, edges, grazing, flipped, infeasible in topo._viability_scan(times, maneuvers, threshold_km):
+        samples["total"] += topo.n_edges
+        samples["infeasible"] += infeasible
+        samples["evaluated"] += len(edges)
+        step = [
+            FaultEvent(
+                t,
+                "isl_up" if is_isl_viable(g, threshold_km) else "isl_down",
+                IslTarget(*topo.edge_ids[idx]),
+                {"grazing_km": g},
+            )
+            for idx, g in zip(edges[flipped].tolist(), grazing[flipped].tolist())
+        ]
+        step.sort(key=lambda e: e.sort_key)  # all at t, so by (kind, target)
+        yield from step
 
 
 def _check_expected_events(config: SimulationConfig, n_sats: int) -> float:
@@ -276,7 +280,8 @@ def run_simulation(config: SimulationConfig, trace_path) -> dict:
     rain = rain_events(config.faults, gs_ids, series, 0.0, duration)
 
     samples: Counter = Counter()  # filled as write_trace pulls the ISL scan through the merge
-    isl = _isl_transition_trace(topo, maneuvers, config, samples)
+    times = time_grid(0.0, duration, config.step_s)
+    isl = _isl_transition_trace(topo, times, maneuvers, config.isl_threshold_km, samples)
     events = merge_traces([seu, _maneuver_trace(maneuvers, duration), spikes, rain, isl])
     counts = write_trace(trace_path, events)
     return {
@@ -290,6 +295,8 @@ def run_simulation(config: SimulationConfig, trace_path) -> dict:
         "sampled_seu_count": counts.get("device_reboot", 0)
         + counts.get("device_permanent_failure", 0),
         "infeasible_link_sample_fraction": samples["infeasible"] / max(samples["total"], 1),
+        "isl_link_samples": samples["total"],
+        "isl_edge_evaluations": samples["evaluated"],
     }
 
 
@@ -308,6 +315,10 @@ def format_summary(summary: dict) -> str:
     )
     lines.append(
         f"infeasible link samples: {summary['infeasible_link_sample_fraction']:.4f}"
+    )
+    # no leading spaces: those lines list event counts by kind
+    lines.append(
+        f"isl edge evaluations: {summary['isl_edge_evaluations']} of {summary['isl_link_samples']}"
     )
     lines.append("config (defaults materialized):")
     lines.append(json.dumps(summary["config"], indent=2, sort_keys=True))

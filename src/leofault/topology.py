@@ -8,9 +8,21 @@ graph per shell (2*P*S undirected edges). Shells too small for the grid
 Link state is evaluated per timestep from propagated positions: grazing
 altitude, segment length, and viability against a threshold. A scan
 evaluates grazing altitude only, one step at a time over a time grid,
-with the maneuver offsets active at each step; simulate and the ISL
-altitude CDF both read link state that way. Steps are not batched into
-(steps x edges) arrays: that raises peak memory without saving time.
+with the maneuver offsets active at each step; the ISL altitude CDF
+reads every value of it. Steps are not batched into (steps x edges)
+arrays: that raises peak memory without saving time.
+
+simulate needs only viability, so its scan evaluates an edge only when
+the edge is due. Grazing altitude does not change when both endpoints
+rotate together and is 1-Lipschitz in either endpoint, so it changes at
+most at L = |w_a - w_b| * max(r_a, r_b) km/s, w being each orbit's
+angular-velocity vector. An edge evaluated at t with grazing g is next
+due at t + (|g - threshold| - slack) / L; until then its viability
+cannot change, and it keeps the cached one. Same-plane edges have L = 0
+and are never due again unless a maneuver changes an endpoint, which
+makes all that satellite's edges due and gives them a new L. Due edges
+go through the same position and grazing kernels restricted to their
+endpoints' rows, so every evaluated value equals the full scan's.
 
 The scan owns the maneuver offsets as one dense per-satellite array. It
 touches that array only when a maneuver starts or ends, found by a
@@ -173,17 +185,7 @@ class GridTopology:
         maneuvers must be sorted by start_s; ValueError names the first
         entry out of order. Every step yields a fresh array.
         """
-        times = np.asarray(times, dtype=float)
-        bad = _first_out_of_order(times)
-        if bad is not None:
-            raise ValueError(f"times must not decrease: times[{bad}] is {times[bad]}")
-        starts = np.array([m.start_s for m in maneuvers], dtype=float)
-        bad = _first_out_of_order(starts)
-        if bad is not None:
-            raise ValueError(
-                f"maneuvers must be sorted by start_s: maneuvers[{bad}] starts at {starts[bad]}"
-            )
-        return self._scan(times, maneuvers)
+        return self._scan(_checked_times(times, maneuvers), maneuvers)
 
     def _scan(
         self, times: np.ndarray, maneuvers: Sequence[ManeuverEvent]
@@ -203,6 +205,62 @@ class GridTopology:
                 self.earth_radius_km,
             )
 
+    def _viability_scan(
+        self, times: Sequence[float], maneuvers: Sequence[ManeuverEvent], threshold_km: float
+    ) -> Iterator[Tuple[float, np.ndarray, np.ndarray, np.ndarray, int]]:
+        """Viability at each time, evaluating only the edges that are due.
+
+        Yields (t, edges, grazing_km, flipped, infeasible): the ascending
+        indices of the edges evaluated at t, their grazing altitudes, which
+        of them changed viability since the previous time (none at the
+        first), and how many edges are not viable at t. Viability, and
+        the grazing of every evaluated edge, equal scan's values; times
+        and maneuvers are checked as scan checks them.
+        """
+        times = _checked_times(times, maneuvers)
+        fleet = self._fleet
+        edge_a, edge_b = self._edge_a, self._edge_b
+        offsets = _ManeuverOffsets(maneuvers, self._index_of, len(self.sat_ids))
+        r_km, n_rad_s = fleet.a_km, _mean_motion(fleet.a_km)
+        cos_i, sin_i, cos_o, sin_o = fleet._trig
+        normal = (sin_i * sin_o, -sin_i * cos_o, cos_i)
+        rate = _link_rate(edge_a, edge_b, r_km, n_rad_s, normal)
+        due_at = np.full(self.n_edges, -np.inf)
+        viable = np.zeros(self.n_edges, dtype=bool)
+        slot = np.empty(len(self.sat_ids), dtype=int)  # fleet row -> index among a step's rows
+        for k, t in enumerate(times.tolist()):
+            changed = offsets.advance(t)
+            if changed:
+                r_km = fleet.a_km + offsets.km
+                n_rad_s = _mean_motion(r_km)
+                moved = np.zeros(len(self.sat_ids), dtype=bool)
+                moved[changed] = True
+                hit = np.flatnonzero(moved[edge_a] | moved[edge_b])
+                rate[hit] = _link_rate(edge_a[hit], edge_b[hit], r_km, n_rad_s, normal)
+                due_at[hit] = -np.inf
+            edges = np.flatnonzero(due_at <= t)
+            n = edges.size
+            edges = _blocks(edges)
+            a, b = edge_a.take(edges), edge_b.take(edges)
+            used = np.zeros(len(self.sat_ids), dtype=bool)
+            used[a] = used[b] = True
+            rows = _blocks(np.flatnonzero(used))
+            slot[rows] = np.arange(rows.size)
+            a, b = slot.take(a), slot.take(b)
+            x, y, z = fleet._planes(t, rows, r_km=r_km.take(rows), n_rad_s=n_rad_s.take(rows))
+            grazing = _grazing_planes(
+                x.take(a), y.take(a), z.take(a), x.take(b), y.take(b), z.take(b),
+                self.earth_radius_km,
+            )
+            now = is_isl_viable(grazing, threshold_km)
+            flipped = now != viable[edges] if k else np.zeros(edges.size, dtype=bool)
+            viable[edges] = now
+            margin = np.abs(grazing - threshold_km) - _SLACK_KM
+            with np.errstate(divide="ignore", invalid="ignore"):
+                due_at[edges] = np.where(margin > 0.0, t + margin / rate.take(edges), t)
+            infeasible = self.n_edges - int(np.count_nonzero(viable))
+            yield t, edges[:n], grazing[:n], flipped[:n], infeasible
+
     def snapshot(self, t_s: float, threshold_km: float = DEFAULT_ISL_THRESHOLD_KM) -> List[IslLink]:
         """All +GRID links evaluated at one instant."""
         grazing, length = self.grazing(t_s)
@@ -220,6 +278,54 @@ class GridTopology:
                 self.edge_ids, self.edge_kinds, grazing, length, viable
             )
         ]
+
+
+# km kept off every skipped edge's distance to the threshold: covers the
+# rounding of computed grazing altitudes, which is below 1e-8 km
+_SLACK_KM = 1e-3
+
+
+def _link_rate(
+    a: np.ndarray,
+    b: np.ndarray,
+    r_km: np.ndarray,
+    n_rad_s: np.ndarray,
+    normal: Tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """Bound on |d grazing / dt| of the edges between fleet rows a and b, km/s.
+
+    |w_a - w_b| * max(r_a, r_b), where w = n_rad_s * normal is the
+    angular-velocity vector of each row's orbit, from x, y, z planes.
+    """
+    na, nb = n_rad_s.take(a), n_rad_s.take(b)
+    dx, dy, dz = (na * c.take(a) - nb * c.take(b) for c in normal)
+    return np.sqrt(dx * dx + dy * dy + dz * dz) * np.maximum(r_km.take(a), r_km.take(b))
+
+
+def _blocks(index: np.ndarray) -> np.ndarray:
+    """index repeated cyclically up to a whole number of 128-entry blocks.
+
+    numpy keeps up to seven freed buffers of every size below 1 KiB, so
+    per-step arrays of every length would pin megabytes over a long scan;
+    in blocks they come in few sizes. Repeated entries give repeated,
+    equal results.
+    """
+    return np.resize(index, index.size + -index.size % 128)
+
+
+def _checked_times(times: Sequence[float], maneuvers: Sequence[ManeuverEvent]) -> np.ndarray:
+    """times as an array; ValueError names the first time or maneuver start out of order."""
+    times = np.asarray(times, dtype=float)
+    bad = _first_out_of_order(times)
+    if bad is not None:
+        raise ValueError(f"times must not decrease: times[{bad}] is {times[bad]}")
+    starts = np.array([m.start_s for m in maneuvers], dtype=float)
+    bad = _first_out_of_order(starts)
+    if bad is not None:
+        raise ValueError(
+            f"maneuvers must be sorted by start_s: maneuvers[{bad}] starts at {starts[bad]}"
+        )
+    return times
 
 
 def _first_out_of_order(values: np.ndarray) -> Optional[int]:
@@ -251,8 +357,8 @@ class _ManeuverOffsets:
         self._ends: List[Tuple[float, int, int]] = []  # heap of (end_s, index, row)
         self._active: Dict[int, List[int]] = {}  # row -> active indices, in start order
 
-    def advance(self, t_s: float) -> bool:
-        """Move to t_s; True if any satellite's offset was recomputed."""
+    def advance(self, t_s: float) -> List[int]:
+        """Move to t_s; returns the rows whose offset was recomputed."""
         maneuvers, active = self._maneuvers, self._active
         changed = set()
         while self._next < len(maneuvers) and maneuvers[self._next].start_s <= t_s:
@@ -274,7 +380,7 @@ class _ManeuverOffsets:
             for index in active[row]:
                 total += maneuvers[index].dh_km
             self.km[row] = max(-MAX_TOTAL_OFFSET_KM, min(MAX_TOTAL_OFFSET_KM, total))
-        return bool(changed)
+        return list(changed)
 
 
 def _bisect_crossings(

@@ -11,7 +11,10 @@ derandomized: a failure reproduces on every run.
 The link-state scan is fuzzed the same way against its per-step
 reference: random maneuver sets on a small shell, starting and ending on
 and between grid points, must give bit-identical offsets and grazing
-altitudes.
+altitudes. The scan simulate uses, which evaluates a link only when it
+could cross the threshold, must give the full scan's transitions,
+grazing bits and infeasible count on random shells, maneuver sets,
+thresholds (some equal to a sampled grazing altitude) and windows.
 
 merge_traces is checked the same way against its concatenate-and-sort
 reference on random key-sorted sources with many ties.
@@ -36,6 +39,7 @@ from leofault import (
     ManeuverEvent,
     SatelliteId,
     SatelliteTarget,
+    ShellSpec,
     TleFormatError,
     TraceParseError,
     build_constellation,
@@ -50,6 +54,7 @@ from leofault import (
 )
 from leofault.orbital import time_grid
 from leofault.trace import KIND_PARAM_KEYS
+from test_simulation import assert_skip_scan_matches_reference
 from test_topology import SMALL_SHELL, assert_scan_matches_reference
 from test_trace import SATS, pooled_event, reference_merge, reference_sort_key
 
@@ -273,6 +278,47 @@ maneuvers = st.lists(
 @given(maneuvers)
 def test_scan_matches_per_step_reference(maneuvers):
     assert_scan_matches_reference(SCAN_TOPOLOGY, SCAN_TIMES, maneuvers)
+
+
+skip_shells = st.lists(
+    st.builds(
+        ShellSpec,
+        altitude_km=st.sampled_from([550.0, 2000.0]),
+        inclination_deg=st.sampled_from([53.0, 90.0, 97.6, 140.0]),  # prograde, polar, retrograde
+        planes=st.integers(3, 8),
+        sats_per_plane=st.integers(3, 8),
+    ),
+    min_size=1,
+    max_size=2,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(skip_shells, st.sampled_from([0.0, 1e9]), st.sampled_from([10.0, 60.0, 300.0]), st.data())
+def test_skip_scan_matches_full_scan(shells, t0, step, data):
+    topo = GridTopology(build_constellation(shells))
+    times = t0 + time_grid(0.0, data.draw(st.integers(2, 60)) * step, step)
+    on_grid = st.sampled_from(times.tolist())
+    window = st.floats(float(times[0]) - step, float(times[-1]) + step)
+    # a few satellites take most maneuvers, so that they overlap and sum past the clamp
+    sats = st.sampled_from(topo.sat_ids[:3]) | st.sampled_from(topo.sat_ids)
+    maneuvers = data.draw(
+        st.lists(
+            st.builds(
+                ManeuverEvent,
+                sat=sats,
+                start_s=on_grid | window,
+                dh_km=st.sampled_from([-6.0, -2.0, 2.0, 6.0, 9.5]) | st.floats(-12.0, 12.0),
+                dwell_s=st.just(0.0) | st.sampled_from([step, 3 * step]) | st.floats(0.0, float(times[-1] - times[0])),
+            ),
+            max_size=10,
+        ).map(lambda ms: sorted(ms, key=lambda m: m.start_s))
+    )
+    sampled = sorted({float(g) for _, grazing in topo.scan(times, maneuvers) for g in grazing if g >= 0.0})
+    thresholds = st.floats(0.0, 2100.0)
+    if sampled:
+        thresholds |= st.sampled_from(sampled)
+    assert_skip_scan_matches_reference(topo, times, maneuvers, data.draw(thresholds))
 
 
 pooled_events = st.builds(

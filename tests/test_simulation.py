@@ -1,5 +1,6 @@
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -7,20 +8,32 @@ import pytest
 
 from leofault import (
     ConfigError,
+    FaultEvent,
+    IslTarget,
     SatelliteId,
+    ShellSpec,
     TleRecord,
+    build_constellation,
     build_fleet,
     config_from_dict,
     config_to_dict,
+    format_summary,
     load_config,
     read_trace,
     run_simulation,
     serialize_tle,
+    topology,
 )
 from leofault.geometry import is_isl_viable
 from leofault.orbital import time_grid
-from leofault.simulation import MAX_EVENTS, MAX_SATELLITES, MAX_STEPS, _check_expected_events
-from leofault.topology import GridTopology
+from leofault.simulation import (
+    MAX_EVENTS,
+    MAX_SATELLITES,
+    MAX_STEPS,
+    _check_expected_events,
+    _isl_transition_trace,
+)
+from leofault.topology import INTRA_PLANE, GridTopology
 
 SPARSE = {
     "altitude_km": 560.0,
@@ -41,6 +54,40 @@ def minimal_config(**overrides) -> dict:
     obj = {"shells": [dict(SMALL)], "duration_s": 600.0, "step_s": 60.0, "seed": 7}
     obj.update(overrides)
     return obj
+
+
+def reference_isl_transition_trace(topo, times, maneuvers, threshold_km, samples):
+    """The full scan _isl_transition_trace ran before it skipped links that
+    cannot cross the threshold: every edge evaluated at every step."""
+    if topo.n_edges == 0:
+        return
+    previous = None
+    for t, grazing in topo.scan(times, maneuvers):
+        viable = is_isl_viable(grazing, threshold_km)
+        samples["total"] += len(viable)
+        samples["infeasible"] += int(np.sum(~viable))
+        if previous is not None:
+            step = []
+            for idx in np.nonzero(viable != previous)[0]:
+                kind = "isl_up" if viable[idx] else "isl_down"
+                target = IslTarget(*topo.edge_ids[idx])
+                step.append(FaultEvent(t, kind, target, {"grazing_km": float(grazing[idx])}))
+            step.sort(key=lambda e: e.sort_key)  # all at t, so by (kind, target)
+            yield from step
+        previous = viable
+
+
+def assert_skip_scan_matches_reference(topo, times, maneuvers, threshold_km):
+    """Transitions, their grazing_km bits and the sample counts equal the full scan's."""
+    got, want = Counter(), Counter()
+    events = list(_isl_transition_trace(topo, times, maneuvers, threshold_km, got))
+    expected = list(reference_isl_transition_trace(topo, times, maneuvers, threshold_km, want))
+    assert [(e.t_s, e.kind, e.target) for e in events] == [(e.t_s, e.kind, e.target) for e in expected]
+    assert [e.params["grazing_km"].hex() for e in events] == [
+        e.params["grazing_km"].hex() for e in expected
+    ]
+    assert (got["total"], got["infeasible"]) == (want["total"], want["infeasible"])
+    assert got["evaluated"] <= got["total"]
 
 
 class TestConfigParsing:
@@ -448,3 +495,68 @@ class TestRunSimulation:
         assert 0.0 <= summary["infeasible_link_sample_fraction"] <= 1.0
         assert summary["config"]["seed"] == 7
         assert sum(summary["event_counts"].values()) == summary["n_events"]
+
+
+# polar planes at 2000 km counter-rotate across the seam, so some edges
+# approach the threshold at the highest rate a +GRID edge reaches
+SKIP_TOPOLOGY = GridTopology(build_constellation([ShellSpec(2000.0, 90.0, 3, 8)]))
+SKIP_TIMES = time_grid(0.0, 3 * 3600.0, 60.0)
+
+
+class TestSkipScan:
+    def test_fixed_case_matches_full_scan(self):
+        for threshold_km in (0.0, 80.0, 1000.0):
+            assert_skip_scan_matches_reference(SKIP_TOPOLOGY, SKIP_TIMES, (), threshold_km)
+
+    def test_underestimated_rate_caught(self, monkeypatch):
+        # The segment's closest point moves at most half as fast as the
+        # faster endpoint moves relative to the other, so L/2 is still a
+        # valid bound and no case can catch it; L/4 is not.
+        rate = topology._link_rate
+        monkeypatch.setattr(topology, "_link_rate", lambda *args: rate(*args) / 4.0)
+        with pytest.raises(AssertionError):
+            assert_skip_scan_matches_reference(SKIP_TOPOLOGY, SKIP_TIMES, (), 80.0)
+
+    def test_zero_slack_caught(self, monkeypatch):
+        # a same-plane edge never moves, but its computed grazing altitude
+        # changes in the last bits; at a threshold equal to its highest value
+        # it flips, and without slack it is never evaluated again
+        grazing = np.array([g for _, g in SKIP_TOPOLOGY.scan(SKIP_TIMES)])
+        intra = [i for i, kind in enumerate(SKIP_TOPOLOGY.edge_kinds) if kind == INTRA_PLANE]
+        edge = next(i for i in intra if grazing[0, i] < grazing[:, i].max())
+        threshold_km = float(grazing[:, edge].max())
+        assert threshold_km >= 0.0
+        assert_skip_scan_matches_reference(SKIP_TOPOLOGY, SKIP_TIMES, (), threshold_km)
+        monkeypatch.setattr(topology, "_SLACK_KM", 0.0)
+        with pytest.raises(AssertionError):
+            assert_skip_scan_matches_reference(SKIP_TOPOLOGY, SKIP_TIMES, (), threshold_km)
+
+    def test_dense_shell_evaluates_few_edges(self, tmp_path):
+        dense = {"altitude_km": 550.0, "inclination_deg": 53.0, "planes": 72, "sats_per_plane": 22}
+        config = config_from_dict(
+            {"shells": [dense], "duration_s": 3600.0, "step_s": 10.0, "faults": {"maneuver_rate_per_sat_year": 0.0}}
+        )
+        topo = GridTopology(build_fleet(config), config.earth_radius_km)
+        times = time_grid(0.0, config.duration_s, config.step_s)
+        counts = np.zeros(topo.n_edges, dtype=int)
+        for _, edges, _, _, _ in topo._viability_scan(times, (), config.isl_threshold_km):
+            counts[edges] += 1
+        intra = np.array([kind == INTRA_PLANE for kind in topo.edge_kinds])
+        assert np.all(counts[intra] == 1)
+        summary = run_simulation(config, tmp_path / "t.jsonl")
+        assert summary["isl_link_samples"] == len(times) * topo.n_edges
+        assert summary["isl_edge_evaluations"] == counts.sum()
+        assert summary["isl_edge_evaluations"] < 0.01 * summary["isl_link_samples"]
+
+    def test_summary_prints_evaluations_outside_the_kind_list(self, tmp_path):
+        summary = run_simulation(config_from_dict(minimal_config()), tmp_path / "t.jsonl")
+        head = format_summary(summary).split("config (defaults materialized)")[0].splitlines()
+        assert f"isl edge evaluations: {summary['isl_edge_evaluations']} of {summary['isl_link_samples']}" in head
+        # indented lines list event counts by kind, and only those
+        kinds = [f"  {kind}: {n}" for kind, n in summary["event_counts"].items()]
+        assert [line for line in head if line.startswith("  ")] == kinds
+
+    def test_no_links_no_evaluations(self, tmp_path):
+        shell = {"altitude_km": 550.0, "inclination_deg": 53.0, "planes": 2, "sats_per_plane": 5}
+        summary = run_simulation(config_from_dict(minimal_config(shells=[shell])), tmp_path / "t.jsonl")
+        assert (summary["isl_edge_evaluations"], summary["isl_link_samples"]) == (0, 0)

@@ -126,7 +126,9 @@ def assert_scan_matches_reference(topo, times, maneuvers):
     index = {sat: i for i, sat in enumerate(topo.sat_ids)}
     state = _ManeuverOffsets(maneuvers, index, len(index))
     for t in times:
-        state.advance(float(t))
+        before = state.km.copy()
+        rows = state.advance(float(t))
+        assert set(np.flatnonzero(state.km != before).tolist()) <= set(rows)
         want = np.zeros(len(index))
         for sat, dh_km in offsets_at(maneuvers, float(t)).items():
             want[index[sat]] = dh_km
