@@ -1,4 +1,4 @@
-"""Physical constants shared across the simulator, and the rule for numbers in text.
+"""Physical constants and limits shared across the simulator, and the rule for numbers in text.
 
 All distances are kilometers and all times are seconds unless a name says
 otherwise. The Earth is modeled as a sphere of mean radius; functions that
@@ -12,6 +12,9 @@ SPEED_OF_LIGHT_KM_S = 299792.458
 SIDEREAL_DAY_S = 86164.0905
 SECONDS_PER_DAY = 86400.0
 SECONDS_PER_YEAR = 365.25 * 86400.0
+
+# a little over 24 h at 0.1 s; bounds the time grid a scan or schedule steps through
+MAX_STEPS = 1_000_000
 
 
 def is_plain_number_text(text: str) -> bool:

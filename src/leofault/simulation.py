@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 from typing import get_args, get_origin, get_type_hints
 
-from .constants import EARTH_RADIUS_KM, SECONDS_PER_DAY, SECONDS_PER_YEAR
+from .constants import EARTH_RADIUS_KM, MAX_STEPS, SECONDS_PER_DAY, SECONDS_PER_YEAR
 from .faults import (
     FaultModelConfig,
     ManeuverEvent,
@@ -40,9 +40,6 @@ from .tle import read_tle_file, tle_to_elements
 from .topology import GridTopology
 from .trace import FaultEvent, IslTarget, SatelliteTarget, merge_traces, write_trace
 
-
-# a little over 24 h at 0.1 s; bounds the time grid a scan allocates
-MAX_STEPS = 1_000_000
 # over twice Starlink's ~42k filing; bounds the fleet build_fleet allocates
 MAX_SATELLITES = 100_000
 # bounds the arrivals each sampler is expected to draw, and so its time and memory

@@ -20,6 +20,7 @@ from .constants import EARTH_RADIUS_KM, is_plain_number_text
 from .geometry import GroundStation, elevation_angle, ground_station_eci, propagation_delay
 from .orbital import Constellation, time_grid
 from .topology import GridTopology
+from .trace import canonical_number
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ class CdfTable:
         if n == 0:
             return cls(points=())
         distinct, counts = np.unique(values, return_counts=True)
-        canonical = np.array([float(f"{v:.9g}") for v in distinct])
+        canonical = np.array([canonical_number(v) for v in distinct.tolist()])
         merged, inverse = np.unique(canonical, return_inverse=True)
         merged_counts = np.zeros(len(merged), dtype=np.int64)
         np.add.at(merged_counts, inverse, counts)

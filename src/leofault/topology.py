@@ -6,33 +6,32 @@ graph per shell (2*P*S undirected edges). Shells too small for the grid
 (fewer than 3 planes or 3 satellites per plane) carry no links.
 
 Link state is evaluated per timestep from propagated positions: grazing
-altitude, segment length, and viability against a threshold. A scan
-evaluates grazing altitude only, one step at a time over a time grid,
-with the maneuver offsets active at each step; the ISL altitude CDF
-reads every value of it. Steps are not batched into (steps x edges)
-arrays: that raises peak memory without saving time.
+altitude, segment length, and viability against a threshold. Over a time
+grid one engine evaluates it: a step driver moves the maneuver offsets to
+each time, and an edge kernel computes the grazing altitude of a set of
+edges, propagating only their endpoints' rows as x, y, z planes (no (N, 3)
+array is stacked; the endpoints are six 1-D gathers). scan, which the ISL
+altitude CDF reads, passes every edge at every step. Steps are not batched
+into (steps x edges) arrays: that raises peak memory without saving time.
 
-simulate needs only viability, so its scan evaluates an edge only when
-the edge is due. Grazing altitude does not change when both endpoints
-rotate together and is 1-Lipschitz in either endpoint, so it changes at
-most at L = |w_a - w_b| * max(r_a, r_b) km/s, w being each orbit's
-angular-velocity vector. An edge evaluated at t with grazing g is next
-due at t + (|g - threshold| - slack) / L; until then its viability
-cannot change, and it keeps the cached one. Same-plane edges have L = 0
-and are never due again unless a maneuver changes an endpoint, which
-makes all that satellite's edges due and gives them a new L. Due edges
-go through the same position and grazing kernels restricted to their
-endpoints' rows, so every evaluated value equals the full scan's.
+simulate needs only viability, so its scan passes only the edges that are
+due. Grazing altitude does not change when both endpoints rotate together
+and is 1-Lipschitz in either endpoint, so it changes at most at
+L = |w_a - w_b| * max(r_a, r_b) km/s, w being each orbit's angular-velocity
+vector. An edge evaluated at t with grazing g is next due at
+t + (|g - threshold| - slack) / L; until then its viability cannot change,
+and it keeps the cached one. Same-plane edges have L = 0 and are never due
+again unless a maneuver changes an endpoint, which makes all that
+satellite's edges due and gives them a new L. Both scans share the kernel,
+so every evaluated value equals scan's.
 
-The scan owns the maneuver offsets as one dense per-satellite array. It
-touches that array only when a maneuver starts or ends, found by a
-pointer into the start-sorted maneuvers and a heap of end times, and it
-recomputes the radii and mean motions only on those steps. A satellite
-whose active maneuvers change gets the left-to-right sum of their
-offsets in start order, clamped to +-10 km, which is bit for bit what
-faults.offsets_at returns; a running add and subtract would not be.
-Positions stay as x, y, z planes from propagation to the grazing kernel:
-no (N, 3) array is stacked and the edge endpoints are six 1-D gathers.
+The driver keeps the maneuver offsets as one dense per-satellite array,
+touched only when a maneuver starts or ends (found by a pointer into the
+start-sorted maneuvers and a heap of end times); only then are the radii
+and mean motions recomputed. A satellite whose active maneuvers change
+gets the left-to-right sum of their offsets in start order, clamped to
++-10 km, which is bit for bit what faults.offsets_at returns; a running
+add and subtract would not be.
 
 Ground geometry reads satellites through the fleet arrays: visibility runs
 come from one diff along time of a (steps x satellites) elevation matrix,
@@ -50,7 +49,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .constants import EARTH_RADIUS_KM
+from .constants import EARTH_RADIUS_KM, MAX_STEPS
 from .geometry import (
     DEFAULT_ISL_THRESHOLD_KM,
     GroundStation,
@@ -185,25 +184,42 @@ class GridTopology:
         maneuvers must be sorted by start_s; ValueError names the first
         entry out of order. Every step yields a fresh array.
         """
-        return self._scan(_checked_times(times, maneuvers), maneuvers)
+        every = _blocks(np.arange(self.n_edges))
+        steps = self._steps(_checked_times(times, maneuvers), maneuvers)
+        return ((t, self._edge_grazing(every, t, r, n)[: self.n_edges]) for t, r, n, _ in steps)
 
-    def _scan(
+    def _steps(
         self, times: np.ndarray, maneuvers: Sequence[ManeuverEvent]
-    ) -> Iterator[Tuple[float, np.ndarray]]:
+    ) -> Iterator[Tuple[float, np.ndarray, np.ndarray, List[int]]]:
+        """(t, r_km, n_rad_s, changed) at each checked time: every row's orbit radius and
+        mean motion under the maneuvers active at t, new only when some rows' offsets changed."""
         fleet = self._fleet
-        edge_a, edge_b = self._edge_a, self._edge_b
         offsets = _ManeuverOffsets(maneuvers, self._index_of, len(self.sat_ids))
         r_km, n_rad_s = fleet.a_km, _mean_motion(fleet.a_km)
         for t in times.tolist():
-            if offsets.advance(t):
+            changed = offsets.advance(t)
+            if changed:
                 r_km = fleet.a_km + offsets.km
                 n_rad_s = _mean_motion(r_km)
-            x, y, z = fleet._planes(t, r_km=r_km, n_rad_s=n_rad_s)
-            yield t, _grazing_planes(
-                x.take(edge_a), y.take(edge_a), z.take(edge_a),
-                x.take(edge_b), y.take(edge_b), z.take(edge_b),
-                self.earth_radius_km,
-            )
+            yield t, r_km, n_rad_s, changed
+
+    def _edge_grazing(
+        self, edges: np.ndarray, t: float, r_km: np.ndarray, n_rad_s: np.ndarray
+    ) -> np.ndarray:
+        """Grazing km at t of edges padded by _blocks, one per entry; only the
+        endpoints' rows are propagated, also in blocks, with their r_km and n_rad_s."""
+        a, b = self._edge_a.take(edges), self._edge_b.take(edges)
+        used = np.zeros(len(self.sat_ids), dtype=bool)
+        used[a] = used[b] = True
+        rows = _blocks(np.flatnonzero(used))
+        slot = np.empty(len(self.sat_ids), dtype=int)  # fleet row -> index among rows
+        slot[rows] = np.arange(rows.size)
+        a, b = slot.take(a), slot.take(b)
+        x, y, z = self._fleet._planes(t, rows, r_km=r_km.take(rows), n_rad_s=n_rad_s.take(rows))
+        return _grazing_planes(
+            x.take(a), y.take(a), z.take(a), x.take(b), y.take(b), z.take(b),
+            self.earth_radius_km,
+        )
 
     def _viability_scan(
         self, times: Sequence[float], maneuvers: Sequence[ManeuverEvent], threshold_km: float
@@ -218,40 +234,21 @@ class GridTopology:
         and maneuvers are checked as scan checks them.
         """
         times = _checked_times(times, maneuvers)
-        fleet = self._fleet
         edge_a, edge_b = self._edge_a, self._edge_b
-        offsets = _ManeuverOffsets(maneuvers, self._index_of, len(self.sat_ids))
-        r_km, n_rad_s = fleet.a_km, _mean_motion(fleet.a_km)
-        cos_i, sin_i, cos_o, sin_o = fleet._trig
+        cos_i, sin_i, cos_o, sin_o = self._fleet._trig
         normal = (sin_i * sin_o, -sin_i * cos_o, cos_i)
-        rate = _link_rate(edge_a, edge_b, r_km, n_rad_s, normal)
         due_at = np.full(self.n_edges, -np.inf)
         viable = np.zeros(self.n_edges, dtype=bool)
-        slot = np.empty(len(self.sat_ids), dtype=int)  # fleet row -> index among a step's rows
-        for k, t in enumerate(times.tolist()):
-            changed = offsets.advance(t)
-            if changed:
-                r_km = fleet.a_km + offsets.km
-                n_rad_s = _mean_motion(r_km)
-                moved = np.zeros(len(self.sat_ids), dtype=bool)
-                moved[changed] = True
-                hit = np.flatnonzero(moved[edge_a] | moved[edge_b])
+        for k, (t, r_km, n_rad_s, changed) in enumerate(self._steps(times, maneuvers)):
+            if not k:
+                rate = _link_rate(edge_a, edge_b, r_km, n_rad_s, normal)
+            elif changed:
+                hit = np.flatnonzero(np.isin(edge_a, changed) | np.isin(edge_b, changed))
                 rate[hit] = _link_rate(edge_a[hit], edge_b[hit], r_km, n_rad_s, normal)
                 due_at[hit] = -np.inf
             edges = np.flatnonzero(due_at <= t)
-            n = edges.size
-            edges = _blocks(edges)
-            a, b = edge_a.take(edges), edge_b.take(edges)
-            used = np.zeros(len(self.sat_ids), dtype=bool)
-            used[a] = used[b] = True
-            rows = _blocks(np.flatnonzero(used))
-            slot[rows] = np.arange(rows.size)
-            a, b = slot.take(a), slot.take(b)
-            x, y, z = fleet._planes(t, rows, r_km=r_km.take(rows), n_rad_s=n_rad_s.take(rows))
-            grazing = _grazing_planes(
-                x.take(a), y.take(a), z.take(a), x.take(b), y.take(b), z.take(b),
-                self.earth_radius_km,
-            )
+            n, edges = edges.size, _blocks(edges)
+            grazing = self._edge_grazing(edges, t, r_km, n_rad_s)
             now = is_isl_viable(grazing, threshold_km)
             flipped = now != viable[edges] if k else np.zeros(edges.size, dtype=bool)
             viable[edges] = now
@@ -473,10 +470,10 @@ def handover_schedule(
     (time_s, from_sat, to_sat). Initial acquisition and loss of all
     coverage are not handovers and are not listed.
     """
+    if not 0.0 < step_s < np.inf:
+        raise ValueError(f"step_s must be positive and finite, got {step_s}")
     if not windows:
         return []
-    if step_s <= 0.0:
-        raise ValueError("step_s must be positive")
 
     # owners in id order, so argmax's first maximum is the lowest-id tie-break
     fleet = FleetArrays.from_constellation({w.sat: constellation[w.sat] for w in windows})
@@ -485,10 +482,11 @@ def handover_schedule(
     ends = np.array([w.end_s for w in windows])
     owners = np.array([owner_index[w.sat] for w in windows])
 
+    t, t_end = float(starts.min()), float(ends.max())
+    if (t_end - t) / step_s > MAX_STEPS:
+        raise ValueError(f"step_s {step_s} needs over {MAX_STEPS} steps to cover {t_end - t} s of windows")
     events: List[Tuple[float, SatelliteId, SatelliteId]] = []
-    t_end = float(ends.max())
     current: Optional[SatelliteId] = None
-    t = float(starts.min())
     while t <= t_end:
         active = owners[(starts <= t) & (t < ends)]
         best: Optional[SatelliteId] = None

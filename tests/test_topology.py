@@ -385,6 +385,20 @@ class TestScanOffsets:
         with pytest.raises(ValueError, match=rf"must not decrease: times\[{bad}\]"):
             topo.scan(times)
 
+    def test_no_links_yield_empty_arrays(self):
+        topo = GridTopology(build_constellation([ShellSpec(550.0, 53.0, 2, 2)]))
+        maneuvers = [ManeuverEvent(SatelliteId(0, 1, 1), 100.0, 2.0, 100.0)]
+        steps = list(topo.scan(SCAN_TIMES, maneuvers))
+        assert topo.n_edges == 0
+        assert [t for t, _ in steps] == SCAN_TIMES.tolist()
+        assert all(g.shape == (0,) for _, g in steps)
+
+    def test_whole_edge_blocks_with_padded_rows(self):
+        # 128 edges fill one block exactly; the 64 rows are padded to 128
+        topo = GridTopology(build_constellation([ShellSpec(560.0, 97.6, 8, 8)]))
+        assert (topo.n_edges, len(topo.sat_ids)) == (128, 64)
+        assert_scan_matches_reference(topo, SCAN_TIMES, SCAN_CASES["overlaps"][0])
+
     def test_cached_trig_matches_propagate_arrays_on_row_subsets(self, sparse_constellation, rng):
         fleet = FleetArrays.from_constellation(sparse_constellation)
         n = len(fleet.sat_ids)
@@ -576,6 +590,14 @@ class TestHandoverSchedule:
         assert len(expected) > 10
         assert handover_schedule(windows, gs, dense_constellation) == expected
         assert handover_schedule(windows[::-1], gs, dense_constellation) == expected
+
+    @pytest.mark.parametrize("step_s", [float("nan"), float("inf"), 1e-300, 0.0, -1.0])
+    def test_rejects_step_that_cannot_cover_windows(self, step_s):
+        c = build_constellation([ShellSpec(550.0, 53.0, 1, 2)])
+        gs = GroundStation("x", 0.0, 0.0, min_elevation_deg=0.0)
+        windows = [VisibilityWindow(gs.id, sat, 0.0, 200.0, 50.0) for sat in c]
+        with pytest.raises(ValueError, match="step_s"):
+            handover_schedule(windows, gs, c, step_s=step_s)
 
     def test_deterministic(self, dense_constellation):
         gs = GroundStation("mid", 30.0, 0.0)
