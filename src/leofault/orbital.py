@@ -13,8 +13,7 @@ The position formula lives in one private kernel that returns x, y and z
 as separate planes. propagate_arrays stacks its planes into (..., 3)
 rows. FleetArrays computes the cosines and sines of every satellite's
 fixed inclination and RAAN once per fleet rather than at every step; its
-propagation, whole or on a subset of rows, equals propagate_arrays bit
-for bit.
+planes, for every row or a subset, equal propagate_arrays bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .constants import EARTH_RADIUS_KM, MU_EARTH_M3_S2
+from .constants import EARTH_RADIUS_KM, MAX_STEPS, MU_EARTH_M3_S2
 
 
 @dataclass(frozen=True)
@@ -228,11 +227,6 @@ class FleetArrays:
             phase_rad=np.radians([e.phase_deg for e in elements]),
         )
 
-    def propagate(self, t_s: float, offset_km: np.ndarray | float = 0.0) -> np.ndarray:
-        """Positions of every satellite at t_s, shape (N, 3), km."""
-        r_km = self.a_km + np.asarray(offset_km, dtype=float)
-        return np.stack(self._planes(t_s, r_km=r_km, n_rad_s=_mean_motion(r_km)), axis=-1)
-
     def _planes(
         self,
         t_s: np.ndarray | float,
@@ -253,11 +247,16 @@ class FleetArrays:
 
 
 def time_grid(t0_s: float, t1_s: float, step_s: float) -> np.ndarray:
-    """Sample times t0, t0+step, ... below t1 + step/2, the last one clipped to t1."""
+    """Sample times t0, t0+step, ... below t1 + step/2, the last one clipped to t1.
+
+    ValueError names step_s if it is not positive and finite or needs over MAX_STEPS steps.
+    """
     if not t1_s > t0_s:
         raise ValueError("t1_s must be greater than t0_s")
-    if not step_s > 0.0:
-        raise ValueError("step_s must be positive")
+    if not 0.0 < step_s < math.inf:
+        raise ValueError(f"step_s must be positive and finite, got {step_s}")
+    if (t1_s - t0_s) / step_s > MAX_STEPS:
+        raise ValueError(f"step_s {step_s} needs over {MAX_STEPS} steps to cover {t1_s - t0_s} s")
     times = np.arange(t0_s, t1_s + step_s / 2.0, step_s)
     times[-1] = min(float(times[-1]), t1_s)
     return times

@@ -33,12 +33,13 @@ gets the left-to-right sum of their offsets in start order, clamped to
 +-10 km, which is bit for bit what faults.offsets_at returns; a running
 add and subtract would not be.
 
-Ground geometry reads satellites through the fleet arrays: visibility runs
-come from one diff along time of a (steps x satellites) elevation matrix,
-and all their edges are bisected together, each open edge at its own
-midpoint and station position; the handover schedule takes, per step, the
-highest elevation among the owners of open windows, lowest id on ties,
-propagating only those owners.
+Ground geometry propagates satellites through the fleet arrays' planes:
+visibility runs come from one diff along time of a (steps x satellites)
+elevation matrix, and all their edges are bisected together, each open edge
+at its own midpoint and station position. The handover schedule samples
+t0 + k*step from time_grid, the last sample clipped to the last window end,
+and takes at each the highest elevation among the owners of open windows,
+lowest id on ties, propagating only those owners.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .constants import EARTH_RADIUS_KM, MAX_STEPS
+from .constants import EARTH_RADIUS_KM
 from .geometry import (
     DEFAULT_ISL_THRESHOLD_KM,
     GroundStation,
@@ -162,7 +163,8 @@ class GridTopology:
             offset_km = np.zeros(len(self.sat_ids))
             for sat, dh_km in offsets.items():
                 offset_km[self._index_of[sat]] = dh_km
-        return self._fleet.propagate(t_s, offset_km)
+        r_km = self._fleet.a_km + offset_km
+        return np.stack(self._fleet._planes(t_s, r_km=r_km, n_rad_s=_mean_motion(r_km)), axis=-1)
 
     def grazing(
         self, t_s: float, offsets: Optional[Mapping[SatelliteId, float]] = None
@@ -424,10 +426,9 @@ def visibility_windows(
     times = time_grid(t0_s, t1_s, step_s)
     fleet = FleetArrays.from_constellation(constellation)
     elevations = np.empty((len(times), len(fleet.sat_ids)))
-    for k, t in enumerate(times):
-        pos = fleet.propagate(float(t))
-        gs_pos = ground_station_eci(gs, float(t), earth_radius_km)
-        elevations[k] = elevation_angle(gs_pos, pos)
+    for k, t in enumerate(times.tolist()):
+        pos = np.stack(fleet._planes(t), axis=-1)
+        elevations[k] = elevation_angle(ground_station_eci(gs, t, earth_radius_km), pos)
 
     # run boundaries per satellite: +1 at a run's first sample, -1 one past its last
     visible = (elevations >= gs.min_elevation_deg).T.astype(np.int8)
@@ -470,24 +471,21 @@ def handover_schedule(
     (time_s, from_sat, to_sat). Initial acquisition and loss of all
     coverage are not handovers and are not listed.
     """
+    # time_grid checks step_s too, but only once there are windows to cover
     if not 0.0 < step_s < np.inf:
         raise ValueError(f"step_s must be positive and finite, got {step_s}")
-    if not windows:
+    starts = np.array([w.start_s for w in windows])
+    ends = np.array([w.end_s for w in windows])
+    if not (windows and ends.max() > starts.min()):  # also NaN: no window is ever open
         return []
 
     # owners in id order, so argmax's first maximum is the lowest-id tie-break
     fleet = FleetArrays.from_constellation({w.sat: constellation[w.sat] for w in windows})
     owner_index = {sat: j for j, sat in enumerate(fleet.sat_ids)}
-    starts = np.array([w.start_s for w in windows])
-    ends = np.array([w.end_s for w in windows])
     owners = np.array([owner_index[w.sat] for w in windows])
-
-    t, t_end = float(starts.min()), float(ends.max())
-    if (t_end - t) / step_s > MAX_STEPS:
-        raise ValueError(f"step_s {step_s} needs over {MAX_STEPS} steps to cover {t_end - t} s of windows")
     events: List[Tuple[float, SatelliteId, SatelliteId]] = []
     current: Optional[SatelliteId] = None
-    while t <= t_end:
+    for t in time_grid(float(starts.min()), float(ends.max()), step_s).tolist():
         active = owners[(starts <= t) & (t < ends)]
         best: Optional[SatelliteId] = None
         if active.size:
@@ -498,5 +496,4 @@ def handover_schedule(
         if best is not None and current is not None and best != current:
             events.append((t, current, best))
         current = best
-        t += step_s
     return events

@@ -1,4 +1,4 @@
-"""Every narrative demo runs to completion against the current API."""
+"""Every narrative demo runs to completion against the current API, with warnings as errors."""
 
 import subprocess
 import sys
@@ -13,7 +13,7 @@ DEMOS = sorted((REPO / "demos").glob("0*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
     result = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=tmp_path,
         capture_output=True,
         text=True,

@@ -5,12 +5,16 @@ import pytest
 
 from leofault import (
     CircularElements,
+    GroundStation,
     ShellSpec,
     build_constellation,
+    min_isl_altitude_cdf,
     orbital_period,
     propagate,
+    visibility_windows,
 )
-from leofault.constants import MU_EARTH_M3_S2
+from leofault.constants import MAX_STEPS, MU_EARTH_M3_S2
+from leofault.orbital import time_grid
 
 
 def kepler_period(a_km: float) -> float:
@@ -156,3 +160,33 @@ class TestPropagate:
         e = CircularElements(6921.0, 53.0, 370.0, -10.0)
         assert e.raan_deg == pytest.approx(10.0)
         assert e.phase_deg == pytest.approx(350.0)
+
+
+# every library entry point that samples a window through time_grid, as (t0_s, t1_s, step_s) -> result
+GRID_ENTRY_POINTS = {
+    "time_grid": time_grid,
+    "visibility_windows": lambda t0, t1, step: visibility_windows(GroundStation("x", 0.0, 0.0), {}, t0, t1, step),
+    "min_isl_altitude_cdf": lambda t0, t1, step: min_isl_altitude_cdf({}, t0, t1, step),
+}
+
+
+class TestTimeGrid:
+    def test_accepts_max_steps(self):
+        times = time_grid(0.0, float(MAX_STEPS), 1.0)
+        assert len(times) == MAX_STEPS + 1 and times[-1] == MAX_STEPS
+
+    @pytest.mark.parametrize("entry", GRID_ENTRY_POINTS)
+    @pytest.mark.parametrize(
+        "t1_s, step_s",
+        [
+            (1800.0, 1e-300),
+            (1800.0, float("nan")),
+            (1800.0, float("inf")),
+            (1800.0, 0.0),
+            (1800.0, -1.0),
+            (MAX_STEPS + 1.0, 1.0),
+        ],
+    )
+    def test_rejects_step(self, entry, t1_s, step_s):
+        with pytest.raises(ValueError, match="step_s"):
+            GRID_ENTRY_POINTS[entry](0.0, t1_s, step_s)

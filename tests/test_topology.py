@@ -42,12 +42,11 @@ def elevation_at(gs, elements, t):
 
 
 def reference_handover_schedule(windows, gs, constellation, step_s=1.0):
-    """The scalar loop handover_schedule replaced: one propagate per candidate."""
+    """The scalar loop handover_schedule replaced, on its grid: one propagate per candidate."""
     events = []
-    t_end = max(w.end_s for w in windows)
     current = None
-    t = min(w.start_s for w in windows)
-    while t <= t_end:
+    t0, t1 = min(w.start_s for w in windows), max(w.end_s for w in windows)
+    for t in time_grid(t0, t1, step_s).tolist():
         candidates = [w.sat for w in windows if w.start_s <= t < w.end_s]
         best = None
         if candidates:
@@ -62,7 +61,6 @@ def reference_handover_schedule(windows, gs, constellation, step_s=1.0):
         if best is not None and current is not None and best != current:
             events.append((t, current, best))
         current = best
-        t += step_s
     return events
 
 
@@ -86,7 +84,8 @@ def reference_visibility_windows(gs, constellation, t0_s, t1_s, step_s):
     """Sampled runs found per satellite, each inner edge refined by the scalar bisection."""
     times = time_grid(t0_s, t1_s, step_s).tolist()
     fleet = FleetArrays.from_constellation(constellation)
-    elevations = [elevation_angle(ground_station_eci(gs, t), fleet.propagate(t)) for t in times]
+    columns = (fleet.a_km, fleet.inclination_rad, fleet.raan_rad, fleet.phase_rad)
+    elevations = [elevation_angle(ground_station_eci(gs, t), propagate_arrays(*columns, t)) for t in times]
     windows = []
     for j, sat in enumerate(fleet.sat_ids):
         column = [float(row[j]) for row in elevations]
@@ -409,7 +408,8 @@ class TestScanOffsets:
                 assert np.array_equal(got, propagate_arrays(*columns, t))
         offset = rng.uniform(-10.0, 10.0, n)
         want = propagate_arrays(fleet.a_km, fleet.inclination_rad, fleet.raan_rad, fleet.phase_rad, 777.0, offset)
-        assert np.array_equal(fleet.propagate(777.0, offset), want)
+        offsets = dict(zip(fleet.sat_ids, offset.tolist()))
+        assert np.array_equal(GridTopology(sparse_constellation).positions(777.0, offsets), want)
 
 
 class TestVisibilityWindows:
@@ -591,13 +591,40 @@ class TestHandoverSchedule:
         assert handover_schedule(windows, gs, dense_constellation) == expected
         assert handover_schedule(windows[::-1], gs, dense_constellation) == expected
 
-    @pytest.mark.parametrize("step_s", [float("nan"), float("inf"), 1e-300, 0.0, -1.0])
-    def test_rejects_step_that_cannot_cover_windows(self, step_s):
+    @pytest.mark.parametrize(
+        "step_s, windowed",
+        [pytest.param(s, True, id=str(s)) for s in (float("nan"), float("inf"), 1e-300, 0.0, -1.0)]
+        # a step that is not positive and finite is rejected even with no windows to cover
+        + [pytest.param(s, False, id=f"{s}-no-windows") for s in (float("nan"), float("inf"), 0.0, -1.0)],
+    )
+    def test_rejects_step_that_cannot_cover_windows(self, step_s, windowed):
         c = build_constellation([ShellSpec(550.0, 53.0, 1, 2)])
         gs = GroundStation("x", 0.0, 0.0, min_elevation_deg=0.0)
-        windows = [VisibilityWindow(gs.id, sat, 0.0, 200.0, 50.0) for sat in c]
+        windows = [VisibilityWindow(gs.id, sat, 0.0, 200.0, 50.0) for sat in c] if windowed else []
         with pytest.raises(ValueError, match="step_s"):
             handover_schedule(windows, gs, c, step_s=step_s)
+
+    @pytest.mark.parametrize(
+        "start_s, end_s", [(100.0, 100.0), (100.0, 50.0), (float("nan"), 200.0), (0.0, float("nan"))]
+    )
+    def test_no_open_window_gives_no_handover(self, start_s, end_s):
+        c = build_constellation([ShellSpec(550.0, 53.0, 1, 2)])
+        gs = GroundStation("x", 0.0, 0.0, min_elevation_deg=0.0)
+        windows = [VisibilityWindow(gs.id, sat, start_s, end_s, 50.0) for sat in c]
+        assert handover_schedule(windows, gs, c) == []
+
+    def test_times_come_from_time_grid(self):
+        # a summed clock drifts to 50.00000000000044 here; the grid gives 0.1 + 499 * 0.1
+        c = {
+            SatelliteId(0, 0, 0): CircularElements(6921.0, 53.0, 0.0, 0.0),
+            SatelliteId(0, 0, 1): CircularElements(6921.0, 53.0, 0.0, 20.0),
+        }
+        gs = GroundStation("x", 0.0, 0.0, min_elevation_deg=0.0)
+        w1 = VisibilityWindow(gs.id, SatelliteId(0, 0, 0), 0.1, 50.0, 50.0)
+        w2 = VisibilityWindow(gs.id, SatelliteId(0, 0, 1), 50.0, 100.0, 50.0)
+        grid = time_grid(0.1, 100.0, 0.1).tolist()
+        schedule = handover_schedule([w1, w2], gs, c, step_s=0.1)
+        assert schedule == [(grid[499], SatelliteId(0, 0, 0), SatelliteId(0, 0, 1))]
 
     def test_deterministic(self, dense_constellation):
         gs = GroundStation("mid", 30.0, 0.0)
