@@ -15,15 +15,19 @@ altitude CDF reads, passes every edge at every step. Steps are not batched
 into (steps x edges) arrays: that raises peak memory without saving time.
 
 simulate needs only viability, so its scan passes only the edges that are
-due. Grazing altitude does not change when both endpoints rotate together
-and is 1-Lipschitz in either endpoint, so it changes at most at
-L = |w_a - w_b| * max(r_a, r_b) km/s, w being each orbit's angular-velocity
-vector. An edge evaluated at t with grazing g is next due at
-t + (|g - threshold| - slack) / L; until then its viability cannot change,
-and it keeps the cached one. Same-plane edges have L = 0 and are never due
-again unless a maneuver changes an endpoint, which makes all that
-satellite's edges due and gives them a new L. Both scans share the kernel,
-so every evaluated value equals scan's.
+due. Grazing altitude does not change when both endpoints rotate together,
+so it may be measured in a frame turning at the mean (w_a + w_b) / 2 of
+the orbits' angular-velocity vectors. There each endpoint moves at most at
+|w_a - w_b| * r / 2, and every point of the segment, a convex combination
+of the endpoints, moves at most as far as the farther endpoint; the
+closest point to the center, and so grazing, changes at most at
+L / 2 = |w_a - w_b| * max(r_a, r_b) / 2 km/s. An edge evaluated at t with
+grazing g is next due at t + (|g - threshold| - slack) / (L / 2); until
+then its viability cannot change, and it keeps the cached one. Same-plane
+edges have L = 0 and are never due again unless a maneuver changes an
+endpoint, which makes all that satellite's edges due and gives them a new
+L. Both scans share the kernel, so every evaluated value equals scan's;
+scan builds its endpoint rows once, the skip scan at each step.
 
 The driver keeps the maneuver offsets as one dense per-satellite array,
 touched only when a maneuver starts or ends (found by a pointer into the
@@ -33,24 +37,37 @@ gets the left-to-right sum of their offsets in start order, clamped to
 +-10 km, which is bit for bit what faults.offsets_at returns; a running
 add and subtract would not be.
 
-Ground geometry propagates satellites through the fleet arrays' planes:
-visibility runs come from one diff along time of a (steps x satellites)
-elevation matrix, and all their edges are bisected together, each open edge
-at its own midpoint and station position. The handover schedule samples
-t0 + k*step from time_grid, the last sample clipped to the last window end,
-and takes at each the highest elevation among the owners of open windows,
-lowest id on ties, propagating only those owners.
+Ground geometry propagates satellites through the fleet arrays' planes.
+Visibility evaluates a satellite only when it could be visible. With psi
+the angle at the Earth's center between station and satellite, elevation
+e or more needs psi <= psi_max = arccos(R cos e / r) - e, and psi changes
+at most at n + w_Earth: the satellite's direction turns at its mean motion
+n, the station's at most at the Earth's rate. A satellite evaluated at t
+is next due at t + (psi - psi_max - slack) / (n + w_Earth), the slack
+covering the rounding of computed angles; one at r <= R has no psi_max and
+is due at every step. Each step evaluates only the due rows; per
+satellite only the open run's first sample and highest elevation are
+kept, and each run is closed as it ends. All run edges are then bisected
+together, each open edge at its own midpoint and station position. The
+handover schedule samples t0 + k*step from time_grid, the last sample
+clipped to the last window end; each window covers a range of samples.
+Whole samples are expanded into (sample, window) pairs in batches of about
+8k pairs (one sample with more forms a batch alone), each batch propagated
+and scored in one call; a sort on (sample, -elevation, id) picks each
+sample's winner, lowest id on ties, and a handover is a change of winner
+between consecutive covered samples.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .constants import EARTH_RADIUS_KM
+from .constants import EARTH_RADIUS_KM, SIDEREAL_DAY_S
 from .geometry import (
     DEFAULT_ISL_THRESHOLD_KM,
     GroundStation,
@@ -186,7 +203,7 @@ class GridTopology:
         maneuvers must be sorted by start_s; ValueError names the first
         entry out of order. Every step yields a fresh array.
         """
-        every = _blocks(np.arange(self.n_edges))
+        every = self._endpoints(_blocks(np.arange(self.n_edges)))
         steps = self._steps(_checked_times(times, maneuvers), maneuvers)
         return ((t, self._edge_grazing(every, t, r, n)[: self.n_edges]) for t, r, n, _ in steps)
 
@@ -205,18 +222,27 @@ class GridTopology:
                 n_rad_s = _mean_motion(r_km)
             yield t, r_km, n_rad_s, changed
 
-    def _edge_grazing(
-        self, edges: np.ndarray, t: float, r_km: np.ndarray, n_rad_s: np.ndarray
-    ) -> np.ndarray:
-        """Grazing km at t of edges padded by _blocks, one per entry; only the
-        endpoints' rows are propagated, also in blocks, with their r_km and n_rad_s."""
+    def _endpoints(self, edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, a, b) of edges padded by _blocks: the fleet rows of their
+        endpoints, padded too, and each edge's endpoints as indices into rows."""
         a, b = self._edge_a.take(edges), self._edge_b.take(edges)
         used = np.zeros(len(self.sat_ids), dtype=bool)
         used[a] = used[b] = True
         rows = _blocks(np.flatnonzero(used))
         slot = np.empty(len(self.sat_ids), dtype=int)  # fleet row -> index among rows
         slot[rows] = np.arange(rows.size)
-        a, b = slot.take(a), slot.take(b)
+        return rows, slot.take(a), slot.take(b)
+
+    def _edge_grazing(
+        self,
+        endpoints: Tuple[np.ndarray, np.ndarray, np.ndarray],
+        t: float,
+        r_km: np.ndarray,
+        n_rad_s: np.ndarray,
+    ) -> np.ndarray:
+        """Grazing km at t of the edges whose _endpoints are given, one per entry;
+        only the endpoints' rows are propagated, with their r_km and n_rad_s."""
+        rows, a, b = endpoints
         x, y, z = self._fleet._planes(t, rows, r_km=r_km.take(rows), n_rad_s=n_rad_s.take(rows))
         return _grazing_planes(
             x.take(a), y.take(a), z.take(a), x.take(b), y.take(b), z.take(b),
@@ -250,7 +276,7 @@ class GridTopology:
                 due_at[hit] = -np.inf
             edges = np.flatnonzero(due_at <= t)
             n, edges = edges.size, _blocks(edges)
-            grazing = self._edge_grazing(edges, t, r_km, n_rad_s)
+            grazing = self._edge_grazing(self._endpoints(edges), t, r_km, n_rad_s)
             now = is_isl_viable(grazing, threshold_km)
             flipped = now != viable[edges] if k else np.zeros(edges.size, dtype=bool)
             viable[edges] = now
@@ -293,12 +319,12 @@ def _link_rate(
 ) -> np.ndarray:
     """Bound on |d grazing / dt| of the edges between fleet rows a and b, km/s.
 
-    |w_a - w_b| * max(r_a, r_b), where w = n_rad_s * normal is the
+    |w_a - w_b| * max(r_a, r_b) / 2, where w = n_rad_s * normal is the
     angular-velocity vector of each row's orbit, from x, y, z planes.
     """
     na, nb = n_rad_s.take(a), n_rad_s.take(b)
     dx, dy, dz = (na * c.take(a) - nb * c.take(b) for c in normal)
-    return np.sqrt(dx * dx + dy * dy + dz * dz) * np.maximum(r_km.take(a), r_km.take(b))
+    return np.sqrt(dx * dx + dy * dy + dz * dz) * np.maximum(r_km.take(a), r_km.take(b)) * 0.5
 
 
 def _blocks(index: np.ndarray) -> np.ndarray:
@@ -409,6 +435,31 @@ def _bisect_crossings(
     return 0.5 * (lo + hi)
 
 
+# rad kept off every skipped satellite's angle to its visibility limit: covers
+# the rounding of computed angles, a few ulps of n * t (2e-9 rad at 1e7 rad,
+# about three centuries after epoch)
+_PSI_SLACK_RAD = 1e-6
+
+# (sample, window) pairs handover_schedule scores in one batch of whole samples
+_PAIRS_PER_BATCH = 8192
+
+
+def _psi_rate(n_rad_s: np.ndarray) -> np.ndarray:
+    """Bound on |d psi / dt| of satellites with mean motions n_rad_s, rad/s.
+
+    The satellite's direction from the Earth's center turns at n, the
+    station's at most at the Earth's rotation rate.
+    """
+    return n_rad_s + 2.0 * math.pi / SIDEREAL_DAY_S
+
+
+def _geocentric_angle(elevation_deg, r_km: np.ndarray, earth_radius_km: float) -> np.ndarray:
+    """Angle at the Earth's center between a station and a satellite at
+    radius r_km seen at elevation_deg, rad: arccos(R cos e / r) - e."""
+    e = np.radians(elevation_deg)
+    return np.arccos(earth_radius_km * np.cos(e) / r_km) - e
+
+
 def visibility_windows(
     gs: GroundStation,
     constellation: Constellation,
@@ -425,16 +476,39 @@ def visibility_windows(
     """
     times = time_grid(t0_s, t1_s, step_s)
     fleet = FleetArrays.from_constellation(constellation)
-    elevations = np.empty((len(times), len(fleet.sat_ids)))
+    r_km, n_sats = fleet.a_km, len(fleet.sat_ids)
+    rate = _psi_rate(_mean_motion(r_km))
+    with np.errstate(invalid="ignore"):
+        # a row with r <= R has no usable limit; NaN keeps it due at every step
+        psi_max = np.where(
+            r_km > earth_radius_km, _geocentric_angle(gs.min_elevation_deg, r_km, earth_radius_km), np.nan
+        )
+    due_at = np.full(n_sats, -np.inf)
+    first = np.full(n_sats, -1)  # first sample of each row's open run, -1 if none is open
+    peak = np.empty(n_sats)  # highest sampled elevation of each open run
+    runs: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []  # (rows, first, last, peak)
     for k, t in enumerate(times.tolist()):
-        pos = np.stack(fleet._planes(t), axis=-1)
-        elevations[k] = elevation_angle(ground_station_eci(gs, t, earth_radius_km), pos)
+        rows = np.flatnonzero(due_at <= t)
+        pos = np.stack(fleet._planes(t, rows), axis=-1)
+        elevation = elevation_angle(ground_station_eci(gs, t, earth_radius_km), pos)
+        above = elevation >= gs.min_elevation_deg
+        is_open = first.take(rows) >= 0
+        ended = rows[is_open & ~above]
+        if ended.size:
+            runs.append((ended, first.take(ended), np.full(ended.size, k - 1), peak.take(ended)))
+            first[ended] = -1
+        started = rows[above & ~is_open]
+        first[started], peak[started] = k, -np.inf
+        seen = rows[above]
+        peak[seen] = np.maximum(peak.take(seen), elevation[above])
+        with np.errstate(invalid="ignore"):
+            margin = _geocentric_angle(elevation, r_km.take(rows), earth_radius_km)
+            margin -= psi_max.take(rows) + _PSI_SLACK_RAD
+            due_at[rows] = np.where(margin > 0.0, t + margin / rate.take(rows), t)
+    still = np.flatnonzero(first >= 0)
+    runs.append((still, first.take(still), np.full(still.size, len(times) - 1), peak.take(still)))
+    sats, first, last, peak = (np.concatenate(column) for column in zip(*runs))
 
-    # run boundaries per satellite: +1 at a run's first sample, -1 one past its last
-    visible = (elevations >= gs.min_elevation_deg).T.astype(np.int8)
-    steps = np.diff(visible, axis=1, prepend=0, append=0)
-    sats, first = np.nonzero(steps == 1)
-    last = np.nonzero(steps == -1)[1] - 1
     # start edges, then end edges; one inside the grid lies between an inner and an outer sample
     inner = np.concatenate([first, last])
     outer = np.concatenate([first - 1, last + 1])
@@ -446,10 +520,8 @@ def visibility_windows(
     )
     starts, ends = np.split(edges, 2)
     windows = [
-        VisibilityWindow(gs.id, fleet.sat_ids[j], start, end, float(np.max(elevations[a : b + 1, j])))
-        for j, a, b, start, end in zip(
-            sats.tolist(), first.tolist(), last.tolist(), starts.tolist(), ends.tolist()
-        )
+        VisibilityWindow(gs.id, fleet.sat_ids[j], start, end, high)
+        for j, start, end, high in zip(sats.tolist(), starts.tolist(), ends.tolist(), peak.tolist())
         if end > start
     ]
     windows.sort(key=lambda w: (w.start_s, tuple(w.sat)))
@@ -479,21 +551,52 @@ def handover_schedule(
     if not (windows and ends.max() > starts.min()):  # also NaN: no window is ever open
         return []
 
-    # owners in id order, so argmax's first maximum is the lowest-id tie-break
+    # owners in id order, so the lowest row is the lowest-id tie-break
     fleet = FleetArrays.from_constellation({w.sat: constellation[w.sat] for w in windows})
     owner_index = {sat: j for j, sat in enumerate(fleet.sat_ids)}
     owners = np.array([owner_index[w.sat] for w in windows])
+    times = time_grid(float(starts.min()), float(ends.max()), step_s)
+    # window w is open (start <= t < end) at samples opens[w] <= k < closes[w]
+    opens = np.searchsorted(times, starts)
+    closes = np.maximum(np.searchsorted(times, ends), opens)
+    n = times.size
+    open_at = np.cumsum(np.bincount(opens, minlength=n + 1) - np.bincount(closes, minlength=n + 1))[:n]
+    pairs_through = np.cumsum(open_at)  # (sample, window) pairs of samples 0..k
     events: List[Tuple[float, SatelliteId, SatelliteId]] = []
-    current: Optional[SatelliteId] = None
-    for t in time_grid(float(starts.min()), float(ends.max()), step_s).tolist():
-        active = owners[(starts <= t) & (t < ends)]
-        best: Optional[SatelliteId] = None
-        if active.size:
-            gs_pos = ground_station_eci(gs, t, earth_radius_km)
-            elevation = np.full(len(fleet.sat_ids), -np.inf)
-            elevation[active] = elevation_angle(gs_pos, np.stack(fleet._planes(t, active), axis=-1))
-            best = fleet.sat_ids[int(np.argmax(elevation))]
-        if best is not None and current is not None and best != current:
-            events.append((t, current, best))
-        current = best
+    last_k, last_row = -2, -1  # the last covered sample so far and its winner
+    for s, e in _batches(pairs_through):
+        w = np.flatnonzero((opens < e) & (closes > s))
+        lo = np.maximum(opens[w], s)
+        count = np.minimum(closes[w], e) - lo
+        if not count.sum():
+            continue
+        # (sample, window) pairs, window by window
+        w = np.repeat(w, count)
+        k = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(w.size)
+        rows = owners.take(w)
+        pos = np.stack(fleet._planes(times.take(k), rows), axis=-1)
+        gs_pos = ground_station_eci(gs, times[s:e], earth_radius_km).take(k - s, axis=0)
+        order = np.lexsort((rows, -elevation_angle(gs_pos, pos), k))
+        k, rows = k.take(order), rows.take(order)
+        head = np.flatnonzero(np.diff(k, prepend=-1))  # each sample's winner leads its pairs
+        k, rows = k.take(head), rows.take(head)
+        before_k, before_row = np.append(last_k, k[:-1]), np.append(last_row, rows[:-1])
+        hit = np.flatnonzero((k == before_k + 1) & (rows != before_row))
+        events.extend(
+            (t, fleet.sat_ids[a], fleet.sat_ids[b])
+            for t, a, b in zip(times.take(k[hit]).tolist(), before_row[hit].tolist(), rows[hit].tolist())
+        )
+        last_k, last_row = int(k[-1]), int(rows[-1])
     return events
+
+
+def _batches(pairs_through: np.ndarray) -> Iterator[Tuple[int, int]]:
+    """Sample ranges [s, e) in order, each of whole samples holding at most
+    _PAIRS_PER_BATCH pairs, or of one sample that alone holds more;
+    pairs_through[k] counts the pairs of samples 0..k."""
+    s = 0
+    while s < pairs_through.size:
+        done = int(pairs_through[s - 1]) if s else 0
+        e = max(int(np.searchsorted(pairs_through, done + _PAIRS_PER_BATCH, side="right")), s + 1)
+        yield s, e
+        s = e

@@ -16,6 +16,12 @@ could cross the threshold, must give the full scan's transitions,
 grazing bits and infeasible count on random shells, maneuver sets,
 thresholds (some equal to a sampled grazing altitude) and windows.
 
+Ground geometry is fuzzed against its scalar references: visibility
+windows, which skip satellites that cannot be visible, and handover
+schedules, scored in batches of samples, must equal them bit for bit on
+random shells, stations, minimum elevations and grids, with the batch cap
+cut to a few pairs so that batch boundaries fall everywhere.
+
 merge_traces is checked the same way against its concatenate-and-sort
 reference on random key-sorted sources with many ties.
 """
@@ -24,6 +30,7 @@ import copy
 import json
 import math
 import warnings
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -35,6 +42,7 @@ from leofault import (
     FaultEvent,
     GridTopology,
     GroundLinkTarget,
+    GroundStation,
     IslTarget,
     ManeuverEvent,
     SatelliteId,
@@ -46,16 +54,24 @@ from leofault import (
     checksum,
     config_from_dict,
     config_to_dict,
+    handover_schedule,
     merge_traces,
     parse_event,
     parse_tle_text,
     serialize_event,
     tle_to_elements,
+    visibility_windows,
 )
+from leofault import topology
 from leofault.orbital import time_grid
 from leofault.trace import KIND_PARAM_KEYS
 from test_simulation import assert_skip_scan_matches_reference
-from test_topology import SMALL_SHELL, assert_scan_matches_reference
+from test_topology import (
+    SMALL_SHELL,
+    assert_scan_matches_reference,
+    reference_handover_schedule,
+    reference_visibility_windows,
+)
 from test_trace import SATS, pooled_event, reference_merge, reference_sort_key
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=1000)
@@ -319,6 +335,48 @@ def test_skip_scan_matches_full_scan(shells, t0, step, data):
     if sampled:
         thresholds |= st.sampled_from(sampled)
     assert_skip_scan_matches_reference(topo, times, maneuvers, data.draw(thresholds))
+
+
+# ---------------------------------------------------------------- ground geometry
+
+ground_shells = st.lists(
+    st.builds(
+        ShellSpec,
+        altitude_km=st.sampled_from([340.0, 550.0, 1200.0]) | st.floats(200.0, 2000.0),
+        inclination_deg=st.sampled_from([0.0, 53.0, 90.0, 97.6, 140.0]),  # equatorial to retrograde
+        planes=st.integers(1, 6),  # 1xN and 2xN shells have no links
+        sats_per_plane=st.integers(1, 10),
+        phase_offset_f=st.integers(0, 2),
+    ),
+    min_size=1,
+    max_size=2,
+)
+stations = st.builds(
+    GroundStation,
+    id=st.just("gs"),
+    latitude_deg=st.sampled_from([0.0, 52.5, -89.0]) | st.floats(-90.0, 90.0),
+    longitude_deg=st.floats(-180.0, 180.0),
+    min_elevation_deg=st.sampled_from([0.0, 25.0, 85.0]) | st.floats(0.0, 85.0),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(ground_shells, stations, st.data())
+def test_ground_geometry_matches_scalar_references(shells, gs, data):
+    constellation = build_constellation(shells)
+    step = data.draw(st.sampled_from([10.0, 30.0, 60.0]))
+    t0 = data.draw(st.sampled_from([0.0, 250.0, 1e6]))
+    # most spans end off the grid, so the last step is clipped
+    t1 = t0 + data.draw(st.floats(2.0, 150.0)) * step
+    windows = visibility_windows(gs, constellation, t0, t1, step)
+    assert windows == reference_visibility_windows(gs, constellation, t0, t1, step)
+    if not windows:
+        return
+    step_s = data.draw(st.sampled_from([1.0, 5.0, 7.5]))
+    cap = data.draw(st.sampled_from([1, 2, 3, 5, topology._PAIRS_PER_BATCH]))
+    with mock.patch.object(topology, "_PAIRS_PER_BATCH", cap):
+        schedule = handover_schedule(windows, gs, constellation, step_s=step_s)
+    assert schedule == reference_handover_schedule(windows, gs, constellation, step_s=step_s)
 
 
 pooled_events = st.builds(

@@ -509,11 +509,10 @@ class TestSkipScan:
             assert_skip_scan_matches_reference(SKIP_TOPOLOGY, SKIP_TIMES, (), threshold_km)
 
     def test_underestimated_rate_caught(self, monkeypatch):
-        # The segment's closest point moves at most half as fast as the
-        # faster endpoint moves relative to the other, so L/2 is still a
-        # valid bound and no case can catch it; L/4 is not.
+        # _link_rate is already the half-speed bound L/2; half of it, L/4,
+        # is not a bound, and the counter-rotating seam catches it
         rate = topology._link_rate
-        monkeypatch.setattr(topology, "_link_rate", lambda *args: rate(*args) / 4.0)
+        monkeypatch.setattr(topology, "_link_rate", lambda *args: rate(*args) / 2.0)
         with pytest.raises(AssertionError):
             assert_skip_scan_matches_reference(SKIP_TOPOLOGY, SKIP_TIMES, (), 80.0)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from leofault import (
 from leofault.constants import EARTH_RADIUS_KM, SIDEREAL_DAY_S
 from leofault.faults import MAX_TOTAL_OFFSET_KM
 from leofault.orbital import FleetArrays, _mean_motion, propagate_arrays, time_grid
+from leofault import topology
 from leofault.topology import CROSS_PLANE, INTRA_PLANE, _ManeuverOffsets
 
 
@@ -107,6 +109,16 @@ def reference_visibility_windows(gs, constellation, t0_s, t1_s, step_s):
             k += 1
     windows.sort(key=lambda w: (w.start_s, tuple(w.sat)))
     return windows
+
+
+def traced_peak(call, *args, **kwargs):
+    """tracemalloc peak, in bytes, of one call."""
+    tracemalloc.start()
+    try:
+        call(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def reference_scan(topo, times, maneuvers):
@@ -534,6 +546,61 @@ class TestVisibilityRuns:
             assert w.max_elevation_deg == pytest.approx(elevation_at(gs, c[w.sat], t), abs=1e-9)
 
 
+class TestVisibilitySkip:
+    """Satellites are evaluated only when they could be visible."""
+
+    BERLIN = GroundStation("berlin", 52.5, 13.4)
+
+    def test_evaluates_few_satellite_samples(self, dense_constellation, monkeypatch):
+        evaluated = []
+
+        def counting(gs_pos, sat_pos):
+            evaluated.append(len(sat_pos))
+            return elevation_angle(gs_pos, sat_pos)
+
+        monkeypatch.setattr(topology, "elevation_angle", counting)
+        windows = visibility_windows(self.BERLIN, dense_constellation, 0.0, 1800.0, 10.0)
+        assert windows == reference_visibility_windows(self.BERLIN, dense_constellation, 0.0, 1800.0, 10.0)
+        # bisection steps included
+        assert sum(evaluated) < 0.05 * len(time_grid(0.0, 1800.0, 10.0)) * len(dense_constellation)
+
+    def test_underestimated_rate_caught(self, dense_constellation, monkeypatch):
+        # the bound is tight to within a factor of two on a dense shell
+        rate = topology._psi_rate
+        monkeypatch.setattr(topology, "_psi_rate", lambda n_rad_s: rate(n_rad_s) / 4.0)
+        got = visibility_windows(self.BERLIN, dense_constellation, 0.0, 1800.0, 10.0)
+        assert got != reference_visibility_windows(self.BERLIN, dense_constellation, 0.0, 1800.0, 10.0)
+
+    def test_zero_slack_caught(self, monkeypatch):
+        # The minimum elevation equals the computed elevation at t = 0, and
+        # the grid is 1e-13 s fine, so the computed elevation crosses it in
+        # steps of a few ulps. Just below it the computed angle to the limit
+        # is rounding noise; without slack a noise of 1e-16 rad skips about
+        # 1e-13 s, past samples that are above it.
+        c = {SatelliteId(0, 0, 0): zenith_pass(100.0)}
+        e0 = elevation_at(EQUATOR_STATION, c[SatelliteId(0, 0, 0)], 0.0)
+        gs = GroundStation("eq", 0.0, 0.0, min_elevation_deg=e0)
+        expected = reference_visibility_windows(gs, c, -1e-11, 1e-11, 1e-13)
+        assert expected and expected[0].start_s > -1e-11
+        assert visibility_windows(gs, c, -1e-11, 1e-11, 1e-13) == expected
+        monkeypatch.setattr(topology, "_PSI_SLACK_RAD", 0.0)
+        assert visibility_windows(gs, c, -1e-11, 1e-11, 1e-13) != expected
+
+    def test_rows_inside_the_sphere_stay_due(self, sparse_constellation):
+        # r <= R has no visibility limit; such rows are evaluated at every step, without warnings
+        c = {**sparse_constellation, SatelliteId(1, 0, 0): CircularElements(6000.0, 53.0, 10.0, 0.0)}
+        c[SatelliteId(1, 0, 1)] = CircularElements(EARTH_RADIUS_KM, 0.0, 0.0, 180.0)
+        gs = GroundStation("eq", 0.0, 0.0, min_elevation_deg=0.0)
+        expected = reference_visibility_windows(gs, c, 0.0, 3600.0, 10.0)
+        assert expected
+        assert visibility_windows(gs, c, 0.0, 3600.0, 10.0) == expected
+
+    def test_peak_memory_does_not_grow_with_duration(self, dense_constellation):
+        short = traced_peak(visibility_windows, self.BERLIN, dense_constellation, 0.0, 1800.0, 10.0)
+        long = traced_peak(visibility_windows, self.BERLIN, dense_constellation, 0.0, 3 * 3600.0, 10.0)
+        assert long < short + 1_000_000
+
+
 class TestHandoverSchedule:
     def test_single_window_no_handover(self):
         c = build_constellation([ShellSpec(550.0, 53.0, 1, 1)])
@@ -625,6 +692,42 @@ class TestHandoverSchedule:
         grid = time_grid(0.1, 100.0, 0.1).tolist()
         schedule = handover_schedule([w1, w2], gs, c, step_s=0.1)
         assert schedule == [(grid[499], SatelliteId(0, 0, 0), SatelliteId(0, 0, 1))]
+
+    @pytest.mark.parametrize("cap", [1, 4, 5, 100])
+    def test_handover_on_a_batch_boundary(self, monkeypatch, cap):
+        # one pair per sample, so batches of cap samples; 100 opens a batch at every cap here
+        c = {
+            SatelliteId(0, 0, 0): CircularElements(6921.0, 53.0, 0.0, 0.0),
+            SatelliteId(0, 0, 1): CircularElements(6921.0, 53.0, 0.0, 20.0),
+        }
+        gs = GroundStation("x", 0.0, 0.0, min_elevation_deg=0.0)
+        windows = [
+            VisibilityWindow(gs.id, SatelliteId(0, 0, 0), 0.0, 100.0, 50.0),
+            VisibilityWindow(gs.id, SatelliteId(0, 0, 1), 100.0, 150.0, 50.0),
+            # after a one-sample gap: an acquisition, not a handover
+            VisibilityWindow(gs.id, SatelliteId(0, 0, 0), 151.0, 200.0, 50.0),
+        ]
+        monkeypatch.setattr(topology, "_PAIRS_PER_BATCH", cap)
+        expected = [(100.0, SatelliteId(0, 0, 0), SatelliteId(0, 0, 1))]
+        assert reference_handover_schedule(windows, gs, c) == expected
+        assert handover_schedule(windows, gs, c) == expected
+
+    @pytest.mark.parametrize("cap", [1, 7, 64])
+    def test_small_batches_match_scalar_reference(self, dense_constellation, monkeypatch, cap):
+        gs = GroundStation("gs", 52.5, 13.4)
+        windows = visibility_windows(gs, dense_constellation, 0.0, 900.0, 10.0)
+        expected = reference_handover_schedule(windows, gs, dense_constellation)
+        monkeypatch.setattr(topology, "_PAIRS_PER_BATCH", cap)
+        assert handover_schedule(windows, gs, dense_constellation) == expected
+
+    def test_peak_memory_bounded_by_batch_cap(self, dense_constellation):
+        gs = GroundStation("berlin", 52.5, 13.4)
+        short = visibility_windows(gs, dense_constellation, 0.0, 1800.0, 10.0)
+        long = visibility_windows(gs, dense_constellation, 0.0, 3 * 3600.0, 10.0)
+        # at 1 s, the 3 h schedule scores over 20 batches' worth of (sample, window) pairs
+        assert sum(w.end_s - w.start_s for w in long) > 20 * topology._PAIRS_PER_BATCH
+        short_peak = traced_peak(handover_schedule, short, gs, dense_constellation)
+        assert traced_peak(handover_schedule, long, gs, dense_constellation) < short_peak + 1_000_000
 
     def test_deterministic(self, dense_constellation):
         gs = GroundStation("mid", 30.0, 0.0)
