@@ -66,5 +66,5 @@ sat = fleet[0]
 active = [m for m in maneuvers if m.sat == sat]
 if active:
     m = active[0]
-    offset = lf.offsets_at(maneuvers, m.start_s + 60.0).get(sat, 0.0)
-    print(f"  satellite {sat} at t={m.start_s + 60:.0f} s flies {offset:+.2f} km off nominal")
+    print(f"  satellite {sat}'s first maneuver at t={m.start_s:.0f} s offsets it "
+          f"{m.dh_km:+.2f} km for {m.dwell_s:.0f} s")

@@ -19,7 +19,7 @@ import sys
 import warnings
 from typing import List, Optional
 
-from .constants import EARTH_RADIUS_KM, is_plain_number_text
+from .constants import EARTH_RADIUS_KM, _check_range, is_plain_number_text
 from .faults import default_dose_profile, expected_seu_count, tid_survival
 from .geometry import propagation_delay, slant_range_km
 from .simulation import (
@@ -97,8 +97,7 @@ def _cmd_dose(args) -> int:
 
 def _cmd_seu(args) -> int:
     for name in ("satellites", "devices", "rate", "days"):
-        if (value := getattr(args, name)) < 0:
-            raise ConfigError(f"--{name} must be >= 0, got {value}")
+        _check_range(f"--{name}", getattr(args, name), 0.0, error=ConfigError)
     print(_fmt(expected_seu_count(args.rate, args.devices, args.satellites, args.days)))
     return 0
 
@@ -124,8 +123,7 @@ def _cmd_tle_parse(args) -> int:
 
 
 def _cmd_rtt(args) -> int:
-    if args.alt_km <= 0.0:
-        raise ConfigError(f"--alt-km must be > 0, got {args.alt_km}")
+    _check_range("--alt-km", args.alt_km, 0.0, ends="(]", error=ConfigError)
     # on a spherical Earth the slant range depends only on altitude and elevation
     try:
         slant = slant_range_km(args.alt_km, args.elevation)

@@ -1,10 +1,16 @@
-"""Physical constants and limits shared across the simulator, and the rule for numbers in text.
+"""Physical constants and limits shared across the simulator, and two input rules.
+
+The number-text rule (is_plain_number_text) says which text is a number;
+the range rule (_check_range) checks a number against its interval, with
+NaN never in range, and names the field and the interval when it fails.
 
 All distances are kilometers and all times are seconds unless a name says
 otherwise. The Earth is modeled as a sphere of mean radius; functions that
 depend on the radius take it as a keyword argument defaulting to
 EARTH_RADIUS_KM so alternative reference spheres can be used.
 """
+
+import math
 
 EARTH_RADIUS_KM = 6371.0
 MU_EARTH_M3_S2 = 3.986004418e14
@@ -24,3 +30,21 @@ def is_plain_number_text(text: str) -> bool:
     and no '_', which they read as a digit separator.
     """
     return text.isascii() and "_" not in text
+
+
+def _check_range(name: str, value, low, high=math.inf, ends: str = "[]", error: type = ValueError) -> None:
+    """The range rule: raise error naming name unless value lies between low and high.
+
+    ends holds the brackets: "(" leaves low out, ")" leaves high out, and an
+    included infinite bound leaves that side unbounded. The test asks whether
+    value is inside, so NaN, for which every comparison is false, never is.
+    Float bounds keep the check cheap; the message drops their ".0".
+    """
+    if (value > low or value == low and ends[0] == "[") and (value < high or value == high and ends[1] == "]"):
+        return
+    low_text, high_text = (str(bound).removesuffix(".0") for bound in (low, high))
+    if high == math.inf and ends[1] == "]" and low != -math.inf:
+        bound = f"{'>=' if ends[0] == '[' else '>'} {low_text}"
+    else:
+        bound = f"in {ends[0]}{low_text}, {high_text}{ends[1]}"
+    raise error(f"{name} must be {bound}, got {value}")

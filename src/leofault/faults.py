@@ -33,7 +33,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .constants import SECONDS_PER_DAY, SECONDS_PER_YEAR, is_plain_number_text
+from .constants import SECONDS_PER_DAY, SECONDS_PER_YEAR, _check_range, is_plain_number_text
 from .orbital import SatelliteId
 from .trace import DeviceTarget, FaultEvent, GroundLinkTarget
 
@@ -59,12 +59,10 @@ class DoseProfile:
             raise ValueError("dose profile needs at least one anchor")
         previous = -1.0
         for inclination, dose in self.anchors:
-            if not 0.0 <= inclination <= 90.0:
-                raise ValueError(f"anchor inclination {inclination} outside [0, 90]")
-            if inclination <= previous:
+            _check_range("anchor inclination", inclination, 0.0, 90.0)
+            if not inclination > previous:
                 raise ValueError("anchor inclinations must be strictly increasing")
-            if not dose >= 0.0:
-                raise ValueError(f"anchor dose must be >= 0, got {dose}")
+            _check_range("anchor dose", dose, 0.0)
             previous = inclination
 
 
@@ -106,41 +104,32 @@ class FaultModelConfig:
             raise ValueError(
                 f"devices_per_satellite must be an integer, got {self.devices_per_satellite!r}"
             )
-        nonnegative = (
+        for name in (
             "seu_rate_per_device_day",
             "devices_per_satellite",
             "seu_downtime_s",
             "rain_light_mm_h",
             "handover_min_s",
-            "handover_loss_min",
             "handover_spike_s",
             "maneuver_rate_per_sat_year",
             "maneuver_dh_min_km",
             "maneuver_dwell_s",
-        )
-        for name in nonnegative:
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        ):
+            _check_range(name, getattr(self, name), 0.0)
         # zero gaps never advance a station's spike arrivals
-        if self.handover_max_s <= 0.0:
-            raise ValueError(f"handover_max_s must be > 0, got {self.handover_max_s}")
+        _check_range("handover_max_s", self.handover_max_s, 0.0, ends="(]")
         for low, high in (
             ("rain_light_mm_h", "rain_moderate_mm_h"),
             ("handover_min_s", "handover_max_s"),
             ("handover_loss_min", "handover_loss_max"),
             ("maneuver_dh_min_km", "maneuver_dh_max_km"),
         ):
-            if getattr(self, low) > getattr(self, high):
+            if not getattr(self, low) <= getattr(self, high):
                 raise ValueError(f"{low} must be <= {high}")
-        if not 0.0 < self.rain_moderate_multiplier <= 1.0:
-            raise ValueError(
-                f"rain_moderate_multiplier must be in (0, 1], got {self.rain_moderate_multiplier}"
-            )
-        if self.rain_latency_factor < 1.0:
-            raise ValueError(f"rain_latency_factor must be >= 1, got {self.rain_latency_factor}")
+        _check_range("rain_moderate_multiplier", self.rain_moderate_multiplier, 0.0, 1.0, "(]")
+        _check_range("rain_latency_factor", self.rain_latency_factor, 1.0)
         for name in ("seu_permanent_prob", "handover_loss_min", "handover_loss_max"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+            _check_range(name, getattr(self, name), 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -155,8 +144,7 @@ class RandomStreams:
     seed: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        _check_range("seed", self.seed, 0, 2**64, "[)")
 
     def stream(self, label: str) -> np.random.Generator:
         digest = hashlib.sha256(label.encode("utf-8")).digest()
@@ -220,17 +208,19 @@ def sample_seu_events(
     return events
 
 
-def dose_rate(profile: DoseProfile, inclination_deg: float, mission_years: float) -> float:
-    """Annual dose in krad/year at an inclination, from the mission profile."""
-    if not 0.0 <= inclination_deg <= 180.0:
-        raise ValueError(f"inclination_deg must be in [0, 180], got {inclination_deg}")
-    if mission_years <= 0.0:
-        raise ValueError(f"mission_years must be > 0, got {mission_years}")
+def _mission_dose(profile: DoseProfile, inclination_deg: float, mission_years: float) -> float:
+    """Mission dose in krad at an inclination: dose_rate and tid_survival derive from this one value."""
+    _check_range("inclination_deg", inclination_deg, 0.0, 180.0)
+    _check_range("mission_years", mission_years, 0.0, ends="(]")
     folded = 180.0 - inclination_deg if inclination_deg > 90.0 else inclination_deg
     xs = [a[0] for a in profile.anchors]
     ys = [a[1] for a in profile.anchors]
-    mission_dose = float(np.interp(folded, xs, ys))
-    return mission_dose / mission_years
+    return float(np.interp(folded, xs, ys))
+
+
+def dose_rate(profile: DoseProfile, inclination_deg: float, mission_years: float) -> float:
+    """Annual dose in krad/year at an inclination, from the mission profile."""
+    return _mission_dose(profile, inclination_deg, mission_years) / mission_years
 
 
 @dataclass(frozen=True)
@@ -247,11 +237,9 @@ def tid_survival(
     mission_years: float,
 ) -> TidReport:
     """Whether hardware stays under its ionizing-dose limit for the mission."""
-    if limit_krad <= 0.0:
-        raise ValueError(f"limit_krad must be > 0, got {limit_krad}")
-    rate = dose_rate(profile, inclination_deg, mission_years)
-    dose = rate * mission_years
-    lifetime = limit_krad / rate if rate > 0.0 else float("inf")
+    _check_range("limit_krad", limit_krad, 0.0, ends="(]")
+    dose = _mission_dose(profile, inclination_deg, mission_years)
+    lifetime = limit_krad / dose * mission_years if dose > 0.0 else math.inf
     return TidReport(survives=dose < limit_krad, dose_krad=dose, lifetime_years=lifetime)
 
 
@@ -261,8 +249,7 @@ def rain_multiplier(precip_mm_h: float, config: Optional[FaultModelConfig] = Non
     1.0 up to the light-rain threshold, the configured floor at or above
     the moderate-rain threshold, linear in between.
     """
-    if precip_mm_h < 0.0:
-        raise ValueError(f"precip_mm_h must be >= 0, got {precip_mm_h}")
+    _check_range("precip_mm_h", precip_mm_h, 0.0)
     cfg = config if config is not None else FaultModelConfig()
     if precip_mm_h <= cfg.rain_light_mm_h:
         return 1.0

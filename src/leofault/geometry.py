@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import EARTH_RADIUS_KM, SIDEREAL_DAY_S, SPEED_OF_LIGHT_KM_S
+from .constants import EARTH_RADIUS_KM, SIDEREAL_DAY_S, SPEED_OF_LIGHT_KM_S, _check_range
 
 DEFAULT_ISL_THRESHOLD_KM = 80.0
 
@@ -33,16 +33,9 @@ class GroundStation:
         # trace targets name a station by this id, and read_trace wants a string
         if not isinstance(self.id, str):
             raise ValueError(f"id must be a string, got {self.id!r}")
-        if not -90.0 <= self.latitude_deg <= 90.0:
-            raise ValueError(f"latitude_deg must be in [-90, 90], got {self.latitude_deg}")
-        if not -180.0 <= self.longitude_deg <= 180.0:
-            raise ValueError(
-                f"longitude_deg must be in [-180, 180], got {self.longitude_deg}"
-            )
-        if not 0.0 <= self.min_elevation_deg < 90.0:
-            raise ValueError(
-                f"min_elevation_deg must be in [0, 90), got {self.min_elevation_deg}"
-            )
+        _check_range("latitude_deg", self.latitude_deg, -90.0, 90.0)
+        _check_range("longitude_deg", self.longitude_deg, -180.0, 180.0)
+        _check_range("min_elevation_deg", self.min_elevation_deg, 0.0, 90.0, "[)")
 
 
 def grazing_altitude(p1, p2, earth_radius_km: float = EARTH_RADIUS_KM):
@@ -148,8 +141,8 @@ def slant_range_km(
     Law-of-cosines solution on the spherical Earth:
     R * (sqrt(((R+h)/R)^2 - cos^2 e) - sin e).
     """
-    if not -90.0 <= elevation_deg <= 90.0:
-        raise ValueError(f"elevation_deg must be in [-90, 90], got {elevation_deg}")
+    _check_range("altitude_km", altitude_km, -math.inf)
+    _check_range("elevation_deg", elevation_deg, -90.0, 90.0)
     e = math.radians(elevation_deg)
     ratio = (earth_radius_km + altitude_km) / earth_radius_km
     return earth_radius_km * (math.sqrt(ratio**2 - math.cos(e) ** 2) - math.sin(e))

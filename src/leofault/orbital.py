@@ -25,7 +25,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .constants import EARTH_RADIUS_KM, MAX_STEPS, MU_EARTH_M3_S2
+from .constants import EARTH_RADIUS_KM, MAX_STEPS, MU_EARTH_M3_S2, _check_range
 
 
 @dataclass(frozen=True)
@@ -40,27 +40,14 @@ class ShellSpec:
     phase_offset_f: int = 0
 
     def __post_init__(self) -> None:
-        if not 100.0 < self.altitude_km <= 2000.0:
-            raise ValueError(
-                f"altitude_km must be in (100, 2000], got {self.altitude_km}"
-            )
-        if not 0.0 <= self.inclination_deg <= 180.0:
-            raise ValueError(
-                f"inclination_deg must be in [0, 180], got {self.inclination_deg}"
-            )
-        if not 0.0 < self.raan_spread_deg <= 360.0:
-            raise ValueError(
-                f"raan_spread_deg must be in (0, 360], got {self.raan_spread_deg}"
-            )
+        _check_range("altitude_km", self.altitude_km, 100.0, 2000.0, "(]")
+        _check_range("inclination_deg", self.inclination_deg, 0.0, 180.0)
+        _check_range("raan_spread_deg", self.raan_spread_deg, 0.0, 360.0, "(]")
         for attr in ("planes", "sats_per_plane", "phase_offset_f"):
             if not isinstance(getattr(self, attr), int):
                 raise ValueError(f"{attr} must be an integer, got {getattr(self, attr)!r}")
-        if self.planes < 1:
-            raise ValueError(f"planes must be >= 1, got {self.planes}")
-        if self.sats_per_plane < 1:
-            raise ValueError(
-                f"sats_per_plane must be >= 1, got {self.sats_per_plane}"
-            )
+        _check_range("planes", self.planes, 1.0)
+        _check_range("sats_per_plane", self.sats_per_plane, 1.0)
 
     @property
     def total_sats(self) -> int:
@@ -92,10 +79,9 @@ class CircularElements:
     phase_deg: float
 
     def __post_init__(self) -> None:
-        if self.semi_major_axis_km <= 0.0:
-            raise ValueError(
-                f"semi_major_axis_km must be positive, got {self.semi_major_axis_km}"
-            )
+        _check_range("semi_major_axis_km", self.semi_major_axis_km, 0.0, ends="(]")
+        for attr in ("inclination_deg", "raan_deg", "phase_deg"):
+            _check_range(attr, getattr(self, attr), -math.inf, ends="()")
         object.__setattr__(self, "raan_deg", self.raan_deg % 360.0)
         object.__setattr__(self, "phase_deg", self.phase_deg % 360.0)
 
@@ -108,8 +94,7 @@ def orbital_period(altitude_km: float, earth_radius_km: float = EARTH_RADIUS_KM)
 
     T = 2*pi*sqrt(a^3/mu) with a = earth_radius + altitude.
     """
-    if altitude_km <= 0.0:
-        raise ValueError(f"altitude_km must be positive, got {altitude_km}")
+    _check_range("altitude_km", altitude_km, 0.0, ends="(]")
     a_m = (earth_radius_km + altitude_km) * 1e3
     return 2.0 * math.pi * math.sqrt(a_m**3 / MU_EARTH_M3_S2)
 
@@ -253,9 +238,8 @@ def time_grid(t0_s: float, t1_s: float, step_s: float) -> np.ndarray:
     """
     if not t1_s > t0_s:
         raise ValueError("t1_s must be greater than t0_s")
-    if not 0.0 < step_s < math.inf:
-        raise ValueError(f"step_s must be positive and finite, got {step_s}")
-    if (t1_s - t0_s) / step_s > MAX_STEPS:
+    _check_range("step_s", step_s, 0.0, ends="()")
+    if not (t1_s - t0_s) / step_s <= MAX_STEPS:
         raise ValueError(f"step_s {step_s} needs over {MAX_STEPS} steps to cover {t1_s - t0_s} s")
     times = np.arange(t0_s, t1_s + step_s / 2.0, step_s)
     times[-1] = min(float(times[-1]), t1_s)

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 from typing import get_args, get_origin, get_type_hints
 
-from .constants import EARTH_RADIUS_KM, MAX_STEPS, SECONDS_PER_DAY, SECONDS_PER_YEAR
+from .constants import EARTH_RADIUS_KM, MAX_STEPS, SECONDS_PER_DAY, SECONDS_PER_YEAR, _check_range
 from .faults import (
     FaultModelConfig,
     ManeuverEvent,
@@ -65,40 +65,33 @@ class SimulationConfig:
     precipitation_csv: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0.0:
-            raise ConfigError(f"duration_s must be > 0, got {self.duration_s}")
-        if self.step_s <= 0.0:
-            raise ConfigError(f"step_s must be > 0, got {self.step_s}")
-        if self.duration_s / self.step_s > MAX_STEPS:
+        _check_range("duration_s", self.duration_s, 0.0, ends="(]", error=ConfigError)
+        _check_range("step_s", self.step_s, 0.0, ends="(]", error=ConfigError)
+        if not self.duration_s / self.step_s <= MAX_STEPS:
             raise ConfigError(
                 f"duration_s / step_s must be at most {MAX_STEPS} steps, "
                 f"got {self.duration_s} / {self.step_s}"
             )
         # a station draws about duration_s / mean gap spikes; a tiny positive gap never ends
         gap = (self.faults.handover_min_s + self.faults.handover_max_s) / 2.0
-        if self.duration_s / gap > MAX_STEPS:
+        if not self.duration_s / gap <= MAX_STEPS:
             raise ConfigError(
                 f"duration_s / mean handover gap must be at most {MAX_STEPS} spikes per station, "
                 f"got {self.duration_s} / {gap}"
             )
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        _check_range("seed", self.seed, 0, 2**64, "[)", ConfigError)
         if not self.shells and not self.tle_files:
             raise ConfigError("at least one of shells/tle_files must be non-empty")
-        if (n_sats := sum(shell.total_sats for shell in self.shells)) > MAX_SATELLITES:
+        if not (n_sats := sum(shell.total_sats for shell in self.shells)) <= MAX_SATELLITES:
             raise ConfigError(f"shells must declare at most {MAX_SATELLITES} satellites, got {n_sats}")
         if not all(isinstance(p, str) for p in self.tle_files):
             raise ConfigError("tle_files must be an array of paths")
-        if self.isl_threshold_km < 0.0:
-            raise ConfigError(f"isl_threshold_km must be >= 0, got {self.isl_threshold_km}")
-        if self.earth_radius_km <= 0.0:
-            raise ConfigError(f"earth_radius_km must be > 0, got {self.earth_radius_km}")
+        _check_range("isl_threshold_km", self.isl_threshold_km, 0.0, error=ConfigError)
+        _check_range("earth_radius_km", self.earth_radius_km, 0.0, ends="(]", error=ConfigError)
         if self.precipitation_csv is not None and not isinstance(self.precipitation_csv, str):
             raise ConfigError(f"precipitation_csv must be a path string, got {self.precipitation_csv!r}")
-        if self.precipitation_mm_h is not None and self.precipitation_mm_h < 0.0:
-            raise ConfigError(
-                f"precipitation_mm_h must be >= 0, got {self.precipitation_mm_h}"
-            )
+        if self.precipitation_mm_h is not None:
+            _check_range("precipitation_mm_h", self.precipitation_mm_h, 0.0, error=ConfigError)
         if self.precipitation_mm_h is not None and self.precipitation_csv is not None:
             raise ConfigError("precipitation_mm_h and precipitation_csv are exclusive; set at most one")
         # stations with one id would share the handover/<id> substream
@@ -248,7 +241,7 @@ def _check_expected_events(config: SimulationConfig, n_sats: int) -> float:
         ("faults.maneuver_rate_per_sat_year", maneuvers),
         ("ground_stations", spikes),
     ):
-        if count > MAX_EVENTS:
+        if not count <= MAX_EVENTS:
             raise ConfigError(
                 f"{name} gives {count:.3g} expected events over {n_sats} satellites "
                 f"and {duration} s; at most {MAX_EVENTS} are allowed"

@@ -41,7 +41,7 @@ class CdfTable:
             previous_value, previous_prop = value, proportion
         if self.points and not math.isfinite(self.points[-1][0]):
             raise ValueError(f"CDF values must be finite, got {self.points[-1][0]}")
-        if self.points and abs(self.points[-1][1] - 1.0) > 1e-12:
+        if self.points and not abs(self.points[-1][1] - 1.0) <= 1e-12:
             raise ValueError(f"final CDF proportion must be 1.0, got {self.points[-1][1]}")
 
     @classmethod

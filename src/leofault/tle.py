@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple, TypeVar
 
-from .constants import MU_EARTH_M3_S2, SECONDS_PER_DAY, is_plain_number_text
+from .constants import MU_EARTH_M3_S2, SECONDS_PER_DAY, _check_range, is_plain_number_text
 from .orbital import CircularElements
 
 LINE_LENGTH = 69
@@ -85,21 +85,13 @@ class TleRecord:
     rev_number: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.catalog_number <= 99999:
-            raise ValueError(f"catalog_number must be 0-99999, got {self.catalog_number}")
+        _check_range("catalog_number", self.catalog_number, 0, 99999)
         # what the 11-column field holds; a tinier rate overflows the semi-major axis
-        if not 1e-8 <= self.mean_motion_rev_per_day < 100.0:
-            raise ValueError(
-                f"mean_motion_rev_per_day must be in [1e-8, 100), got {self.mean_motion_rev_per_day}"
-            )
-        if not 0.0 <= self.eccentricity < 1.0:
-            raise ValueError(f"eccentricity must be in [0, 1), got {self.eccentricity}")
+        _check_range("mean_motion_rev_per_day", self.mean_motion_rev_per_day, 1e-8, 100.0, "[)")
+        _check_range("eccentricity", self.eccentricity, 0.0, 1.0, "[)")
         for attr in ("inclination_deg", "raan_deg", "arg_perigee_deg", "mean_anomaly_deg"):
-            value = getattr(self, attr)
-            if not 0.0 <= value < 360.0:
-                raise ValueError(f"{attr} must be in [0, 360), got {value}")
-        if not 0.0 <= self.epoch_day < 367.0:
-            raise ValueError(f"epoch_day must be in [0, 367), got {self.epoch_day}")
+            _check_range(attr, getattr(self, attr), 0.0, 360.0, "[)")
+        _check_range("epoch_day", self.epoch_day, 0.0, 367.0, "[)")
         for attr, width in (("ndot_raw", 10), ("nddot_raw", 8), ("bstar_raw", 8)):
             raw = getattr(self, attr)
             if len(raw) != width:
@@ -108,12 +100,10 @@ class TleRecord:
             raise ValueError(f"classification must be one character, got {self.classification!r}")
         if len(self.ephemeris_type) != 1:
             raise ValueError(f"ephemeris_type must be one character, got {self.ephemeris_type!r}")
-        if len(self.intl_designator) > 8:
+        if not len(self.intl_designator) <= 8:
             raise ValueError(f"intl_designator longer than 8 characters: {self.intl_designator!r}")
-        if not 0 <= self.element_number <= 9999:
-            raise ValueError(f"element_number must be 0-9999, got {self.element_number}")
-        if not 0 <= self.rev_number <= 99999:
-            raise ValueError(f"rev_number must be 0-99999, got {self.rev_number}")
+        _check_range("element_number", self.element_number, 0, 9999)
+        _check_range("rev_number", self.rev_number, 0, 99999)
 
 
 def _full_year(two_digit: int) -> int:

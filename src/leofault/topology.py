@@ -67,7 +67,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .constants import EARTH_RADIUS_KM, SIDEREAL_DAY_S
+from .constants import EARTH_RADIUS_KM, SIDEREAL_DAY_S, _check_range
 from .geometry import (
     DEFAULT_ISL_THRESHOLD_KM,
     GroundStation,
@@ -544,8 +544,7 @@ def handover_schedule(
     coverage are not handovers and are not listed.
     """
     # time_grid checks step_s too, but only once there are windows to cover
-    if not 0.0 < step_s < np.inf:
-        raise ValueError(f"step_s must be positive and finite, got {step_s}")
+    _check_range("step_s", step_s, 0.0, ends="()")
     starts = np.array([w.start_s for w in windows])
     ends = np.array([w.end_s for w in windows])
     if not (windows and ends.max() > starts.min()):  # also NaN: no window is ever open

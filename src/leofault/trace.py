@@ -50,7 +50,7 @@ class DeviceTarget:
 
     def __post_init__(self) -> None:
         _check_sat(self.sat, "sat")
-        if type(self.device) is not int or self.device < 0:
+        if type(self.device) is not int or not self.device >= 0:
             raise ValueError(f"device must be a non-negative integer, got {self.device!r}")
 
 

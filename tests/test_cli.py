@@ -67,6 +67,22 @@ class TestDoseCommand:
         out107 = run_cli("dose", "--inclination", "107").stdout
         assert out73 == out107
 
+    def test_dose_equal_to_limit_does_not_survive(self):
+        # 45/73 of the 40 krad peak; rate * years used to land a hair below the limit
+        result = run_cli("dose", "--inclination", "45", "--limit-krad", "24.65753424657534", "--years", "1.5")
+        assert result.returncode == 0
+        assert result.stdout.splitlines() == [
+            "mission_dose_krad=24.65753425",
+            "survives=false",
+            "lifetime_years=1.5",
+        ]
+
+    def test_tiny_mission_keeps_its_dose(self):
+        # 40 / 1e-320 overflowed the rate, and rate * years gave an infinite dose
+        result = run_cli("dose", "--inclination", "73", "--years", "1e-320")
+        assert result.returncode == 0
+        assert result.stdout.splitlines()[:2] == ["mission_dose_krad=40", "survives=true"]
+
     def test_out_of_range(self):
         result = run_cli("dose", "--inclination", "200")
         assert result.returncode == 2
