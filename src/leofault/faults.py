@@ -18,7 +18,8 @@ Models covered:
 Every sampler draws from its own named substream derived from the master
 seed (label = model name + target id), so results are byte-identical for
 a given (seed, config, fleet, interval) and adding one model never
-perturbs another model's draws.
+perturbs another model's draws. A sampler derives all of its substreams
+in one pass over its labels (RandomStreams.substreams).
 """
 
 from __future__ import annotations
@@ -26,10 +27,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,6 +41,15 @@ from .orbital import SatelliteId
 from .trace import DeviceTarget, FaultEvent, GroundLinkTarget
 
 MAX_TOTAL_OFFSET_KM = 10.0
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx), as Python
+# ints: the products wrap in uint32 arrays, where numpy scalars would warn.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# labels hashed and mixed per pass; bounds the state rows held at once
+_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -132,13 +144,116 @@ class FaultModelConfig:
             _check_range(name, getattr(self, name), 0.0, 1.0)
 
 
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """The n + 1 constants of n chained hash steps: init, init*mult, ... mod 2**32."""
+    consts = [init]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, np.uint32)
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash step, elementwise: a step xors one constant and
+    multiplies by the next."""
+    mixed = values ^ xor
+    mixed *= mul
+    mixed ^= mixed >> 16
+    return mixed
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mixed = x * _MIX_MULT_L
+    mixed -= y * _MIX_MULT_R
+    mixed ^= mixed >> 16
+    return mixed
+
+
+def _pool_states(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(row).generate_state(4, np.uint64) for every row of an
+    (n, L) uint32 entropy array, as (n, 4) uint64.
+
+    This is numpy's algorithm, with its default pool of four words, over
+    whole columns. Its hash constant advances once per hash step whatever
+    the data, so every row shares each step's constants, and steps that
+    read no pool word they write run as one array operation.
+    """
+    n, length = entropy.shape
+    a = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * max(length - 4, 0))
+    pool = np.zeros((n, 4), np.uint32)
+    pool[:, : min(length, 4)] = entropy[:, :4]
+    pool = _hashmix(pool, a[0:4], a[1:5])
+    step = 4
+    for src in range(4):
+        # pool[src] is read, never written, while it mixes into the other three
+        dst = [i for i in range(4) if i != src]
+        hashed = _hashmix(pool[:, src : src + 1], a[step : step + 3], a[step + 1 : step + 4])
+        pool[:, dst] = _mix(pool[:, dst], hashed)
+        step += 3
+    for word in range(4, length):
+        # each word past the pool is hashed once for every pool word
+        hashed = _hashmix(entropy[:, word : word + 1], a[step : step + 4], a[step + 1 : step + 5])
+        pool = _mix(pool, hashed)
+        step += 4
+    b = _hash_consts(_INIT_B, _MULT_B, 8)
+    state = _hashmix(np.tile(pool, 2), b[:-1], b[1:])
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _seed_states(seed: int, halves: np.ndarray) -> np.ndarray:
+    """SeedSequence([seed, *words]).generate_state(4, np.uint64) for each row of words.
+
+    halves is (n, 2k) uint32: the low and high halves of k 64-bit words per
+    row. SeedSequence drops a zero high half, which shortens the entropy; the
+    rare rows with one are mixed again, one by one, at their own length.
+    """
+    seed = operator.index(seed)  # numpy ints pass and floats raise, as in SeedSequence
+    # SeedSequence splits an int into little-endian 32-bit words, [0] for 0
+    seed_words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.empty((len(halves), len(seed_words) + halves.shape[1]), np.uint32)
+    entropy[:, : len(seed_words)] = seed_words
+    entropy[:, len(seed_words) :] = halves
+    states = _pool_states(entropy)
+    # found in numpy: a per-row Python scan's objects fragmented the heap,
+    # and catalog-io's peak RSS rose by 3 MB
+    for row in np.flatnonzero((halves[:, 1::2] == 0).any(axis=1)).tolist():
+        kept = [word for i, word in enumerate(halves[row].tolist()) if word or i % 2 == 0]
+        states[row] = _pool_states(np.array([seed_words + kept], np.uint32))[0]
+    return states
+
+
+@lru_cache(maxsize=None)
+def _state_seed_type() -> type:
+    """An ISeedSequence that hands PCG64 a precomputed state row.
+
+    Made on first use: defining it imports numpy.random, which importing
+    leofault does not.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateSeed(ISeedSequence):
+        def __init__(self, state: np.ndarray) -> None:
+            self.state = state
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if (n_words, dtype) != (4, np.uint64):
+                raise ValueError("a StateSeed holds only PCG64's four uint64 words")
+            return self.state
+
+    return StateSeed
+
+
 @dataclass(frozen=True)
 class RandomStreams:
     """Named, independent random substreams derived from one master seed.
 
-    stream(label) hashes the label with SHA-256 and feeds the digest plus
-    the master seed into a SeedSequence, so every (seed, label) pair maps
-    to a stable, documented generator state.
+    The substream for a label is the generator
+    default_rng(SeedSequence([seed, *words])), where words are the four
+    little-endian 64-bit words of the label's SHA-256 digest, so every
+    (seed, label) pair maps to a stable, documented generator state.
+    substreams derives many at once: it hashes a chunk of labels and runs
+    SeedSequence's mixing over the whole chunk in numpy, then seeds each
+    PCG64 from its precomputed row. tests/test_faults.py pins that mixing
+    against np.random.SeedSequence.
     """
 
     seed: int
@@ -146,10 +261,23 @@ class RandomStreams:
     def __post_init__(self) -> None:
         _check_range("seed", self.seed, 0, 2**64, "[)")
 
+    def substreams(self, labels: Iterable[str]) -> Iterator[np.random.Generator]:
+        """The substream of each label, in order.
+
+        Labels are read lazily, _CHUNK at a time, and each generator is made
+        only when it is reached. Every generator is independent.
+        """
+        from numpy.random import PCG64, Generator
+
+        state_seed = _state_seed_type()
+        labels = iter(labels)
+        while chunk := list(islice(labels, _CHUNK)):
+            digests = b"".join(hashlib.sha256(label.encode("utf-8")).digest() for label in chunk)
+            for state in _seed_states(self.seed, np.frombuffer(digests, "<u4").reshape(-1, 8)):
+                yield Generator(PCG64(state_seed(state)))
+
     def stream(self, label: str) -> np.random.Generator:
-        digest = hashlib.sha256(label.encode("utf-8")).digest()
-        words = [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)]
-        return np.random.default_rng(np.random.SeedSequence([self.seed, *words]))
+        return next(self.substreams((label,)))
 
 
 def expected_seu_count(
@@ -192,8 +320,8 @@ def sample_seu_events(
     if sat_rate_per_s <= 0.0 or t1_s <= t0_s:
         return events
     scale = 1.0 / sat_rate_per_s
-    for sat in fleet:
-        rng = streams.stream(f"seu/{sat.label()}")
+    rngs = streams.substreams(f"seu/{sat.label()}" for sat in fleet)
+    for sat, rng in zip(fleet, rngs):
         for t in _arrivals(partial(rng.exponential, scale), t0_s, t1_s):
             device = int(rng.integers(config.devices_per_satellite))
             permanent = rng.random() < config.seu_permanent_prob
@@ -282,8 +410,8 @@ def sample_handover_spikes(
     if mode == "geometric" and schedules is None:
         raise ValueError("geometric mode requires a schedules mapping")
     events: List[FaultEvent] = []
-    for gs_id in gs_ids:
-        rng = streams.stream(f"handover/{gs_id}")
+    rngs = streams.substreams(f"handover/{gs_id}" for gs_id in gs_ids)
+    for gs_id, rng in zip(gs_ids, rngs):
         if mode == "renewal":
             gap = partial(rng.uniform, config.handover_min_s, config.handover_max_s)
             spike_times = _arrivals(gap, t0_s, t1_s)
@@ -330,8 +458,8 @@ def sample_maneuvers(
     if rate_per_s <= 0.0 or t1_s <= t0_s:
         return events
     scale = 1.0 / rate_per_s
-    for sat in fleet:
-        rng = streams.stream(f"maneuver/{sat.label()}")
+    rngs = streams.substreams(f"maneuver/{sat.label()}" for sat in fleet)
+    for sat, rng in zip(fleet, rngs):
         for t in _arrivals(partial(rng.exponential, scale), t0_s, t1_s):
             magnitude = rng.uniform(config.maneuver_dh_min_km, config.maneuver_dh_max_km)
             sign = 1.0 if rng.random() < 0.5 else -1.0

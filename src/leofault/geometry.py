@@ -141,7 +141,7 @@ def slant_range_km(
     Law-of-cosines solution on the spherical Earth:
     R * (sqrt(((R+h)/R)^2 - cos^2 e) - sin e).
     """
-    _check_range("altitude_km", altitude_km, -math.inf)
+    _check_range("altitude_km", altitude_km, -earth_radius_km, ends="(]")
     _check_range("elevation_deg", elevation_deg, -90.0, 90.0)
     e = math.radians(elevation_deg)
     ratio = (earth_radius_km + altitude_km) / earth_radius_km

@@ -121,7 +121,7 @@ def bent_pipe_rtt(
     for station in (gs, uplink_gs):
         pos = ground_station_eci(station, t_s, earth_radius_km)
         elevation = elevation_angle(pos, sat_pos)
-        if elevation < station.min_elevation_deg:
+        if not elevation >= station.min_elevation_deg:
             raise ValueError(
                 f"satellite not visible from station {station.id!r}: elevation "
                 f"{elevation:.2f} deg below minimum {station.min_elevation_deg} deg"

@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leofault import (
     CircularElements,
@@ -8,6 +12,8 @@ from leofault import (
     ManeuverEvent,
     RandomStreams,
     SatelliteId,
+    build_fleet,
+    config_from_dict,
     default_dose_profile,
     dose_rate,
     expected_seu_count,
@@ -21,7 +27,16 @@ from leofault import (
     tid_survival,
 )
 from leofault.constants import SPEED_OF_LIGHT_KM_S
-from leofault.faults import offsets_at
+from leofault.faults import _CHUNK, _seed_states, offsets_at
+from test_golden import (
+    ALL_KINDS_CONFIG,
+    ALL_KINDS_TLE_RECORDS,
+    DENSE_CONFIG,
+    GEN1_CONFIG,
+    GROUND_DIGESTS,
+    OVERLAP_CONFIG,
+    catalog_text,
+)
 
 FLEET4 = [SatelliteId(0, 0, i) for i in range(4)]
 
@@ -418,3 +433,78 @@ class TestConfigValidation:
             RandomStreams(-1)
         with pytest.raises(ValueError):
             RandomStreams(2**64)
+
+
+def reference_stream(seed, label):
+    """The substream as numpy derives it: SeedSequence over the seed and the digest's 64-bit words."""
+    digest = hashlib.sha256(label.encode("utf-8")).digest()
+    words = [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)]
+    return np.random.default_rng(np.random.SeedSequence([seed, *words]))
+
+
+def first_draws(rng):
+    return rng.random(), int(rng.integers(60)), rng.exponential()
+
+
+def assert_substreams_match_reference(seed, labels):
+    bulk = list(RandomStreams(seed).substreams(labels))
+    assert len(bulk) == len(labels)
+    for label, rng in zip(labels, bulk):
+        reference = reference_stream(seed, label)
+        assert rng.bit_generator.state == reference.bit_generator.state, label
+        assert first_draws(rng) == first_draws(reference), label
+
+
+# 64-bit entropy words: zero, below 2**32 (one SeedSequence word) and any
+words64 = st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(0, 2**64 - 1))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]),
+    st.integers(1, 12).flatmap(
+        lambda k: st.lists(st.lists(words64, min_size=k, max_size=k), min_size=1, max_size=4)
+    ),
+)
+def test_bulk_pool_matches_seed_sequence(seed, rows):
+    # a zero high half shortens a row's entropy, so that row is mixed again alone
+    states = _seed_states(seed, np.array(rows, "<u8").view("<u4"))
+    for words, state in zip(rows, states):
+        expected = np.random.SeedSequence([seed, *words]).generate_state(4, np.uint64)
+        assert state.tolist() == expected.tolist(), words
+
+
+def golden_labels(config):
+    fleet = build_fleet(config)
+    labels = [f"{model}/{sat.label()}" for model in ("seu", "maneuver") for sat in fleet]
+    return labels + [f"handover/{gs.id}" for gs in config.ground_stations]
+
+
+@pytest.mark.parametrize("name", ["gen1", "overlap", "all-kinds", "dense"])
+def test_golden_substreams_match_seed_sequence(name, tmp_path):
+    config = {"gen1": GEN1_CONFIG, "overlap": OVERLAP_CONFIG, "dense": DENSE_CONFIG}.get(name)
+    if config is None:
+        tle_path = tmp_path / "catalog.tle"
+        tle_path.write_text(catalog_text(ALL_KINDS_TLE_RECORDS), encoding="utf-8")
+        config = {**ALL_KINDS_CONFIG, "tle_files": [str(tle_path)]}
+    parsed = config_from_dict(config)
+    assert_substreams_match_reference(parsed.seed, golden_labels(parsed))
+
+
+def test_ground_path_substreams_match_seed_sequence():
+    assert_substreams_match_reference(1, [f"handover/{gs_id}" for gs_id in GROUND_DIGESTS])
+
+
+@pytest.mark.parametrize("n", [0, 1, _CHUNK, _CHUNK + 1])
+def test_substreams_chunk_edges(n):
+    labels = [f"edge/{i}" for i in range(n)]
+    assert_substreams_match_reference(2**32, labels)
+    read = []
+    first = next(RandomStreams(2**32).substreams(read.append(x) or x for x in labels), None)
+    assert (first is None) == (n == 0)
+    assert len(read) == min(n, _CHUNK)  # labels are read one chunk at a time
+
+
+def test_stream_is_the_one_label_substream():
+    streams = RandomStreams(5)
+    assert first_draws(streams.stream("seu/0/0/0")) == first_draws(reference_stream(5, "seu/0/0/0"))

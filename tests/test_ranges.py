@@ -99,6 +99,14 @@ def test_nan_argument_rejected_with_its_name(func, args, name):
         func(*args)
 
 
+@pytest.mark.parametrize("altitude_km", [-7000.0, -20000.0])
+def test_slant_range_below_the_earth_rejected(altitude_km):
+    # below the Earth's centre: -7000 km used to raise a bare math domain
+    # error, and -20000 km to return 9276.7 km
+    with pytest.raises(ValueError, match="^altitude_km must be > -6371, "):
+        slant_range_km(altitude_km, 30.0)
+
+
 @pytest.mark.parametrize("angle", ["inclination_deg", "raan_deg", "phase_deg"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf])
 def test_infinite_circular_angle_rejected(angle, value):

@@ -1,5 +1,7 @@
 import json
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -316,6 +318,22 @@ class TestBuildFleet:
         # catalog satellites carry no +GRID links
         topo = GridTopology(constellation)
         assert topo.n_edges == 2 * 10 * 10
+
+    def test_setup_leaves_numpy_random_unimported(self, tmp_path):
+        # set-up is import, load_config, build_fleet and GridTopology (setup_s
+        # in benchmarks/); numpy.random belongs to the samplers, which run later
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(minimal_config()))
+        code = (
+            "import sys\n"
+            "import leofault\n"
+            f"config = leofault.load_config({str(path)!r})\n"
+            "leofault.GridTopology(leofault.build_fleet(config), config.earth_radius_km)\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
 
 
 class TestRunSimulation:

@@ -175,6 +175,12 @@ class TestBentPipeRtt:
         with pytest.raises(ValueError, match="up"):
             bent_pipe_rtt(gs, sat, uplink)
 
+    def test_nan_position_raises(self):
+        gs = GroundStation("down", 0.0, 0.0)
+        uplink = GroundStation("up", 0.0, 1.0)
+        with pytest.raises(ValueError, match="station 'down'"):
+            bent_pipe_rtt(gs, [math.nan, math.nan, math.nan], uplink)
+
 
 class TestCdfCsv:
     def test_roundtrip(self, tmp_path):
