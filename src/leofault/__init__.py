@@ -87,7 +87,6 @@ from .trace import (
 )
 from .stats import (
     CdfTable,
-    bent_pipe_rtt,
     min_isl_altitude_cdf,
     read_cdf_csv,
     write_cdf_csv,

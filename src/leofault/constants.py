@@ -5,9 +5,10 @@ the range rule (_check_range) checks a number against its interval, with
 NaN never in range, and names the field and the interval when it fails.
 
 All distances are kilometers and all times are seconds unless a name says
-otherwise. The Earth is modeled as a sphere of mean radius; functions that
-depend on the radius take it as a keyword argument defaulting to
-EARTH_RADIUS_KM so alternative reference spheres can be used.
+otherwise. The Earth is a sphere. Constellation, ISL and ground geometry
+take its radius as earth_radius_km (a simulation passes its config's),
+default EARTH_RADIUS_KM, and reject one not in (0, inf); the model
+lookups (orbital_period, slant_range_km) use the mean sphere.
 """
 
 import math

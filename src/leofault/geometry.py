@@ -51,6 +51,7 @@ def grazing_altitude(p1, p2, earth_radius_km: float = EARTH_RADIUS_KM):
     [0, 1]. Endpoints are ordered canonically first, so the result is
     exactly symmetric in its arguments.
     """
+    _check_range("earth_radius_km", earth_radius_km, 0.0, ends="()")
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
     altitude = _grazing_planes(
@@ -100,6 +101,7 @@ def ground_station_eci(
     with the inertial x-axis at t = 0. An array of times gives one
     position per time, shape (..., 3), equal to the one-time results.
     """
+    _check_range("earth_radius_km", earth_radius_km, 0.0, ends="()")
     lat = math.radians(gs.latitude_deg)
     lon = math.radians(gs.longitude_deg) + 2.0 * math.pi * t_s / SIDEREAL_DAY_S
     cos_lat = math.cos(lat)
@@ -133,19 +135,18 @@ def elevation_angle(gs_pos, sat_pos):
     return elev
 
 
-def slant_range_km(
-    altitude_km: float, elevation_deg: float, earth_radius_km: float = EARTH_RADIUS_KM
-) -> float:
+def slant_range_km(altitude_km: float, elevation_deg: float) -> float:
     """Station-to-satellite distance for a given elevation angle.
 
-    Law-of-cosines solution on the spherical Earth:
-    R * (sqrt(((R+h)/R)^2 - cos^2 e) - sin e).
+    Law-of-cosines solution on the mean sphere:
+    R * (sqrt(((R+h)/R)^2 - cos^2 e) - sin e). A point below the surface
+    is above no station's horizon, so altitude_km must be >= 0.
     """
-    _check_range("altitude_km", altitude_km, -earth_radius_km, ends="(]")
+    _check_range("altitude_km", altitude_km, 0.0)
     _check_range("elevation_deg", elevation_deg, -90.0, 90.0)
     e = math.radians(elevation_deg)
-    ratio = (earth_radius_km + altitude_km) / earth_radius_km
-    return earth_radius_km * (math.sqrt(ratio**2 - math.cos(e) ** 2) - math.sin(e))
+    ratio = (EARTH_RADIUS_KM + altitude_km) / EARTH_RADIUS_KM
+    return EARTH_RADIUS_KM * (math.sqrt(ratio**2 - math.cos(e) ** 2) - math.sin(e))
 
 
 def propagation_delay(distance_km: float) -> float:

@@ -89,13 +89,13 @@ class CircularElements:
 Constellation = Dict[SatelliteId, CircularElements]
 
 
-def orbital_period(altitude_km: float, earth_radius_km: float = EARTH_RADIUS_KM) -> float:
+def orbital_period(altitude_km: float) -> float:
     """Circular-orbit period in seconds for an altitude above the mean sphere.
 
-    T = 2*pi*sqrt(a^3/mu) with a = earth_radius + altitude.
+    T = 2*pi*sqrt(a^3/mu) with a = EARTH_RADIUS_KM + altitude.
     """
     _check_range("altitude_km", altitude_km, 0.0, ends="(]")
-    a_m = (earth_radius_km + altitude_km) * 1e3
+    a_m = (EARTH_RADIUS_KM + altitude_km) * 1e3
     return 2.0 * math.pi * math.sqrt(a_m**3 / MU_EARTH_M3_S2)
 
 
@@ -107,6 +107,7 @@ def build_constellation(
     Plane p of a shell gets raan = p * raan_spread / P. Satellite s of
     plane p gets phase = s * 360/S + p * F * 360/(P*S), normalized.
     """
+    _check_range("earth_radius_km", earth_radius_km, 0.0, ends="()")
     constellation: Constellation = {}
     for shell_index, spec in enumerate(shells):
         a_km = earth_radius_km + spec.altitude_km

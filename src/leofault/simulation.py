@@ -87,7 +87,7 @@ class SimulationConfig:
         if not all(isinstance(p, str) for p in self.tle_files):
             raise ConfigError("tle_files must be an array of paths")
         _check_range("isl_threshold_km", self.isl_threshold_km, 0.0, error=ConfigError)
-        _check_range("earth_radius_km", self.earth_radius_km, 0.0, ends="(]", error=ConfigError)
+        _check_range("earth_radius_km", self.earth_radius_km, 0.0, ends="()", error=ConfigError)
         if self.precipitation_csv is not None and not isinstance(self.precipitation_csv, str):
             raise ConfigError(f"precipitation_csv must be a path string, got {self.precipitation_csv!r}")
         if self.precipitation_mm_h is not None:
@@ -207,12 +207,12 @@ def _isl_transition_trace(
     samples: Counter,
 ) -> Iterator[FaultEvent]:
     """ISL viability transitions at the given times in sort_key order, one
-    step at a time; counts (link, step) samples as "total" and "infeasible",
-    and the samples actually evaluated as "evaluated"."""
+    step at a time; sets "total" to the (link, step) sample count and
+    counts the "infeasible" ones and those actually "evaluated"."""
+    samples["total"] = len(times) * topo.n_edges
     if topo.n_edges == 0:
         return
     for t, edges, grazing, flipped, infeasible in topo._viability_scan(times, maneuvers, threshold_km):
-        samples["total"] += topo.n_edges
         samples["infeasible"] += infeasible
         samples["evaluated"] += len(edges)
         step = [

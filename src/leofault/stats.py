@@ -1,4 +1,4 @@
-"""Aggregations over simulations: grazing-altitude CDFs and latency summaries.
+"""Aggregations over simulations: grazing-altitude CDFs.
 
 The central product is the cumulative distribution of minimum ISL
 altitudes over a simulation window, either one sample per link (the
@@ -17,7 +17,6 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .constants import EARTH_RADIUS_KM, is_plain_number_text
-from .geometry import GroundStation, elevation_angle, ground_station_eci, propagation_delay
 from .orbital import Constellation, time_grid
 from .topology import GridTopology
 from .trace import canonical_number
@@ -102,32 +101,6 @@ def min_isl_altitude_cdf(
     else:
         samples = np.concatenate([grazing for _, grazing in topo.scan(times)])
     return CdfTable.from_samples(samples)
-
-
-def bent_pipe_rtt(
-    gs: GroundStation,
-    sat_pos,
-    uplink_gs: GroundStation,
-    t_s: float = 0.0,
-    earth_radius_km: float = EARTH_RADIUS_KM,
-) -> float:
-    """Round-trip time of a ground-satellite-ground relay path, seconds.
-
-    Both stations must see the satellite at or above their minimum
-    elevation at t_s; otherwise a ValueError names the blocked station.
-    """
-    sat_pos = np.asarray(sat_pos, dtype=float)
-    total_one_way = 0.0
-    for station in (gs, uplink_gs):
-        pos = ground_station_eci(station, t_s, earth_radius_km)
-        elevation = elevation_angle(pos, sat_pos)
-        if not elevation >= station.min_elevation_deg:
-            raise ValueError(
-                f"satellite not visible from station {station.id!r}: elevation "
-                f"{elevation:.2f} deg below minimum {station.min_elevation_deg} deg"
-            )
-        total_one_way += propagation_delay(float(np.linalg.norm(sat_pos - pos)))
-    return 2.0 * total_one_way
 
 
 def write_cdf_csv(cdf: CdfTable, path) -> None:

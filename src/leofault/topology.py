@@ -131,6 +131,7 @@ class GridTopology:
     """
 
     def __init__(self, constellation: Constellation, earth_radius_km: float = EARTH_RADIUS_KM):
+        _check_range("earth_radius_km", earth_radius_km, 0.0, ends="()")
         self.earth_radius_km = earth_radius_km
         self._fleet = FleetArrays.from_constellation(constellation)
         self.sat_ids: List[SatelliteId] = self._fleet.sat_ids
@@ -474,6 +475,7 @@ def visibility_windows(
     to 0.1 s. max_elevation_deg is the largest sampled elevation within
     the window.
     """
+    _check_range("earth_radius_km", earth_radius_km, 0.0, ends="()")
     times = time_grid(t0_s, t1_s, step_s)
     fleet = FleetArrays.from_constellation(constellation)
     r_km, n_sats = fleet.a_km, len(fleet.sat_ids)
@@ -545,6 +547,7 @@ def handover_schedule(
     """
     # time_grid checks step_s too, but only once there are windows to cover
     _check_range("step_s", step_s, 0.0, ends="()")
+    _check_range("earth_radius_km", earth_radius_km, 0.0, ends="()")
     starts = np.array([w.start_s for w in windows])
     ends = np.array([w.end_s for w in windows])
     if not (windows and ends.max() > starts.min()):  # also NaN: no window is ever open

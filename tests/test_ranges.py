@@ -2,33 +2,47 @@
 
 Fields are found through the dataclasses' type hints, so a float field
 added later is covered without editing this file. A lint over the
-package's source keeps __post_init__ checks in the NaN-proof form.
+package's source keeps __post_init__ checks in the NaN-proof form, and
+one over its signatures keeps every earth_radius_km parameter checked.
 """
 
 import ast
 import dataclasses
+import importlib
+import inspect
 import math
+import pkgutil
 import re
 from pathlib import Path
 from typing import Optional, get_type_hints
 
 import pytest
 
+import leofault
 from leofault import (
     CircularElements,
     ConfigError,
     DoseProfile,
     FaultModelConfig,
+    GridTopology,
     GroundStation,
+    SatelliteId,
     ShellSpec,
     SimulationConfig,
     TleRecord,
+    VisibilityWindow,
+    build_constellation,
     default_dose_profile,
     dose_rate,
+    grazing_altitude,
+    ground_station_eci,
+    handover_schedule,
+    min_isl_altitude_cdf,
     orbital_period,
     rain_multiplier,
     slant_range_km,
     tid_survival,
+    visibility_windows,
 )
 from leofault.constants import _check_range
 
@@ -99,12 +113,74 @@ def test_nan_argument_rejected_with_its_name(func, args, name):
         func(*args)
 
 
-@pytest.mark.parametrize("altitude_km", [-7000.0, -20000.0])
+@pytest.mark.parametrize("altitude_km", [-7000.0, -20000.0, -100.0])
 def test_slant_range_below_the_earth_rejected(altitude_km):
     # below the Earth's centre: -7000 km used to raise a bare math domain
-    # error, and -20000 km to return 9276.7 km
-    with pytest.raises(ValueError, match="^altitude_km must be > -6371, "):
-        slant_range_km(altitude_km, 30.0)
+    # error, and -20000 km to return 9276.7 km; below the surface, -100 km
+    # raised one at 0 and -10 deg and gave -205 km at 30 deg
+    for elevation_deg in (0.0, 30.0, -10.0):
+        with pytest.raises(ValueError, match="^altitude_km must be >= 0, "):
+            slant_range_km(altitude_km, elevation_deg)
+
+
+CONSTELLATION = build_constellation([SHELL])
+BERLIN = VALID[3]
+RADIUS_TAKERS = {
+    build_constellation: lambda r: build_constellation([SHELL], r),
+    GridTopology: lambda r: GridTopology(CONSTELLATION, r),
+    grazing_altitude: lambda r: grazing_altitude([7000.0, 0.0, 0.0], [0.0, 7000.0, 0.0], r),
+    ground_station_eci: lambda r: ground_station_eci(BERLIN, 0.0, r),
+    visibility_windows: lambda r: visibility_windows(BERLIN, CONSTELLATION, 0.0, 60.0, 10.0, r),
+    handover_schedule: lambda r: handover_schedule(
+        [VisibilityWindow("berlin", SatelliteId(0, 0, 0), 0.0, 10.0, 30.0)], BERLIN, CONSTELLATION, 1.0, r
+    ),
+    min_isl_altitude_cdf: lambda r: min_isl_altitude_cdf(CONSTELLATION, 0.0, 60.0, 10.0, earth_radius_km=r),
+    SimulationConfig: lambda r: SimulationConfig(shells=(SHELL,), earth_radius_km=r),
+}
+
+
+@pytest.mark.parametrize("radius", [NAN, 0.0, -1.0, math.inf])
+@pytest.mark.parametrize("func", RADIUS_TAKERS, ids=[f.__name__ for f in RADIUS_TAKERS])
+def test_bad_earth_radius_rejected(func, radius):
+    error = ConfigError if func is SimulationConfig else ValueError
+    with pytest.raises(error, match=f"^earth_radius_km must be in \\(0, inf\\), got {radius}$"):
+        RADIUS_TAKERS[func](radius)
+
+
+@pytest.mark.parametrize("radius", [NAN, 0.0, -1.0, math.inf])
+def test_earth_radius_checked_where_it_enters(radius):
+    # before the step is checked, and with no window to schedule
+    with pytest.raises(ValueError, match="^earth_radius_km must be "):
+        visibility_windows(BERLIN, CONSTELLATION, 0.0, 60.0, NAN, radius)
+    with pytest.raises(ValueError, match="^earth_radius_km must be "):
+        handover_schedule([], BERLIN, CONSTELLATION, 1.0, radius)
+
+
+def test_model_lookups_take_no_radius():
+    with pytest.raises(TypeError):
+        orbital_period(550.0, earth_radius_km=6371.0)
+    with pytest.raises(TypeError):
+        slant_range_km(550.0, 30.0, earth_radius_km=6371.0)
+
+
+def test_every_radius_parameter_is_checked():
+    # a public callable of any leofault module that takes earth_radius_km
+    # must be in RADIUS_TAKERS, so its check is tested above
+    takers = set()
+    for info in pkgutil.iter_modules(leofault.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"leofault.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or not callable(obj) or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            try:
+                parameters = inspect.signature(obj).parameters
+            except (TypeError, ValueError):  # exception classes have no signature to read
+                continue
+            if "earth_radius_km" in parameters:
+                takers.add(obj)
+    assert takers == set(RADIUS_TAKERS)
 
 
 @pytest.mark.parametrize("angle", ["inclination_deg", "raan_deg", "phase_deg"])

@@ -6,16 +6,13 @@ import pytest
 from leofault import (
     CdfTable,
     GridTopology,
-    GroundStation,
     ShellSpec,
-    bent_pipe_rtt,
     build_constellation,
-    ground_station_eci,
     min_isl_altitude_cdf,
     read_cdf_csv,
     write_cdf_csv,
 )
-from leofault.constants import EARTH_RADIUS_KM, SPEED_OF_LIGHT_KM_S
+from leofault.constants import EARTH_RADIUS_KM
 from leofault.topology import INTRA_PLANE
 
 R = EARTH_RADIUS_KM
@@ -118,68 +115,6 @@ class TestMinIslAltitudeCdf:
             min_isl_altitude_cdf(sparse_constellation, 10.0, 10.0, 1.0)
         with pytest.raises(ValueError):
             min_isl_altitude_cdf(sparse_constellation, 0.0, 10.0, -1.0)
-
-
-class TestBentPipeRtt:
-    def test_zenith(self):
-        gs = GroundStation("down", 0.0, 0.0)
-        uplink = GroundStation("up", 0.0, 0.0)
-        sat = ground_station_eci(gs, 0.0) * (R + 550.0) / R
-        rtt = bent_pipe_rtt(gs, sat, uplink)
-        assert rtt == pytest.approx(4.0 * 550.0 / SPEED_OF_LIGHT_KM_S, rel=1e-12)
-        assert rtt == pytest.approx(7.34e-3, abs=0.01e-3)
-
-    def test_25_degree_elevation(self):
-        # both stations placed symmetrically so the satellite sits at
-        # 25 degrees elevation for each
-        from leofault import elevation_angle
-
-        r = R + 550.0
-
-        def elevation_of(psi_deg):
-            sat = np.array([r * math.cos(math.radians(psi_deg)), r * math.sin(math.radians(psi_deg)), 0.0])
-            return elevation_angle(np.array([R, 0.0, 0.0]), sat)
-
-        lo, hi = 0.0, 30.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if elevation_of(mid) > 25.0:
-                lo = mid
-            else:
-                hi = mid
-        psi = 0.5 * (lo + hi)
-        sat = np.array([r * math.cos(math.radians(psi)), r * math.sin(math.radians(psi)), 0.0])
-        gs = GroundStation("down", 0.0, 0.0, min_elevation_deg=25.0)
-        uplink = GroundStation("up", 0.0, 2.0 * psi, min_elevation_deg=25.0)
-        rtt = bent_pipe_rtt(gs, sat, uplink)
-        assert rtt == pytest.approx(14.99e-3, abs=0.01e-3)
-
-    def test_lower_bound(self, rng):
-        gs = GroundStation("down", 0.0, 0.0, min_elevation_deg=0.0)
-        uplink = GroundStation("up", 5.0, 5.0, min_elevation_deg=0.0)
-        for _ in range(50):
-            altitude = float(rng.uniform(300.0, 1500.0))
-            direction = ground_station_eci(gs, 0.0) + ground_station_eci(uplink, 0.0)
-            direction /= np.linalg.norm(direction)
-            sat = direction * (R + altitude)
-            try:
-                rtt = bent_pipe_rtt(gs, sat, uplink)
-            except ValueError:
-                continue
-            assert rtt >= 4.0 * altitude / SPEED_OF_LIGHT_KM_S - 1e-12
-
-    def test_not_visible_raises(self):
-        gs = GroundStation("down", 0.0, 0.0)
-        uplink = GroundStation("up", 0.0, 180.0)
-        sat = ground_station_eci(gs, 0.0) * (R + 550.0) / R
-        with pytest.raises(ValueError, match="up"):
-            bent_pipe_rtt(gs, sat, uplink)
-
-    def test_nan_position_raises(self):
-        gs = GroundStation("down", 0.0, 0.0)
-        uplink = GroundStation("up", 0.0, 1.0)
-        with pytest.raises(ValueError, match="station 'down'"):
-            bent_pipe_rtt(gs, [math.nan, math.nan, math.nan], uplink)
 
 
 class TestCdfCsv:
