@@ -138,15 +138,15 @@ def elevation_angle(gs_pos, sat_pos):
 def slant_range_km(altitude_km: float, elevation_deg: float) -> float:
     """Station-to-satellite distance for a given elevation angle.
 
-    Law-of-cosines solution on the mean sphere:
-    R * (sqrt(((R+h)/R)^2 - cos^2 e) - sin e). A point below the surface
-    is above no station's horizon, so altitude_km must be >= 0.
+    Law-of-cosines solution on the mean sphere, clamped at 0 against
+    rounding: R * (sqrt(((R+h)/R)^2 - cos^2 e) - sin e). A point below the
+    surface is above no station's horizon, so altitude_km must be >= 0.
     """
     _check_range("altitude_km", altitude_km, 0.0)
     _check_range("elevation_deg", elevation_deg, -90.0, 90.0)
     e = math.radians(elevation_deg)
     ratio = (EARTH_RADIUS_KM + altitude_km) / EARTH_RADIUS_KM
-    return EARTH_RADIUS_KM * (math.sqrt(ratio**2 - math.cos(e) ** 2) - math.sin(e))
+    return max(EARTH_RADIUS_KM * (math.sqrt(ratio**2 - math.cos(e) ** 2) - math.sin(e)), 0.0)
 
 
 def propagation_delay(distance_km: float) -> float:

@@ -7,8 +7,10 @@ event whose numbers are already canonical round-trips exactly.
 
 Targets order by their fields (KIND_TARGET_TYPE fixes a kind's target
 type), so events order by (t, kind, target, params). Building a target or
-an event checks its values, so the writer cannot emit what the reader
-rejects; the reader only maps JSON shape onto these types.
+an event checks every value, so the writer cannot emit what the reader
+rejects. The writer re-checks only params, the one mutable field, and
+renders each line from per-type templates; the reader only maps JSON
+shape onto these types.
 """
 
 from __future__ import annotations
@@ -117,22 +119,31 @@ def canonical_number(x: float) -> float:
     return float(f"{float(x):.9g}")
 
 
+def _finite(value) -> bool:  # an int or float, not a bool, that converts to a finite float
+    try:
+        return type(value) is not bool and isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _check_params(kind: str, params: Mapping[str, float]) -> None:
+    if params.keys() != KIND_PARAM_KEYS[kind]:
+        raise ValueError(f"{kind} params must be exactly {sorted(KIND_PARAM_KEYS[kind])}, got {sorted(params)}")
+    for key, value in params.items():
+        if not (type(value) is float and math.isfinite(value) or _finite(value)):  # floats skip the call
+            raise ValueError(f"{kind} param {key} must be a finite number, got {value!r}")
+
+
 def _check_event(t_s: float, kind: str, target: Target, params: Mapping[str, float]) -> None:
-    if not 0.0 <= t_s < math.inf:
-        raise ValueError(f"t_s must be finite and >= 0, got {t_s}")
+    if not (type(t_s) is float and 0.0 <= t_s < math.inf or _finite(t_s) and t_s >= 0.0):
+        raise ValueError(f"t_s must be a finite number >= 0, got {t_s!r}")
     try:
         expected_type = KIND_TARGET_TYPE[kind]
     except (KeyError, TypeError):  # TypeError: an unhashable kind, such as a JSON array
         raise ValueError(f"unknown event kind {kind!r}") from None
     if not isinstance(target, expected_type):
-        raise ValueError(
-            f"{kind} events target a {expected_type.__name__}, got {type(target).__name__}"
-        )
-    if params.keys() != KIND_PARAM_KEYS[kind]:
-        raise ValueError(f"{kind} params must be exactly {sorted(KIND_PARAM_KEYS[kind])}, got {sorted(params)}")
-    for key, value in params.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{kind} param {key} must be finite, got {value}")
+        raise ValueError(f"{kind} events target a {expected_type.__name__}, got {type(target).__name__}")
+    _check_params(kind, params)
 
 
 @dataclass(frozen=True)
@@ -179,16 +190,6 @@ def merge_traces(traces: Sequence[Iterable[FaultEvent]]) -> Iterator[FaultEvent]
     return map(itemgetter(1), heapq.merge(*keyed, key=itemgetter(0)))
 
 
-def _target_to_obj(target: Target) -> dict:
-    if isinstance(target, DeviceTarget):
-        return {"type": "device", "sat": list(target.sat), "device": target.device}
-    if isinstance(target, SatelliteTarget):
-        return {"type": "satellite", "sat": list(target.sat)}
-    if isinstance(target, IslTarget):
-        return {"type": "isl", "a": list(target.a), "b": list(target.b)}
-    return {"type": "ground_link", "gs": target.gs_id}
-
-
 # wire tag -> target type and the keys of its fields, in field order
 _TARGET_WIRE = {
     "device": (DeviceTarget, ("sat", "device")),
@@ -221,17 +222,26 @@ def _target_from_obj(obj, offset: int) -> Target:
     return target_type(*args)
 
 
+def _target_json(target: Target) -> str:
+    if isinstance(target, DeviceTarget):
+        return '{"type":"device","sat":[%d,%d,%d],"device":%d}' % (*target.sat, target.device)
+    if isinstance(target, SatelliteTarget):
+        return '{"type":"satellite","sat":[%d,%d,%d]}' % target.sat
+    if isinstance(target, IslTarget):
+        return '{"type":"isl","a":[%d,%d,%d],"b":[%d,%d,%d]}' % (*target.a, *target.b)
+    return f'{{"type":"ground_link","gs":{json.dumps(target.gs_id)}}}'
+
+
 def serialize_event(event: FaultEvent) -> str:
     """One-line JSON rendering of an event (canonical numbers, sorted keys).
 
-    The rendered numbers are checked again, because params is a mutable
-    dict that may have changed since the event was constructed.
+    Only params, a mutable dict, is checked again: rounding keeps a checked
+    time finite and >= 0, and repr writes a float exactly as json does.
     """
-    t_s = canonical_number(event.t_s)
-    params = {k: canonical_number(event.params[k]) for k in sorted(event.params)}
-    _check_event(t_s, event.kind, event.target, params)
-    obj = {"t": t_s, "kind": event.kind, "target": _target_to_obj(event.target), "params": params}
-    return json.dumps(obj, separators=(",", ":"))
+    _check_params(event.kind, event.params)
+    t, target = canonical_number(event.t_s), _target_json(event.target)
+    fields = ",".join(f'"{key}":{canonical_number(value)!r}' for key, value in sorted(event.params.items()))
+    return f'{{"t":{t!r},"kind":"{event.kind}","target":{target},"params":{{{fields}}}}}'
 
 
 def _decode(line: str, what: str, offset: int):

@@ -288,6 +288,11 @@ class TestElevation:
     def test_slant_range_at_zenith_is_altitude(self):
         assert slant_range_km(550.0, 90.0) == pytest.approx(550.0, abs=1e-9)
 
+    def test_slant_range_on_the_surface_is_never_negative(self):
+        # sqrt(1 - cos^2 e) - sin e cancels to about -3.5e-13 km before the clamp
+        assert slant_range_km(0.0, 30.0) == 0.0
+        assert all(slant_range_km(0.0, float(e)) >= 0.0 for e in np.linspace(-90.0, 90.0, 361))
+
 
 class TestPropagationDelay:
     def test_zero(self):

@@ -7,7 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import leofault.trace as trace_module
 from leofault import (
     DeviceTarget,
     FaultEvent,
@@ -26,6 +29,10 @@ from leofault.trace import KIND_PARAM_KEYS, KIND_TARGET_TYPE, canonical_number
 
 SAT_A = SatelliteId(0, 1, 2)
 SAT_B = SatelliteId(0, 1, 3)
+# not an int or float that a float can hold: a time of True used to be written
+# as "t":1.0, 10**400 overflowed only in the writer, and "3" and None escaped
+# as a bare TypeError from math.isfinite
+NOT_FLOAT_SIZED = [True, pytest.param(10**400, id="huge-int"), "3", None]
 
 
 def make_event(kind: str, t: float, rng=None) -> FaultEvent:
@@ -119,15 +126,22 @@ class TestEventValidation:
         with pytest.raises(ValueError):
             FaultEvent(-1.0, "maneuver_end", SatelliteTarget(SAT_A), {"dh_km": 1.0})
 
-    @pytest.mark.parametrize("t", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), *NOT_FLOAT_SIZED])
     def test_non_finite_time(self, t):
         with pytest.raises(ValueError, match="t_s"):
             FaultEvent(t, "maneuver_end", SatelliteTarget(SAT_A), {"dh_km": 1.0})
 
-    @pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf"), *NOT_FLOAT_SIZED])
     def test_non_finite_param(self, value):
         with pytest.raises(ValueError, match="dh_km"):
             FaultEvent(1.0, "maneuver_end", SatelliteTarget(SAT_A), {"dh_km": value})
+
+    def test_numpy_floats_and_float_sized_ints_accepted(self):
+        event = FaultEvent(np.float64(2.5), "maneuver_end", SatelliteTarget(SAT_A), {"dh_km": np.float64(-1.0)})
+        assert serialize_event(event).startswith('{"t":2.5,"kind":"maneuver_end",')
+        assert serialize_event(event).endswith('"params":{"dh_km":-1.0}}')
+        event = FaultEvent(10**300, "maneuver_end", SatelliteTarget(SAT_A), {"dh_km": 3})
+        assert parse_event(serialize_event(event)) == FaultEvent(1e300, "maneuver_end", SatelliteTarget(SAT_A), {"dh_km": 3.0})
 
     def test_isl_target_normalized(self):
         t = IslTarget(SAT_B, SAT_A)
@@ -238,7 +252,85 @@ class TestMergeTraces:
         assert path.read_bytes() == reference_bytes(expected)
 
 
+def reference_line(event: FaultEvent) -> str:
+    """The line as json.dumps renders it, with the target built as a dict."""
+    target = event.target
+    if isinstance(target, DeviceTarget):
+        obj = {"type": "device", "sat": list(target.sat), "device": target.device}
+    elif isinstance(target, SatelliteTarget):
+        obj = {"type": "satellite", "sat": list(target.sat)}
+    elif isinstance(target, IslTarget):
+        obj = {"type": "isl", "a": list(target.a), "b": list(target.b)}
+    else:
+        obj = {"type": "ground_link", "gs": target.gs_id}
+    params = {key: canonical_number(event.params[key]) for key in sorted(event.params)}
+    line = {"t": canonical_number(event.t_s), "kind": event.kind, "target": obj, "params": params}
+    return json.dumps(line, separators=(",", ":"))
+
+
+EDGE_FLOATS = [5e-324, 1e-7, 1e16, 1.7976931348623157e308]
+sat_fields = st.one_of(st.integers(0, 100), st.integers(0, 2**80), st.sampled_from([2**63, 2**64 + 1]))
+sat_ids = st.builds(SatelliteId, sat_fields, sat_fields, sat_fields)
+station_ids = st.one_of(st.text(max_size=12), st.sampled_from(["Zürich-北京", '"', "\\", "\x00\x1f\x7f", "\u2028\u2029"]))
+param_values = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([*EDGE_FLOATS, -0.0]))
+times = st.one_of(st.floats(min_value=0.0, allow_infinity=False), st.sampled_from(EDGE_FLOATS))
+
+
+@st.composite
+def any_events(draw) -> FaultEvent:
+    kind = draw(st.sampled_from(sorted(KIND_PARAM_KEYS)))
+    target_type = KIND_TARGET_TYPE[kind]
+    if target_type is DeviceTarget:
+        target = DeviceTarget(draw(sat_ids), draw(sat_fields))
+    elif target_type is SatelliteTarget:
+        target = SatelliteTarget(draw(sat_ids))
+    elif target_type is IslTarget:
+        a = draw(sat_ids)
+        target = IslTarget(a, draw(sat_ids.filter(lambda b: b != a)))
+    else:
+        target = GroundLinkTarget(draw(station_ids))
+    keys = draw(st.permutations(sorted(KIND_PARAM_KEYS[kind])))  # any insertion order
+    return FaultEvent(draw(times), kind, target, {key: draw(param_values) for key in keys})
+
+
 class TestSerialization:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+    @given(any_events())
+    @example(
+        FaultEvent(0.0, "handover_spike", GroundLinkTarget('Zürich "北京" \\ \x00\x1f \u2028'),
+                   {"loss_rate": 1e-7, "duration_s": 1e16})
+    )
+    @example(
+        FaultEvent(5e-324, "maneuver_start", SatelliteTarget(SAT_A), {"dwell_s": 1.7976931348623157e308, "dh_km": -0.0})
+    )
+    @example(
+        FaultEvent(1.7976931348623157e308, "isl_up", IslTarget((2**64, 0, 1), (2**63, 5, 2**70)), {"grazing_km": 5e-324})
+    )
+    @example(FaultEvent(1e16, "device_reboot", DeviceTarget((2**63 + 1, 2**64, 0), 2**65), {"downtime_s": -5e-324}))
+    def test_matches_json_dumps_reference(self, event):
+        line = serialize_event(event)
+        assert line == reference_line(event)
+        assert line.isascii()
+
+    def test_one_check_per_event(self, tmp_path, monkeypatch):
+        # speed is pinned by structure: the writer never repeats the build-time check
+        calls = []
+        check = trace_module._check_event
+        monkeypatch.setattr(trace_module, "_check_event", lambda *args: calls.append(args) or check(*args))
+        events = [make_event(kind, float(t)) for t, kind in enumerate(sorted(KIND_PARAM_KEYS) * 3)]
+        assert len(calls) == len(events)
+        calls.clear()
+        write_trace(tmp_path / "trace.jsonl", events)
+        assert calls == []
+        assert [e.kind for e in read_trace(tmp_path / "trace.jsonl")] == [e.kind for e in events]
+
+    @pytest.mark.parametrize("value", NOT_FLOAT_SIZED)
+    def test_serialize_rejects_param_mutated_to_a_non_number(self, value):
+        event = make_event("maneuver_end", 1.0)
+        event.params["dh_km"] = value
+        with pytest.raises(ValueError, match="dh_km"):
+            serialize_event(event)
+
     @pytest.mark.parametrize(
         "mutate",
         [
