@@ -208,11 +208,11 @@ def _isl_transition_trace(
 ) -> Iterator[FaultEvent]:
     """ISL viability transitions at the given times in sort_key order, one
     step at a time; sets "total" to the (link, step) sample count and
-    counts the "infeasible" ones and those actually "evaluated"."""
+    counts the "infeasible" ones, those actually "evaluated" and the scan's "blocks"."""
     samples["total"] = len(times) * topo.n_edges
     if topo.n_edges == 0:
         return
-    for t, edges, grazing, flipped, infeasible in topo._viability_scan(times, maneuvers, threshold_km):
+    for t, edges, grazing, flipped, infeasible in topo._viability_scan(times, maneuvers, threshold_km, samples):
         samples["infeasible"] += infeasible
         samples["evaluated"] += len(edges)
         step = [
@@ -287,6 +287,7 @@ def run_simulation(config: SimulationConfig, trace_path) -> dict:
         "infeasible_link_sample_fraction": samples["infeasible"] / max(samples["total"], 1),
         "isl_link_samples": samples["total"],
         "isl_edge_evaluations": samples["evaluated"],
+        "isl_scan_blocks": samples["blocks"],
     }
 
 
@@ -310,6 +311,7 @@ def format_summary(summary: dict) -> str:
     lines.append(
         f"isl edge evaluations: {summary['isl_edge_evaluations']} of {summary['isl_link_samples']}"
     )
+    lines.append(f"isl scan blocks: {summary['isl_scan_blocks']}")
     lines.append("config (defaults materialized):")
     lines.append(json.dumps(summary["config"], indent=2, sort_keys=True))
     return "\n".join(lines)

@@ -11,8 +11,8 @@ grid one engine evaluates it: a step driver moves the maneuver offsets to
 each time, and an edge kernel computes the grazing altitude of a set of
 edges, propagating only their endpoints' rows as x, y, z planes (no (N, 3)
 array is stacked; the endpoints are six 1-D gathers). scan, which the ISL
-altitude CDF reads, passes every edge at every step. Steps are not batched
-into (steps x edges) arrays: that raises peak memory without saving time.
+altitude CDF reads, passes every edge at every step. Batching all steps
+into (steps x edges) arrays was measured to raise peak memory, not save time.
 
 simulate needs only viability, so its scan passes only the edges that are
 due. Grazing altitude does not change when both endpoints rotate together,
@@ -26,8 +26,14 @@ grazing g is next due at t + (|g - threshold| - slack) / (L / 2); until
 then its viability cannot change, and it keeps the cached one. Same-plane
 edges have L = 0 and are never due again unless a maneuver changes an
 endpoint, which makes all that satellite's edges due and gives them a new
-L. Both scans share the kernel, so every evaluated value equals scan's;
-scan builds its endpoint rows once, the skip scan at each step.
+L. The skip scan runs in blocks of at most _BLOCK_STEPS steps, split where
+a maneuver changes an offset, so radii, mean motions and bounds hold within
+a block. It evaluates (edge, step) pairs in two calls per block: each edge
+due in it at its first due step, then each edge due again at every step of
+it from then on. A skipped sample is certified to keep the cached viability,
+so any superset of the due samples gives the same flips, grazing bits and
+infeasible counts; blocks spend a few such samples to save calls. Both scans
+share the kernel, so every evaluated value equals scan's.
 
 The driver keeps the maneuver offsets as one dense per-satellite array,
 touched only when a maneuver starts or ends (found by a pointer into the
@@ -62,6 +68,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -141,31 +148,27 @@ class GridTopology:
         for sat in self.sat_ids:
             shells.setdefault(sat.shell, []).append(sat)
 
-        edge_pairs: List[Tuple[int, int]] = []
-        edge_ids: List[Tuple[SatelliteId, SatelliteId]] = []
+        ends = [np.empty((2, 0), dtype=int)]
         kinds: List[str] = []
         for shell, members in sorted(shells.items()):
             planes = 1 + max(s.plane for s in members)
             per_plane = 1 + max(s.index for s in members)
             if planes < 3 or per_plane < 3:
                 continue
-            if len(members) != planes * per_plane:
+            if len(members) != planes * per_plane or min(min(s.plane, s.index) for s in members) < 0:
                 raise ValueError(
                     f"shell {shell} is not a complete {planes}x{per_plane} grid"
                 )
-            for (pa, sa), (pb, sb), kind in grid_edges(planes, per_plane):
-                a = SatelliteId(shell, pa, sa)
-                b = SatelliteId(shell, pb, sb)
-                if b < a:
-                    a, b = b, a
-                edge_pairs.append((self._index_of[a], self._index_of[b]))
-                edge_ids.append((a, b))
-                kinds.append(kind)
+            # ids sort, so rows are base + plane * per_plane + index; edges come in grid_edges' order
+            grid = self._index_of[members[0]] + np.arange(len(members)).reshape(planes, per_plane)
+            a = np.repeat(grid.ravel(), 2)
+            b = np.stack([np.roll(grid, -1, axis=1), np.roll(grid, -1, axis=0)], axis=-1).ravel()
+            ends.append(np.array([np.minimum(a, b), np.maximum(a, b)]))
+            kinds += [INTRA_PLANE, CROSS_PLANE] * grid.size
 
-        self.edge_ids = edge_ids
+        self._edge_a, self._edge_b = edges = np.concatenate(ends, axis=1)
+        self.edge_ids = [(self.sat_ids[a], self.sat_ids[b]) for a, b in zip(*edges.tolist())]
         self.edge_kinds = kinds
-        self._edge_a = np.array([p[0] for p in edge_pairs], dtype=int)
-        self._edge_b = np.array([p[1] for p in edge_pairs], dtype=int)
 
     @property
     def n_edges(self) -> int:
@@ -204,45 +207,42 @@ class GridTopology:
         maneuvers must be sorted by start_s; ValueError names the first
         entry out of order. Every step yields a fresh array.
         """
-        every = self._endpoints(_blocks(np.arange(self.n_edges)))
-        steps = self._steps(_checked_times(times, maneuvers), maneuvers)
-        return ((t, self._edge_grazing(every, t, r, n)[: self.n_edges]) for t, r, n, _ in steps)
+        rows = np.flatnonzero(np.bincount(np.concatenate([self._edge_a, self._edge_b])))  # every endpoint, once
+        every = (rows, np.searchsorted(rows, self._edge_a), np.searchsorted(rows, self._edge_b))
+        times = _checked_times(times, maneuvers)
+        steps = zip(times.tolist(), self._steps(times, maneuvers))
+        return ((t, self._edge_grazing(every, t, r, n)) for t, (_, _, r, n, _) in steps)
 
     def _steps(
-        self, times: np.ndarray, maneuvers: Sequence[ManeuverEvent]
-    ) -> Iterator[Tuple[float, np.ndarray, np.ndarray, List[int]]]:
-        """(t, r_km, n_rad_s, changed) at each checked time: every row's orbit radius and
-        mean motion under the maneuvers active at t, new only when some rows' offsets changed."""
+        self, times: np.ndarray, maneuvers: Sequence[ManeuverEvent], most: int = 1
+    ) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray, List[int]]]:
+        """(s, e, r_km, n_rad_s, changed) for blocks times[s:e] of at most `most` checked times,
+        a new one starting wherever some rows' offsets change: every row's orbit radius and mean
+        motion under the maneuvers active throughout the block, and the rows changed at times[s]."""
         fleet = self._fleet
         offsets = _ManeuverOffsets(maneuvers, self._index_of, len(self.sat_ids))
         r_km, n_rad_s = fleet.a_km, _mean_motion(fleet.a_km)
-        for t in times.tolist():
+        for k, t in enumerate(times.tolist()):
             changed = offsets.advance(t)
+            if not k or changed or k - s == most:
+                if k:
+                    yield s, k, r_km, n_rad_s, head
+                s, head = k, changed
             if changed:
                 r_km = fleet.a_km + offsets.km
                 n_rad_s = _mean_motion(r_km)
-            yield t, r_km, n_rad_s, changed
-
-    def _endpoints(self, edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, a, b) of edges padded by _blocks: the fleet rows of their
-        endpoints, padded too, and each edge's endpoints as indices into rows."""
-        a, b = self._edge_a.take(edges), self._edge_b.take(edges)
-        used = np.zeros(len(self.sat_ids), dtype=bool)
-        used[a] = used[b] = True
-        rows = _blocks(np.flatnonzero(used))
-        slot = np.empty(len(self.sat_ids), dtype=int)  # fleet row -> index among rows
-        slot[rows] = np.arange(rows.size)
-        return rows, slot.take(a), slot.take(b)
+        if times.size:
+            yield s, times.size, r_km, n_rad_s, head
 
     def _edge_grazing(
         self,
         endpoints: Tuple[np.ndarray, np.ndarray, np.ndarray],
-        t: float,
+        t: np.ndarray | float,
         r_km: np.ndarray,
         n_rad_s: np.ndarray,
     ) -> np.ndarray:
-        """Grazing km at t of the edges whose _endpoints are given, one per entry;
-        only the endpoints' rows are propagated, with their r_km and n_rad_s."""
+        """Grazing km at t of the edges whose endpoints (rows, a, b) are given: the fleet rows
+        to propagate, at one time or one per row, and each edge's endpoints as indices into rows."""
         rows, a, b = endpoints
         x, y, z = self._fleet._planes(t, rows, r_km=r_km.take(rows), n_rad_s=n_rad_s.take(rows))
         return _grazing_planes(
@@ -251,7 +251,8 @@ class GridTopology:
         )
 
     def _viability_scan(
-        self, times: Sequence[float], maneuvers: Sequence[ManeuverEvent], threshold_km: float
+        self, times: Sequence[float], maneuvers: Sequence[ManeuverEvent], threshold_km: float,
+        samples: Optional[Counter] = None,
     ) -> Iterator[Tuple[float, np.ndarray, np.ndarray, np.ndarray, int]]:
         """Viability at each time, evaluating only the edges that are due.
 
@@ -260,32 +261,66 @@ class GridTopology:
         of them changed viability since the previous time (none at the
         first), and how many edges are not viable at t. Viability, and
         the grazing of every evaluated edge, equal scan's values; times
-        and maneuvers are checked as scan checks them.
+        and maneuvers are checked as scan checks them. Adds the number of
+        blocks of steps to samples["blocks"].
         """
-        times = _checked_times(times, maneuvers)
+        times, samples = _checked_times(times, maneuvers), Counter() if samples is None else samples
         edge_a, edge_b = self._edge_a, self._edge_b
         cos_i, sin_i, cos_o, sin_o = self._fleet._trig
         normal = (sin_i * sin_o, -sin_i * cos_o, cos_i)
         due_at = np.full(self.n_edges, -np.inf)
-        viable = np.zeros(self.n_edges, dtype=bool)
-        for k, (t, r_km, n_rad_s, changed) in enumerate(self._steps(times, maneuvers)):
-            if not k:
+        viable = np.zeros(self.n_edges, dtype=bool)  # all down before step 0
+        infeasible = self.n_edges
+        for s, e, r_km, n_rad_s, changed in self._steps(times, maneuvers, _BLOCK_STEPS):
+            if not s:
                 rate = _link_rate(edge_a, edge_b, r_km, n_rad_s, normal)
             elif changed:
                 hit = np.flatnonzero(np.isin(edge_a, changed) | np.isin(edge_b, changed))
                 rate[hit] = _link_rate(edge_a[hit], edge_b[hit], r_km, n_rad_s, normal)
                 due_at[hit] = -np.inf
-            edges = np.flatnonzero(due_at <= t)
-            n, edges = edges.size, _blocks(edges)
-            grazing = self._edge_grazing(self._endpoints(edges), t, r_km, n_rad_s)
-            now = is_isl_viable(grazing, threshold_km)
-            flipped = now != viable[edges] if k else np.zeros(edges.size, dtype=bool)
-            viable[edges] = now
-            margin = np.abs(grazing - threshold_km) - _SLACK_KM
-            with np.errstate(divide="ignore", invalid="ignore"):
-                due_at[edges] = np.where(margin > 0.0, t + margin / rate.take(edges), t)
-            infeasible = self.n_edges - int(np.count_nonzero(viable))
-            yield t, edges[:n], grazing[:n], flipped[:n], infeasible
+            t, last, rounds = times[s:e], e - s - 1, []
+            # round 1: every edge due in the block, once, at its first due step
+            edges = np.flatnonzero(due_at <= t[-1])
+            first, count = np.searchsorted(t, due_at.take(edges)), np.ones(edges.size, dtype=int)
+            for _ in range(2):
+                # (step, edge) pairs, edge by edge
+                k, start = int(count.sum()), np.cumsum(count) - count
+                end = start + count - 1
+                at = _blocks(np.repeat(first - start, count) + np.arange(k))
+                edge = _blocks(np.repeat(edges, count))
+                # each endpoint sample propagated once, keyed row * (last + 1) + step
+                ka, kb = (side.take(edge) * (last + 1) + at for side in (edge_a, edge_b))
+                used = np.zeros(len(self.sat_ids) * (last + 1), dtype=bool)
+                used[ka] = used[kb] = True
+                keys = np.flatnonzero(used)
+                row, step = np.divmod(_blocks(keys), last + 1)
+                pair = (row, np.searchsorted(keys, ka), np.searchsorted(keys, kb))
+                grazing = self._edge_grazing(pair, t.take(step), r_km, n_rad_s)
+                now = is_isl_viable(grazing, threshold_km)
+                before = now.take(np.arange(-1, k - 1))  # the previous pair's viability,
+                before[start] = viable.take(edges)  # or the cached one at each edge's first
+                rounds.append((at[:k], edge[:k], grazing[:k], now[:k], now[:k] != before))
+                # each edge's last sample sets its viability and next due time
+                viable[edges] = now.take(end)
+                margin = np.abs(grazing.take(end) - threshold_km) - _SLACK_KM
+                t_end = t.take(at.take(end))
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    due_at[edges] = np.where(margin > 0.0, t_end + margin / rate.take(edges), t_end)
+                # round 2: each edge due again in the block, at every step of it from then on
+                first = np.maximum(at.take(end) + 1, np.searchsorted(t, due_at.take(edges)))
+                edges, first = edges[first <= last], first[first <= last]
+                count = last + 1 - first
+            at, edge, grazing, now, flipped = (np.concatenate(c) for c in zip(*rounds))
+            # infeasible counts run on through the block's down flips less its up flips
+            drift = np.cumsum(np.bincount(at, flipped * (1 - 2 * now), last + 1)).astype(int)
+            infeasible_at, infeasible = (infeasible + drift).tolist(), infeasible + int(drift[-1])
+            order = np.lexsort((edge, at))
+            at, edge, grazing, flipped = (c.take(order) for c in (at, edge, grazing, flipped))
+            flipped &= at + s > 0  # step 0 has no previous time to flip from
+            samples["blocks"] += 1
+            bounds = np.searchsorted(at, np.arange(last + 2)).tolist()
+            for t_i, lo, hi, n_i in zip(t.tolist(), bounds, bounds[1:], infeasible_at):
+                yield t_i, edge[lo:hi], grazing[lo:hi], flipped[lo:hi], n_i
 
     def snapshot(self, t_s: float, threshold_km: float = DEFAULT_ISL_THRESHOLD_KM) -> List[IslLink]:
         """All +GRID links evaluated at one instant."""
@@ -310,6 +345,9 @@ class GridTopology:
 # rounding of computed grazing altitudes, which is below 1e-8 km
 _SLACK_KM = 1e-3
 
+# most steps per block of _viability_scan: longer ones make fewer calls but evaluate more samples
+_BLOCK_STEPS = 16
+
 
 def _link_rate(
     a: np.ndarray,
@@ -329,14 +367,14 @@ def _link_rate(
 
 
 def _blocks(index: np.ndarray) -> np.ndarray:
-    """index repeated cyclically up to a whole number of 128-entry blocks.
+    """index padded with copies of its first entry up to a whole number of 128-entry blocks.
 
     numpy keeps up to seven freed buffers of every size below 1 KiB, so
-    per-step arrays of every length would pin megabytes over a long scan;
+    per-round arrays of every length would pin megabytes over a long scan;
     in blocks they come in few sizes. Repeated entries give repeated,
     equal results.
     """
-    return np.resize(index, index.size + -index.size % 128)
+    return np.concatenate([index, index[:1].repeat(-index.size % 128)])
 
 
 def _checked_times(times: Sequence[float], maneuvers: Sequence[ManeuverEvent]) -> np.ndarray:

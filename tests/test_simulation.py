@@ -12,6 +12,7 @@ from leofault import (
     ConfigError,
     FaultEvent,
     IslTarget,
+    ManeuverEvent,
     SatelliteId,
     ShellSpec,
     TleRecord,
@@ -577,3 +578,82 @@ class TestSkipScan:
         shell = {"altitude_km": 550.0, "inclination_deg": 53.0, "planes": 2, "sats_per_plane": 5}
         summary = run_simulation(config_from_dict(minimal_config(shells=[shell])), tmp_path / "t.jsonl")
         assert (summary["isl_edge_evaluations"], summary["isl_link_samples"]) == (0, 0)
+
+    def test_no_links_no_blocks(self, tmp_path):
+        shell = {"altitude_km": 550.0, "inclination_deg": 53.0, "planes": 2, "sats_per_plane": 5}
+        summary = run_simulation(config_from_dict(minimal_config(shells=[shell])), tmp_path / "t.jsonl")
+        assert summary["isl_scan_blocks"] == 0
+        assert "isl scan blocks: 0" in format_summary(summary).splitlines()
+
+    def test_summary_reports_blocks(self, tmp_path):
+        config = minimal_config(duration_s=3600.0, step_s=10.0, faults={"maneuver_rate_per_sat_year": 0.0})
+        summary = run_simulation(config_from_dict(config), tmp_path / "t.jsonl")
+        # 361 steps and no maneuver to start a block early
+        assert summary["isl_scan_blocks"] == -(-361 // topology._BLOCK_STEPS)
+        head = format_summary(summary).split("config (defaults materialized)")[0].splitlines()
+        assert f"isl scan blocks: {summary['isl_scan_blocks']}" in head
+
+
+SAT = SKIP_TOPOLOGY.sat_ids[0]
+# an intra-plane edge of SAT: its grazing altitude is constant until a maneuver moves SAT
+SAT_EDGE = next(
+    i
+    for i, (ids, kind) in enumerate(zip(SKIP_TOPOLOGY.edge_ids, SKIP_TOPOLOGY.edge_kinds))
+    if kind == INTRA_PLANE and SAT in ids
+)
+
+
+@pytest.fixture(params=[1, 2, 16])
+def block_steps(request, monkeypatch):
+    monkeypatch.setattr(topology, "_BLOCK_STEPS", request.param)
+    return request.param
+
+
+class TestScanBlocks:
+    """The blocked skip scan against the full scan where its blocks begin and end."""
+
+    @pytest.mark.parametrize("inside", [0, 1])
+    @pytest.mark.parametrize("edge", ["start", "end"])
+    def test_maneuver_on_block_edge(self, block_steps, edge, inside):
+        # blocks of 1, 2 or 16 steps begin at step 32, and step 33 is inside one
+        # unless the maneuver begins a block there
+        k = 32 + inside
+        t_k = float(SKIP_TIMES[k])
+        if edge == "start":
+            maneuvers = [ManeuverEvent(SAT, t_k, 9.5, 1e6)]
+        else:
+            maneuvers = [ManeuverEvent(SAT, -60.0, 9.5, t_k + 60.0)]
+        grazing = np.array([g[SAT_EDGE] for _, g in SKIP_TOPOLOGY.scan(SKIP_TIMES, maneuvers)])
+        assert grazing[k - 1] != grazing[k]
+        threshold_km = float(grazing[k - 1] + grazing[k]) / 2.0
+        # SAT_EDGE flips at step k
+        expected = reference_isl_transition_trace(SKIP_TOPOLOGY, SKIP_TIMES, maneuvers, threshold_km, Counter())
+        target = IslTarget(*SKIP_TOPOLOGY.edge_ids[SAT_EDGE])
+        assert any(e.t_s == t_k and e.target == target for e in expected)
+        assert_skip_scan_matches_reference(SKIP_TOPOLOGY, SKIP_TIMES, maneuvers, threshold_km)
+
+    def test_repeated_times(self, block_steps):
+        # runs of equal times cross block edges, and a maneuver starts on one
+        times = np.repeat(SKIP_TIMES[:60], [1, 2, 3] * 20)
+        maneuvers = [ManeuverEvent(SAT, float(SKIP_TIMES[11]), -6.0, 900.0)]
+        # at SAT_EDGE's own grazing altitude it is due at every step until SAT moves
+        _, grazing = next(SKIP_TOPOLOGY.scan(times))
+        for threshold_km in (0.0, 80.0, 1000.0, float(grazing[SAT_EDGE])):
+            assert_skip_scan_matches_reference(SKIP_TOPOLOGY, times, maneuvers, threshold_km)
+            # each edge evaluated once per step, in ascending order
+            for _, edges, *_ in SKIP_TOPOLOGY._viability_scan(times, maneuvers, threshold_km):
+                assert np.all(np.diff(edges) > 0)
+
+    def test_one_step_grid(self, block_steps):
+        for maneuvers in ([], [ManeuverEvent(SAT, -60.0, 9.5, 600.0)]):
+            for threshold_km in (0.0, 80.0, 1000.0):
+                assert_skip_scan_matches_reference(SKIP_TOPOLOGY, SKIP_TIMES[:1], maneuvers, threshold_km)
+
+    def test_edge_due_again_at_last_step(self, block_steps):
+        # steps 1 to 14 are a second apart and step 15 an hour on, so edges
+        # evaluated at step 0 that come due within the hour are due again
+        # only at step 15, the last of the first block of 16
+        times = np.append(np.arange(15.0), 3600.0 + np.arange(0.0, 1800.0, 60.0))
+        evaluated = [set(edges.tolist()) for _, edges, *_ in SKIP_TOPOLOGY._viability_scan(times, (), 80.0)]
+        assert evaluated[15] & (evaluated[0] - set().union(*evaluated[1:15]))
+        assert_skip_scan_matches_reference(SKIP_TOPOLOGY, times, (), 80.0)

@@ -269,6 +269,68 @@ class TestLinkSnapshot:
         assert GridTopology(c).snapshot(0.0) == []
 
 
+def reference_edges(topo):
+    """(edge_a, edge_b, edge_ids, edge_kinds) by the per-edge loop over grid_edges
+    that GridTopology ran before it built its edges by index arithmetic."""
+    index_of = {sat: i for i, sat in enumerate(topo.sat_ids)}
+    shells = {}
+    for sat in topo.sat_ids:
+        shells.setdefault(sat.shell, []).append(sat)
+    pairs, ids, kinds = [], [], []
+    for shell, members in sorted(shells.items()):
+        planes = 1 + max(s.plane for s in members)
+        per_plane = 1 + max(s.index for s in members)
+        if planes < 3 or per_plane < 3:
+            continue
+        for (pa, sa), (pb, sb), kind in grid_edges(planes, per_plane):
+            a, b = sorted([SatelliteId(shell, pa, sa), SatelliteId(shell, pb, sb)])
+            pairs.append((index_of[a], index_of[b]))
+            ids.append((a, b))
+            kinds.append(kind)
+    return [p[0] for p in pairs], [p[1] for p in pairs], ids, kinds
+
+
+class TestGridEdges:
+    """GridTopology's edges, built by index arithmetic, against grid_edges."""
+
+    def test_matches_grid_edges(self):
+        shells = [ShellSpec(550.0, 53.0, 5, 4), ShellSpec(600.0, 53.0, 2, 5), ShellSpec(1200.0, 70.0, 3, 7)]
+        c = build_constellation(shells)
+        # a TLE pseudo-shell: one plane, one slot per record
+        c.update({SatelliteId(3, 0, i): CircularElements(7000.0, 50.0, 10.0 * i, 0.0) for i in range(6)})
+        topo = GridTopology(c)
+        a, b, ids, kinds = reference_edges(topo)
+        assert topo.n_edges == len(ids) == 2 * (5 * 4 + 3 * 7)
+        assert topo._edge_a.tolist() == a and topo._edge_b.tolist() == b
+        assert topo._edge_a.dtype == topo._edge_b.dtype == np.dtype(int)
+        assert topo.edge_ids == ids
+        assert topo.edge_kinds == kinds
+
+    def test_no_grid_shell_gives_empty_int_arrays(self):
+        c = build_constellation([ShellSpec(600.0, 53.0, 2, 5)])
+        c.update({SatelliteId(1, 0, i): CircularElements(7000.0, 50.0, 10.0 * i, 0.0) for i in range(6)})
+        topo = GridTopology(c)
+        assert topo.n_edges == 0 and topo.edge_ids == [] and topo.edge_kinds == []
+        assert topo._edge_a.dtype == topo._edge_b.dtype == np.dtype(int)
+        assert topo._edge_a.shape == topo._edge_b.shape == (0,)
+
+    @pytest.mark.parametrize(
+        "drop, add",
+        [
+            (SatelliteId(1, 2, 3), None),  # a hole
+            (SatelliteId(1, 0, 0), SatelliteId(1, -1, 0)),  # the right count, not the grid's ids
+            (SatelliteId(1, 1, 1), SatelliteId(1, 2, -1)),
+        ],
+    )
+    def test_incomplete_grid_names_the_shell(self, drop, add):
+        c = build_constellation([ShellSpec(550.0, 53.0, 4, 4), ShellSpec(600.0, 53.0, 3, 5)])
+        elements = c.pop(drop)
+        if add is not None:
+            c[add] = elements
+        with pytest.raises(ValueError, match=r"^shell 1 is not a complete 3x5 grid$"):
+            GridTopology(c)
+
+
 SMALL_SHELL = ShellSpec(altitude_km=560.0, inclination_deg=97.6, planes=4, sats_per_plane=5)
 SCAN_TIMES = time_grid(0.0, 600.0, 50.0)
 SAT = SatelliteId(0, 1, 2)
