@@ -20,6 +20,11 @@ seed (label = model name + target id), so results are byte-identical for
 a given (seed, config, fleet, interval) and adding one model never
 perturbs another model's draws. A sampler derives all of its substreams
 in one pass over its labels (RandomStreams.substreams).
+
+The event samplers draw plain tuple rows whose tuple order is sort_key
+order, sort them, and build each FaultEvent from its row: the public
+samplers return the list, and simulate merges the private generators,
+which build each event only when the merge pulls it.
 """
 
 from __future__ import annotations
@@ -298,6 +303,37 @@ def _arrivals(gap: Callable[[], float], t0_s: float, t1_s: float) -> Iterator[fl
         yield t
 
 
+def _seu_trace(
+    config: FaultModelConfig,
+    fleet: Sequence[SatelliteId],
+    t0_s: float,
+    t1_s: float,
+    streams: RandomStreams,
+) -> Iterator[FaultEvent]:
+    """sample_seu_events' events in sort_key order, each built when pulled.
+
+    All arrivals are drawn first, as (t, kind, sat, device) rows, whose
+    tuple order is sort_key order: one kind has one params value.
+    """
+    sat_rate_per_s = (
+        config.seu_rate_per_device_day * config.devices_per_satellite / SECONDS_PER_DAY
+    )
+    if sat_rate_per_s <= 0.0 or t1_s <= t0_s:
+        return
+    scale = 1.0 / sat_rate_per_s
+    rows: List[Tuple[float, str, SatelliteId, int]] = []
+    rngs = streams.substreams(f"seu/{sat.label()}" for sat in fleet)
+    for sat, rng in zip(fleet, rngs):
+        for t in _arrivals(partial(rng.exponential, scale), t0_s, t1_s):
+            device = int(rng.integers(config.devices_per_satellite))
+            permanent = rng.random() < config.seu_permanent_prob
+            rows.append((t, "device_permanent_failure" if permanent else "device_reboot", sat, device))
+    rows.sort()
+    for t, kind, sat, device in rows:
+        params = {"downtime_s": config.seu_downtime_s} if kind == "device_reboot" else {}
+        yield FaultEvent(t, kind, DeviceTarget(sat, device), params)
+
+
 def sample_seu_events(
     config: FaultModelConfig,
     fleet: Sequence[SatelliteId],
@@ -305,35 +341,18 @@ def sample_seu_events(
     t1_s: float,
     streams: RandomStreams,
 ) -> List[FaultEvent]:
-    """Draw radiation-induced reboot events for every device of the fleet.
+    """Draw radiation-induced reboot events for every device of the fleet,
+    sorted by sort_key.
 
     Each satellite gets the substream "seu/<sat>". Arrivals follow one
     exponential clock at devices * rate; the affected device index is
     uniform, which by Poisson superposition is equivalent to independent
     per-device processes. Events tagged permanent (probability
-    seu_permanent_prob) use the device_permanent_failure kind.
+    seu_permanent_prob) use the device_permanent_failure kind. simulate
+    merges the same events from rows that peak at about 115 bytes per
+    event, building each event only as the trace writer reaches it.
     """
-    events: List[FaultEvent] = []
-    sat_rate_per_s = (
-        config.seu_rate_per_device_day * config.devices_per_satellite / SECONDS_PER_DAY
-    )
-    if sat_rate_per_s <= 0.0 or t1_s <= t0_s:
-        return events
-    scale = 1.0 / sat_rate_per_s
-    rngs = streams.substreams(f"seu/{sat.label()}" for sat in fleet)
-    for sat, rng in zip(fleet, rngs):
-        for t in _arrivals(partial(rng.exponential, scale), t0_s, t1_s):
-            device = int(rng.integers(config.devices_per_satellite))
-            permanent = rng.random() < config.seu_permanent_prob
-            target = DeviceTarget(sat, device)
-            if permanent:
-                events.append(FaultEvent(t, "device_permanent_failure", target, {}))
-            else:
-                events.append(
-                    FaultEvent(t, "device_reboot", target, {"downtime_s": config.seu_downtime_s})
-                )
-    events.sort(key=lambda e: e.sort_key)
-    return events
+    return list(_seu_trace(config, fleet, t0_s, t1_s, streams))
 
 
 def _mission_dose(profile: DoseProfile, inclination_deg: float, mission_years: float) -> float:
@@ -388,6 +407,38 @@ def rain_multiplier(precip_mm_h: float, config: Optional[FaultModelConfig] = Non
     return 1.0 + frac * (cfg.rain_moderate_multiplier - 1.0)
 
 
+def _spike_trace(
+    config: FaultModelConfig,
+    gs_ids: Sequence[str],
+    t0_s: float,
+    t1_s: float,
+    streams: RandomStreams,
+    schedules: Optional[Dict[str, Sequence[float]]] = None,
+) -> Iterator[FaultEvent]:
+    """sample_handover_spikes' events in sort_key order, each built when
+    pulled; renewal spike times unless schedules is given.
+
+    All spikes are drawn first, as (t, gs_id, loss) rows, whose tuple order
+    is sort_key order: every spike has one kind and one duration.
+    """
+    rows: List[Tuple[float, str, float]] = []
+    targets: Dict[str, GroundLinkTarget] = {}
+    rngs = streams.substreams(f"handover/{gs_id}" for gs_id in gs_ids)
+    for gs_id, rng in zip(gs_ids, rngs):
+        if schedules is None:
+            gap = partial(rng.uniform, config.handover_min_s, config.handover_max_s)
+            spike_times = _arrivals(gap, t0_s, t1_s)
+        else:
+            spike_times = (float(t) for t in schedules.get(gs_id, ()) if t0_s <= t < t1_s)
+        targets[gs_id] = GroundLinkTarget(gs_id)
+        for t in spike_times:
+            rows.append((t, gs_id, rng.uniform(config.handover_loss_min, config.handover_loss_max)))
+    rows.sort()
+    for t, gs_id, loss in rows:
+        params = {"loss_rate": loss, "duration_s": config.handover_spike_s}
+        yield FaultEvent(t, "handover_spike", targets[gs_id], params)
+
+
 def sample_handover_spikes(
     config: FaultModelConfig,
     gs_ids: Sequence[str],
@@ -397,33 +448,22 @@ def sample_handover_spikes(
     mode: str = "renewal",
     schedules: Optional[Dict[str, Sequence[float]]] = None,
 ) -> List[FaultEvent]:
-    """Short packet-loss spikes caused by satellite handovers.
+    """Short packet-loss spikes caused by satellite handovers, sorted by
+    sort_key.
 
     In "renewal" mode each station's spikes arrive with inter-arrival
     times uniform in [handover_min_s, handover_max_s]. In "geometric"
     mode the spike times are the handover instants supplied per station
-    in `schedules` (from topology.handover_schedule); loss rates are
-    still drawn from the station's stream.
+    in `schedules` (from topology.handover_schedule), in any order; loss
+    rates are still drawn from the station's stream, in schedule order.
+    simulate merges the renewal spikes from rows, building each event only
+    as the trace writer reaches it.
     """
     if mode not in ("renewal", "geometric"):
         raise ValueError(f"mode must be 'renewal' or 'geometric', got {mode!r}")
     if mode == "geometric" and schedules is None:
         raise ValueError("geometric mode requires a schedules mapping")
-    events: List[FaultEvent] = []
-    rngs = streams.substreams(f"handover/{gs_id}" for gs_id in gs_ids)
-    for gs_id, rng in zip(gs_ids, rngs):
-        if mode == "renewal":
-            gap = partial(rng.uniform, config.handover_min_s, config.handover_max_s)
-            spike_times = _arrivals(gap, t0_s, t1_s)
-        else:
-            spike_times = (float(t) for t in schedules.get(gs_id, ()) if t0_s <= t < t1_s)
-        target = GroundLinkTarget(gs_id)
-        for t in spike_times:
-            loss = rng.uniform(config.handover_loss_min, config.handover_loss_max)
-            params = {"loss_rate": loss, "duration_s": config.handover_spike_s}
-            events.append(FaultEvent(t, "handover_spike", target, params))
-    events.sort(key=lambda e: e.sort_key)
-    return events
+    return list(_spike_trace(config, gs_ids, t0_s, t1_s, streams, schedules if mode == "geometric" else None))
 
 
 @dataclass(frozen=True)
@@ -523,20 +563,18 @@ def read_precipitation_csv(path) -> List[Tuple[float, float]]:
     return rows
 
 
-def rain_events(
+def _rain_trace(
     config: FaultModelConfig,
     gs_ids: Sequence[str],
     series: Sequence[Tuple[float, float]],
     t0_s: float,
     t1_s: float,
-) -> List[FaultEvent]:
-    """Ground-link degradation events from a precipitation step series.
+) -> Iterator[FaultEvent]:
+    """rain_events' events in sort_key order, each built when pulled.
 
-    An event is emitted whenever the throughput multiplier changes,
-    including a recovery event (multiplier 1.0) when rain eases. Links
-    are assumed clear before the first sample; a series already degraded
-    at t0 emits its state once at t0. Deterministic; no random draws are
-    involved.
+    Each multiplier change crossed with each station is a
+    (t, target, latency_factor, multiplier) row, whose tuple order is
+    sort_key order.
     """
     changes: List[Tuple[float, float]] = []
     current = 1.0
@@ -554,17 +592,31 @@ def rain_events(
             changes.append((at, multiplier))
     if changes and changes[0][0] == t0_s and changes[0][1] == 1.0:
         changes.pop(0)
-    events: List[FaultEvent] = []
-    for t, multiplier in changes:
-        latency = config.rain_latency_factor if multiplier < 1.0 else 1.0
-        for gs_id in gs_ids:
-            events.append(
-                FaultEvent(
-                    t,
-                    "gs_link_degraded",
-                    GroundLinkTarget(gs_id),
-                    {"throughput_multiplier": multiplier, "latency_factor": latency},
-                )
-            )
-    events.sort(key=lambda e: e.sort_key)
-    return events
+    rows = sorted(
+        (t, GroundLinkTarget(gs_id), config.rain_latency_factor if multiplier < 1.0 else 1.0, multiplier)
+        for t, multiplier in changes
+        for gs_id in gs_ids
+    )
+    for t, target, latency, multiplier in rows:
+        params = {"throughput_multiplier": multiplier, "latency_factor": latency}
+        yield FaultEvent(t, "gs_link_degraded", target, params)
+
+
+def rain_events(
+    config: FaultModelConfig,
+    gs_ids: Sequence[str],
+    series: Sequence[Tuple[float, float]],
+    t0_s: float,
+    t1_s: float,
+) -> List[FaultEvent]:
+    """Ground-link degradation events from a precipitation step series,
+    sorted by sort_key.
+
+    An event is emitted whenever the throughput multiplier changes,
+    including a recovery event (multiplier 1.0) when rain eases. Links
+    are assumed clear before the first sample; a series already degraded
+    at t0 emits its state once at t0. Deterministic; no random draws are
+    involved. simulate merges the same events, building each only as the
+    trace writer reaches it.
+    """
+    return list(_rain_trace(config, gs_ids, series, t0_s, t1_s))

@@ -27,12 +27,12 @@ from .faults import (
     FaultModelConfig,
     ManeuverEvent,
     RandomStreams,
+    _rain_trace,
+    _seu_trace,
+    _spike_trace,
     expected_seu_count,
-    rain_events,
     read_precipitation_csv,
-    sample_handover_spikes,
     sample_maneuvers,
-    sample_seu_events,
 )
 from .geometry import GroundStation, is_isl_viable
 from .orbital import Constellation, SatelliteId, ShellSpec, build_constellation, time_grid
@@ -187,16 +187,17 @@ def build_fleet(config: SimulationConfig) -> Constellation:
     return constellation
 
 
-def _maneuver_trace(maneuvers: Sequence[ManeuverEvent], duration_s: float) -> List[FaultEvent]:
-    events: List[FaultEvent] = []
-    for m in maneuvers:
-        target = SatelliteTarget(m.sat)
-        start_params = {"dh_km": m.dh_km, "dwell_s": m.dwell_s}
-        events.append(FaultEvent(m.start_s, "maneuver_start", target, start_params))
-        if m.end_s < duration_s:
-            events.append(FaultEvent(m.end_s, "maneuver_end", target, {"dh_km": m.dh_km}))
-    events.sort(key=lambda e: e.sort_key)
-    return events
+def _maneuver_trace(maneuvers: Sequence[ManeuverEvent], duration_s: float) -> Iterator[FaultEvent]:
+    """Maneuver start and end events in sort_key order, each built when pulled.
+
+    Rows are (t, kind, sat, *params in key order), whose tuple order is
+    sort_key order.
+    """
+    rows: List[tuple] = [(m.start_s, "maneuver_start", m.sat, m.dh_km, m.dwell_s) for m in maneuvers]
+    rows += [(m.end_s, "maneuver_end", m.sat, m.dh_km) for m in maneuvers if m.end_s < duration_s]
+    rows.sort()
+    for t, kind, sat, *values in rows:
+        yield FaultEvent(t, kind, SatelliteTarget(sat), dict(zip(("dh_km", "dwell_s"), values)))
 
 
 def _isl_transition_trace(
@@ -208,24 +209,23 @@ def _isl_transition_trace(
 ) -> Iterator[FaultEvent]:
     """ISL viability transitions at the given times in sort_key order, one
     step at a time; sets "total" to the (link, step) sample count and
-    counts the "infeasible" ones, those actually "evaluated" and the scan's "blocks"."""
+    counts the "infeasible" ones, those actually "evaluated" and the scan's "blocks".
+
+    A step's flips are sorted as (kind, a, b, grazing_km) rows: all share
+    t, and edge ids are in IslTarget's order, so this is sort_key order.
+    """
     samples["total"] = len(times) * topo.n_edges
     if topo.n_edges == 0:
         return
     for t, edges, grazing, flipped, infeasible in topo._viability_scan(times, maneuvers, threshold_km, samples):
         samples["infeasible"] += infeasible
         samples["evaluated"] += len(edges)
-        step = [
-            FaultEvent(
-                t,
-                "isl_up" if is_isl_viable(g, threshold_km) else "isl_down",
-                IslTarget(*topo.edge_ids[idx]),
-                {"grazing_km": g},
-            )
+        step = sorted(
+            ("isl_up" if is_isl_viable(g, threshold_km) else "isl_down", *topo.edge_ids[idx], g)
             for idx, g in zip(edges[flipped].tolist(), grazing[flipped].tolist())
-        ]
-        step.sort(key=lambda e: e.sort_key)  # all at t, so by (kind, target)
-        yield from step
+        )
+        for kind, a, b, g in step:
+            yield FaultEvent(t, kind, IslTarget(a, b), {"grazing_km": g})
 
 
 def _check_expected_events(config: SimulationConfig, n_sats: int) -> float:
@@ -257,17 +257,18 @@ def run_simulation(config: SimulationConfig, trace_path) -> dict:
     streams = RandomStreams(config.seed)
     duration = config.duration_s
 
-    seu = sample_seu_events(config.faults, fleet, 0.0, duration, streams)
+    # every source but maneuvers, which the ISL scan also reads, draws when the merge first pulls it
+    seu = _seu_trace(config.faults, fleet, 0.0, duration, streams)
     maneuvers = sample_maneuvers(config.faults, fleet, 0.0, duration, streams)
     gs_ids = [gs.id for gs in config.ground_stations]
-    spikes = sample_handover_spikes(config.faults, gs_ids, 0.0, duration, streams)
+    spikes = _spike_trace(config.faults, gs_ids, 0.0, duration, streams)
 
     series: List[Tuple[float, float]] = []
     if config.precipitation_csv is not None:
         series = read_precipitation_csv(config.precipitation_csv)
     elif config.precipitation_mm_h is not None:
         series = [(0.0, config.precipitation_mm_h)]
-    rain = rain_events(config.faults, gs_ids, series, 0.0, duration)
+    rain = _rain_trace(config.faults, gs_ids, series, 0.0, duration)
 
     samples: Counter = Counter()  # filled as write_trace pulls the ISL scan through the merge
     times = time_grid(0.0, duration, config.step_s)

@@ -275,7 +275,9 @@ class GridTopology:
             if not s:
                 rate = _link_rate(edge_a, edge_b, r_km, n_rad_s, normal)
             elif changed:
-                hit = np.flatnonzero(np.isin(edge_a, changed) | np.isin(edge_b, changed))
+                moved = np.zeros(len(self.sat_ids), dtype=bool)
+                moved[changed] = True
+                hit = np.flatnonzero(moved.take(edge_a) | moved.take(edge_b))
                 rate[hit] = _link_rate(edge_a[hit], edge_b[hit], r_km, n_rad_s, normal)
                 due_at[hit] = -np.inf
             t, last, rounds = times[s:e], e - s - 1, []

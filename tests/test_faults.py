@@ -1,14 +1,19 @@
 import hashlib
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leofault import (
     CircularElements,
+    DeviceTarget,
     DoseProfile,
+    FaultEvent,
     FaultModelConfig,
+    GroundLinkTarget,
     ManeuverEvent,
     RandomStreams,
     SatelliteId,
@@ -27,7 +32,7 @@ from leofault import (
     tid_survival,
 )
 from leofault.constants import SPEED_OF_LIGHT_KM_S
-from leofault.faults import _CHUNK, _seed_states, offsets_at
+from leofault.faults import _CHUNK, _seed_states, _seu_trace, offsets_at
 from test_golden import (
     ALL_KINDS_CONFIG,
     ALL_KINDS_TLE_RECORDS,
@@ -508,3 +513,215 @@ def test_substreams_chunk_edges(n):
 def test_stream_is_the_one_label_substream():
     streams = RandomStreams(5)
     assert first_draws(streams.stream("seu/0/0/0")) == first_draws(reference_stream(5, "seu/0/0/0"))
+
+
+def reference_seu_events(config, fleet, t0_s, t1_s, streams):
+    """sample_seu_events before it sorted rows: every event built, then sorted by sort_key."""
+    events = []
+    sat_rate_per_s = config.seu_rate_per_device_day * config.devices_per_satellite / 86400.0
+    if sat_rate_per_s <= 0.0 or t1_s <= t0_s:
+        return events
+    rngs = streams.substreams(f"seu/{sat.label()}" for sat in fleet)
+    for sat, rng in zip(fleet, rngs):
+        t = t0_s
+        while (t := t + rng.exponential(1.0 / sat_rate_per_s)) < t1_s:
+            device = int(rng.integers(config.devices_per_satellite))
+            permanent = rng.random() < config.seu_permanent_prob
+            target = DeviceTarget(sat, device)
+            if permanent:
+                events.append(FaultEvent(t, "device_permanent_failure", target, {}))
+            else:
+                events.append(FaultEvent(t, "device_reboot", target, {"downtime_s": config.seu_downtime_s}))
+    events.sort(key=lambda e: e.sort_key)
+    return events
+
+
+def reference_handover_spikes(config, gs_ids, t0_s, t1_s, streams, mode="renewal", schedules=None):
+    """sample_handover_spikes before it sorted rows; a loss is drawn right after its renewal gap."""
+    events = []
+    rngs = streams.substreams(f"handover/{gs_id}" for gs_id in gs_ids)
+    for gs_id, rng in zip(gs_ids, rngs):
+        def spike_times():
+            if mode == "geometric":
+                yield from (float(t) for t in schedules.get(gs_id, ()) if t0_s <= t < t1_s)
+                return
+            t = t0_s
+            while (t := t + rng.uniform(config.handover_min_s, config.handover_max_s)) < t1_s:
+                yield t
+
+        for t in spike_times():
+            loss = rng.uniform(config.handover_loss_min, config.handover_loss_max)
+            params = {"loss_rate": loss, "duration_s": config.handover_spike_s}
+            events.append(FaultEvent(t, "handover_spike", GroundLinkTarget(gs_id), params))
+    events.sort(key=lambda e: e.sort_key)
+    return events
+
+
+def reference_rain_events(config, gs_ids, series, t0_s, t1_s):
+    """rain_events before it sorted rows."""
+    changes, current = [], 1.0
+    for t, mm in series:
+        if t >= t1_s:
+            break
+        multiplier = rain_multiplier(mm, config)
+        if multiplier == current:
+            continue
+        current = multiplier
+        at = max(t, t0_s)
+        if changes and changes[-1][0] == at:
+            changes[-1] = (at, multiplier)
+        else:
+            changes.append((at, multiplier))
+    if changes and changes[0][0] == t0_s and changes[0][1] == 1.0:
+        changes.pop(0)
+    events = [
+        FaultEvent(t, "gs_link_degraded", GroundLinkTarget(gs_id), {
+            "throughput_multiplier": multiplier,
+            "latency_factor": config.rain_latency_factor if multiplier < 1.0 else 1.0,
+        })
+        for t, multiplier in changes
+        for gs_id in gs_ids
+    ]
+    events.sort(key=lambda e: e.sort_key)
+    return events
+
+
+def exact(events):
+    """Events with every float as its bits: -0.0 and 0.0 differ on the wire."""
+    return [
+        (e.t_s.hex(), e.kind, e.target, sorted((k, v.hex()) for k, v in e.params.items()))
+        for e in events
+    ]
+
+
+class TiedDraws:
+    """A Generator stand-in whose draws cycle through fixed values.
+
+    Arrival gaps (exponential, and uniform over the handover gap range)
+    include 0.0 and repeat in every stream, so arrivals tie within a stream
+    and across streams. Devices, kinds and losses are shifted by the label,
+    so tied arrivals of two streams differ in them.
+    """
+
+    def __init__(self, label, gap_range):
+        self.shift = sum(label.encode())
+        self.gap_range = gap_range
+        self.calls = Counter()
+
+    def _next(self, name, values, shift=0):
+        self.calls[name] += 1
+        assert self.calls[name] < 100_000, "the stub's gaps never advance"
+        return values[(self.calls[name] + shift) % len(values)]
+
+    def exponential(self, scale):
+        return self._next("gap", (0.0, 300.0, 0.0, 0.0, 450.0))
+
+    def uniform(self, low, high):
+        if (low, high) == self.gap_range:  # a zero low end gives zero gaps
+            return low + (high - low) * self._next("gap", (0.0, 1.0, 0.0, 0.5, 0.25))
+        return low + (high - low) * self._next("loss", (0.0, 1.0, 0.5, 0.25, 0.75), self.shift)
+
+    def integers(self, high):
+        return self._next("device", (0, 1, 0, 2, 1), self.shift) % high
+
+    def random(self):
+        return self._next("kind", (0.25, 0.75, 0.25, 0.5, 0.25), self.shift)
+
+
+def tied_substreams(config):
+    """RandomStreams.substreams handing out TiedDraws, for config's handover gaps."""
+    gap_range = (config.handover_min_s, config.handover_max_s)
+    return lambda self, labels: (TiedDraws(label, gap_range) for label in labels)
+
+
+@st.composite
+def fault_configs(draw):
+    ordered = lambda values: st.lists(st.sampled_from(values), min_size=2, max_size=2).map(sorted)
+    handover_min, handover_max = draw(ordered([0.0, 20.0, 60.0, 120.0]).filter(lambda p: p[1] > 0.0))
+    loss_min, loss_max = draw(ordered([0.0, 0.01, 0.5]))
+    return FaultModelConfig(
+        seu_rate_per_device_day=draw(st.sampled_from([0.0, 0.5, 4.0, 20.0])),
+        devices_per_satellite=draw(st.integers(0, 60)),
+        seu_downtime_s=draw(st.sampled_from([0.0, 30.0])),
+        seu_permanent_prob=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        handover_min_s=handover_min,
+        handover_max_s=handover_max,
+        handover_loss_min=loss_min,
+        handover_loss_max=loss_max,
+        rain_latency_factor=draw(st.sampled_from([1.0, 2.0])),
+    )
+
+
+intervals = st.tuples(st.sampled_from([0.0, 100.0]), st.sampled_from([0.0, 600.0, 3600.0])).map(
+    lambda p: (p[0], p[0] + p[1])
+)
+station_ids = st.lists(st.sampled_from(["a", "b", "c", "gs10"]), max_size=4)
+# unsorted, duplicated, out-of-window and signed-zero handover instants
+schedule_times = st.lists(
+    st.sampled_from([-0.0, 0.0, 5.0, 5.0, 99.5, 100.0, 3599.0, 3600.0, 4000.0]) | st.floats(-10.0, 4000.0),
+    max_size=12,
+)
+REFERENCE_ORDER = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+@REFERENCE_ORDER
+@given(fault_configs(), st.integers(0, 5), intervals, st.integers(0, 2**64 - 1), st.booleans())
+def test_seu_events_match_build_then_sort(config, n_sats, interval, seed, tied):
+    fleet = [SatelliteId(0, p, i) for p in (0, 1) for i in range(n_sats)][:n_sats]
+    with pytest.MonkeyPatch.context() as mp:
+        if tied:
+            mp.setattr(RandomStreams, "substreams", tied_substreams(config))
+        got = sample_seu_events(config, fleet, *interval, RandomStreams(seed))
+        want = reference_seu_events(config, fleet, *interval, RandomStreams(seed))
+    assert exact(got) == exact(want)
+
+
+@REFERENCE_ORDER
+@given(
+    fault_configs(),
+    station_ids,
+    intervals,
+    st.integers(0, 2**64 - 1),
+    st.booleans(),
+    st.none() | st.dictionaries(st.sampled_from(["a", "b", "gs10"]), schedule_times),
+)
+def test_handover_spikes_match_build_then_sort(config, gs_ids, interval, seed, tied, schedules):
+    mode = "renewal" if schedules is None else "geometric"
+    with pytest.MonkeyPatch.context() as mp:
+        if tied:
+            mp.setattr(RandomStreams, "substreams", tied_substreams(config))
+        got = sample_handover_spikes(config, gs_ids, *interval, RandomStreams(seed), mode, schedules)
+        want = reference_handover_spikes(config, gs_ids, *interval, RandomStreams(seed), mode, schedules)
+    assert exact(got) == exact(want)
+
+
+@REFERENCE_ORDER
+@given(
+    fault_configs(),
+    station_ids,
+    intervals,
+    # unsorted and tied series too: rain_events takes any step series
+    st.lists(st.tuples(st.sampled_from([0.0, 50.0, 100.0, 600.0, 5000.0]), st.sampled_from([0.0, 1.0, 3.0, 9.0])),
+             max_size=8),
+)
+@example(
+    FaultModelConfig(), ["a", "a"], (0.0, 600.0), [(0.0, 9.0), (50.0, 0.0), (0.0, 9.0), (10.0, 0.0), (50.0, 9.0)]
+)
+def test_rain_events_match_build_then_sort(config, gs_ids, interval, series):
+    got = rain_events(config, gs_ids, series, *interval)
+    assert exact(got) == exact(reference_rain_events(config, gs_ids, series, *interval))
+
+
+def test_seu_trace_holds_rows_not_events():
+    # about 2e4 events: 0.4 upsets per device-day * 50 devices * 1,000 satellites * 1 day
+    config = FaultModelConfig(seu_rate_per_device_day=0.4, devices_per_satellite=50, seu_permanent_prob=0.01)
+    fleet = small_fleet(1000)
+    list(_seu_trace(config, fleet[:1], 0.0, 86400.0, RandomStreams(3)))  # imports numpy.random outside the trace
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in _seu_trace(config, fleet, 0.0, 86400.0, RandomStreams(3)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 1.9e4 < count < 2.1e4
+    assert peak / count <= 160  # a sorted list of built events held 621 B per event

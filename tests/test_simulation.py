@@ -7,13 +7,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leofault import (
     ConfigError,
     FaultEvent,
     IslTarget,
     ManeuverEvent,
+    RandomStreams,
     SatelliteId,
+    SatelliteTarget,
     ShellSpec,
     TleRecord,
     build_constellation,
@@ -22,10 +26,14 @@ from leofault import (
     config_to_dict,
     format_summary,
     load_config,
+    merge_traces,
+    read_precipitation_csv,
     read_trace,
     run_simulation,
+    sample_maneuvers,
     serialize_tle,
     topology,
+    write_trace,
 )
 from leofault.geometry import is_isl_viable
 from leofault.orbital import time_grid
@@ -35,8 +43,17 @@ from leofault.simulation import (
     MAX_STEPS,
     _check_expected_events,
     _isl_transition_trace,
+    _maneuver_trace,
 )
 from leofault.topology import INTRA_PLANE, GridTopology
+from leofault.trace import KIND_TARGET_TYPE
+from test_faults import (
+    exact,
+    reference_handover_spikes,
+    reference_rain_events,
+    reference_seu_events,
+    tied_substreams,
+)
 
 SPARSE = {
     "altitude_km": 560.0,
@@ -657,3 +674,73 @@ class TestScanBlocks:
         evaluated = [set(edges.tolist()) for _, edges, *_ in SKIP_TOPOLOGY._viability_scan(times, (), 80.0)]
         assert evaluated[15] & (evaluated[0] - set().union(*evaluated[1:15]))
         assert_skip_scan_matches_reference(SKIP_TOPOLOGY, times, (), 80.0)
+
+
+def reference_maneuver_trace(maneuvers, duration_s):
+    """_maneuver_trace before it sorted rows: every event built, then sorted by sort_key."""
+    events = []
+    for m in maneuvers:
+        target = SatelliteTarget(m.sat)
+        events.append(FaultEvent(m.start_s, "maneuver_start", target, {"dh_km": m.dh_km, "dwell_s": m.dwell_s}))
+        if m.end_s < duration_s:
+            events.append(FaultEvent(m.end_s, "maneuver_end", target, {"dh_km": m.dh_km}))
+    events.sort(key=lambda e: e.sort_key)
+    return events
+
+
+# starts, offsets (signed zeros too) and dwells from small sets, so starts and ends tie
+maneuver_lists = st.lists(
+    st.builds(
+        ManeuverEvent,
+        st.sampled_from([SatelliteId(0, 0, 1), SatelliteId(0, 1, 0), SatelliteId(1, 0, 0)]),
+        st.sampled_from([0.0, 10.0, 50.0]),
+        st.sampled_from([-0.0, 0.0, -1.5, 1.5, 2.0]),
+        st.sampled_from([0.0, 40.0, 90.0]),
+    ),
+    max_size=10,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(maneuver_lists, st.sampled_from([10.0, 50.0, 100.0]))
+def test_maneuver_trace_matches_build_then_sort(maneuvers, duration_s):
+    got = list(_maneuver_trace(maneuvers, duration_s))
+    assert exact(got) == exact(reference_maneuver_trace(maneuvers, duration_s))
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_run_matches_build_then_sort(tmp_path, tied):
+    """The whole trace equals the merge of every source built, then sorted by sort_key;
+    with tied draws, arrivals, maneuvers and handovers share times."""
+    rain_path = tmp_path / "rain.csv"
+    rain_path.write_text("t_s,mm_per_h\n0,9\n120,3\n300,0\n")
+    stations = [{"id": gs_id, "latitude_deg": 10.0, "longitude_deg": 0.0} for gs_id in ("b", "a", "gs10")]
+    faults = {
+        "seu_rate_per_device_day": 0.5,
+        "seu_permanent_prob": 0.3,
+        "maneuver_rate_per_sat_year": 5000.0,
+        "maneuver_dwell_s": 120.0,
+        "handover_min_s": 0.0,
+    }
+    config = config_from_dict(minimal_config(
+        shells=[dict(SPARSE)], ground_stations=stations, faults=faults, precipitation_csv=str(rain_path)
+    ))
+    with pytest.MonkeyPatch.context() as mp:
+        if tied:
+            mp.setattr(RandomStreams, "substreams", tied_substreams(config.faults))
+        summary = run_simulation(config, tmp_path / "got.jsonl")
+        topo = GridTopology(build_fleet(config), config.earth_radius_km)
+        streams, duration = RandomStreams(config.seed), config.duration_s
+        gs_ids = [gs.id for gs in config.ground_stations]
+        maneuvers = sample_maneuvers(config.faults, topo.sat_ids, 0.0, duration, streams)
+        times = time_grid(0.0, duration, config.step_s)
+        sources = [
+            reference_seu_events(config.faults, topo.sat_ids, 0.0, duration, streams),
+            reference_maneuver_trace(maneuvers, duration),
+            reference_handover_spikes(config.faults, gs_ids, 0.0, duration, streams),
+            reference_rain_events(config.faults, gs_ids, read_precipitation_csv(rain_path), 0.0, duration),
+            list(reference_isl_transition_trace(topo, times, maneuvers, config.isl_threshold_km, Counter())),
+        ]
+    write_trace(tmp_path / "want.jsonl", merge_traces(sources))
+    assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+    assert all(summary["event_counts"][kind] for kind in KIND_TARGET_TYPE)

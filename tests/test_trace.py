@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -733,3 +734,18 @@ def test_readme_trace_table_matches_kinds_params_and_writer():
         assert type(event.target) is KIND_TARGET_TYPE[kind], kind
         written = json.loads(serialize_event(event))["target"]
         assert json.dumps(written, separators=(",", ":")) == encodings[tag], kind
+
+
+def test_only_the_merge_reads_sort_key():
+    """Sources sort plain rows whose tuple order is sort_key order, so the
+    sortedness check in merge_traces builds each event's key once."""
+    package = Path(trace_module.__file__).parent
+    readers = sorted(
+        str(path.relative_to(package))
+        for path in package.rglob("*.py")
+        if any(
+            isinstance(node, ast.Attribute) and node.attr == "sort_key"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        )
+    )
+    assert readers == ["trace.py"]
