@@ -29,12 +29,12 @@ for t in np.linspace(0.0, period / 4.0, 5):
           f"  radius={np.linalg.norm(pos):.3f} km")
 
 # each satellite links to 4 neighbors: 2 in its plane, 1 in each adjacent plane
-edges = lf.grid_edges(planes=72, sats_per_plane=22)
-neighbors = {b for a, b, _ in edges if a == (0, 0)} | {a for a, b, _ in edges if b == (0, 0)}
-print(f"\n+GRID neighbors of (plane 0, slot 0): {sorted(neighbors)}")
+topology = lf.GridTopology(constellation)
+neighbors = {b if a == sat else a for a, b in topology.edge_ids if sat in (a, b)}
+print(f"\n+GRID neighbors of (plane 0, slot 0): {sorted((n.plane, n.index) for n in neighbors)}")
 
 # a snapshot evaluates grazing altitude and viability for every link
-links = lf.GridTopology(constellation).snapshot(t_s=0.0, threshold_km=80.0)
+links = topology.snapshot(t_s=0.0, threshold_km=80.0)
 print(f"links: {len(links)} (expected 2 * 72 * 22 = {2 * 72 * 22})")
 
 intra = [l.grazing_km for l in links if l.kind == "intra_plane"]

@@ -50,7 +50,6 @@ from .topology import (
     GridTopology,
     IslLink,
     VisibilityWindow,
-    grid_edges,
     handover_schedule,
     visibility_windows,
 )

@@ -1,8 +1,9 @@
-"""Physical constants and limits shared across the simulator, and two input rules.
+"""Physical constants and limits shared across the simulator, and three input rules.
 
 The number-text rule (is_plain_number_text) says which text is a number;
 the range rule (_check_range) checks a number against its interval, with
-NaN never in range, and names the field and the interval when it fails.
+NaN never in range, and names the field and the interval when it fails;
+the order rule (_first_out_of_order) finds a series' first NaN or drop.
 
 All distances are kilometers and all times are seconds unless a name says
 otherwise. The Earth is a sphere. Constellation, ISL and ground geometry
@@ -12,6 +13,8 @@ lookups (orbital_period, slant_range_km) use the mean sphere.
 """
 
 import math
+
+import numpy as np
 
 EARTH_RADIUS_KM = 6371.0
 MU_EARTH_M3_S2 = 3.986004418e14
@@ -49,3 +52,11 @@ def _check_range(name: str, value, low, high=math.inf, ends: str = "[]", error: 
     else:
         bound = f"in {ends[0]}{low_text}, {high_text}{ends[1]}"
     raise error(f"{name} must be {bound}, got {value}")
+
+
+def _first_out_of_order(values: np.ndarray) -> int | None:
+    """Index of the first value that is NaN or below its predecessor."""
+    bad = np.isnan(values)
+    bad[1:] |= values[1:] < values[:-1]
+    hits = np.flatnonzero(bad)
+    return int(hits[0]) if hits.size else None

@@ -41,7 +41,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 import numpy as np
 
-from .constants import SECONDS_PER_DAY, SECONDS_PER_YEAR, _check_range, is_plain_number_text
+from .constants import SECONDS_PER_DAY, SECONDS_PER_YEAR, _check_range, _first_out_of_order, is_plain_number_text
 from .orbital import SatelliteId
 from .trace import DeviceTarget, FaultEvent, GroundLinkTarget
 
@@ -563,19 +563,13 @@ def read_precipitation_csv(path) -> List[Tuple[float, float]]:
     return rows
 
 
-def _rain_trace(
-    config: FaultModelConfig,
-    gs_ids: Sequence[str],
-    series: Sequence[Tuple[float, float]],
-    t0_s: float,
-    t1_s: float,
-) -> Iterator[FaultEvent]:
-    """rain_events' events in sort_key order, each built when pulled.
-
-    Each multiplier change crossed with each station is a
-    (t, target, latency_factor, multiplier) row, whose tuple order is
-    sort_key order.
-    """
+def _rain_changes(
+    config: FaultModelConfig, series: Sequence[Tuple[float, float]], t0_s: float, t1_s: float
+) -> List[Tuple[float, float]]:
+    """rain_events' (t, multiplier) changes in [t0_s, t1_s): any before t0_s moves to t0_s and ties collapse
+    into the last, so t strictly increases. ValueError names the first row whose t_s falls or is NaN."""
+    if (bad := _first_out_of_order(np.array([t for t, _ in series], dtype=float))) is not None:
+        raise ValueError(f"precipitation series t_s must not decrease: series[{bad}] has t_s {series[bad][0]}")
     changes: List[Tuple[float, float]] = []
     current = 1.0
     for t, mm in series:
@@ -592,14 +586,19 @@ def _rain_trace(
             changes.append((at, multiplier))
     if changes and changes[0][0] == t0_s and changes[0][1] == 1.0:
         changes.pop(0)
-    rows = sorted(
-        (t, GroundLinkTarget(gs_id), config.rain_latency_factor if multiplier < 1.0 else 1.0, multiplier)
-        for t, multiplier in changes
-        for gs_id in gs_ids
-    )
-    for t, target, latency, multiplier in rows:
-        params = {"throughput_multiplier": multiplier, "latency_factor": latency}
-        yield FaultEvent(t, "gs_link_degraded", target, params)
+    return changes
+
+
+def _rain_trace(
+    config: FaultModelConfig, gs_ids: Sequence[str], changes: Sequence[Tuple[float, float]]
+) -> Iterator[FaultEvent]:
+    """rain_events' events in sort_key order, each built when pulled: change by change, stations in id order."""
+    targets = [GroundLinkTarget(gs_id) for gs_id in sorted(gs_ids)]
+    for t, multiplier in changes:
+        latency = config.rain_latency_factor if multiplier < 1.0 else 1.0
+        for target in targets:
+            params = {"throughput_multiplier": multiplier, "latency_factor": latency}
+            yield FaultEvent(t, "gs_link_degraded", target, params)
 
 
 def rain_events(
@@ -612,6 +611,7 @@ def rain_events(
     """Ground-link degradation events from a precipitation step series,
     sorted by sort_key.
 
+    series holds (t_s, mm_per_h) rows; ValueError names the first whose t_s decreases or is NaN.
     An event is emitted whenever the throughput multiplier changes,
     including a recovery event (multiplier 1.0) when rain eases. Links
     are assumed clear before the first sample; a series already degraded
@@ -619,4 +619,4 @@ def rain_events(
     involved. simulate merges the same events, building each only as the
     trace writer reaches it.
     """
-    return list(_rain_trace(config, gs_ids, series, t0_s, t1_s))
+    return list(_rain_trace(config, gs_ids, _rain_changes(config, series, t0_s, t1_s)))

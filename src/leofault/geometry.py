@@ -105,10 +105,6 @@ def ground_station_eci(
     lat = math.radians(gs.latitude_deg)
     lon = math.radians(gs.longitude_deg) + 2.0 * math.pi * t_s / SIDEREAL_DAY_S
     cos_lat = math.cos(lat)
-    if isinstance(lon, float):  # one time: math is faster than numpy on scalars
-        return earth_radius_km * np.array(
-            [cos_lat * math.cos(lon), cos_lat * math.sin(lon), math.sin(lat)]
-        )
     return earth_radius_km * np.stack(
         [cos_lat * np.cos(lon), cos_lat * np.sin(lon), np.full_like(lon, math.sin(lat))], axis=-1
     )

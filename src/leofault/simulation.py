@@ -27,6 +27,7 @@ from .faults import (
     FaultModelConfig,
     ManeuverEvent,
     RandomStreams,
+    _rain_changes,
     _rain_trace,
     _seu_trace,
     _spike_trace,
@@ -228,23 +229,25 @@ def _isl_transition_trace(
             yield FaultEvent(t, kind, IslTarget(a, b), {"grazing_km": g})
 
 
-def _check_expected_events(config: SimulationConfig, n_sats: int) -> float:
-    """Expected SEU count; ConfigError names the field of a sampler expected
-    to draw more than MAX_EVENTS arrivals from n_sats satellites."""
+def _check_expected_events(config: SimulationConfig, n_sats: int, n_rain_changes: int) -> float:
+    """Expected SEU count; ConfigError names the field of a sampler expected to draw more than
+    MAX_EVENTS arrivals from n_sats satellites, or of rain's n_rain_changes changes at each station."""
     faults, duration = config.faults, config.duration_s
     days = duration / SECONDS_PER_DAY
     seu = expected_seu_count(faults.seu_rate_per_device_day, faults.devices_per_satellite, n_sats, days)
     maneuvers = faults.maneuver_rate_per_sat_year * n_sats * duration / SECONDS_PER_YEAR
-    spikes = len(config.ground_stations) * duration / ((faults.handover_min_s + faults.handover_max_s) / 2.0)
+    stations = len(config.ground_stations)
+    spikes = stations * duration / ((faults.handover_min_s + faults.handover_max_s) / 2.0)
     for name, count in (
         ("faults.seu_rate_per_device_day", seu),
         ("faults.maneuver_rate_per_sat_year", maneuvers),
         ("ground_stations", spikes),
+        ("precipitation_csv" if config.precipitation_csv else "precipitation_mm_h", stations * n_rain_changes),
     ):
         if not count <= MAX_EVENTS:
             raise ConfigError(
-                f"{name} gives {count:.3g} expected events over {n_sats} satellites "
-                f"and {duration} s; at most {MAX_EVENTS} are allowed"
+                f"{name} gives {count:.3g} expected events over {n_sats} satellites, "
+                f"{stations} ground stations and {duration} s; at most {MAX_EVENTS} are allowed"
             )
     return seu
 
@@ -253,22 +256,22 @@ def run_simulation(config: SimulationConfig, trace_path) -> dict:
     """Run every fault model and write the merged trace; returns the summary."""
     topo = GridTopology(build_fleet(config), config.earth_radius_km)
     fleet = topo.sat_ids  # TLE satellites included
-    expected_seu = _check_expected_events(config, len(fleet))
-    streams = RandomStreams(config.seed)
     duration = config.duration_s
+    series: List[Tuple[float, float]] = []
+    if config.precipitation_csv is not None:
+        series = read_precipitation_csv(config.precipitation_csv)
+    elif config.precipitation_mm_h is not None:
+        series = [(0.0, config.precipitation_mm_h)]
+    rain_changes = _rain_changes(config.faults, series, 0.0, duration)
+    expected_seu = _check_expected_events(config, len(fleet), len(rain_changes))
+    streams = RandomStreams(config.seed)
 
     # every source but maneuvers, which the ISL scan also reads, draws when the merge first pulls it
     seu = _seu_trace(config.faults, fleet, 0.0, duration, streams)
     maneuvers = sample_maneuvers(config.faults, fleet, 0.0, duration, streams)
     gs_ids = [gs.id for gs in config.ground_stations]
     spikes = _spike_trace(config.faults, gs_ids, 0.0, duration, streams)
-
-    series: List[Tuple[float, float]] = []
-    if config.precipitation_csv is not None:
-        series = read_precipitation_csv(config.precipitation_csv)
-    elif config.precipitation_mm_h is not None:
-        series = [(0.0, config.precipitation_mm_h)]
-    rain = _rain_trace(config.faults, gs_ids, series, 0.0, duration)
+    rain = _rain_trace(config.faults, gs_ids, rain_changes)
 
     samples: Counter = Counter()  # filled as write_trace pulls the ISL scan through the merge
     times = time_grid(0.0, duration, config.step_s)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,19 +29,8 @@ class CdfTable:
     points: Tuple[Tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        previous_value = -np.inf
-        previous_prop = 0.0
-        # negated comparisons also reject NaN; only the last value can be +inf
-        for value, proportion in self.points:
-            if not value > previous_value:
-                raise ValueError(f"CDF values must be finite and strictly increasing, got {value}")
-            if not proportion >= previous_prop:
-                raise ValueError(f"CDF proportions must be non-decreasing, got {proportion}")
-            previous_value, previous_prop = value, proportion
-        if self.points and not math.isfinite(self.points[-1][0]):
-            raise ValueError(f"CDF values must be finite, got {self.points[-1][0]}")
-        if self.points and not abs(self.points[-1][1] - 1.0) <= 1e-12:
-            raise ValueError(f"final CDF proportion must be 1.0, got {self.points[-1][1]}")
+        if (rejected := _first_rejected(self.points)) is not None:
+            raise ValueError(rejected[1])
 
     @classmethod
     def from_samples(cls, samples: Sequence[float]) -> "CdfTable":
@@ -73,6 +62,24 @@ class CdfTable:
             else:
                 break
         return result
+
+
+def _first_rejected(points: Sequence[Tuple[float, float]]) -> Optional[Tuple[int, str]]:
+    """Index of the first point a CdfTable may not hold and why, or None."""
+    previous_value = -np.inf
+    previous_prop = 0.0
+    # negated comparisons also reject NaN; only the last value can be +inf
+    for i, (value, proportion) in enumerate(points):
+        if not value > previous_value:
+            return i, f"CDF values must be finite and strictly increasing, got {value}"
+        if not proportion >= previous_prop:
+            return i, f"CDF proportions must be non-decreasing, got {proportion}"
+        previous_value, previous_prop = value, proportion
+    if points and not math.isfinite(points[-1][0]):
+        return len(points) - 1, f"CDF values must be finite, got {points[-1][0]}"
+    if points and not abs(points[-1][1] - 1.0) <= 1e-12:
+        return len(points) - 1, f"final CDF proportion must be 1.0, got {points[-1][1]}"
+    return None
 
 
 def min_isl_altitude_cdf(
@@ -128,4 +135,9 @@ def read_cdf_csv(path) -> CdfTable:
         except ValueError:  # the first row equal to this one is this one
             line_no = text.index(line, 1) + 1
             raise ValueError(f"CDF CSV line {line_no}: expected two numbers, got {line!r}") from None
-    return CdfTable(points=tuple(points))
+    try:
+        return CdfTable(points=tuple(points))
+    except ValueError:  # rows are the non-blank lines after the header
+        row, reason = _first_rejected(points)
+        line_no = [n for n, line in enumerate(text[1:], start=2) if line.strip()][row]
+        raise ValueError(f"CDF CSV line {line_no}: {reason}") from None

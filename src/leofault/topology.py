@@ -74,7 +74,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .constants import EARTH_RADIUS_KM, SIDEREAL_DAY_S, _check_range
+from .constants import EARTH_RADIUS_KM, SIDEREAL_DAY_S, _check_range, _first_out_of_order
 from .geometry import (
     DEFAULT_ISL_THRESHOLD_KM,
     GroundStation,
@@ -114,21 +114,6 @@ class VisibilityWindow:
     max_elevation_deg: float
 
 
-def grid_edges(planes: int, sats_per_plane: int) -> List[Tuple[Tuple[int, int], Tuple[int, int], str]]:
-    """Deduplicated +GRID edge list: ((plane, index), (plane, index), kind)."""
-    if planes < 3 or sats_per_plane < 3:
-        raise ValueError(
-            f"+GRID needs at least 3 planes and 3 satellites per plane, "
-            f"got {planes}x{sats_per_plane}"
-        )
-    edges = []
-    for p in range(planes):
-        for s in range(sats_per_plane):
-            edges.append(((p, s), (p, (s + 1) % sats_per_plane), INTRA_PLANE))
-            edges.append(((p, s), ((p + 1) % planes, s), CROSS_PLANE))
-    return edges
-
-
 class GridTopology:
     """Precomputed +GRID structure of a constellation for fast snapshots.
 
@@ -159,7 +144,7 @@ class GridTopology:
                 raise ValueError(
                     f"shell {shell} is not a complete {planes}x{per_plane} grid"
                 )
-            # ids sort, so rows are base + plane * per_plane + index; edges come in grid_edges' order
+            # ids sort: rows are base + plane * per_plane + index; per row, its intra- then cross-plane edge
             grid = self._index_of[members[0]] + np.arange(len(members)).reshape(planes, per_plane)
             a = np.repeat(grid.ravel(), 2)
             b = np.stack([np.roll(grid, -1, axis=1), np.roll(grid, -1, axis=0)], axis=-1).ravel()
@@ -394,14 +379,6 @@ def _checked_times(times: Sequence[float], maneuvers: Sequence[ManeuverEvent]) -
     return times
 
 
-def _first_out_of_order(values: np.ndarray) -> Optional[int]:
-    """Index of the first value that is NaN or below its predecessor."""
-    bad = np.isnan(values)
-    bad[1:] |= values[1:] < values[:-1]
-    hits = np.flatnonzero(bad)
-    return int(hits[0]) if hits.size else None
-
-
 class _ManeuverOffsets:
     """Per-satellite radial offsets of the maneuvers active at a forward-moving time.
 
@@ -529,10 +506,11 @@ def visibility_windows(
     first = np.full(n_sats, -1)  # first sample of each row's open run, -1 if none is open
     peak = np.empty(n_sats)  # highest sampled elevation of each open run
     runs: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []  # (rows, first, last, peak)
+    gs_pos = ground_station_eci(gs, times, earth_radius_km)
     for k, t in enumerate(times.tolist()):
         rows = np.flatnonzero(due_at <= t)
         pos = np.stack(fleet._planes(t, rows), axis=-1)
-        elevation = elevation_angle(ground_station_eci(gs, t, earth_radius_km), pos)
+        elevation = elevation_angle(gs_pos[k], pos)
         above = elevation >= gs.min_elevation_deg
         is_open = first.take(rows) >= 0
         ended = rows[is_open & ~above]

@@ -32,7 +32,7 @@ from leofault import (
     tid_survival,
 )
 from leofault.constants import SPEED_OF_LIGHT_KM_S
-from leofault.faults import _CHUNK, _seed_states, _seu_trace, offsets_at
+from leofault.faults import _CHUNK, _rain_changes, _rain_trace, _seed_states, _seu_trace, offsets_at
 from test_golden import (
     ALL_KINDS_CONFIG,
     ALL_KINDS_TLE_RECORDS,
@@ -372,6 +372,23 @@ class TestRainEvents:
         events = rain_events(FaultModelConfig(), ["a", "b"], [(10.0, 5.0)], 0.0, 600.0)
         assert {e.target.gs_id for e in events} == {"a", "b"}
 
+    @pytest.mark.parametrize(
+        "series, bad",
+        [
+            # build-then-sort emitted a recovery at t = 100 before any degradation
+            ([(500.0, 5.0), (100.0, 0.0), (300.0, 5.0)], 1),
+            # and nothing at all here, over one day
+            ([(90000.0, 5.0), (100.0, 5.0)], 1),
+            ([(0.0, 9.0), (50.0, 0.0), (0.0, 9.0), (10.0, 0.0), (50.0, 9.0)], 2),
+            ([(0.0, 5.0), (float("nan"), 0.0)], 1),
+            ([(float("nan"), 5.0)], 0),
+        ],
+        ids=["recovery-first", "nothing-emitted", "ties-and-repeats", "nan-after", "nan-first"],
+    )
+    def test_decreasing_or_nan_time_rejected(self, series, bad):
+        with pytest.raises(ValueError, match=rf"must not decrease: series\[{bad}\]"):
+            rain_events(FaultModelConfig(), ["a", "a"], series, 0.0, 86400.0)
+
 
 class TestPrecipitationCsv:
     def test_roundtrip(self, tmp_path):
@@ -700,12 +717,12 @@ def test_handover_spikes_match_build_then_sort(config, gs_ids, interval, seed, t
     fault_configs(),
     station_ids,
     intervals,
-    # unsorted and tied series too: rain_events takes any step series
+    # sorted by t, ties kept in drawn order: rain_events takes any series whose t never decreases
     st.lists(st.tuples(st.sampled_from([0.0, 50.0, 100.0, 600.0, 5000.0]), st.sampled_from([0.0, 1.0, 3.0, 9.0])),
-             max_size=8),
+             max_size=8).map(lambda rows: sorted(rows, key=lambda row: row[0])),
 )
 @example(
-    FaultModelConfig(), ["a", "a"], (0.0, 600.0), [(0.0, 9.0), (50.0, 0.0), (0.0, 9.0), (10.0, 0.0), (50.0, 9.0)]
+    FaultModelConfig(), ["a", "a"], (0.0, 600.0), [(0.0, 9.0), (0.0, 9.0), (10.0, 0.0), (50.0, 0.0), (50.0, 9.0)]
 )
 def test_rain_events_match_build_then_sort(config, gs_ids, interval, series):
     got = rain_events(config, gs_ids, series, *interval)
@@ -725,3 +742,18 @@ def test_seu_trace_holds_rows_not_events():
         tracemalloc.stop()
     assert 1.9e4 < count < 2.1e4
     assert peak / count <= 160  # a sorted list of built events held 621 B per event
+
+
+def test_rain_trace_holds_changes_not_rows():
+    # 5,000 stations and 20 changes: 1e5 events
+    config = FaultModelConfig()
+    gs_ids = [f"gs{k}" for k in range(5000)]
+    series = [(60.0 * k, 5.0 * (k % 2)) for k in range(1, 21)]
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in _rain_trace(config, gs_ids, _rain_changes(config, series, 0.0, 86400.0)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 20 * 5000
+    assert peak / count <= 16  # a sorted list of (change, station) rows held 160 B per event

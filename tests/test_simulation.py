@@ -496,12 +496,21 @@ class TestRunSimulation:
                  "faults": {"handover_min_s": 1200.0 / MAX_STEPS, "handover_max_s": 1200.0 / MAX_STEPS}},
                 "ground_stations",
             ),
+            (
+                {"ground_stations": [{"id": f"gs{k}", "latitude_deg": 0.0, "longitude_deg": 0.0} for k in range(1000)],
+                 "precipitation_csv": "rain.csv"},
+                "precipitation_csv",
+            ),
         ],
-        ids=["seu", "maneuvers", "spikes-across-stations"],
+        ids=["seu", "maneuvers", "spikes-across-stations", "rain"],
     )
-    def test_expected_events_capped_before_sampling(self, tmp_path, overrides, field):
+    def test_expected_events_capped_before_sampling(self, tmp_path, monkeypatch, overrides, field):
         # the SEU row drew about 4e11 arrivals and ran past any timeout; each
-        # station's spikes here are within the per-station cap, their sum is not
+        # station's spikes here are within the per-station cap, their sum is not;
+        # rain.csv's 1,001 changes, each at all 1,000 stations, give 1,001,000 events
+        rows = "".join(f"{k / 2},{5 - 5 * (k % 2)}\n" for k in range(1001))
+        (tmp_path / "rain.csv").write_text("t_s,mm_per_h\n" + rows)
+        monkeypatch.chdir(tmp_path)
         config = config_from_dict(minimal_config(**overrides))
         with pytest.raises(ConfigError, match=f"^{re.escape(field)} gives .* at most {MAX_EVENTS}"):
             run_simulation(config, tmp_path / "t.jsonl")
@@ -518,7 +527,7 @@ class TestRunSimulation:
         # 100 shell satellites sit exactly at the cap; the TLE satellite tips it over
         rate = MAX_EVENTS / (60 * 100 * 600.0 / 86400.0)
         config = config_from_dict(minimal_config(faults={"seu_rate_per_device_day": rate}))
-        assert _check_expected_events(config, 100) == pytest.approx(MAX_EVENTS)
+        assert _check_expected_events(config, 100, 0) == pytest.approx(MAX_EVENTS)
         config = config_from_dict(minimal_config(tle_files=[str(tle_path)], faults={"seu_rate_per_device_day": rate}))
         with pytest.raises(ConfigError, match="over 101 satellites"):
             run_simulation(config, tmp_path / "t.jsonl")

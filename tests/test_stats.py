@@ -137,10 +137,13 @@ class TestCdfCsv:
     @pytest.mark.parametrize(
         "body, line_no",
         [
-            ("nan,0.5\n10,1\n", None),
-            ("1,0.5\ninf,1\n", None),
-            ("-inf,0.5\n1,1\n", None),
-            ("1,nan\n2,1\n", None),
+            ("nan,0.5\n10,1\n", 2),
+            ("1,0.5\ninf,1\n", 3),
+            ("-inf,0.5\n1,1\n", 2),
+            ("1,nan\n2,1\n", 2),
+            ("2,0.5\n\n1,1\n", 4),
+            ("1,0.5\n2,0.25\n3,1\n", 3),
+            ("1,0.5\n2,0.75\n", 3),
             ("1,0.5\n1_0,1\n", None),
             ("1,0.5\n2,1,3\n", 3),
             ("1,0.5\n2\n", 3),
@@ -150,14 +153,15 @@ class TestCdfCsv:
             ("1,0.5\n\u0662,1\n", None),
             ("1,0.5\n\uff12,1\n", None),
         ],
-        ids=["nan-value", "inf-value", "minus-inf-value", "nan-proportion", "digit-separator",
+        ids=["nan-value", "inf-value", "minus-inf-value", "nan-proportion", "decreasing-value-after-blank",
+             "decreasing-proportion", "final-proportion-below-one", "digit-separator",
              "three-columns", "one-column", "not-a-number", "form-feed", "file-separator",
              "arabic-indic-digit", "fullwidth-digit"],
     )
     def test_malformed_rows_rejected(self, tmp_path, body, line_no):
         path = tmp_path / "cdf.csv"
         path.write_text("value_km,proportion\n" + body)
-        match = f"line {line_no}" if line_no else "CDF (values|proportions)|'_'"
+        match = f"line {line_no}:" if line_no else "'_'"
         with pytest.raises(ValueError, match=match):
             read_cdf_csv(path)
 

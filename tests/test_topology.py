@@ -15,7 +15,6 @@ from leofault import (
     build_constellation,
     elevation_angle,
     grazing_altitude,
-    grid_edges,
     ground_station_eci,
     handover_schedule,
     offsets_at,
@@ -151,12 +150,28 @@ def assert_scan_matches_reference(topo, times, maneuvers):
         assert np.array_equal(grazing, want)
 
 
+def grid_edges(planes, sats_per_plane):
+    """Deduplicated +GRID edge list: ((plane, index), (plane, index), kind),
+    by the per-satellite loop the package ran before GridTopology built its
+    edges by index arithmetic; planes and sats_per_plane are at least 3."""
+    edges = []
+    for p in range(planes):
+        for s in range(sats_per_plane):
+            edges.append(((p, s), (p, (s + 1) % sats_per_plane), INTRA_PLANE))
+            edges.append(((p, s), ((p + 1) % planes, s), CROSS_PLANE))
+    return edges
+
+
+def grid_topology(planes, sats):
+    return GridTopology(build_constellation([ShellSpec(550.0, 53.0, planes, sats)]))
+
+
 def grid_adjacency(planes, sats):
-    """Neighbor sets of every (plane, index) under the edges of grid_edges."""
+    """Neighbor sets of every (plane, index) under GridTopology's edges."""
     adjacency = {}
-    for a, b, _ in grid_edges(planes, sats):
-        adjacency.setdefault(a, set()).add(b)
-        adjacency.setdefault(b, set()).add(a)
+    for a, b in grid_topology(planes, sats).edge_ids:
+        adjacency.setdefault((a.plane, a.index), set()).add((b.plane, b.index))
+        adjacency.setdefault((b.plane, b.index), set()).add((a.plane, a.index))
     return adjacency
 
 
@@ -169,8 +184,7 @@ class TestGridNeighbors:
 
     @pytest.mark.parametrize("planes,sats", [(2, 22), (72, 2), (1, 1)])
     def test_too_small(self, planes, sats):
-        with pytest.raises(ValueError):
-            grid_edges(planes, sats)
+        assert grid_topology(planes, sats).n_edges == 0
 
     def test_degree_four_handshake(self):
         planes, sats = 5, 4
@@ -183,9 +197,9 @@ class TestGridNeighbors:
 
     @pytest.mark.parametrize("planes,sats", [(3, 3), (5, 4), (6, 58)])
     def test_edge_count_and_connectivity(self, planes, sats):
-        edges = grid_edges(planes, sats)
-        undirected = {frozenset((a, b)) for a, b, _ in edges}
-        assert len(undirected) == 2 * planes * sats
+        edges = grid_topology(planes, sats).edge_ids
+        undirected = {frozenset(edge) for edge in edges}
+        assert len(edges) == len(undirected) == 2 * planes * sats
         # BFS from one node reaches every satellite
         adjacency = grid_adjacency(planes, sats)
         seen = {(0, 0)}
