@@ -78,6 +78,7 @@ from .trace import (
     IslTarget,
     SatelliteTarget,
     TraceParseError,
+    iter_trace,
     merge_traces,
     parse_event,
     read_trace,

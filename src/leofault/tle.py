@@ -42,6 +42,10 @@ class EccentricityWarning(UserWarning):
     """Circular approximation applied to a noticeably eccentric orbit."""
 
 
+# byte -> its checksum weight: an ASCII digit its value, "-" one, any other byte zero
+_CHECKSUM_WEIGHTS = bytes(b - 48 if 48 <= b <= 57 else int(b == 45) for b in range(256))
+
+
 def checksum(line: str) -> int:
     """Checksum digit of a 68-character TLE line body.
 
@@ -52,8 +56,8 @@ def checksum(line: str) -> int:
         raise TleFormatError(
             f"checksum input must be {LINE_LENGTH - 1} characters, got {len(line)}"
         )
-    # str.count matches ASCII digits only; isdigit() also takes other scripts' digits
-    return (sum(d * line.count(str(d)) for d in range(1, 10)) + line.count("-")) % 10
+    # in UTF-8 an ASCII digit or "-" is one byte and every other character's bytes are >= 0x80
+    return sum(line.encode("utf-8", "surrogatepass").translate(_CHECKSUM_WEIGHTS)) % 10
 
 
 @dataclass(frozen=True)

@@ -9,21 +9,28 @@ Targets order by their fields (KIND_TARGET_TYPE fixes a kind's target
 type), so events order by (t, kind, target, params). Building a target or
 an event checks every value, so the writer cannot emit what the reader
 rejects. The writer re-checks only params, the one mutable field, and
-renders each line from per-type templates; the reader only maps JSON
-shape onto these types.
+renders each line from its kind's template. The reader tries that
+template first: a regular expression built from it matches the writer's
+own lines, whose fields then go through the same checked constructors.
+Any other line, and any event a constructor rejects, goes through
+parse_event, which maps JSON shape onto these types and so owns every
+error message and offset. iter_trace streams events in constant memory;
+read_trace holds them all in a list.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import math
 import os
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .orbital import SatelliteId
 
@@ -45,7 +52,7 @@ def _check_sat(sat, name: str) -> None:
         raise ValueError(f"{name} must be three non-negative integers, got {sat!r}")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class DeviceTarget:
     sat: SatelliteId
     device: int
@@ -56,7 +63,7 @@ class DeviceTarget:
             raise ValueError(f"device must be a non-negative integer, got {self.device!r}")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class SatelliteTarget:
     sat: SatelliteId
 
@@ -64,7 +71,7 @@ class SatelliteTarget:
         _check_sat(self.sat, "sat")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class IslTarget:
     a: SatelliteId
     b: SatelliteId
@@ -80,7 +87,7 @@ class IslTarget:
             object.__setattr__(self, "b", b)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class GroundLinkTarget:
     gs_id: str
 
@@ -146,7 +153,7 @@ def _check_event(t_s: float, kind: str, target: Target, params: Mapping[str, flo
     _check_params(kind, params)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaultEvent:
     """One timestamped fault occurrence."""
 
@@ -222,14 +229,48 @@ def _target_from_obj(obj, offset: int) -> Target:
     return target_type(*args)
 
 
-def _target_json(target: Target) -> str:
-    if isinstance(target, DeviceTarget):
-        return '{"type":"device","sat":[%d,%d,%d],"device":%d}' % (*target.sat, target.device)
-    if isinstance(target, SatelliteTarget):
-        return '{"type":"satellite","sat":[%d,%d,%d]}' % target.sat
-    if isinstance(target, IslTarget):
-        return '{"type":"isl","a":[%d,%d,%d],"b":[%d,%d,%d]}' % (*target.a, *target.b)
-    return f'{{"type":"ground_link","gs":{json.dumps(target.gs_id)}}}'
+def _sat(a: str, b: str, c: str) -> SatelliteId:
+    return SatelliteId(int(a), int(b), int(c))
+
+
+# target type -> its JSON template ("%d" an integer, "%s" a JSON string),
+# its fields in template order, and its inverse from a matched line's
+# groups, of which group 0 is the time
+_TARGET_FORMS = {
+    DeviceTarget: (
+        '{"type":"device","sat":[%d,%d,%d],"device":%d}',
+        lambda target: (*target.sat, target.device),
+        lambda f: DeviceTarget(_sat(f[1], f[2], f[3]), int(f[4])),
+    ),
+    SatelliteTarget: (
+        '{"type":"satellite","sat":[%d,%d,%d]}',
+        lambda target: target.sat,
+        lambda f: SatelliteTarget(_sat(f[1], f[2], f[3])),
+    ),
+    IslTarget: (
+        '{"type":"isl","a":[%d,%d,%d],"b":[%d,%d,%d]}',
+        lambda target: (*target.a, *target.b),
+        lambda f: IslTarget(_sat(f[1], f[2], f[3]), _sat(f[4], f[5], f[6])),
+    ),
+    GroundLinkTarget: (
+        '{"type":"ground_link","gs":%s}',
+        lambda target: (json.dumps(target.gs_id),),
+        lambda f: GroundLinkTarget(f[1]),
+    ),
+}
+
+
+def _line_template(kind: str) -> str:  # "%r" is a float
+    params = ",".join(f'"{key}":%r' for key in sorted(KIND_PARAM_KEYS[kind]))
+    target = _TARGET_FORMS[KIND_TARGET_TYPE[kind]][0]
+    return f'{{"t":%r,"kind":"{kind}","target":{target},"params":{{{params}}}}}'
+
+
+# kind -> its line template, its target's fields and its param keys, in line order
+_LINE_FORMS = {
+    kind: (_line_template(kind), _TARGET_FORMS[target_type][1], sorted(KIND_PARAM_KEYS[kind]))
+    for kind, target_type in KIND_TARGET_TYPE.items()
+}
 
 
 def serialize_event(event: FaultEvent) -> str:
@@ -238,10 +279,49 @@ def serialize_event(event: FaultEvent) -> str:
     Only params, a mutable dict, is checked again: rounding keeps a checked
     time finite and >= 0, and repr writes a float exactly as json does.
     """
-    _check_params(event.kind, event.params)
-    t, target = canonical_number(event.t_s), _target_json(event.target)
-    fields = ",".join(f'"{key}":{canonical_number(value)!r}' for key, value in sorted(event.params.items()))
-    return f'{{"t":{t!r},"kind":"{event.kind}","target":{target},"params":{{{fields}}}}}'
+    kind, params = event.kind, event.params
+    _check_params(kind, params)
+    template, target_fields, keys = _LINE_FORMS[kind]
+    numbers = [canonical_number(params[key]) for key in keys]
+    return template % (canonical_number(event.t_s), *target_fields(event.target), *numbers)
+
+
+# JSON number tokens that float() reads as json does: a fraction or an
+# exponent is required, since json reads an integer such as -0 through int()
+_FLOAT = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
+# "%s" matches only a string without escapes; json.dumps escapes every non-ASCII character
+_TOKENS = {"%r": _FLOAT, "%d": "(0|[1-9][0-9]*)", "%s": r'"([^"\\\x00-\x1f]*)"'}
+
+
+@functools.cache
+def _template_reader() -> Callable[[str], Optional[FaultEvent]]:
+    """Reader of the writer's own line shapes, compiled on the first read.
+
+    It builds a line that matches its kind's template through the checked
+    constructors, and returns None for any other line or a rejected event.
+    """
+    # kind -> its line's fullmatch, the kind (one string for all its events),
+    # its target from the groups, the first param group and the param keys
+    forms = {}
+    for kind, (template, _, keys) in _LINE_FORMS.items():
+        pattern = re.compile(re.sub("%[rds]", lambda m: _TOKENS[m[0]], re.escape(template)))
+        target_from = _TARGET_FORMS[KIND_TARGET_TYPE[kind]][2]
+        forms[kind] = (pattern.fullmatch, kind, target_from, pattern.groups - len(keys), keys)
+
+    def read(line: str) -> Optional[FaultEvent]:
+        start = line.find('"kind":"') + 8
+        form = forms.get(line[start : line.find('"', start)])
+        match = form and form[0](line)
+        if not match:
+            return None
+        _, kind, target_from, first, keys = form
+        f = match.groups()  # the time, the target's fields, then the params
+        try:
+            return FaultEvent(float(f[0]), kind, target_from(f), dict(zip(keys, map(float, f[first:]))))
+        except (ValueError, TypeError, OverflowError):  # a rejected event: parse_event raises its error
+            return None
+
+    return read
 
 
 def _decode(line: str, what: str, offset: int):
@@ -301,9 +381,14 @@ def write_trace(path, events: Iterable[FaultEvent]) -> Counter:
     return counts
 
 
-def read_trace(path) -> List[FaultEvent]:
-    """Read a trace file, validating the schema header and every event line."""
-    events: List[FaultEvent] = []
+def iter_trace(path) -> Iterator[FaultEvent]:
+    """Stream a trace file's events, validating the schema header and every line.
+
+    A line in the writer's own shape for its kind is read from its
+    template; any other line, and any line whose event is rejected, goes
+    through parse_event, so every error comes from one place.
+    """
+    template_event = _template_reader()
     offset = 0
     saw_header = False
     # binary lines split on b"\n" only; str.splitlines() also splits inside JSON strings
@@ -313,8 +398,12 @@ def read_trace(path) -> List[FaultEvent]:
                 line = raw.decode("utf-8").removesuffix("\n")
             except UnicodeDecodeError as exc:
                 raise TraceParseError(f"invalid UTF-8: {exc.reason}", offset + exc.start) from None
-            if saw_header and line.strip():
-                events.append(parse_event(line, offset))
+            if saw_header:
+                event = template_event(line)
+                if event is not None:
+                    yield event
+                elif line.strip():
+                    yield parse_event(line, offset)
             elif line.strip():
                 if _decode(line, "header", offset) != {"schema": SCHEMA}:
                     raise TraceParseError(f"expected schema header {SCHEMA!r}", offset)
@@ -322,4 +411,8 @@ def read_trace(path) -> List[FaultEvent]:
             offset += len(raw)
     if not saw_header:
         raise TraceParseError("empty trace: missing schema header", 0)
-    return events
+
+
+def read_trace(path) -> List[FaultEvent]:
+    """Read a whole trace file into a list; see iter_trace."""
+    return list(iter_trace(path))

@@ -18,12 +18,13 @@ PUBLIC_NAMES = [
     "TraceParseError", "VisibilityWindow", "build_constellation", "build_fleet", "checksum",
     "config_from_dict", "config_to_dict", "default_dose_profile", "dose_rate", "elevation_angle",
     "expected_seu_count", "format_summary", "grazing_altitude", "ground_station_eci",
-    "handover_schedule", "is_isl_viable", "load_config", "merge_traces", "min_isl_altitude_cdf",
-    "offsets_at", "orbital_period", "parse_event", "parse_tle", "parse_tle_text", "propagate",
-    "propagation_delay", "rain_events", "rain_multiplier", "read_cdf_csv", "read_precipitation_csv",
-    "read_tle_file", "read_trace", "run_simulation", "sample_handover_spikes", "sample_maneuvers",
-    "sample_seu_events", "serialize_event", "serialize_tle", "slant_range_km", "tid_survival",
-    "tle_to_elements", "visibility_windows", "write_cdf_csv", "write_trace",
+    "handover_schedule", "is_isl_viable", "iter_trace", "load_config", "merge_traces",
+    "min_isl_altitude_cdf", "offsets_at", "orbital_period", "parse_event", "parse_tle",
+    "parse_tle_text", "propagate", "propagation_delay", "rain_events", "rain_multiplier",
+    "read_cdf_csv", "read_precipitation_csv", "read_tle_file", "read_trace", "run_simulation",
+    "sample_handover_spikes", "sample_maneuvers", "sample_seu_events", "serialize_event",
+    "serialize_tle", "slant_range_km", "tid_survival", "tle_to_elements", "visibility_windows",
+    "write_cdf_csv", "write_trace",
 ]
 
 

@@ -72,7 +72,16 @@ from test_topology import (
     reference_handover_schedule,
     reference_visibility_windows,
 )
-from test_trace import SATS, pooled_event, reference_merge, reference_sort_key
+from test_trace import (
+    SATS,
+    any_events,
+    assert_template_path_agrees,
+    general_read_outcome,
+    pooled_event,
+    read_outcome,
+    reference_merge,
+    reference_sort_key,
+)
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=1000)
 
@@ -162,6 +171,55 @@ def test_parse_event_rejects_or_round_trips(line):
     assert_finite([event.t_s, event.params])
     # the writer rounds to canonical numbers
     assert parse_event(serialize_event(event)) == event.canonical()
+
+
+def examples(values):
+    """An @example for each value, in order."""
+
+    def decorate(test):
+        for value in reversed(values):
+            test = example(value)(test)
+        return test
+
+    return decorate
+
+
+DEVICE_LINE, _, _, SPIKE_LINE = (json.dumps(doc, separators=(",", ":")) for doc in BASE_EVENTS)
+NUMBER_TOKENS = ["-0", "0", "1e+16", "5e-324", "1e999", "NaN", "Infinity"]
+# writer lines edited toward what only the general path reads, or rejects
+EDITED_LINES = [
+    *(DEVICE_LINE.replace('"t":12.5', f'"t":{token}') for token in NUMBER_TOKENS),
+    *(DEVICE_LINE.replace('"downtime_s":30.0', f'"downtime_s":{token}') for token in NUMBER_TOKENS),
+    DEVICE_LINE.replace('"kind":', '"kind": '),
+    DEVICE_LINE + "\r",
+    DEVICE_LINE.replace('{"t":12.5,"kind":"device_reboot"', '{"kind":"device_reboot","t":12.5'),
+    SPIKE_LINE.replace('{"duration_s":1.0,"loss_rate":0.01}', '{"loss_rate":0.01,"duration_s":1.0}'),
+    DEVICE_LINE.replace('"device":4', '"device":4,"device":5'),
+    DEVICE_LINE.replace('"t":12.5', '"t":12.5,"t":13.5'),
+    SPIKE_LINE.replace('"berlin"', '"ber\\u006cin"'),
+    SPIKE_LINE.replace('"berlin"', '"b\\"x"'),
+    SPIKE_LINE.replace('"berlin"', '"\\u00e9"'),
+    SPIKE_LINE.replace('"berlin"', '"Zürich-北京"'),
+    DEVICE_LINE.replace("[0,3,7]", f"[{2**64},3,{2**70}]"),
+    DEVICE_LINE.replace('"device":4', f'"device":{2**64}'),
+    DEVICE_LINE.replace("[0,3,7]", "[0,01,2]"),
+]
+
+
+@FUZZ
+@given(st.one_of(event_lines, any_events().map(serialize_event)))
+@examples(EDITED_LINES)
+def test_template_path_matches_general_path(tmp_path_factory, line):
+    texts = [line]
+    try:  # the same document with the writer's separators, so mutated documents reach the templates too
+        texts.append(json.dumps(json.loads(line), separators=(",", ":")))
+    except (ValueError, RecursionError):
+        pass
+    path = tmp_path_factory.getbasetemp() / "template-path.jsonl"
+    for text in texts:
+        assert_template_path_agrees(text)
+        path.write_bytes(f'{{"schema":"leofault/1"}}\n{text}\n'.encode("utf-8", "surrogatepass"))
+        assert read_outcome(path) == general_read_outcome(path)
 
 
 # ---------------------------------------------------------------- config

@@ -34,6 +34,7 @@ from leofault.cli import main
 from leofault.faults import MAX_TOTAL_OFFSET_KM
 from leofault.orbital import time_grid
 from leofault.trace import KIND_TARGET_TYPE
+from test_trace import assert_template_path_agrees
 
 GEN1_SHELLS = [
     {"altitude_km": 550.0, "inclination_deg": 53.0, "planes": 72, "sats_per_plane": 22},
@@ -225,6 +226,29 @@ def test_all_kinds_summary_counts_match_written_trace(tmp_path):
     assert summary["n_events"] == sum(kinds.values())
     assert summary["event_counts"] == dict(sorted(kinds.items()))
     assert sorted(summary["event_counts"]) == sorted(KIND_TARGET_TYPE)
+
+
+@pytest.mark.parametrize(
+    "config, digest",
+    [
+        (GEN1_CONFIG, GEN1_TRACE_SHA256),
+        (OVERLAP_CONFIG, OVERLAP_TRACE_SHA256),
+        (ALL_KINDS_CONFIG, ALL_KINDS_TRACE_SHA256),
+    ],
+    ids=["gen1", "overlap", "all-kinds"],
+)
+def test_every_trace_line_takes_the_template_path(tmp_path, config, digest):
+    # the reader's template path reads every line the writer made, bit for bit as parse_event does
+    if config is ALL_KINDS_CONFIG:
+        tle_path, rain_path = tmp_path / "catalog.tle", tmp_path / "rain.csv"
+        tle_path.write_text(catalog_text(ALL_KINDS_TLE_RECORDS), encoding="utf-8")
+        rain_path.write_text(ALL_KINDS_PRECIPITATION, encoding="utf-8")
+        config = {**config, "tle_files": [str(tle_path)], "precipitation_csv": str(rain_path)}
+    out = tmp_path / "trace.jsonl"
+    run_simulation(config_from_dict(config), out)
+    assert sha256_of(out) == digest
+    lines = out.read_text(encoding="utf-8").splitlines()[1:]
+    assert lines and all(assert_template_path_agrees(line) is not None for line in lines)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from leofault import (
     EccentricityWarning,
@@ -41,6 +43,10 @@ def random_record(rng) -> TleRecord:
     )
 
 
+# printable ASCII, digits of other scripts, a letter beyond ASCII and a lone surrogate
+CHECKSUM_CHARS = [*map(chr, range(32, 127)), *"\u0669\uff19\U0001d7d7\u00e9\ud800"]
+
+
 class TestChecksum:
     def test_all_spaces(self):
         assert checksum(" " * 68) == 0
@@ -59,6 +65,14 @@ class TestChecksum:
         # isdigit() is also true of other scripts' digits, and int() reads them
         assert checksum("\u0669" * 13 + " " * 55) == 0
         assert checksum("\uff19" + "9" + " " * 66) == 9
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=500)
+    @given(st.text(st.sampled_from(CHECKSUM_CHARS), min_size=68, max_size=68))
+    @example("\u0669" * 13 + "\ud800" + "-9" * 27)
+    def test_matches_count_formula(self, line):
+        # the former per-digit count, kept as the reference: str.count sees ASCII digits only
+        expected = (sum(d * line.count(str(d)) for d in range(1, 10)) + line.count("-")) % 10
+        assert checksum(line) == expected
 
     @pytest.mark.parametrize("length", [0, 67, 69])
     def test_wrong_length(self, length):

@@ -3,8 +3,10 @@ import json
 import math
 import os
 import re
+import tracemalloc
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from leofault import (
     SatelliteId,
     SatelliteTarget,
     TraceParseError,
+    iter_trace,
     merge_traces,
     parse_event,
     read_trace,
@@ -294,6 +297,33 @@ def any_events(draw) -> FaultEvent:
     return FaultEvent(draw(times), kind, target, {key: draw(param_values) for key in keys})
 
 
+def event_bits(event: FaultEvent) -> tuple:
+    """The event and the bits of its floats, which == does not tell apart (0.0 == -0.0)."""
+    return event, event.t_s.hex(), [(key, value.hex()) for key, value in event.params.items()]
+
+
+def assert_template_path_agrees(line: str):
+    """The template path reads nothing from the line, or parse_event's event bit for bit."""
+    event = trace_module._template_reader()(line)
+    if event is not None:
+        assert event_bits(event) == event_bits(parse_event(line))
+    return event
+
+
+def read_outcome(path) -> object:
+    """iter_trace's events with their float bits, or its error's message and byte offset."""
+    try:
+        return [event_bits(event) for event in iter_trace(path)]
+    except TraceParseError as exc:
+        return str(exc), exc.byte_offset
+
+
+def general_read_outcome(path) -> object:
+    """read_outcome with the template path off, so every line goes through parse_event."""
+    with mock.patch.object(trace_module, "_template_reader", lambda: lambda line: None):
+        return read_outcome(path)
+
+
 class TestSerialization:
     @settings(derandomize=True, database=None, deadline=None, max_examples=1000)
     @given(any_events())
@@ -324,6 +354,39 @@ class TestSerialization:
         write_trace(tmp_path / "trace.jsonl", events)
         assert calls == []
         assert [e.kind for e in read_trace(tmp_path / "trace.jsonl")] == [e.kind for e in events]
+
+    def test_read_checks_once_per_event_and_decodes_only_the_header(self, tmp_path, monkeypatch):
+        events = [make_event(kind, float(t)) for t, kind in enumerate(sorted(KIND_PARAM_KEYS) * 3)]
+        write_trace(tmp_path / "trace.jsonl", events)
+        checks, decodes = [], []
+        check, loads = trace_module._check_event, json.loads
+        monkeypatch.setattr(trace_module, "_check_event", lambda *args: checks.append(args) or check(*args))
+        monkeypatch.setattr(json, "loads", lambda *args, **kwargs: decodes.append(args) or loads(*args, **kwargs))
+        assert read_trace(tmp_path / "trace.jsonl") == events
+        assert len(checks) == len(events)
+        assert decodes == [('{"schema":"leofault/1"}',)]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(any_events())
+    def test_writer_lines_take_the_template_path(self, event):
+        # only a station id that json.dumps escapes sends a written line to parse_event
+        line = serialize_event(event)
+        assert (assert_template_path_agrees(line) is None) == ("\\" in line)
+
+    def test_iter_trace_memory_is_bounded(self, tmp_path):
+        kinds = sorted(KIND_PARAM_KEYS)
+        peaks = []
+        for n in (10**4, 10**5):
+            path = tmp_path / f"trace-{n}.jsonl"
+            write_trace(path, (make_event(kinds[i % len(kinds)], float(i)) for i in range(n)))
+            next(iter_trace(path))  # compiles the templates outside the measurement
+            tracemalloc.start()
+            try:
+                assert sum(1 for _ in iter_trace(path)) == n
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
 
     @pytest.mark.parametrize("value", NOT_FLOAT_SIZED)
     def test_serialize_rejects_param_mutated_to_a_non_number(self, value):
