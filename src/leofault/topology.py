@@ -32,8 +32,12 @@ a block. It evaluates (edge, step) pairs in two calls per block: each edge
 due in it at its first due step, then each edge due again at every step of
 it from then on. A skipped sample is certified to keep the cached viability,
 so any superset of the due samples gives the same flips, grazing bits and
-infeasible counts; blocks spend a few such samples to save calls. Both scans
-share the kernel, so every evaluated value equals scan's.
+infeasible counts; blocks spend a few such samples to save calls. Each
+endpoint sample of a call is propagated once: a table with one slot per
+(satellite, step of a block) maps its pairs' endpoints to the distinct
+samples. The skip scan yields once per block, its pairs unsorted, with
+their viability and flips and the infeasible count of each step. Both
+scans share the kernel, so every evaluated value equals scan's.
 
 The driver keeps the maneuver offsets as one dense per-satellite array,
 touched only when a maneuver starts or ends (found by a pointer into the
@@ -70,6 +74,7 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -152,12 +157,21 @@ class GridTopology:
             kinds += [INTRA_PLANE, CROSS_PLANE] * grid.size
 
         self._edge_a, self._edge_b = edges = np.concatenate(ends, axis=1)
-        self.edge_ids = [(self.sat_ids[a], self.sat_ids[b]) for a, b in zip(*edges.tolist())]
+        # rows are in id order, so this ranks edges as IslTarget orders their (a, b) ids;
+        # wrap-around edges, such as (index 0, index S-1) of a plane, break edge index order
+        self._edge_rank = np.empty(edges.shape[1], dtype=int)
+        self._edge_rank[np.lexsort((self._edge_b, self._edge_a))] = np.arange(edges.shape[1])
         self.edge_kinds = kinds
+
+    @cached_property
+    def edge_ids(self) -> List[Tuple[SatelliteId, SatelliteId]]:
+        """(a, b) satellite ids of each edge, built on first use: simulate never reads them."""
+        ids = self.sat_ids
+        return [(ids[a], ids[b]) for a, b in zip(self._edge_a.tolist(), self._edge_b.tolist())]
 
     @property
     def n_edges(self) -> int:
-        return len(self.edge_ids)
+        return self._edge_a.size
 
     def positions(self, t_s: float, offsets: Optional[Mapping[SatelliteId, float]] = None) -> np.ndarray:
         """Positions of every satellite at t_s, shape (N, 3), km.
@@ -188,9 +202,10 @@ class GridTopology:
         """(t, per-edge grazing_km) at each time, one step at a time.
 
         Each step applies the offsets of the maneuvers active at t, as
-        faults.offsets_at gives them. times must not decrease and
-        maneuvers must be sorted by start_s; ValueError names the first
-        entry out of order. Every step yields a fresh array.
+        faults.offsets_at gives them. times must be finite and must not
+        decrease, and maneuvers must be sorted by start_s, with a finite
+        dh_km and a dwell_s that is not NaN; ValueError names the first
+        entry that is not. Every step yields a fresh array.
         """
         rows = np.flatnonzero(np.bincount(np.concatenate([self._edge_a, self._edge_b])))  # every endpoint, once
         every = (rows, np.searchsorted(rows, self._edge_a), np.searchsorted(rows, self._edge_b))
@@ -238,16 +253,18 @@ class GridTopology:
     def _viability_scan(
         self, times: Sequence[float], maneuvers: Sequence[ManeuverEvent], threshold_km: float,
         samples: Optional[Counter] = None,
-    ) -> Iterator[Tuple[float, np.ndarray, np.ndarray, np.ndarray, int]]:
-        """Viability at each time, evaluating only the edges that are due.
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """Viability at each time, a block of steps at a time, evaluating only the edges that are due.
 
-        Yields (t, edges, grazing_km, flipped, infeasible): the ascending
-        indices of the edges evaluated at t, their grazing altitudes, which
-        of them changed viability since the previous time (none at the
-        first), and how many edges are not viable at t. Viability, and
-        the grazing of every evaluated edge, equal scan's values; times
-        and maneuvers are checked as scan checks them. Adds the number of
-        blocks of steps to samples["blocks"].
+        Yields (t, at, edges, grazing_km, viable, flipped, infeasible) per
+        block: its times; the (step, edge) pairs evaluated in it, as
+        indices into t and edge indices, each pair once and in no set
+        order; their grazing altitudes and viability; which pairs changed
+        viability since the edge's previous time (none at the first time);
+        and how many edges are not viable at each of its times. Viability,
+        and the grazing of every evaluated edge, equal scan's values;
+        times and maneuvers are checked as scan checks them. Adds the
+        number of blocks to samples["blocks"].
         """
         times, samples = _checked_times(times, maneuvers), Counter() if samples is None else samples
         edge_a, edge_b = self._edge_a, self._edge_b
@@ -256,7 +273,11 @@ class GridTopology:
         due_at = np.full(self.n_edges, -np.inf)
         viable = np.zeros(self.n_edges, dtype=bool)  # all down before step 0
         infeasible = self.n_edges
-        for s, e, r_km, n_rad_s, changed in self._steps(times, maneuvers, _BLOCK_STEPS):
+        most = _BLOCK_STEPS
+        # slot[row * most + step]: a round's index of that endpoint sample; a round reads only
+        # the entries it wrote, so the table is reused across rounds and blocks unreset
+        slot = np.empty(len(self.sat_ids) * most, dtype=np.int32)
+        for s, e, r_km, n_rad_s, changed in self._steps(times, maneuvers, most):
             if not s:
                 rate = _link_rate(edge_a, edge_b, r_km, n_rad_s, normal)
             elif changed:
@@ -268,21 +289,19 @@ class GridTopology:
             t, last, rounds = times[s:e], e - s - 1, []
             # round 1: every edge due in the block, once, at its first due step
             edges = np.flatnonzero(due_at <= t[-1])
-            first, count = np.searchsorted(t, due_at.take(edges)), np.ones(edges.size, dtype=int)
-            for _ in range(2):
-                # (step, edge) pairs, edge by edge
-                k, start = int(count.sum()), np.cumsum(count) - count
-                end = start + count - 1
-                at = _blocks(np.repeat(first - start, count) + np.arange(k))
-                edge = _blocks(np.repeat(edges, count))
-                # each endpoint sample propagated once, keyed row * (last + 1) + step
-                ka, kb = (side.take(edge) * (last + 1) + at for side in (edge_a, edge_b))
-                used = np.zeros(len(self.sat_ids) * (last + 1), dtype=bool)
-                used[ka] = used[kb] = True
-                keys = np.flatnonzero(used)
-                row, step = np.divmod(_blocks(keys), last + 1)
-                pair = (row, np.searchsorted(keys, ka), np.searchsorted(keys, kb))
-                grazing = self._edge_grazing(pair, t.take(step), r_km, n_rad_s)
+            at, edge, start = np.searchsorted(t, due_at.take(edges)), edges, np.arange(edges.size)
+            end = start  # each edge's first and last pair
+            for again in (False, True):
+                k, at, edge = at.size, _blocks(at), _blocks(edge)
+                # each endpoint sample propagated once: the entry that won a key's slot stands for it
+                ka, kb = (side.take(edge) * most + at for side in (edge_a, edge_b))
+                keys = np.concatenate([ka, kb])
+                index = np.arange(keys.size, dtype=np.int32)
+                slot[keys] = index
+                keys = keys[slot.take(keys) == index]
+                slot[keys] = index[:keys.size]
+                row, step = np.divmod(_blocks(keys), most)
+                grazing = self._edge_grazing((row, slot.take(ka), slot.take(kb)), t.take(step), r_km, n_rad_s)
                 now = is_isl_viable(grazing, threshold_km)
                 before = now.take(np.arange(-1, k - 1))  # the previous pair's viability,
                 before[start] = viable.take(edges)  # or the cached one at each edge's first
@@ -293,21 +312,25 @@ class GridTopology:
                 t_end = t.take(at.take(end))
                 with np.errstate(divide="ignore", invalid="ignore"):
                     due_at[edges] = np.where(margin > 0.0, t_end + margin / rate.take(edges), t_end)
+                if again:
+                    break
                 # round 2: each edge due again in the block, at every step of it from then on
                 first = np.maximum(at.take(end) + 1, np.searchsorted(t, due_at.take(edges)))
                 edges, first = edges[first <= last], first[first <= last]
                 count = last + 1 - first
+                start = np.cumsum(count) - count
+                end = start + count - 1
+                at = np.repeat(first - start, count) + np.arange(int(count.sum()))
+                edge = np.repeat(edges, count)
             at, edge, grazing, now, flipped = (np.concatenate(c) for c in zip(*rounds))
             # infeasible counts run on through the block's down flips less its up flips
             drift = np.cumsum(np.bincount(at, flipped * (1 - 2 * now), last + 1)).astype(int)
-            infeasible_at, infeasible = (infeasible + drift).tolist(), infeasible + int(drift[-1])
-            order = np.lexsort((edge, at))
-            at, edge, grazing, flipped = (c.take(order) for c in (at, edge, grazing, flipped))
-            flipped &= at + s > 0  # step 0 has no previous time to flip from
+            infeasible_at = infeasible + drift
+            infeasible = int(infeasible_at[-1])
+            if not s:
+                flipped &= at > 0  # step 0 has no previous time to flip from
             samples["blocks"] += 1
-            bounds = np.searchsorted(at, np.arange(last + 2)).tolist()
-            for t_i, lo, hi, n_i in zip(t.tolist(), bounds, bounds[1:], infeasible_at):
-                yield t_i, edge[lo:hi], grazing[lo:hi], flipped[lo:hi], n_i
+            yield t, at, edge, grazing, now, flipped, infeasible_at
 
     def snapshot(self, t_s: float, threshold_km: float = DEFAULT_ISL_THRESHOLD_KM) -> List[IslLink]:
         """All +GRID links evaluated at one instant."""
@@ -365,17 +388,27 @@ def _blocks(index: np.ndarray) -> np.ndarray:
 
 
 def _checked_times(times: Sequence[float], maneuvers: Sequence[ManeuverEvent]) -> np.ndarray:
-    """times as an array; ValueError names the first time or maneuver start out of order."""
+    """times as an array; ValueError names the first time that is infinite or out of order, the
+    first maneuver start out of order, or the first maneuver whose dh_km is not finite or whose
+    dwell_s is NaN (faults.offsets_at and the scan's offsets would disagree on it)."""
     times = np.asarray(times, dtype=float)
     bad = _first_out_of_order(times)
     if bad is not None:
         raise ValueError(f"times must not decrease: times[{bad}] is {times[bad]}")
+    infinite = np.flatnonzero(np.isinf(times))
+    if infinite.size:
+        raise ValueError(f"times must be finite: times[{infinite[0]}] is {times[infinite[0]]}")
     starts = np.array([m.start_s for m in maneuvers], dtype=float)
     bad = _first_out_of_order(starts)
     if bad is not None:
         raise ValueError(
             f"maneuvers must be sorted by start_s: maneuvers[{bad}] starts at {starts[bad]}"
         )
+    for i, m in enumerate(maneuvers):
+        if not math.isfinite(m.dh_km):
+            raise ValueError(f"maneuvers[{i}].dh_km must be finite, got {m.dh_km}")
+        if math.isnan(m.dwell_s):
+            raise ValueError(f"maneuvers[{i}].dwell_s must not be NaN")
     return times
 
 

@@ -542,6 +542,17 @@ class TestRunSimulation:
         assert sum(summary["event_counts"].values()) == summary["n_events"]
 
 
+def scan_steps(topo, times, maneuvers, threshold_km):
+    """_viability_scan's blocks expanded into steps: (t, edges, grazing_km, flipped, infeasible)
+    at each time, its evaluated edges in ascending order."""
+    for t, at, edges, grazing, _, flipped, infeasible in topo._viability_scan(times, maneuvers, threshold_km):
+        order = np.lexsort((edges, at))
+        at, edges, grazing, flipped = (c[order] for c in (at, edges, grazing, flipped))
+        bounds = np.searchsorted(at, np.arange(len(t) + 1)).tolist()
+        for t_i, lo, hi, n_i in zip(t.tolist(), bounds, bounds[1:], infeasible.tolist()):
+            yield t_i, edges[lo:hi], grazing[lo:hi], flipped[lo:hi], n_i
+
+
 # polar planes at 2000 km counter-rotate across the seam, so some edges
 # approach the threshold at the highest rate a +GRID edge reaches
 SKIP_TOPOLOGY = GridTopology(build_constellation([ShellSpec(2000.0, 90.0, 3, 8)]))
@@ -575,6 +586,19 @@ class TestSkipScan:
         with pytest.raises(AssertionError):
             assert_skip_scan_matches_reference(SKIP_TOPOLOGY, SKIP_TIMES, (), threshold_km)
 
+    def test_two_shells_order_flips_by_kind_then_edge_ids(self):
+        # at t = 1200 s both kinds flip, in both shells and on wrap-around edges, whose
+        # (a, b) ids order differs from their index order: the flips follow the ids
+        topo = GridTopology(build_constellation([ShellSpec(2000.0, 90.0, 3, 8), ShellSpec(1200.0, 53.0, 5, 4)]))
+        times = time_grid(0.0, 3 * 3600.0, 300.0)
+        step = [e for e in _isl_transition_trace(topo, times, (), 80.0, Counter()) if e.t_s == 1200.0]
+        assert {e.kind for e in step} == {"isl_down", "isl_up"}
+        assert {e.target.a.shell for e in step} == {0, 1}
+        assert any(e.target.b.plane - e.target.a.plane > 1 or e.target.b.index - e.target.a.index > 1 for e in step)
+        index = {ids: i for i, ids in enumerate(topo.edge_ids)}
+        assert step != sorted(step, key=lambda e: (e.kind, index[e.target.a, e.target.b]))
+        assert_skip_scan_matches_reference(topo, times, (), 80.0)
+
     def test_dense_shell_evaluates_few_edges(self, tmp_path):
         dense = {"altitude_km": 550.0, "inclination_deg": 53.0, "planes": 72, "sats_per_plane": 22}
         config = config_from_dict(
@@ -583,7 +607,7 @@ class TestSkipScan:
         topo = GridTopology(build_fleet(config), config.earth_radius_km)
         times = time_grid(0.0, config.duration_s, config.step_s)
         counts = np.zeros(topo.n_edges, dtype=int)
-        for _, edges, _, _, _ in topo._viability_scan(times, (), config.isl_threshold_km):
+        for _, edges, _, _, _ in scan_steps(topo, times, (), config.isl_threshold_km):
             counts[edges] += 1
         intra = np.array([kind == INTRA_PLANE for kind in topo.edge_kinds])
         assert np.all(counts[intra] == 1)
@@ -667,7 +691,7 @@ class TestScanBlocks:
         for threshold_km in (0.0, 80.0, 1000.0, float(grazing[SAT_EDGE])):
             assert_skip_scan_matches_reference(SKIP_TOPOLOGY, times, maneuvers, threshold_km)
             # each edge evaluated once per step, in ascending order
-            for _, edges, *_ in SKIP_TOPOLOGY._viability_scan(times, maneuvers, threshold_km):
+            for _, edges, *_ in scan_steps(SKIP_TOPOLOGY, times, maneuvers, threshold_km):
                 assert np.all(np.diff(edges) > 0)
 
     def test_one_step_grid(self, block_steps):
@@ -680,7 +704,7 @@ class TestScanBlocks:
         # evaluated at step 0 that come due within the hour are due again
         # only at step 15, the last of the first block of 16
         times = np.append(np.arange(15.0), 3600.0 + np.arange(0.0, 1800.0, 60.0))
-        evaluated = [set(edges.tolist()) for _, edges, *_ in SKIP_TOPOLOGY._viability_scan(times, (), 80.0)]
+        evaluated = [set(edges.tolist()) for _, edges, *_ in scan_steps(SKIP_TOPOLOGY, times, (), 80.0)]
         assert evaluated[15] & (evaluated[0] - set().union(*evaluated[1:15]))
         assert_skip_scan_matches_reference(SKIP_TOPOLOGY, times, (), 80.0)
 

@@ -472,6 +472,28 @@ class TestScanOffsets:
         with pytest.raises(ValueError, match=rf"must not decrease: times\[{bad}\]"):
             topo.scan(times)
 
+    @pytest.mark.parametrize("times, bad", [([0.0, math.inf], 1), ([-math.inf, 0.0, 10.0], 0)])
+    def test_rejects_infinite_times(self, topo, times, bad):
+        with pytest.raises(ValueError, match=rf"times must be finite: times\[{bad}\]"):
+            topo.scan(times)
+        with pytest.raises(ValueError, match=rf"times must be finite: times\[{bad}\]"):
+            next(topo._viability_scan(times, (), 80.0))
+
+    @pytest.mark.parametrize(
+        "field, value", [("dh_km", math.nan), ("dh_km", math.inf), ("dh_km", -math.inf), ("dwell_s", math.nan)]
+    )
+    def test_rejects_non_finite_maneuver(self, topo, field, value):
+        # faults.offsets_at would give a NaN offset where the scan clamps to +-10 km
+        fields = {"dh_km": 1.0, "dwell_s": 50.0, field: value}
+        maneuvers = [ManeuverEvent(SAT, 0.0, 1.0, 50.0), ManeuverEvent(OTHER, 10.0, **fields)]
+        with pytest.raises(ValueError, match=rf"maneuvers\[1\]\.{field}"):
+            topo.scan(SCAN_TIMES, maneuvers)
+        with pytest.raises(ValueError, match=rf"maneuvers\[1\]\.{field}"):
+            next(topo._viability_scan(SCAN_TIMES, maneuvers, 80.0))
+
+    def test_accepts_a_maneuver_that_never_ends(self, topo):
+        assert_scan_matches_reference(topo, SCAN_TIMES, [ManeuverEvent(SAT, 100.0, 2.0, math.inf)])
+
     def test_no_links_yield_empty_arrays(self):
         topo = GridTopology(build_constellation([ShellSpec(550.0, 53.0, 2, 2)]))
         maneuvers = [ManeuverEvent(SatelliteId(0, 1, 1), 100.0, 2.0, 100.0)]
