@@ -430,11 +430,14 @@ class _ManeuverOffsets:
         self._maneuvers = maneuvers
         self._index_of = index_of
         self._next = 0
+        self._next_start = maneuvers[0].start_s if maneuvers else math.inf
         self._ends: List[Tuple[float, int, int]] = []  # heap of (end_s, index, row)
         self._active: Dict[int, List[int]] = {}  # row -> active indices, in start order
 
     def advance(self, t_s: float) -> List[int]:
         """Move to t_s; returns the rows whose offset was recomputed."""
+        if t_s < self._next_start and (not self._ends or t_s < self._ends[0][0]):
+            return []  # nothing starts or ends by t_s
         maneuvers, active = self._maneuvers, self._active
         changed = set()
         while self._next < len(maneuvers) and maneuvers[self._next].start_s <= t_s:
@@ -446,6 +449,7 @@ class _ManeuverOffsets:
                 heapq.heappush(self._ends, (m.end_s, self._next, row))
                 changed.add(row)
             self._next += 1
+        self._next_start = maneuvers[self._next].start_s if self._next < len(maneuvers) else math.inf
         while self._ends and self._ends[0][0] <= t_s:
             _, index, row = heapq.heappop(self._ends)
             active[row].remove(index)

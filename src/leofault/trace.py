@@ -27,10 +27,11 @@ import math
 import os
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple, Union
 
 from .orbital import SatelliteId
 
@@ -358,26 +359,37 @@ def parse_event(line: str, byte_offset: int = 0) -> FaultEvent:
         raise TraceParseError(str(exc), byte_offset) from None
 
 
-def write_trace(path, events: Iterable[FaultEvent]) -> Counter:
-    """Write a JSON-lines trace (UTF-8, newline-terminated); returns kind counts.
+@contextmanager
+def _atomic_text(path) -> Iterator[TextIO]:
+    """A UTF-8 text file that replaces path only if the with-block completes.
 
-    Lines stream into a temporary file beside the symlink-resolved target,
-    which os.replace then swaps in; a failed write or source removes the
-    temporary file and leaves an existing trace untouched.
+    Text streams into a temporary file beside the symlink-resolved path,
+    which os.replace then swaps in; an exception removes the temporary
+    file and leaves an existing file at path untouched.
     """
     target = Path(path).resolve()
     tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
-    counts: Counter = Counter()
     try:
         with open(tmp, "x", encoding="utf-8") as fh:
-            fh.write(json.dumps({"schema": SCHEMA}, separators=(",", ":")) + "\n")
-            for event in events:
-                fh.write(serialize_event(event) + "\n")
-                counts[event.kind] += 1
+            yield fh
         os.replace(tmp, target)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_trace(path, events: Iterable[FaultEvent]) -> Counter:
+    """Write a JSON-lines trace (UTF-8, newline-terminated); returns kind counts.
+
+    The trace replaces path only once every line is written; a failed
+    write or source leaves an existing trace untouched.
+    """
+    counts: Counter = Counter()
+    with _atomic_text(path) as fh:
+        fh.write(json.dumps({"schema": SCHEMA}, separators=(",", ":")) + "\n")
+        for event in events:
+            fh.write(serialize_event(event) + "\n")
+            counts[event.kind] += 1
     return counts
 
 

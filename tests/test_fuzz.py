@@ -15,6 +15,9 @@ altitudes. The scan simulate uses, which evaluates a link only when it
 could cross the threshold, must give the full scan's transitions,
 grazing bits and infeasible count on random shells, maneuver sets,
 thresholds (some equal to a sampled grazing altitude) and windows.
+Per-step isl-cdf, which folds the scan's samples into a running table of
+distinct values, must give from_samples' table of every sample on random
+shells, step counts and fold sizes, with signed zeros planted among them.
 
 Ground geometry is fuzzed against its scalar references: visibility
 windows, which skip satellites that cannot be visible, and handover
@@ -32,10 +35,12 @@ import math
 import warnings
 from unittest import mock
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leofault import (
+    CdfTable,
     ConfigError,
     DeviceTarget,
     EccentricityWarning,
@@ -56,13 +61,14 @@ from leofault import (
     config_to_dict,
     handover_schedule,
     merge_traces,
+    min_isl_altitude_cdf,
     parse_event,
     parse_tle_text,
     serialize_event,
     tle_to_elements,
     visibility_windows,
 )
-from leofault import topology
+from leofault import stats, topology
 from leofault.orbital import time_grid
 from leofault.trace import KIND_PARAM_KEYS
 from test_simulation import assert_skip_scan_matches_reference
@@ -393,6 +399,27 @@ def test_skip_scan_matches_full_scan(shells, t0, step, data):
     if sampled:
         thresholds |= st.sampled_from(sampled)
     assert_skip_scan_matches_reference(topo, times, maneuvers, data.draw(thresholds))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(skip_shells, st.sampled_from([10.0, 60.0, 300.0]), st.integers(1, 40), st.data())
+def test_streamed_cdf_matches_from_samples(shells, step, n_steps, data):
+    constellation = build_constellation(shells)
+    times = time_grid(0.0, n_steps * step, step)
+    steps = [grazing for _, grazing in GridTopology(constellation).scan(times)]
+    # signed zeros, which must count as 0.0 whichever fold they fall in
+    for k, e, zero in data.draw(
+        st.lists(st.tuples(st.integers(0, len(steps) - 1), st.integers(0, steps[0].size - 1),
+                           st.sampled_from([0.0, -0.0])), max_size=6)
+    ):
+        steps[k][e] = zero
+    fold = data.draw(st.sampled_from([1, 2, 5, 64, stats._FOLD_SAMPLES]))
+    with mock.patch.object(stats, "_FOLD_SAMPLES", fold), \
+            mock.patch.object(GridTopology, "scan", lambda self, ts: zip(ts, (g.copy() for g in steps))):
+        streamed = min_isl_altitude_cdf(constellation, 0.0, n_steps * step, step, per_link_min=False)
+    expected = CdfTable.from_samples(np.concatenate(steps))
+    assert repr(streamed.points) == repr(expected.points)  # repr tells -0.0 from 0.0
+    assert all(math.copysign(1.0, value) == 1.0 for value, _ in streamed.points if value == 0.0)
 
 
 # ---------------------------------------------------------------- ground geometry

@@ -1,4 +1,7 @@
 import math
+import os
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from leofault import (
     read_cdf_csv,
     write_cdf_csv,
 )
+from leofault import stats
 from leofault.constants import EARTH_RADIUS_KM
 from leofault.topology import INTRA_PLANE
 
@@ -33,6 +37,17 @@ class TestCdfTable:
             CdfTable(points=((1.0, 0.9), (2.0, 0.5)))  # proportions decreasing
         with pytest.raises(ValueError):
             CdfTable(points=((1.0, 0.5),))  # terminal proportion != 1
+
+    def test_signed_zero_counts_as_zero(self):
+        for samples in ([-0.0], [0.0, -0.0], [-0.0, 1.0, -0.0, 0.0]):
+            cdf = CdfTable.from_samples(samples)
+            assert math.copysign(1.0, cdf.points[0][0]) == 1.0
+        assert CdfTable.from_samples([-0.0, 1.0, -0.0, 0.0]).points == ((0.0, 0.75), (1.0, 1.0))
+
+    def test_from_counts(self):
+        cdf = CdfTable.from_counts(np.array([1.0, 1.0000000001, 2.0]), np.array([1, 2, 1]))
+        assert cdf.points == ((1.0, 0.75), (2.0, 1.0))
+        assert CdfTable.from_counts(np.zeros(0), np.zeros(0, dtype=np.int64)).points == ()
 
     def test_monotone_for_random_samples(self, rng):
         for _ in range(50):
@@ -69,6 +84,37 @@ class TestInfeasibleFraction:
             threshold = float(rng.uniform(-100.0, 300.0))
             direct = np.mean(samples < threshold)
             assert cdf.proportion_below(threshold) == pytest.approx(direct, abs=1e-12)
+
+
+def loop_proportion_below(cdf, threshold):
+    """proportion_below as a walk over every point."""
+    result = 0.0
+    for value, proportion in cdf.points:
+        if value < threshold:
+            result = proportion
+        else:
+            break
+    return result
+
+
+class TestProportionBelowSearch:
+    def test_matches_loop(self, rng):
+        for _ in range(50):
+            samples = np.round(rng.normal(size=int(rng.integers(1, 200))), int(rng.integers(0, 3)))
+            cdf = CdfTable.from_samples(samples)
+            values = [v for v, _ in cdf.points]
+            thresholds = values + [values[0] - 1.0, values[-1] + 1.0, math.nan, -math.inf, math.inf]
+            thresholds += rng.uniform(values[0] - 1.0, values[-1] + 1.0, size=20).tolist()
+            for threshold in thresholds:
+                assert cdf.proportion_below(threshold) == loop_proportion_below(cdf, threshold)
+
+    def test_edges(self):
+        cdf = CdfTable.from_samples([1.0, 2.0, 2.0, 3.0])
+        assert cdf.proportion_below(0.5) == 0.0
+        assert cdf.proportion_below(2.0) == 0.25
+        assert cdf.proportion_below(3.5) == 1.0
+        assert cdf.proportion_below(math.nan) == 0.0
+        assert CdfTable(points=()).proportion_below(1.0) == 0.0
 
 
 class TestMinIslAltitudeCdf:
@@ -110,6 +156,19 @@ class TestMinIslAltitudeCdf:
         fine = min_isl_altitude_cdf(sparse_constellation, 0.0, 3600.0, 1.0, per_link_min=False)
         assert abs(coarse.proportion_below(80.0) - fine.proportion_below(80.0)) < 0.01
 
+    def test_per_step_memory_bounded_by_distinct_values(self, dense_constellation):
+        # 3,168 links x 181 steps: the raw samples alone would take 4.6 MB
+        n_samples = GridTopology(dense_constellation).n_edges * 181
+        assert n_samples * 8 > 4.5e6
+        tracemalloc.start()
+        try:
+            cdf = min_isl_altitude_cdf(dense_constellation, 0.0, 1800.0, 10.0, per_link_min=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cdf.points) > 1000
+        assert peak < 3e6
+
     def test_invalid_window(self, sparse_constellation):
         with pytest.raises(ValueError):
             min_isl_altitude_cdf(sparse_constellation, 10.0, 10.0, 1.0)
@@ -127,6 +186,28 @@ class TestCdfCsv:
         parsed = read_cdf_csv(path)
         assert len(parsed.points) == 3
         assert parsed.points[-1][1] == 1.0
+
+    def test_streamed_rows_match_joined_text(self, tmp_path, monkeypatch, rng):
+        cdf = CdfTable.from_samples(rng.normal(size=50))
+        monkeypatch.setattr(stats, "_CSV_ROWS", 7)
+        path = tmp_path / "cdf.csv"
+        write_cdf_csv(cdf, path)
+        lines = ["value_km,proportion"] + [f"{v:.9g},{p:.9g}" for v, p in cdf.points]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        write_cdf_csv(CdfTable(points=()), path)
+        assert path.read_bytes() == b"value_km,proportion\n"
+
+    def test_failed_write_keeps_old_csv(self, tmp_path, monkeypatch):
+        path = tmp_path / "cdf.csv"
+        write_cdf_csv(CdfTable.from_samples([1.0, 2.0]), path)
+        old = path.read_bytes()
+        monkeypatch.setattr(stats, "_CSV_ROWS", 2)
+        # the first slices reach the file before a row fails to format
+        bad = SimpleNamespace(points=CdfTable.from_samples(range(5)).points + (("x", 1.0),))
+        with pytest.raises(ValueError):
+            write_cdf_csv(bad, path)
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["cdf.csv"]
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "cdf.csv"
