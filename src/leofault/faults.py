@@ -24,7 +24,8 @@ in one pass over its labels (RandomStreams.substreams).
 The event samplers draw plain tuple rows whose tuple order is sort_key
 order, sort them, and build each FaultEvent from its row: the public
 samplers return the list, and simulate merges the private generators,
-which build each event only when the merge pulls it.
+which build each event only when the merge pulls it. Every trace source
+but topology's ISL transitions lives here, maneuver rows included.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 
 from .constants import SECONDS_PER_DAY, SECONDS_PER_YEAR, _check_range, _first_out_of_order, is_plain_number_text
 from .orbital import SatelliteId
-from .trace import DeviceTarget, FaultEvent, GroundLinkTarget
+from .trace import DeviceTarget, FaultEvent, GroundLinkTarget, SatelliteTarget
 
 MAX_TOTAL_OFFSET_KM = 10.0
 
@@ -312,8 +313,9 @@ def _seu_trace(
 ) -> Iterator[FaultEvent]:
     """sample_seu_events' events in sort_key order, each built when pulled.
 
-    All arrivals are drawn first, as (t, kind, sat, device) rows, whose
-    tuple order is sort_key order: one kind has one params value.
+    All arrivals are drawn first, as (t, kind, sat, device) rows of about
+    115 bytes each at peak, whose tuple order is sort_key order: one kind
+    has one params value.
     """
     sat_rate_per_s = (
         config.seu_rate_per_device_day * config.devices_per_satellite / SECONDS_PER_DAY
@@ -348,9 +350,7 @@ def sample_seu_events(
     exponential clock at devices * rate; the affected device index is
     uniform, which by Poisson superposition is equivalent to independent
     per-device processes. Events tagged permanent (probability
-    seu_permanent_prob) use the device_permanent_failure kind. simulate
-    merges the same events from rows that peak at about 115 bytes per
-    event, building each event only as the trace writer reaches it.
+    seu_permanent_prob) use the device_permanent_failure kind.
     """
     return list(_seu_trace(config, fleet, t0_s, t1_s, streams))
 
@@ -456,8 +456,6 @@ def sample_handover_spikes(
     mode the spike times are the handover instants supplied per station
     in `schedules` (from topology.handover_schedule), in any order; loss
     rates are still drawn from the station's stream, in schedule order.
-    simulate merges the renewal spikes from rows, building each event only
-    as the trace writer reaches it.
     """
     if mode not in ("renewal", "geometric"):
         raise ValueError(f"mode must be 'renewal' or 'geometric', got {mode!r}")
@@ -508,6 +506,19 @@ def sample_maneuvers(
             )
     events.sort(key=lambda e: (e.start_s, tuple(e.sat)))
     return events
+
+
+def _maneuver_trace(maneuvers: Sequence[ManeuverEvent], duration_s: float) -> Iterator[FaultEvent]:
+    """Maneuver start and end events in sort_key order, each built when pulled.
+
+    Rows are (t, kind, sat, *params in key order), whose tuple order is
+    sort_key order.
+    """
+    rows: List[tuple] = [(m.start_s, "maneuver_start", m.sat, m.dh_km, m.dwell_s) for m in maneuvers]
+    rows += [(m.end_s, "maneuver_end", m.sat, m.dh_km) for m in maneuvers if m.end_s < duration_s]
+    rows.sort()
+    for t, kind, sat, *values in rows:
+        yield FaultEvent(t, kind, SatelliteTarget(sat), dict(zip(("dh_km", "dwell_s"), values)))
 
 
 def offsets_at(events: Sequence[ManeuverEvent], t_s: float) -> Dict[SatelliteId, float]:
@@ -616,7 +627,6 @@ def rain_events(
     including a recovery event (multiplier 1.0) when rain eases. Links
     are assumed clear before the first sample; a series already degraded
     at t0 emits its state once at t0. Deterministic; no random draws are
-    involved. simulate merges the same events, building each only as the
-    trace writer reaches it.
+    involved.
     """
     return list(_rain_trace(config, gs_ids, _rain_changes(config, series, t0_s, t1_s)))

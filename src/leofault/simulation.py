@@ -4,12 +4,13 @@ A simulation is described by a single JSON document (see README for the
 schema). Configuration parsing is strict: unknown keys anywhere in the
 document are rejected so typos cannot silently fall back to defaults.
 
-run_simulation builds the constellation, samples every enabled fault
-model over [0, duration], and streams one merged, schema-versioned trace
-to disk: ISL viability transitions are scanned a block of steps at a
-time as the write pulls them through the merge, and event kinds are
-counted as written. The returned summary materializes every default for
-auditability.
+run_simulation builds the constellation and wires each enabled fault
+model's event source over [0, duration] into one merged, schema-versioned
+trace streamed to disk. Sources live with their models: faults holds the
+SEU, maneuver, handover and rain rows, topology the ISL transitions,
+scanned a block of steps at a time as the write pulls them through the
+merge. Event kinds are counted as written; the returned summary
+materializes every default for auditability.
 """
 
 from __future__ import annotations
@@ -17,19 +18,18 @@ from __future__ import annotations
 import json
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, is_dataclass
 from functools import cache
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 from typing import get_args, get_origin, get_type_hints
-
-import numpy as np
 
 from .constants import EARTH_RADIUS_KM, MAX_STEPS, SECONDS_PER_DAY, SECONDS_PER_YEAR, _check_range
 from .faults import (
     FaultModelConfig,
-    ManeuverEvent,
     RandomStreams,
+    _maneuver_trace,
     _rain_changes,
     _rain_trace,
     _seu_trace,
@@ -41,8 +41,8 @@ from .faults import (
 from .geometry import GroundStation
 from .orbital import Constellation, SatelliteId, ShellSpec, build_constellation, time_grid
 from .tle import read_tle_file, tle_to_elements
-from .topology import GridTopology
-from .trace import FaultEvent, IslTarget, SatelliteTarget, merge_traces, write_trace
+from .topology import GridTopology, _isl_transition_trace
+from .trace import merge_traces, write_trace
 
 # over twice Starlink's ~42k filing; bounds the fleet build_fleet allocates
 MAX_SATELLITES = 100_000
@@ -159,7 +159,7 @@ def load_config(path) -> SimulationConfig:
     """Load and validate a JSON configuration file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     try:
         obj = json.loads(text)
@@ -173,6 +173,15 @@ def config_to_dict(config: SimulationConfig) -> dict:
     return json.loads(json.dumps(asdict(config)))
 
 
+@contextmanager
+def _naming_file(field_name: str, path: str) -> Iterator[None]:
+    """Re-raise a file's read or parse error as a ConfigError naming its config field and path."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError and TleFormatError are ValueErrors
+        raise ConfigError(f"{field_name} ({path}): {exc}") from None
+
+
 def build_fleet(config: SimulationConfig) -> Constellation:
     """Constellation from declarative shells plus TLE snapshot files.
 
@@ -180,65 +189,15 @@ def build_fleet(config: SimulationConfig) -> Constellation:
     record) after the declared shells; TLE satellites participate in the
     fault models and visibility but carry no +GRID links, since plane
     structure cannot be reliably reconstructed from a catalog snapshot.
+    A file that cannot be read or parsed raises ConfigError naming it.
     """
     constellation = build_constellation(config.shells, config.earth_radius_km)
     for file_index, path in enumerate(config.tle_files):
-        records = read_tle_file(path)
+        with _naming_file(f"tle_files[{file_index}]", path):
+            elements = [tle_to_elements(rec) for rec in read_tle_file(path)]
         shell_index = len(config.shells) + file_index
-        for rec_index, rec in enumerate(records):
-            sat = SatelliteId(shell_index, 0, rec_index)
-            constellation[sat] = tle_to_elements(rec)
+        constellation.update((SatelliteId(shell_index, 0, i), e) for i, e in enumerate(elements))
     return constellation
-
-
-def _maneuver_trace(maneuvers: Sequence[ManeuverEvent], duration_s: float) -> Iterator[FaultEvent]:
-    """Maneuver start and end events in sort_key order, each built when pulled.
-
-    Rows are (t, kind, sat, *params in key order), whose tuple order is
-    sort_key order.
-    """
-    rows: List[tuple] = [(m.start_s, "maneuver_start", m.sat, m.dh_km, m.dwell_s) for m in maneuvers]
-    rows += [(m.end_s, "maneuver_end", m.sat, m.dh_km) for m in maneuvers if m.end_s < duration_s]
-    rows.sort()
-    for t, kind, sat, *values in rows:
-        yield FaultEvent(t, kind, SatelliteTarget(sat), dict(zip(("dh_km", "dwell_s"), values)))
-
-
-def _isl_transition_trace(
-    topo: GridTopology,
-    times: Sequence[float],
-    maneuvers: Sequence[ManeuverEvent],
-    threshold_km: float,
-    samples: Counter,
-) -> Iterator[FaultEvent]:
-    """ISL viability transitions at the given times in sort_key order, one
-    block of steps at a time; sets "total" to the (link, step) sample count and
-    counts the "infeasible" ones, those actually "evaluated" and the scan's "blocks".
-
-    One lexsort orders a block's flips by (step, kind, edge rank): a step's
-    flips share t, "isl_down" sorts before "isl_up", and the rank orders
-    edges as IslTarget orders their ids, so this is sort_key order. Each
-    event is built only when the merge pulls it, and shares its edge's
-    IslTarget, built at the edge's first flip.
-    """
-    samples["total"] = len(times) * topo.n_edges
-    if topo.n_edges == 0:
-        return
-    sat_ids, edge_a, edge_b = topo.sat_ids, topo._edge_a, topo._edge_b
-    targets: Dict[int, IslTarget] = {}  # few edges ever flip: 520 of 8,816 over a Gen1 day
-    for t, at, edges, grazing, viable, flipped, infeasible in topo._viability_scan(
-        times, maneuvers, threshold_km, samples
-    ):
-        samples["infeasible"] += int(infeasible.sum())
-        samples["evaluated"] += edges.size
-        at, edges, grazing, viable = (c.compress(flipped) for c in (at, edges, grazing, viable))
-        order = np.lexsort((topo._edge_rank.take(edges), viable, at))
-        t_s = t.tolist()
-        for k, e, g, up in zip(*(c.take(order).tolist() for c in (at, edges, grazing, viable))):
-            target = targets.get(e)
-            if target is None:
-                target = targets[e] = IslTarget(sat_ids[edge_a[e]], sat_ids[edge_b[e]])
-            yield FaultEvent(t_s[k], "isl_up" if up else "isl_down", target, {"grazing_km": g})
 
 
 def _check_expected_events(config: SimulationConfig, n_sats: int, n_rain_changes: int) -> float:
@@ -269,11 +228,10 @@ def run_simulation(config: SimulationConfig, trace_path) -> dict:
     topo = GridTopology(build_fleet(config), config.earth_radius_km)
     fleet = topo.sat_ids  # TLE satellites included
     duration = config.duration_s
-    series: List[Tuple[float, float]] = []
-    if config.precipitation_csv is not None:
-        series = read_precipitation_csv(config.precipitation_csv)
-    elif config.precipitation_mm_h is not None:
-        series = [(0.0, config.precipitation_mm_h)]
+    series = [] if config.precipitation_mm_h is None else [(0.0, config.precipitation_mm_h)]
+    if config.precipitation_csv is not None:  # set at most one of the two
+        with _naming_file("precipitation_csv", config.precipitation_csv):
+            series = read_precipitation_csv(config.precipitation_csv)
     rain_changes = _rain_changes(config.faults, series, 0.0, duration)
     expected_seu = _check_expected_events(config, len(fleet), len(rain_changes))
     streams = RandomStreams(config.seed)

@@ -51,9 +51,8 @@ class CdfTable:
     @classmethod
     def from_samples(cls, samples: Sequence[float]) -> "CdfTable":
         """Empirical CDF of the samples; see from_counts."""
-        values = np.sort(np.asarray(samples, dtype=float))
-        starts = _run_starts(values)
-        return cls.from_counts(values[starts], np.diff(starts, append=values.size))
+        empty = np.zeros(0), np.zeros(0, dtype=np.int64)
+        return cls.from_counts(*_fold(*empty, [np.asarray(samples, dtype=float)]))
 
     @classmethod
     def from_counts(cls, values: np.ndarray, counts: np.ndarray) -> "CdfTable":

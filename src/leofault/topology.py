@@ -37,7 +37,8 @@ endpoint sample of a call is propagated once: a table with one slot per
 (satellite, step of a block) maps its pairs' endpoints to the distinct
 samples. The skip scan yields once per block, its pairs unsorted, with
 their viability and flips and the infeasible count of each step. Both
-scans share the kernel, so every evaluated value equals scan's.
+scans share the kernel, so every evaluated value equals scan's, and
+_isl_transition_trace turns its flips into the trace's ISL events.
 
 The driver keeps the maneuver offsets as one dense per-satellite array,
 touched only when a maneuver starts or ends (found by a pointer into the
@@ -91,6 +92,7 @@ from .geometry import (
 )
 from .faults import MAX_TOTAL_OFFSET_KM, ManeuverEvent
 from .orbital import Constellation, FleetArrays, SatelliteId, _mean_motion, time_grid
+from .trace import FaultEvent, IslTarget
 
 INTRA_PLANE = "intra_plane"
 CROSS_PLANE = "cross_plane"
@@ -156,11 +158,7 @@ class GridTopology:
             ends.append(np.array([np.minimum(a, b), np.maximum(a, b)]))
             kinds += [INTRA_PLANE, CROSS_PLANE] * grid.size
 
-        self._edge_a, self._edge_b = edges = np.concatenate(ends, axis=1)
-        # rows are in id order, so this ranks edges as IslTarget orders their (a, b) ids;
-        # wrap-around edges, such as (index 0, index S-1) of a plane, break edge index order
-        self._edge_rank = np.empty(edges.shape[1], dtype=int)
-        self._edge_rank[np.lexsort((self._edge_b, self._edge_a))] = np.arange(edges.shape[1])
+        self._edge_a, self._edge_b = np.concatenate(ends, axis=1)
         self.edge_kinds = kinds
 
     @cached_property
@@ -349,6 +347,40 @@ class GridTopology:
                 self.edge_ids, self.edge_kinds, grazing, length, viable
             )
         ]
+
+
+def _isl_transition_trace(
+    topo: GridTopology, times: Sequence[float], maneuvers: Sequence[ManeuverEvent], threshold_km: float,
+    samples: Counter,
+) -> Iterator[FaultEvent]:
+    """ISL viability transitions at the given times in sort_key order, one
+    block of steps at a time; sets "total" to the (link, step) sample count and
+    counts the "infeasible" ones, those actually "evaluated" and the scan's "blocks".
+
+    One lexsort orders a block's flips by (step, kind, a row, b row): a
+    step's flips share t, "isl_down" sorts before "isl_up", and rows are in
+    id order with a < b on every edge, so this is sort_key order. Each
+    event is built only when the merge pulls it, and shares its edge's
+    IslTarget, built at the edge's first flip.
+    """
+    samples["total"] = len(times) * topo.n_edges
+    if topo.n_edges == 0:
+        return
+    sat_ids, edge_a, edge_b = topo.sat_ids, topo._edge_a, topo._edge_b
+    targets: Dict[int, IslTarget] = {}  # few edges ever flip: 520 of 8,816 over a Gen1 day
+    for t, at, edges, grazing, viable, flipped, infeasible in topo._viability_scan(
+        times, maneuvers, threshold_km, samples
+    ):
+        samples["infeasible"] += int(infeasible.sum())
+        samples["evaluated"] += edges.size
+        at, edges, grazing, viable = (c.compress(flipped) for c in (at, edges, grazing, viable))
+        order = np.lexsort((edge_b.take(edges), edge_a.take(edges), viable, at))
+        t_s = t.tolist()
+        for k, e, g, up in zip(*(c.take(order).tolist() for c in (at, edges, grazing, viable))):
+            target = targets.get(e)
+            if target is None:
+                target = targets[e] = IslTarget(sat_ids[edge_a[e]], sat_ids[edge_b[e]])
+            yield FaultEvent(t_s[k], "isl_up" if up else "isl_down", target, {"grazing_km": g})
 
 
 # km kept off every skipped edge's distance to the threshold: covers the

@@ -20,6 +20,7 @@ read_trace holds them all in a list.
 
 from __future__ import annotations
 
+import errno
 import functools
 import heapq
 import json
@@ -365,12 +366,20 @@ def _atomic_text(path) -> Iterator[TextIO]:
 
     Text streams into a temporary file beside the symlink-resolved path,
     which os.replace then swaps in; an exception removes the temporary
-    file and leaves an existing file at path untouched.
+    file and leaves an existing file at path untouched. A directory at
+    path, or a temporary file that cannot be opened, raises OSError naming
+    path before the with-block runs.
     """
     target = Path(path).resolve()
+    if target.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
     tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8") as fh:
+        fh = open(tmp, "x", encoding="utf-8")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with fh:
             yield fh
         os.replace(tmp, target)
     except BaseException:

@@ -1,8 +1,10 @@
 import argparse
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -286,6 +288,68 @@ class TestSimulateCommand:
         config_path.write_text(json.dumps(SPARSE_CONFIG))
         result = run_cli("simulate", "--config", str(config_path), "--out", str(tmp_path / "t.jsonl"))
         assert '"schema"' not in result.stdout
+
+    @pytest.mark.parametrize("out", ["missing/t.jsonl", "outdir"])
+    def test_unwritable_out_named(self, tmp_path, monkeypatch, capsys, out):
+        # a directory at --out is rejected before the first trace line, not after the whole run
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "outdir").mkdir()
+        Path("config.json").write_text(json.dumps(SPARSE_CONFIG))
+        assert main(["simulate", "--config", "config.json", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"'{out}'" in err and ".tmp" not in err
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "outdir"]
+        assert os.listdir(tmp_path / "outdir") == []
+
+
+LINE1, LINE2 = serialize_tle(
+    TleRecord(
+        catalog_number=44713, epoch_year=2023, epoch_day=15.5, inclination_deg=53.05,
+        raan_deg=100.0, eccentricity=0.0001, arg_perigee_deg=90.0, mean_anomaly_deg=270.0,
+        mean_motion_rev_per_day=15.06,
+    )
+)
+
+GARBLED = {
+    "missing": None,
+    "not-utf-8": b"\xff\xfe\n",
+    "bad-checksum": f"{LINE1[:-1]}{(int(LINE1[-1]) + 1) % 10}\n{LINE2}\n".encode(),
+    "bad-rain-header": b"time,rate\n0,1\n",
+    "bad-rain-row": b"t_s,mm_per_h\n0,wet\n",
+}
+
+
+class TestConfigFileErrors:
+    """A file named in the config that cannot be read or parsed exits 2, naming its field."""
+
+    @pytest.mark.parametrize("command", ["simulate", "isl-cdf"])
+    @pytest.mark.parametrize("case", ["missing", "not-utf-8", "bad-checksum"])
+    def test_tle_file_named(self, tmp_path, monkeypatch, capsys, command, case):
+        monkeypatch.chdir(tmp_path)
+        Path("good.tle").write_text(f"{LINE1}\n{LINE2}\n")
+        if GARBLED[case] is not None:
+            Path("bad.tle").write_bytes(GARBLED[case])
+        config = {**SPARSE_CONFIG, "tle_files": ["good.tle", "bad.tle"]}
+        Path("config.json").write_text(json.dumps(config))
+        assert main([command, "--config", "config.json", "--out", "out"]) == 2
+        assert capsys.readouterr().err.startswith("error: tle_files[1] (bad.tle): ")
+        assert not Path("out").exists()
+
+    def test_config_file_not_utf8_named(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("config.json").write_bytes(GARBLED["not-utf-8"])
+        assert main(["simulate", "--config", "config.json", "--out", "t.jsonl"]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read config file config.json: ")
+
+    @pytest.mark.parametrize("case", ["missing", "not-utf-8", "bad-rain-header", "bad-rain-row"])
+    def test_precipitation_csv_named(self, tmp_path, monkeypatch, capsys, case):
+        monkeypatch.chdir(tmp_path)
+        if GARBLED[case] is not None:
+            Path("rain.csv").write_bytes(GARBLED[case])
+        Path("config.json").write_text(json.dumps({**SPARSE_CONFIG, "precipitation_csv": "rain.csv"}))
+        assert main(["simulate", "--config", "config.json", "--out", "t.jsonl"]) == 2
+        assert capsys.readouterr().err.startswith("error: precipitation_csv (rain.csv): ")
+        assert not Path("t.jsonl").exists()
 
 
 class TestIslCdfCommand:

@@ -239,3 +239,24 @@ def test_post_init_checks_reject_nan():
                     found.append(f"{path.name}:{node.lineno}: {ast.unparse(node.test)}")
     # write `if not value >= low:` or call constants._check_range instead
     assert found == []
+
+
+def test_private_attributes_stay_in_their_module():
+    # topology.py is the link-state engine and the one module that reaches into GridTopology
+    # and FleetArrays; elsewhere only self's and cls's own private attributes are used, and
+    # namedtuple's _make, which is public API despite its underscore
+    package = Path(__file__).resolve().parent.parent / "src" / "leofault"
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "topology.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr.startswith("_")
+                and not node.attr.endswith("__")
+                and node.attr != "_make"
+                and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+            ):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []

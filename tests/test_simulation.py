@@ -42,10 +42,9 @@ from leofault.simulation import (
     MAX_SATELLITES,
     MAX_STEPS,
     _check_expected_events,
-    _isl_transition_trace,
-    _maneuver_trace,
 )
-from leofault.topology import INTRA_PLANE, GridTopology
+from leofault.faults import _maneuver_trace
+from leofault.topology import INTRA_PLANE, GridTopology, _isl_transition_trace
 from leofault.trace import KIND_TARGET_TYPE
 from test_faults import (
     exact,
@@ -598,6 +597,32 @@ class TestSkipScan:
         index = {ids: i for i, ids in enumerate(topo.edge_ids)}
         assert step != sorted(step, key=lambda e: (e.kind, index[e.target.a, e.target.b]))
         assert_skip_scan_matches_reference(topo, times, (), 80.0)
+
+    def test_linkless_shell_between_grids_offsets_rows(self):
+        # the 2x2 shell's four rows carry no edges, so the last shell's edge rows start
+        # four rows past the first shell's: flips still follow IslTarget order
+        shells = [ShellSpec(2000.0, 90.0, 3, 8), ShellSpec(1500.0, 70.0, 2, 2), ShellSpec(1200.0, 53.0, 5, 4)]
+        topo = GridTopology(build_constellation(shells))
+        times = time_grid(0.0, 3 * 3600.0, 300.0)
+        events = list(_isl_transition_trace(topo, times, (), 80.0, Counter()))
+        assert {e.target.a.shell for e in events} == {0, 2}
+        assert events == sorted(events, key=lambda e: e.sort_key)
+        assert_skip_scan_matches_reference(topo, times, (), 80.0)
+
+    def test_maneuver_flips_sharing_an_a_row_follow_b_row(self):
+        # raising satellite (0, 0, 0) lifts its edges over a threshold 1 km above the intra-plane
+        # grazing at once: its wrap-around edge to (0, 0, 4) flips with its cross-plane edges, and
+        # IslTarget puts it first although its edge index falls between theirs
+        topo = GridTopology(build_constellation([ShellSpec(2000.0, 53.0, 3, 5)]))
+        times = time_grid(0.0, 2 * 3600.0, 60.0)
+        _, grazing = next(topo.scan([0.0]))
+        starts = np.arange(120.0, 7000.0, 660.0).tolist()
+        maneuvers = [ManeuverEvent(topo.sat_ids[0], start, 10.0, 600.0) for start in starts]
+        threshold_km = float(grazing[0]) + 1.0
+        events = list(_isl_transition_trace(topo, times, maneuvers, threshold_km, Counter()))
+        step = [e.target.b for e in events if e.t_s == 1440.0 and e.target.a == topo.sat_ids[0]]
+        assert step == [SatelliteId(0, 0, 4), SatelliteId(0, 1, 0), SatelliteId(0, 2, 0)]
+        assert_skip_scan_matches_reference(topo, times, maneuvers, threshold_km)
 
     def test_dense_shell_evaluates_few_edges(self, tmp_path):
         dense = {"altitude_km": 550.0, "inclination_deg": 53.0, "planes": 72, "sats_per_plane": 22}

@@ -209,6 +209,15 @@ class TestCdfCsv:
         assert path.read_bytes() == old
         assert os.listdir(tmp_path) == ["cdf.csv"]
 
+    @pytest.mark.parametrize("where", ["missing/cdf.csv", "."])
+    def test_unwritable_path_named(self, tmp_path, monkeypatch, where):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(OSError) as excinfo:
+            write_cdf_csv(CdfTable.from_samples([1.0, 2.0]), where)
+        assert excinfo.value.filename == where
+        assert ".tmp" not in str(excinfo.value)
+        assert os.listdir(tmp_path) == []
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "cdf.csv"
         path.write_text("a,b\n1,1\n")

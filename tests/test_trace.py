@@ -641,6 +641,21 @@ class TestTraceFiles:
         assert path.read_bytes() == old
         assert os.listdir(tmp_path) == ["trace.jsonl"]
 
+    @pytest.mark.parametrize("where", ["missing/trace.jsonl", "."])
+    def test_unwritable_path_named_before_source_is_pulled(self, tmp_path, monkeypatch, where):
+        # a missing directory, or a directory where the trace should go, names the given path
+        monkeypatch.chdir(tmp_path)
+
+        def untouched():
+            raise AssertionError("the source was pulled")
+            yield
+
+        with pytest.raises(OSError) as excinfo:
+            write_trace(where, untouched())
+        assert excinfo.value.filename == where
+        assert ".tmp" not in str(excinfo.value)
+        assert os.listdir(tmp_path) == []
+
     def test_write_returns_kind_counts(self, tmp_path):
         events = [make_event("isl_down", 1.0), make_event("isl_up", 2.0), make_event("isl_down", 3.0)]
         counts = write_trace(tmp_path / "trace.jsonl", iter(events))
