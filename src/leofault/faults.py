@@ -21,11 +21,11 @@ a given (seed, config, fleet, interval) and adding one model never
 perturbs another model's draws. A sampler derives all of its substreams
 in one pass over its labels (RandomStreams.substreams).
 
-The event samplers draw plain tuple rows whose tuple order is sort_key
-order, sort them, and build each FaultEvent from its row: the public
-samplers return the list, and simulate merges the private generators,
-which build each event only when the merge pulls it. Every trace source
-but topology's ISL transitions lives here, maneuver rows included.
+The event samplers draw rows, (t, kind, *target fields, *params in key
+order), whose tuple order is sort_key order, sort them, and check them by
+the event rules: simulate writes the private generators' rows as lines,
+and the public samplers build each FaultEvent from its row. Every trace
+source but topology's ISL transitions lives here, maneuver rows included.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import numpy as np
 
 from .constants import SECONDS_PER_DAY, SECONDS_PER_YEAR, _check_range, _first_out_of_order, is_plain_number_text
 from .orbital import SatelliteId
-from .trace import DeviceTarget, FaultEvent, GroundLinkTarget, SatelliteTarget
+from .trace import FaultEvent, GroundLinkTarget, _check_param, _check_sat, _check_time, _event_from_row
 
 MAX_TOTAL_OFFSET_KM = 10.0
 
@@ -310,30 +310,32 @@ def _seu_trace(
     t0_s: float,
     t1_s: float,
     streams: RandomStreams,
-) -> Iterator[FaultEvent]:
-    """sample_seu_events' events in sort_key order, each built when pulled.
+) -> Iterator[tuple]:
+    """sample_seu_events' rows, (t, kind, sat, device, *params), in sort_key order.
 
-    All arrivals are drawn first, as (t, kind, sat, device) rows of about
-    115 bytes each at peak, whose tuple order is sort_key order: one kind
-    has one params value.
+    All arrivals are drawn first, as rows of about 123 bytes each at peak.
+    Fleet ids and the downtime are checked once, each time as it is yielded.
     """
     sat_rate_per_s = (
         config.seu_rate_per_device_day * config.devices_per_satellite / SECONDS_PER_DAY
     )
     if sat_rate_per_s <= 0.0 or t1_s <= t0_s:
         return
+    _check_param("device_reboot", "downtime_s", config.seu_downtime_s)
     scale = 1.0 / sat_rate_per_s
-    rows: List[Tuple[float, str, SatelliteId, int]] = []
+    rows: List[tuple] = []
     rngs = streams.substreams(f"seu/{sat.label()}" for sat in fleet)
     for sat, rng in zip(fleet, rngs):
+        _check_sat(sat, "sat")
         for t in _arrivals(partial(rng.exponential, scale), t0_s, t1_s):
             device = int(rng.integers(config.devices_per_satellite))
             permanent = rng.random() < config.seu_permanent_prob
-            rows.append((t, "device_permanent_failure" if permanent else "device_reboot", sat, device))
+            rows.append((t, "device_permanent_failure", sat, device) if permanent
+                        else (t, "device_reboot", sat, device, config.seu_downtime_s))
     rows.sort()
-    for t, kind, sat, device in rows:
-        params = {"downtime_s": config.seu_downtime_s} if kind == "device_reboot" else {}
-        yield FaultEvent(t, kind, DeviceTarget(sat, device), params)
+    for row in rows:
+        _check_time(row[0])
+        yield row
 
 
 def sample_seu_events(
@@ -352,7 +354,7 @@ def sample_seu_events(
     per-device processes. Events tagged permanent (probability
     seu_permanent_prob) use the device_permanent_failure kind.
     """
-    return list(_seu_trace(config, fleet, t0_s, t1_s, streams))
+    return list(map(_event_from_row, _seu_trace(config, fleet, t0_s, t1_s, streams)))
 
 
 def _mission_dose(profile: DoseProfile, inclination_deg: float, mission_years: float) -> float:
@@ -414,15 +416,21 @@ def _spike_trace(
     t1_s: float,
     streams: RandomStreams,
     schedules: Optional[Dict[str, Sequence[float]]] = None,
-) -> Iterator[FaultEvent]:
-    """sample_handover_spikes' events in sort_key order, each built when
-    pulled; renewal spike times unless schedules is given.
+) -> Iterator[tuple]:
+    """sample_handover_spikes' rows, (t, kind, gs_id, *params), in sort_key
+    order; renewal spike times unless schedules is given.
 
-    All spikes are drawn first, as (t, gs_id, loss) rows, whose tuple order
-    is sort_key order: every spike has one kind and one duration.
+    All spikes are drawn first. Station ids, the duration and schedules are checked
+    once (ValueError names a station not in gs_ids or a NaN time), each time and loss per row.
     """
-    rows: List[Tuple[float, str, float]] = []
-    targets: Dict[str, GroundLinkTarget] = {}
+    _check_param("handover_spike", "duration_s", config.handover_spike_s)
+    ids = [GroundLinkTarget(gs_id).gs_id for gs_id in gs_ids]  # a target checks its id
+    for gs_id, times in (schedules or {}).items():
+        if gs_id not in ids:
+            raise ValueError(f"schedules has station {gs_id!r}, which is not in gs_ids")
+        if (nan := next((i for i, t in enumerate(times) if t != t), None)) is not None:  # t != t: NaN
+            raise ValueError(f"schedules[{gs_id!r}][{nan}] is NaN")
+    rows: List[tuple] = []
     rngs = streams.substreams(f"handover/{gs_id}" for gs_id in gs_ids)
     for gs_id, rng in zip(gs_ids, rngs):
         if schedules is None:
@@ -430,13 +438,14 @@ def _spike_trace(
             spike_times = _arrivals(gap, t0_s, t1_s)
         else:
             spike_times = (float(t) for t in schedules.get(gs_id, ()) if t0_s <= t < t1_s)
-        targets[gs_id] = GroundLinkTarget(gs_id)
         for t in spike_times:
-            rows.append((t, gs_id, rng.uniform(config.handover_loss_min, config.handover_loss_max)))
+            loss = rng.uniform(config.handover_loss_min, config.handover_loss_max)
+            rows.append((t, "handover_spike", gs_id, config.handover_spike_s, loss))
     rows.sort()
-    for t, gs_id, loss in rows:
-        params = {"loss_rate": loss, "duration_s": config.handover_spike_s}
-        yield FaultEvent(t, "handover_spike", targets[gs_id], params)
+    for row in rows:
+        _check_time(row[0])
+        _check_param("handover_spike", "loss_rate", row[4])
+        yield row
 
 
 def sample_handover_spikes(
@@ -461,7 +470,8 @@ def sample_handover_spikes(
         raise ValueError(f"mode must be 'renewal' or 'geometric', got {mode!r}")
     if mode == "geometric" and schedules is None:
         raise ValueError("geometric mode requires a schedules mapping")
-    return list(_spike_trace(config, gs_ids, t0_s, t1_s, streams, schedules if mode == "geometric" else None))
+    spikes = _spike_trace(config, gs_ids, t0_s, t1_s, streams, schedules if mode == "geometric" else None)
+    return list(map(_event_from_row, spikes))
 
 
 @dataclass(frozen=True)
@@ -508,17 +518,18 @@ def sample_maneuvers(
     return events
 
 
-def _maneuver_trace(maneuvers: Sequence[ManeuverEvent], duration_s: float) -> Iterator[FaultEvent]:
-    """Maneuver start and end events in sort_key order, each built when pulled.
-
-    Rows are (t, kind, sat, *params in key order), whose tuple order is
-    sort_key order.
-    """
+def _maneuver_trace(maneuvers: Sequence[ManeuverEvent], duration_s: float) -> Iterator[tuple]:
+    """Maneuver start and end rows, (t, kind, sat, *params), in sort_key order; each row's
+    time, satellite id and params are checked as it is yielded."""
     rows: List[tuple] = [(m.start_s, "maneuver_start", m.sat, m.dh_km, m.dwell_s) for m in maneuvers]
     rows += [(m.end_s, "maneuver_end", m.sat, m.dh_km) for m in maneuvers if m.end_s < duration_s]
     rows.sort()
-    for t, kind, sat, *values in rows:
-        yield FaultEvent(t, kind, SatelliteTarget(sat), dict(zip(("dh_km", "dwell_s"), values)))
+    for row in rows:
+        _check_time(row[0])
+        _check_sat(row[2], "sat")
+        for key, value in zip(("dh_km", "dwell_s"), row[3:]):
+            _check_param(row[1], key, value)
+        yield row
 
 
 def offsets_at(events: Sequence[ManeuverEvent], t_s: float) -> Dict[SatelliteId, float]:
@@ -602,14 +613,17 @@ def _rain_changes(
 
 def _rain_trace(
     config: FaultModelConfig, gs_ids: Sequence[str], changes: Sequence[Tuple[float, float]]
-) -> Iterator[FaultEvent]:
-    """rain_events' events in sort_key order, each built when pulled: change by change, stations in id order."""
-    targets = [GroundLinkTarget(gs_id) for gs_id in sorted(gs_ids)]
+) -> Iterator[tuple]:
+    """rain_events' rows, (t, kind, gs_id, *params), in sort_key order: change by change, stations
+    in id order. Station ids are checked once, each row's time and params as it is yielded."""
+    ids = sorted(GroundLinkTarget(gs_id).gs_id for gs_id in gs_ids)  # a target checks its id
     for t, multiplier in changes:
         latency = config.rain_latency_factor if multiplier < 1.0 else 1.0
-        for target in targets:
-            params = {"throughput_multiplier": multiplier, "latency_factor": latency}
-            yield FaultEvent(t, "gs_link_degraded", target, params)
+        for gs_id in ids:
+            _check_time(t)
+            _check_param("gs_link_degraded", "latency_factor", latency)
+            _check_param("gs_link_degraded", "throughput_multiplier", multiplier)
+            yield (t, "gs_link_degraded", gs_id, latency, multiplier)
 
 
 def rain_events(
@@ -629,4 +643,4 @@ def rain_events(
     at t0 emits its state once at t0. Deterministic; no random draws are
     involved.
     """
-    return list(_rain_trace(config, gs_ids, _rain_changes(config, series, t0_s, t1_s)))
+    return list(map(_event_from_row, _rain_trace(config, gs_ids, _rain_changes(config, series, t0_s, t1_s))))

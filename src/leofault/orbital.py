@@ -44,10 +44,16 @@ class ShellSpec:
         _check_range("inclination_deg", self.inclination_deg, 0.0, 180.0)
         _check_range("raan_spread_deg", self.raan_spread_deg, 0.0, 360.0, "(]")
         for attr in ("planes", "sats_per_plane", "phase_offset_f"):
-            if not isinstance(getattr(self, attr), int):
+            if type(getattr(self, attr)) is bool or not isinstance(getattr(self, attr), int):
                 raise ValueError(f"{attr} must be an integer, got {getattr(self, attr)!r}")
         _check_range("planes", self.planes, 1.0)
         _check_range("sats_per_plane", self.sats_per_plane, 1.0)
+        try:  # build_constellation's plane phases are p * F * 360 / (P * S), largest at p = P - 1
+            finite = math.isfinite((self.planes - 1) * self.phase_offset_f * 360.0)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
+            raise ValueError(f"phase_offset_f must give finite plane phases over {self.planes} planes, got {self.phase_offset_f}")
 
     @property
     def total_sats(self) -> int:

@@ -4,17 +4,18 @@ A simulation is described by a single JSON document (see README for the
 schema). Configuration parsing is strict: unknown keys anywhere in the
 document are rejected so typos cannot silently fall back to defaults.
 
-run_simulation builds the constellation and wires each enabled fault
-model's event source over [0, duration] into one merged, schema-versioned
-trace streamed to disk. Sources live with their models: faults holds the
-SEU, maneuver, handover and rain rows, topology the ISL transitions,
-scanned a block of steps at a time as the write pulls them through the
-merge. Event kinds are counted as written; the returned summary
-materializes every default for auditability.
+run_simulation builds the constellation and heap-merges each fault
+model's checked rows over [0, duration] into one schema-versioned trace
+streamed to disk, a line per row and no event built; a kind has one
+source, so (t, kind) decides between sources. faults holds the SEU,
+maneuver, handover and rain sources, topology the ISL transitions, scanned
+a block of steps at a time as the write pulls them through the merge.
+Kinds are counted as written; the summary materializes every default.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import sys
 from collections import Counter
@@ -42,7 +43,7 @@ from .geometry import GroundStation
 from .orbital import Constellation, SatelliteId, ShellSpec, build_constellation, time_grid
 from .tle import read_tle_file, tle_to_elements
 from .topology import GridTopology, _isl_transition_trace
-from .trace import merge_traces, write_trace
+from .trace import _write_rows
 
 # over twice Starlink's ~42k filing; bounds the fleet build_fleet allocates
 MAX_SATELLITES = 100_000
@@ -243,11 +244,10 @@ def run_simulation(config: SimulationConfig, trace_path) -> dict:
     spikes = _spike_trace(config.faults, gs_ids, 0.0, duration, streams)
     rain = _rain_trace(config.faults, gs_ids, rain_changes)
 
-    samples: Counter = Counter()  # filled as write_trace pulls the ISL scan through the merge
+    samples: Counter = Counter()  # filled as the write pulls the ISL scan through the merge
     times = time_grid(0.0, duration, config.step_s)
     isl = _isl_transition_trace(topo, times, maneuvers, config.isl_threshold_km, samples)
-    events = merge_traces([seu, _maneuver_trace(maneuvers, duration), spikes, rain, isl])
-    counts = write_trace(trace_path, events)
+    counts = _write_rows(trace_path, heapq.merge(seu, _maneuver_trace(maneuvers, duration), spikes, rain, isl))
     return {
         "config": config_to_dict(config),
         "trace_path": str(trace_path),

@@ -92,7 +92,7 @@ from .geometry import (
 )
 from .faults import MAX_TOTAL_OFFSET_KM, ManeuverEvent
 from .orbital import Constellation, FleetArrays, SatelliteId, _mean_motion, time_grid
-from .trace import FaultEvent, IslTarget
+from .trace import _check_sat, _event_from_row
 
 INTRA_PLANE = "intra_plane"
 CROSS_PLANE = "cross_plane"
@@ -352,22 +352,22 @@ class GridTopology:
 def _isl_transition_trace(
     topo: GridTopology, times: Sequence[float], maneuvers: Sequence[ManeuverEvent], threshold_km: float,
     samples: Counter,
-) -> Iterator[FaultEvent]:
-    """ISL viability transitions at the given times in sort_key order, one
-    block of steps at a time; sets "total" to the (link, step) sample count and
-    counts the "infeasible" ones, those actually "evaluated" and the scan's "blocks".
+) -> Iterator[tuple]:
+    """ISL transition rows, (t, kind, a, b, grazing_km), at the given times in sort_key
+    order, one block of steps at a time; sets "total" to the (link, step) sample count
+    and counts the "infeasible" ones, those actually "evaluated" and the scan's "blocks".
 
     One lexsort orders a block's flips by (step, kind, a row, b row): a
     step's flips share t, "isl_down" sorts before "isl_up", and rows are in
-    id order with a < b on every edge, so this is sort_key order. Each
-    event is built only when the merge pulls it, and shares its edge's
-    IslTarget, built at the edge's first flip.
+    id order with a < b on every edge, so this is sort_key order. Fleet ids
+    are checked once, a block's times and grazing altitudes at once.
     """
     samples["total"] = len(times) * topo.n_edges
     if topo.n_edges == 0:
         return
     sat_ids, edge_a, edge_b = topo.sat_ids, topo._edge_a, topo._edge_b
-    targets: Dict[int, IslTarget] = {}  # few edges ever flip: 520 of 8,816 over a Gen1 day
+    for sat in sat_ids:
+        _check_sat(sat, "sat")
     for t, at, edges, grazing, viable, flipped, infeasible in topo._viability_scan(
         times, maneuvers, threshold_km, samples
     ):
@@ -375,12 +375,13 @@ def _isl_transition_trace(
         samples["evaluated"] += edges.size
         at, edges, grazing, viable = (c.compress(flipped) for c in (at, edges, grazing, viable))
         order = np.lexsort((edge_b.take(edges), edge_a.take(edges), viable, at))
-        t_s = t.tolist()
-        for k, e, g, up in zip(*(c.take(order).tolist() for c in (at, edges, grazing, viable))):
-            target = targets.get(e)
-            if target is None:
-                target = targets[e] = IslTarget(sat_ids[edge_a[e]], sat_ids[edge_b[e]])
-            yield FaultEvent(t_s[k], "isl_up" if up else "isl_down", target, {"grazing_km": g})
+        t_s, grazing, edges = t.take(at.take(order)), grazing.take(order), edges.take(order)
+        columns = (t_s, viable.take(order), edge_a.take(edges), edge_b.take(edges), grazing)
+        rows = [(tk, "isl_up" if up else "isl_down", sat_ids[a], sat_ids[b], g)
+                for tk, up, a, b, g in zip(*(c.tolist() for c in columns))]
+        if not (np.isfinite([t_s, grazing]).all() and (t_s >= 0.0).all()):
+            list(map(_event_from_row, rows))  # raises the error of the first bad row's event
+        yield from rows
 
 
 # km kept off every skipped edge's distance to the threshold: covers the

@@ -6,16 +6,16 @@ are canonicalized to at most 9 significant digits on serialization; an
 event whose numbers are already canonical round-trips exactly.
 
 Targets order by their fields (KIND_TARGET_TYPE fixes a kind's target
-type), so events order by (t, kind, target, params). Building a target or
-an event checks every value, so the writer cannot emit what the reader
-rejects. The writer re-checks only params, the one mutable field, and
-renders each line from its kind's template. The reader tries that
-template first: a regular expression built from it matches the writer's
-own lines, whose fields then go through the same checked constructors.
-Any other line, and any event a constructor rejects, goes through
-parse_event, which maps JSON shape onto these types and so owns every
-error message and offset. iter_trace streams events in constant memory;
-read_trace holds them all in a list.
+type), so events order by (t, kind, target, params), and so do rows,
+(t, kind, *target fields, *params in key order), as tuples; a kind's one
+renderer fills its template from a row. Events, and the rows simulate
+writes without building one, are checked by the same rules, so the writer
+cannot emit what the reader rejects. The reader tries the template first:
+a regular expression built from it matches the writer's own lines, whose
+fields then go through the same checked constructors. Any other line, and
+any event a constructor rejects, goes through parse_event, which owns
+every error message and offset. iter_trace streams events in constant
+memory; read_trace holds them all in a list.
 """
 
 from __future__ import annotations
@@ -135,17 +135,27 @@ def _finite(value) -> bool:  # an int or float, not a bool, that converts to a f
         return False
 
 
+def _check_time(t_s) -> None:
+    if not (type(t_s) is float and 0.0 <= t_s < math.inf or _finite(t_s) and t_s >= 0.0):
+        raise ValueError(f"t_s must be a finite number >= 0, got {t_s!r}")
+
+
+def _check_param(kind: str, key: str, value) -> None:
+    if not (type(value) is float and math.isfinite(value) or _finite(value)):
+        raise ValueError(f"{kind} param {key} must be a finite number, got {value!r}")
+
+
 def _check_params(kind: str, params: Mapping[str, float]) -> None:
     if params.keys() != KIND_PARAM_KEYS[kind]:
         raise ValueError(f"{kind} params must be exactly {sorted(KIND_PARAM_KEYS[kind])}, got {sorted(params)}")
     for key, value in params.items():
-        if not (type(value) is float and math.isfinite(value) or _finite(value)):  # floats skip the call
-            raise ValueError(f"{kind} param {key} must be a finite number, got {value!r}")
+        if not (type(value) is float and math.isfinite(value)):  # finite floats skip the call
+            _check_param(kind, key, value)
 
 
 def _check_event(t_s: float, kind: str, target: Target, params: Mapping[str, float]) -> None:
-    if not (type(t_s) is float and 0.0 <= t_s < math.inf or _finite(t_s) and t_s >= 0.0):
-        raise ValueError(f"t_s must be a finite number >= 0, got {t_s!r}")
+    if not (type(t_s) is float and 0.0 <= t_s < math.inf):  # finite floats >= 0 skip the call
+        _check_time(t_s)
     try:
         expected_type = KIND_TARGET_TYPE[kind]
     except (KeyError, TypeError):  # TypeError: an unhashable kind, such as a JSON array
@@ -231,61 +241,65 @@ def _target_from_obj(obj, offset: int) -> Target:
     return target_type(*args)
 
 
-def _sat(a: str, b: str, c: str) -> SatelliteId:
-    return SatelliteId(int(a), int(b), int(c))
-
-
 # target type -> its JSON template ("%d" an integer, "%s" a JSON string),
-# its fields in template order, and its inverse from a matched line's
-# groups, of which group 0 is the time
+# its values from a row's target fields, and its inverse from a matched
+# line's groups, of which group 0 is the time
 _TARGET_FORMS = {
     DeviceTarget: (
         '{"type":"device","sat":[%d,%d,%d],"device":%d}',
-        lambda target: (*target.sat, target.device),
-        lambda f: DeviceTarget(_sat(f[1], f[2], f[3]), int(f[4])),
+        lambda row: (*row[2], row[3]),
+        lambda f: DeviceTarget(SatelliteId(int(f[1]), int(f[2]), int(f[3])), int(f[4])),
     ),
     SatelliteTarget: (
         '{"type":"satellite","sat":[%d,%d,%d]}',
-        lambda target: target.sat,
-        lambda f: SatelliteTarget(_sat(f[1], f[2], f[3])),
+        lambda row: row[2],
+        lambda f: SatelliteTarget(SatelliteId(int(f[1]), int(f[2]), int(f[3]))),
     ),
     IslTarget: (
         '{"type":"isl","a":[%d,%d,%d],"b":[%d,%d,%d]}',
-        lambda target: (*target.a, *target.b),
-        lambda f: IslTarget(_sat(f[1], f[2], f[3]), _sat(f[4], f[5], f[6])),
+        lambda row: (*row[2], *row[3]),
+        lambda f: IslTarget(SatelliteId(int(f[1]), int(f[2]), int(f[3])), SatelliteId(int(f[4]), int(f[5]), int(f[6]))),
     ),
     GroundLinkTarget: (
         '{"type":"ground_link","gs":%s}',
-        lambda target: (json.dumps(target.gs_id),),
+        lambda row: (json.dumps(row[2]),),
         lambda f: GroundLinkTarget(f[1]),
     ),
 }
 
 
-def _line_template(kind: str) -> str:  # "%r" is a float
-    params = ",".join(f'"{key}":%r' for key in sorted(KIND_PARAM_KEYS[kind]))
-    target = _TARGET_FORMS[KIND_TARGET_TYPE[kind]][0]
-    return f'{{"t":%r,"kind":"{kind}","target":{target},"params":{{{params}}}}}'
+def _line_form(kind: str) -> tuple:
+    """kind's template ("%r" a float, written by repr as json does), target type, params' start in a row,
+    param keys, and renderer of a row into its line."""
+    target_type, keys = KIND_TARGET_TYPE[kind], sorted(KIND_PARAM_KEYS[kind])
+    target, target_values = _TARGET_FORMS[target_type][:2]
+    params = ",".join(f'"{key}":%r' for key in keys)
+    template = f'{{"t":%r,"kind":"{kind}","target":{target},"params":{{{params}}}}}'
+    end = 2 + len(target_type.__match_args__)
+    render = lambda row: template % (canonical_number(row[0]), *target_values(row), *map(canonical_number, row[end:]))
+    return template, target_type, end, keys, render
 
 
-# kind -> its line template, its target's fields and its param keys, in line order
-_LINE_FORMS = {
-    kind: (_line_template(kind), _TARGET_FORMS[target_type][1], sorted(KIND_PARAM_KEYS[kind]))
-    for kind, target_type in KIND_TARGET_TYPE.items()
-}
+# kind -> its line form: a row is (t, kind, *target fields, *params in key order)
+_LINE_FORMS = {kind: _line_form(kind) for kind in KIND_TARGET_TYPE}
+
+
+def _event_from_row(row: tuple) -> FaultEvent:
+    """The checked event of a row."""
+    _, target_type, end, keys, _ = _LINE_FORMS[row[1]]
+    return FaultEvent(row[0], row[1], target_type(*row[2:end]), dict(zip(keys, row[end:])))
+
+
+def _row_from_event(event: FaultEvent) -> tuple:
+    """An event's row. Only params, a mutable dict, is checked again."""
+    kind, target, params = event.kind, event.target, event.params
+    _check_params(kind, params)
+    return (event.t_s, kind, *[getattr(target, f) for f in target.__match_args__], *[params[k] for k in _LINE_FORMS[kind][3]])
 
 
 def serialize_event(event: FaultEvent) -> str:
-    """One-line JSON rendering of an event (canonical numbers, sorted keys).
-
-    Only params, a mutable dict, is checked again: rounding keeps a checked
-    time finite and >= 0, and repr writes a float exactly as json does.
-    """
-    kind, params = event.kind, event.params
-    _check_params(kind, params)
-    template, target_fields, keys = _LINE_FORMS[kind]
-    numbers = [canonical_number(params[key]) for key in keys]
-    return template % (canonical_number(event.t_s), *target_fields(event.target), *numbers)
+    """One-line JSON rendering of an event (canonical numbers, sorted keys), from its row."""
+    return _LINE_FORMS[event.kind][4](_row_from_event(event))
 
 
 # JSON number tokens that float() reads as json does: a fraction or an
@@ -305,7 +319,7 @@ def _template_reader() -> Callable[[str], Optional[FaultEvent]]:
     # kind -> its line's fullmatch, the kind (one string for all its events),
     # its target from the groups, the first param group and the param keys
     forms = {}
-    for kind, (template, _, keys) in _LINE_FORMS.items():
+    for kind, (template, _, _, keys, _) in _LINE_FORMS.items():
         pattern = re.compile(re.sub("%[rds]", lambda m: _TOKENS[m[0]], re.escape(template)))
         target_from = _TARGET_FORMS[KIND_TARGET_TYPE[kind]][2]
         forms[kind] = (pattern.fullmatch, kind, target_from, pattern.groups - len(keys), keys)
@@ -387,19 +401,24 @@ def _atomic_text(path) -> Iterator[TextIO]:
         raise
 
 
+def _write_rows(path, rows: Iterable[tuple]) -> Counter:
+    """write_trace's writer: one line per checked row, from its kind's renderer."""
+    counts: Counter = Counter()
+    with _atomic_text(path) as fh:
+        fh.write(json.dumps({"schema": SCHEMA}, separators=(",", ":")) + "\n")
+        for row in rows:
+            fh.write(_LINE_FORMS[row[1]][4](row) + "\n")
+            counts[row[1]] += 1
+    return counts
+
+
 def write_trace(path, events: Iterable[FaultEvent]) -> Counter:
     """Write a JSON-lines trace (UTF-8, newline-terminated); returns kind counts.
 
     The trace replaces path only once every line is written; a failed
     write or source leaves an existing trace untouched.
     """
-    counts: Counter = Counter()
-    with _atomic_text(path) as fh:
-        fh.write(json.dumps({"schema": SCHEMA}, separators=(",", ":")) + "\n")
-        for event in events:
-            fh.write(serialize_event(event) + "\n")
-            counts[event.kind] += 1
-    return counts
+    return _write_rows(path, map(_row_from_event, events))
 
 
 def iter_trace(path) -> Iterator[FaultEvent]:

@@ -239,6 +239,20 @@ class TestHandoverSpikes:
         assert [e.t_s for e in events] == [100.0, 500.0]
         assert all(0.01 <= e.params["loss_rate"] <= 0.02 for e in events)
 
+    @pytest.mark.parametrize(
+        "schedules, message",
+        [
+            ({"a": [5.0, float("nan")], "b": []}, r"^schedules\['a'\]\[1\] is NaN$"),
+            ({"a": [5.0], "zz": [1.0]}, r"^schedules has station 'zz', which is not in gs_ids$"),
+        ],
+        ids=["nan-time", "unknown-station"],
+    )
+    def test_geometric_bad_schedule_named(self, schedules, message):
+        with pytest.raises(ValueError, match=message):
+            sample_handover_spikes(
+                FaultModelConfig(), ["a", "b"], 0.0, 100.0, RandomStreams(5), mode="geometric", schedules=schedules
+            )
+
     def test_geometric_requires_schedules(self):
         with pytest.raises(ValueError):
             sample_handover_spikes(
@@ -704,6 +718,11 @@ def test_seu_events_match_build_then_sort(config, n_sats, interval, seed, tied):
 )
 def test_handover_spikes_match_build_then_sort(config, gs_ids, interval, seed, tied, schedules):
     mode = "renewal" if schedules is None else "geometric"
+    unknown = [gs_id for gs_id in schedules or () if gs_id not in gs_ids]
+    if unknown:  # a schedule for a station not sampled is an error, not ignored
+        with pytest.raises(ValueError, match=f"schedules has station {unknown[0]!r}, which is not in gs_ids"):
+            sample_handover_spikes(config, gs_ids, *interval, RandomStreams(seed), mode, schedules)
+        return
     with pytest.MonkeyPatch.context() as mp:
         if tied:
             mp.setattr(RandomStreams, "substreams", tied_substreams(config))

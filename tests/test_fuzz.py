@@ -367,6 +367,8 @@ skip_shells = st.lists(
         inclination_deg=st.sampled_from([53.0, 90.0, 97.6, 140.0]),  # prograde, polar, retrograde
         planes=st.integers(3, 8),
         sats_per_plane=st.integers(3, 8),
+        raan_spread_deg=st.sampled_from([180.0, 360.0]) | st.floats(0.0, 360.0, exclude_min=True),
+        phase_offset_f=st.integers(0, 3),
     ),
     min_size=1,
     max_size=2,

@@ -101,8 +101,22 @@ DENSE_CONFIG = {
     "seed": 1,
 }
 
+# The reference run: the Gen1 shells with two stations over a whole day.
+GEN1_DAY_CONFIG = {
+    "shells": GEN1_SHELLS,
+    "ground_stations": [
+        {"id": "berlin", "latitude_deg": 52.5, "longitude_deg": 13.4},
+        {"id": "seattle", "latitude_deg": 47.6, "longitude_deg": -122.3},
+    ],
+    "faults": {"seu_rate_per_device_day": 1e-3},
+    "duration_s": 86400.0,
+    "step_s": 10.0,
+    "seed": 1,
+}
+
 GEN1_TRACE_SHA256 = "27557f975ca7a9bb629b4f7ba5cadda2fdca551561d9f7cefbe2b01a90f524d8"
 ALL_KINDS_TRACE_SHA256 = "46bb5cb0684b5ba729b136244ba7df1c1eff8624b08955590a0edac735023437"
+GEN1_DAY_TRACE_SHA256 = "de8f779a7ca97c00fe68a63c3569eb92e509ce319a5aa08266d83f0f25c940a1"
 OVERLAP_TRACE_SHA256 = "2bb650d898740459ca891e54756763c8c9c50ad36a2eafa59f0adba5f5e73062"
 DENSE_CDF_PER_STEP_SHA256 = "e0feba950a4d0692c4e9adb08bab776cc651f02004d2d2bf583e876dd1336d0d"
 DENSE_CDF_PER_LINK_MIN_SHA256 = "16cee8be245f935672a6dee1e7ff6b03ce528e6e1aa679632d5dff970ff6f867"
@@ -182,6 +196,13 @@ def catalog_text(n: int) -> str:
         )
         lines.extend(serialize_tle(rec))
     return "\n".join(lines) + "\n"
+
+
+def test_gen1_day_trace_digest(tmp_path):
+    out = tmp_path / "trace.jsonl"
+    summary = run_simulation(config_from_dict(GEN1_DAY_CONFIG), out)
+    assert summary["n_events"] == 33_594
+    assert sha256_of(out) == GEN1_DAY_TRACE_SHA256
 
 
 def test_all_kinds_trace_digest(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -65,6 +66,21 @@ class TestShellSpec:
         base.update(kwargs)
         with pytest.raises(ValueError):
             ShellSpec(**base)
+
+    @pytest.mark.parametrize("attr", ["planes", "sats_per_plane", "phase_offset_f"])
+    def test_bool_counts_rejected(self, attr):
+        with pytest.raises(ValueError, match=f"^{attr} must be an integer, got True$"):
+            ShellSpec(**{"altitude_km": 550.0, "inclination_deg": 53.0, "planes": 3, "sats_per_plane": 3, attr: True})
+
+    def test_phase_offset_rejected_exactly_where_plane_phases_overflow(self):
+        # the last of 3 planes has phase 2 * F * 360 / 9: finite up to F = max / 720
+        largest = int(sys.float_info.max / 720.0)
+        for f in (largest, -largest):
+            build_constellation([ShellSpec(550.0, 53.0, 3, 3, phase_offset_f=f)])
+        for f in (2 * largest, -2 * largest, 10**400):
+            with pytest.raises(ValueError, match="^phase_offset_f must give finite plane phases over 3 planes"):
+                ShellSpec(550.0, 53.0, 3, 3, phase_offset_f=f)
+        build_constellation([ShellSpec(550.0, 53.0, 1, 3, phase_offset_f=10**400)])  # one plane has phase 0
 
 
 class TestBuildConstellation:

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import re
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -43,16 +45,22 @@ from leofault.simulation import (
     MAX_STEPS,
     _check_expected_events,
 )
-from leofault.faults import _maneuver_trace
+from leofault.faults import _maneuver_trace, _rain_changes, _rain_trace, _seu_trace, _spike_trace
 from leofault.topology import INTRA_PLANE, GridTopology, _isl_transition_trace
-from leofault.trace import KIND_TARGET_TYPE
+import leofault.trace as trace_module
+from leofault.trace import KIND_TARGET_TYPE, _event_from_row
 from test_faults import (
     exact,
+    fault_configs,
+    intervals,
     reference_handover_spikes,
     reference_rain_events,
     reference_seu_events,
+    schedule_times,
+    station_ids,
     tied_substreams,
 )
+from test_golden import ALL_KINDS_CONFIG, ALL_KINDS_PRECIPITATION, ALL_KINDS_TLE_RECORDS, ALL_KINDS_TRACE_SHA256, catalog_text
 
 SPARSE = {
     "altitude_km": 560.0,
@@ -99,7 +107,7 @@ def reference_isl_transition_trace(topo, times, maneuvers, threshold_km, samples
 def assert_skip_scan_matches_reference(topo, times, maneuvers, threshold_km):
     """Transitions, their grazing_km bits and the sample counts equal the full scan's."""
     got, want = Counter(), Counter()
-    events = list(_isl_transition_trace(topo, times, maneuvers, threshold_km, got))
+    events = list(map(_event_from_row, _isl_transition_trace(topo, times, maneuvers, threshold_km, got)))
     expected = list(reference_isl_transition_trace(topo, times, maneuvers, threshold_km, want))
     assert [(e.t_s, e.kind, e.target) for e in events] == [(e.t_s, e.kind, e.target) for e in expected]
     assert [e.params["grazing_km"].hex() for e in events] == [
@@ -200,6 +208,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as excinfo:
             config_from_dict(obj)
         assert str(excinfo.value).startswith(path + " ")
+
+    def test_huge_phase_offset_names_the_shell_and_field(self):
+        # an integer F within the float range whose plane phases are not
+        bad = minimal_config()
+        bad["shells"][0]["phase_offset_f"] = 10**308
+        with pytest.raises(ConfigError, match=r"^shells\[0\]: phase_offset_f must give finite plane phases"):
+            config_from_dict(bad)
 
     def test_wrong_typed_leaf_message(self):
         bad = minimal_config()
@@ -590,7 +605,8 @@ class TestSkipScan:
         # (a, b) ids order differs from their index order: the flips follow the ids
         topo = GridTopology(build_constellation([ShellSpec(2000.0, 90.0, 3, 8), ShellSpec(1200.0, 53.0, 5, 4)]))
         times = time_grid(0.0, 3 * 3600.0, 300.0)
-        step = [e for e in _isl_transition_trace(topo, times, (), 80.0, Counter()) if e.t_s == 1200.0]
+        events = map(_event_from_row, _isl_transition_trace(topo, times, (), 80.0, Counter()))
+        step = [e for e in events if e.t_s == 1200.0]
         assert {e.kind for e in step} == {"isl_down", "isl_up"}
         assert {e.target.a.shell for e in step} == {0, 1}
         assert any(e.target.b.plane - e.target.a.plane > 1 or e.target.b.index - e.target.a.index > 1 for e in step)
@@ -604,7 +620,7 @@ class TestSkipScan:
         shells = [ShellSpec(2000.0, 90.0, 3, 8), ShellSpec(1500.0, 70.0, 2, 2), ShellSpec(1200.0, 53.0, 5, 4)]
         topo = GridTopology(build_constellation(shells))
         times = time_grid(0.0, 3 * 3600.0, 300.0)
-        events = list(_isl_transition_trace(topo, times, (), 80.0, Counter()))
+        events = list(map(_event_from_row, _isl_transition_trace(topo, times, (), 80.0, Counter())))
         assert {e.target.a.shell for e in events} == {0, 2}
         assert events == sorted(events, key=lambda e: e.sort_key)
         assert_skip_scan_matches_reference(topo, times, (), 80.0)
@@ -619,7 +635,7 @@ class TestSkipScan:
         starts = np.arange(120.0, 7000.0, 660.0).tolist()
         maneuvers = [ManeuverEvent(topo.sat_ids[0], start, 10.0, 600.0) for start in starts]
         threshold_km = float(grazing[0]) + 1.0
-        events = list(_isl_transition_trace(topo, times, maneuvers, threshold_km, Counter()))
+        events = list(map(_event_from_row, _isl_transition_trace(topo, times, maneuvers, threshold_km, Counter())))
         step = [e.target.b for e in events if e.t_s == 1440.0 and e.target.a == topo.sat_ids[0]]
         assert step == [SatelliteId(0, 0, 4), SatelliteId(0, 1, 0), SatelliteId(0, 2, 0)]
         assert_skip_scan_matches_reference(topo, times, maneuvers, threshold_km)
@@ -762,8 +778,87 @@ maneuver_lists = st.lists(
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(maneuver_lists, st.sampled_from([10.0, 50.0, 100.0]))
 def test_maneuver_trace_matches_build_then_sort(maneuvers, duration_s):
-    got = list(_maneuver_trace(maneuvers, duration_s))
+    got = list(map(_event_from_row, _maneuver_trace(maneuvers, duration_s)))
     assert exact(got) == exact(reference_maneuver_trace(maneuvers, duration_s))
+
+
+def assert_rows_in_sort_key_order(rows):
+    """Rows non-decreasing as tuples, which heapq.merge compares, and in their events' sort_key."""
+    keys = [_event_from_row(row).sort_key for row in rows]
+    assert all(a <= b for a, b in zip(keys, keys[1:]))
+    assert all(a <= b for a, b in zip(rows, rows[1:]))
+
+
+# precipitation CSVs: times in any order (read back sorted and unique), rates across both thresholds
+rain_csvs = st.dictionaries(
+    st.sampled_from([0.0, 50.0, 100.0, 600.0]) | st.floats(-100.0, 4000.0),
+    st.sampled_from([0.0, 1.0, 3.0, 9.0]) | st.floats(0.0, 10.0),
+    max_size=8,
+).map(lambda rates: "t_s,mm_per_h\n" + "".join(f"{t!r},{mm!r}\n" for t, mm in sorted(rates.items())))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(fault_configs(), st.integers(0, 5), intervals, station_ids, maneuver_lists, rain_csvs, st.booleans(), st.data())
+def test_every_source_yields_rows_in_sort_key_order(config, n_sats, interval, gs_ids, maneuvers, csv_text, tied, data):
+    # permanent failures tie with reboots, maneuver ends with starts, and rain changes with each other
+    fleet = [SatelliteId(0, p, i) for p in (0, 1) for i in range(n_sats)][:n_sats]
+    schedules = data.draw(st.none() | st.fixed_dictionaries({gs_id: schedule_times for gs_id in gs_ids}))
+    with tempfile.TemporaryDirectory() as tmp:
+        rain_path = Path(tmp) / "rain.csv"
+        rain_path.write_text(csv_text)
+        series = read_precipitation_csv(rain_path)
+    with pytest.MonkeyPatch.context() as mp:
+        if tied:
+            mp.setattr(RandomStreams, "substreams", tied_substreams(config))
+        assert_rows_in_sort_key_order(list(_seu_trace(config, fleet, *interval, RandomStreams(1))))
+        assert_rows_in_sort_key_order(list(_spike_trace(config, gs_ids, *interval, RandomStreams(1), schedules)))
+    assert_rows_in_sort_key_order(list(_rain_trace(config, gs_ids, _rain_changes(config, series, *interval))))
+    assert_rows_in_sort_key_order(list(_maneuver_trace(maneuvers, data.draw(st.sampled_from([10.0, 50.0, 100.0])))))
+    # the same maneuvers, raising one of the 3x8 shell's satellites past its neighbors' links for minutes
+    topo_maneuvers = sorted(
+        (ManeuverEvent(SKIP_TOPOLOGY.sat_ids[m.sat.plane], m.start_s * 60.0, 9.5, m.dwell_s * 60.0)
+         for m in maneuvers if m.dh_km > 0.0),
+        key=lambda m: m.start_s,
+    )
+    threshold_km = data.draw(st.sampled_from([80.0, 1000.0, 1500.0]))
+    flips = _isl_transition_trace(SKIP_TOPOLOGY, SKIP_TIMES[:60], topo_maneuvers, threshold_km, Counter())
+    assert_rows_in_sort_key_order(list(flips))
+
+
+def test_simulate_builds_and_checks_no_event(tmp_path, monkeypatch):
+    # sources yield rows checked as they are made, and each is written through its kind's renderer
+    tle_path, rain_path = tmp_path / "catalog.tle", tmp_path / "rain.csv"
+    tle_path.write_text(catalog_text(ALL_KINDS_TLE_RECORDS), encoding="utf-8")
+    rain_path.write_text(ALL_KINDS_PRECIPITATION, encoding="utf-8")
+    config = config_from_dict({**ALL_KINDS_CONFIG, "tle_files": [str(tle_path)], "precipitation_csv": str(rain_path)})
+    calls = Counter()
+    for name in ("_check_event", "_check_params"):
+        check = getattr(trace_module, name)
+        monkeypatch.setattr(trace_module, name, lambda *args, name=name, check=check: calls.update([name]) or check(*args))
+    post_init = FaultEvent.__post_init__
+    monkeypatch.setattr(FaultEvent, "__post_init__", lambda self: calls.update(["FaultEvent"]) or post_init(self))
+    summary = run_simulation(config, tmp_path / "trace.jsonl")
+    assert calls == Counter()
+    assert sorted(summary["event_counts"]) == sorted(KIND_TARGET_TYPE)
+    assert hashlib.sha256((tmp_path / "trace.jsonl").read_bytes()).hexdigest() == ALL_KINDS_TRACE_SHA256
+
+
+def test_nan_grazing_names_the_param_and_keeps_the_trace(tmp_path, monkeypatch):
+    # edges viable at their first evaluation flip down on a NaN grazing altitude at their next
+    kernel, calls = GridTopology._edge_grazing, []
+
+    def nan_after_first_call(self, *args):
+        calls.append(args)
+        grazing = kernel(self, *args)
+        return grazing if len(calls) == 1 else np.full_like(grazing, np.nan)
+
+    monkeypatch.setattr(GridTopology, "_edge_grazing", nan_after_first_call)
+    out = tmp_path / "trace.jsonl"
+    out.write_text("an earlier trace\n")
+    with pytest.raises(ValueError, match="isl_down param grazing_km must be a finite number, got nan"):
+        run_simulation(config_from_dict(minimal_config(duration_s=3600.0)), out)
+    assert out.read_text() == "an earlier trace\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.jsonl"]
 
 
 @pytest.mark.parametrize("tied", [False, True])

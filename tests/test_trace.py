@@ -297,6 +297,23 @@ def any_events(draw) -> FaultEvent:
     return FaultEvent(draw(times), kind, target, {key: draw(param_values) for key in keys})
 
 
+@st.composite
+def any_rows(draw) -> tuple:
+    """A row, (t, kind, *target fields, *params in key order), over any_events' values."""
+    kind = draw(st.sampled_from(sorted(KIND_PARAM_KEYS)))
+    target_type = KIND_TARGET_TYPE[kind]
+    if target_type is DeviceTarget:
+        target = (draw(sat_ids), draw(sat_fields))
+    elif target_type is SatelliteTarget:
+        target = (draw(sat_ids),)
+    elif target_type is IslTarget:
+        a = draw(sat_ids)
+        target = tuple(sorted((a, draw(sat_ids.filter(lambda b: b != a)))))  # rows hold an edge as a < b
+    else:
+        target = (draw(station_ids),)
+    return (draw(times), kind, *target, *[draw(param_values) for _ in KIND_PARAM_KEYS[kind]])
+
+
 def event_bits(event: FaultEvent) -> tuple:
     """The event and the bits of its floats, which == does not tell apart (0.0 == -0.0)."""
     return event, event.t_s.hex(), [(key, value.hex()) for key, value in event.params.items()]
@@ -342,6 +359,19 @@ class TestSerialization:
         line = serialize_event(event)
         assert line == reference_line(event)
         assert line.isascii()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+    @given(any_rows())
+    @example((0.0, "handover_spike", 'Zürich "北京" \\ \x00\x1f \u2028', 1e16, 1e-7))
+    @example((5e-324, "maneuver_start", SAT_A, -0.0, 1.7976931348623157e308))
+    @example((1.7976931348623157e308, "isl_up", SatelliteId(2**63, 5, 2**70), SatelliteId(2**64, 0, 1), 5e-324))
+    @example((1e16, "device_reboot", SatelliteId(2**63 + 1, 2**64, 0), 2**65, -5e-324))
+    @example((1e-7, "device_permanent_failure", SAT_B, 0))
+    def test_row_renders_as_its_event(self, row):
+        # simulate writes rows through their kind's renderer; the event of a row serializes to the same line
+        event = trace_module._event_from_row(row)
+        assert trace_module._LINE_FORMS[row[1]][4](row) == serialize_event(event) == reference_line(event)
+        assert trace_module._row_from_event(event) == row
 
     def test_one_check_per_event(self, tmp_path, monkeypatch):
         # speed is pinned by structure: the writer never repeats the build-time check
@@ -815,8 +845,9 @@ def test_readme_trace_table_matches_kinds_params_and_writer():
 
 
 def test_only_the_merge_reads_sort_key():
-    """Sources sort plain rows whose tuple order is sort_key order, so the
-    sortedness check in merge_traces builds each event's key once."""
+    """Sources sort and yield rows whose tuple order is sort_key order, and
+    simulate merges and writes those rows, so only merge_traces, for events
+    from the library, builds an event's key."""
     package = Path(trace_module.__file__).parent
     readers = sorted(
         str(path.relative_to(package))
