@@ -43,7 +43,10 @@ def _check_range(name: str, value, low, high=math.inf, ends: str = "[]", error: 
     included infinite bound leaves that side unbounded. The test asks whether
     value is inside, so NaN, for which every comparison is false, never is.
     Float bounds keep the check cheap; the message drops their ".0".
+    A bool, which Python compares as an int, is never a number here.
     """
+    if type(value) is bool:
+        raise error(f"{name} must be a number, got {value}")
     if (value > low or value == low and ends[0] == "[") and (value < high or value == high and ends[1] == "]"):
         return
     low_text, high_text = (str(bound).removesuffix(".0") for bound in (low, high))

@@ -22,10 +22,13 @@ perturbs another model's draws. A sampler derives all of its substreams
 in one pass over its labels (RandomStreams.substreams).
 
 The event samplers draw rows, (t, kind, *target fields, *params in key
-order), whose tuple order is sort_key order, sort them, and check them by
-the event rules: simulate writes the private generators' rows as lines,
-and the public samplers build each FaultEvent from its row. Every trace
-source but topology's ISL transitions lives here, maneuver rows included.
+order), whose tuple order is sort_key order, and sort them: simulate
+writes the private sources' rows as lines, and the public samplers build
+each FaultEvent from its row. The sources check the ids a caller passes
+in (fleet and station ids, schedules) where they enter, and only draw
+numbers: trace's renderer checks every row's time and params as it
+writes the row, and FaultEvent as it builds one. Every trace source but
+topology's ISL transitions lives here, maneuver rows included.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import numpy as np
 
 from .constants import SECONDS_PER_DAY, SECONDS_PER_YEAR, _check_range, _first_out_of_order, is_plain_number_text
 from .orbital import SatelliteId
-from .trace import FaultEvent, GroundLinkTarget, _check_param, _check_sat, _check_time, _event_from_row
+from .trace import FaultEvent, GroundLinkTarget, _check_sat, _event_from_row
 
 MAX_TOTAL_OFFSET_KM = 10.0
 
@@ -127,15 +130,21 @@ class FaultModelConfig:
             "devices_per_satellite",
             "seu_downtime_s",
             "rain_light_mm_h",
+            "rain_moderate_mm_h",
             "handover_min_s",
             "handover_spike_s",
             "maneuver_rate_per_sat_year",
             "maneuver_dh_min_km",
+            "maneuver_dh_max_km",
             "maneuver_dwell_s",
         ):
             _check_range(name, getattr(self, name), 0.0)
         # zero gaps never advance a station's spike arrivals
         _check_range("handover_max_s", self.handover_max_s, 0.0, ends="(]")
+        _check_range("rain_moderate_multiplier", self.rain_moderate_multiplier, 0.0, 1.0, "(]")
+        _check_range("rain_latency_factor", self.rain_latency_factor, 1.0)
+        for name in ("seu_permanent_prob", "handover_loss_min", "handover_loss_max"):
+            _check_range(name, getattr(self, name), 0.0, 1.0)
         for low, high in (
             ("rain_light_mm_h", "rain_moderate_mm_h"),
             ("handover_min_s", "handover_max_s"),
@@ -144,10 +153,6 @@ class FaultModelConfig:
         ):
             if not getattr(self, low) <= getattr(self, high):
                 raise ValueError(f"{low} must be <= {high}")
-        _check_range("rain_moderate_multiplier", self.rain_moderate_multiplier, 0.0, 1.0, "(]")
-        _check_range("rain_latency_factor", self.rain_latency_factor, 1.0)
-        for name in ("seu_permanent_prob", "handover_loss_min", "handover_loss_max"):
-            _check_range(name, getattr(self, name), 0.0, 1.0)
 
 
 def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
@@ -310,18 +315,14 @@ def _seu_trace(
     t0_s: float,
     t1_s: float,
     streams: RandomStreams,
-) -> Iterator[tuple]:
-    """sample_seu_events' rows, (t, kind, sat, device, *params), in sort_key order.
-
-    All arrivals are drawn first, as rows of about 123 bytes each at peak.
-    Fleet ids and the downtime are checked once, each time as it is yielded.
-    """
+) -> List[tuple]:
+    """sample_seu_events' rows, (t, kind, sat, device, *params), sorted, about 123 bytes
+    each; fleet ids are checked as each satellite is drawn."""
     sat_rate_per_s = (
         config.seu_rate_per_device_day * config.devices_per_satellite / SECONDS_PER_DAY
     )
     if sat_rate_per_s <= 0.0 or t1_s <= t0_s:
-        return
-    _check_param("device_reboot", "downtime_s", config.seu_downtime_s)
+        return []
     scale = 1.0 / sat_rate_per_s
     rows: List[tuple] = []
     rngs = streams.substreams(f"seu/{sat.label()}" for sat in fleet)
@@ -333,9 +334,7 @@ def _seu_trace(
             rows.append((t, "device_permanent_failure", sat, device) if permanent
                         else (t, "device_reboot", sat, device, config.seu_downtime_s))
     rows.sort()
-    for row in rows:
-        _check_time(row[0])
-        yield row
+    return rows
 
 
 def sample_seu_events(
@@ -416,14 +415,10 @@ def _spike_trace(
     t1_s: float,
     streams: RandomStreams,
     schedules: Optional[Dict[str, Sequence[float]]] = None,
-) -> Iterator[tuple]:
-    """sample_handover_spikes' rows, (t, kind, gs_id, *params), in sort_key
-    order; renewal spike times unless schedules is given.
-
-    All spikes are drawn first. Station ids, the duration and schedules are checked
-    once (ValueError names a station not in gs_ids or a NaN time), each time and loss per row.
-    """
-    _check_param("handover_spike", "duration_s", config.handover_spike_s)
+) -> List[tuple]:
+    """sample_handover_spikes' rows, (t, kind, gs_id, *params), sorted; renewal spike
+    times unless schedules is given. Station ids and schedules are checked first
+    (ValueError names a station not in gs_ids or a NaN time)."""
     ids = [GroundLinkTarget(gs_id).gs_id for gs_id in gs_ids]  # a target checks its id
     for gs_id, times in (schedules or {}).items():
         if gs_id not in ids:
@@ -442,10 +437,7 @@ def _spike_trace(
             loss = rng.uniform(config.handover_loss_min, config.handover_loss_max)
             rows.append((t, "handover_spike", gs_id, config.handover_spike_s, loss))
     rows.sort()
-    for row in rows:
-        _check_time(row[0])
-        _check_param("handover_spike", "loss_rate", row[4])
-        yield row
+    return rows
 
 
 def sample_handover_spikes(
@@ -461,17 +453,19 @@ def sample_handover_spikes(
     sort_key.
 
     In "renewal" mode each station's spikes arrive with inter-arrival
-    times uniform in [handover_min_s, handover_max_s]. In "geometric"
-    mode the spike times are the handover instants supplied per station
-    in `schedules` (from topology.handover_schedule), in any order; loss
-    rates are still drawn from the station's stream, in schedule order.
+    times uniform in [handover_min_s, handover_max_s], and schedules must
+    be None. In "geometric" mode the spike times are the handover instants
+    supplied per station in `schedules` (from topology.handover_schedule),
+    in any order; loss rates are still drawn from the station's stream, in
+    schedule order.
     """
     if mode not in ("renewal", "geometric"):
         raise ValueError(f"mode must be 'renewal' or 'geometric', got {mode!r}")
     if mode == "geometric" and schedules is None:
         raise ValueError("geometric mode requires a schedules mapping")
-    spikes = _spike_trace(config, gs_ids, t0_s, t1_s, streams, schedules if mode == "geometric" else None)
-    return list(map(_event_from_row, spikes))
+    if mode == "renewal" and schedules is not None:
+        raise ValueError("schedules is read only in geometric mode; renewal mode draws its own spike times")
+    return list(map(_event_from_row, _spike_trace(config, gs_ids, t0_s, t1_s, streams, schedules)))
 
 
 @dataclass(frozen=True)
@@ -518,18 +512,12 @@ def sample_maneuvers(
     return events
 
 
-def _maneuver_trace(maneuvers: Sequence[ManeuverEvent], duration_s: float) -> Iterator[tuple]:
-    """Maneuver start and end rows, (t, kind, sat, *params), in sort_key order; each row's
-    time, satellite id and params are checked as it is yielded."""
+def _maneuver_trace(maneuvers: Sequence[ManeuverEvent], duration_s: float) -> List[tuple]:
+    """Maneuver start and end rows, (t, kind, sat, *params), sorted."""
     rows: List[tuple] = [(m.start_s, "maneuver_start", m.sat, m.dh_km, m.dwell_s) for m in maneuvers]
     rows += [(m.end_s, "maneuver_end", m.sat, m.dh_km) for m in maneuvers if m.end_s < duration_s]
     rows.sort()
-    for row in rows:
-        _check_time(row[0])
-        _check_sat(row[2], "sat")
-        for key, value in zip(("dh_km", "dwell_s"), row[3:]):
-            _check_param(row[1], key, value)
-        yield row
+    return rows
 
 
 def offsets_at(events: Sequence[ManeuverEvent], t_s: float) -> Dict[SatelliteId, float]:
@@ -615,14 +603,11 @@ def _rain_trace(
     config: FaultModelConfig, gs_ids: Sequence[str], changes: Sequence[Tuple[float, float]]
 ) -> Iterator[tuple]:
     """rain_events' rows, (t, kind, gs_id, *params), in sort_key order: change by change, stations
-    in id order. Station ids are checked once, each row's time and params as it is yielded."""
+    in id order. Station ids are checked before the first row."""
     ids = sorted(GroundLinkTarget(gs_id).gs_id for gs_id in gs_ids)  # a target checks its id
     for t, multiplier in changes:
         latency = config.rain_latency_factor if multiplier < 1.0 else 1.0
         for gs_id in ids:
-            _check_time(t)
-            _check_param("gs_link_degraded", "latency_factor", latency)
-            _check_param("gs_link_degraded", "throughput_multiplier", multiplier)
             yield (t, "gs_link_degraded", gs_id, latency, multiplier)
 
 

@@ -5,12 +5,15 @@ schema). Configuration parsing is strict: unknown keys anywhere in the
 document are rejected so typos cannot silently fall back to defaults.
 
 run_simulation builds the constellation and heap-merges each fault
-model's checked rows over [0, duration] into one schema-versioned trace
-streamed to disk, a line per row and no event built; a kind has one
-source, so (t, kind) decides between sources. faults holds the SEU,
-maneuver, handover and rain sources, topology the ISL transitions, scanned
-a block of steps at a time as the write pulls them through the merge.
-Kinds are counted as written; the summary materializes every default.
+model's rows over [0, duration] into one schema-versioned trace streamed
+to disk, a line per row and no event built; a kind has one source, so
+(t, kind) decides between sources. faults holds the SEU, maneuver,
+handover and rain sources, topology the ISL transitions, scanned a block
+of steps at a time as the write pulls them through the merge. Ids are
+checked where they enter (the config, and the sources that take fleet
+and station ids), numbers where rows are written: trace's renderer checks
+each row's time and params. Kinds are counted as written; the summary
+materializes every default.
 """
 
 from __future__ import annotations
@@ -237,7 +240,6 @@ def run_simulation(config: SimulationConfig, trace_path) -> dict:
     expected_seu = _check_expected_events(config, len(fleet), len(rain_changes))
     streams = RandomStreams(config.seed)
 
-    # every source but maneuvers, which the ISL scan also reads, draws when the merge first pulls it
     seu = _seu_trace(config.faults, fleet, 0.0, duration, streams)
     maneuvers = sample_maneuvers(config.faults, fleet, 0.0, duration, streams)
     gs_ids = [gs.id for gs in config.ground_stations]

@@ -90,6 +90,7 @@ class TleRecord:
 
     def __post_init__(self) -> None:
         _check_range("catalog_number", self.catalog_number, 0, 99999)
+        _check_range("epoch_year", self.epoch_year, 1957, 2056)  # the years two digits stand for
         # what the 11-column field holds; a tinier rate overflows the semi-major axis
         _check_range("mean_motion_rev_per_day", self.mean_motion_rev_per_day, 1e-8, 100.0, "[)")
         _check_range("eccentricity", self.eccentricity, 0.0, 1.0, "[)")

@@ -92,7 +92,6 @@ from .geometry import (
 )
 from .faults import MAX_TOTAL_OFFSET_KM, ManeuverEvent
 from .orbital import Constellation, FleetArrays, SatelliteId, _mean_motion, time_grid
-from .trace import _check_sat, _event_from_row
 
 INTRA_PLANE = "intra_plane"
 CROSS_PLANE = "cross_plane"
@@ -359,15 +358,12 @@ def _isl_transition_trace(
 
     One lexsort orders a block's flips by (step, kind, a row, b row): a
     step's flips share t, "isl_down" sorts before "isl_up", and rows are in
-    id order with a < b on every edge, so this is sort_key order. Fleet ids
-    are checked once, a block's times and grazing altitudes at once.
+    id order with a < b on every edge, so this is sort_key order.
     """
     samples["total"] = len(times) * topo.n_edges
     if topo.n_edges == 0:
         return
     sat_ids, edge_a, edge_b = topo.sat_ids, topo._edge_a, topo._edge_b
-    for sat in sat_ids:
-        _check_sat(sat, "sat")
     for t, at, edges, grazing, viable, flipped, infeasible in topo._viability_scan(
         times, maneuvers, threshold_km, samples
     ):
@@ -377,11 +373,8 @@ def _isl_transition_trace(
         order = np.lexsort((edge_b.take(edges), edge_a.take(edges), viable, at))
         t_s, grazing, edges = t.take(at.take(order)), grazing.take(order), edges.take(order)
         columns = (t_s, viable.take(order), edge_a.take(edges), edge_b.take(edges), grazing)
-        rows = [(tk, "isl_up" if up else "isl_down", sat_ids[a], sat_ids[b], g)
-                for tk, up, a, b, g in zip(*(c.tolist() for c in columns))]
-        if not (np.isfinite([t_s, grazing]).all() and (t_s >= 0.0).all()):
-            list(map(_event_from_row, rows))  # raises the error of the first bad row's event
-        yield from rows
+        yield from [(tk, "isl_up" if up else "isl_down", sat_ids[a], sat_ids[b], g)
+                    for tk, up, a, b, g in zip(*(c.tolist() for c in columns))]
 
 
 # km kept off every skipped edge's distance to the threshold: covers the

@@ -8,14 +8,15 @@ event whose numbers are already canonical round-trips exactly.
 Targets order by their fields (KIND_TARGET_TYPE fixes a kind's target
 type), so events order by (t, kind, target, params), and so do rows,
 (t, kind, *target fields, *params in key order), as tuples; a kind's one
-renderer fills its template from a row. Events, and the rows simulate
-writes without building one, are checked by the same rules, so the writer
-cannot emit what the reader rejects. The reader tries the template first:
-a regular expression built from it matches the writer's own lines, whose
-fields then go through the same checked constructors. Any other line, and
-any event a constructor rejects, goes through parse_event, which owns
-every error message and offset. iter_trace streams events in constant
-memory; read_trace holds them all in a list.
+renderer fills its template from a row. Ids are checked where they
+enter; this module owns the number rules, which an event applies to its
+time and params when built, and a renderer to every row it writes, so
+the writer cannot emit what the reader rejects. The reader tries the
+template first: a regular expression built from it matches the writer's
+own lines, whose fields then go through the same checked constructors.
+Any other line, and any event a constructor rejects, goes through
+parse_event, which owns every error message and offset. iter_trace
+streams events in constant memory; read_trace holds them all in a list.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import errno
 import functools
 import heapq
 import json
-import math
+from math import inf, isfinite
 import os
 import re
 from collections import Counter
@@ -130,39 +131,35 @@ def canonical_number(x: float) -> float:
 
 def _finite(value) -> bool:  # an int or float, not a bool, that converts to a finite float
     try:
-        return type(value) is not bool and isinstance(value, (int, float)) and math.isfinite(value)
+        return type(value) is not bool and isinstance(value, (int, float)) and isfinite(value)
     except OverflowError:  # an int beyond the float range
         return False
 
 
-def _check_time(t_s) -> None:
-    if not (type(t_s) is float and 0.0 <= t_s < math.inf or _finite(t_s) and t_s >= 0.0):
+def _check_numbers(kind: str, t_s, keys: Iterable[str], values: Iterable) -> None:
+    """The number rules: ValueError names the time unless it is a finite number >= 0, or the
+    first param value, in key order, that is not a finite number. Finite floats skip _finite."""
+    if not (type(t_s) is float and 0.0 <= t_s < inf or _finite(t_s) and t_s >= 0.0):
         raise ValueError(f"t_s must be a finite number >= 0, got {t_s!r}")
+    for key, value in zip(keys, values):
+        if not (type(value) is float and isfinite(value) or _finite(value)):
+            raise ValueError(f"{kind} param {key} must be a finite number, got {value!r}")
 
 
-def _check_param(kind: str, key: str, value) -> None:
-    if not (type(value) is float and math.isfinite(value) or _finite(value)):
-        raise ValueError(f"{kind} param {key} must be a finite number, got {value!r}")
-
-
-def _check_params(kind: str, params: Mapping[str, float]) -> None:
+def _check_param_keys(kind: str, params: Mapping[str, float]) -> None:
     if params.keys() != KIND_PARAM_KEYS[kind]:
         raise ValueError(f"{kind} params must be exactly {sorted(KIND_PARAM_KEYS[kind])}, got {sorted(params)}")
-    for key, value in params.items():
-        if not (type(value) is float and math.isfinite(value)):  # finite floats skip the call
-            _check_param(kind, key, value)
 
 
 def _check_event(t_s: float, kind: str, target: Target, params: Mapping[str, float]) -> None:
-    if not (type(t_s) is float and 0.0 <= t_s < math.inf):  # finite floats >= 0 skip the call
-        _check_time(t_s)
     try:
         expected_type = KIND_TARGET_TYPE[kind]
     except (KeyError, TypeError):  # TypeError: an unhashable kind, such as a JSON array
         raise ValueError(f"unknown event kind {kind!r}") from None
     if not isinstance(target, expected_type):
         raise ValueError(f"{kind} events target a {expected_type.__name__}, got {type(target).__name__}")
-    _check_params(kind, params)
+    _check_param_keys(kind, params)
+    _check_numbers(kind, t_s, params.keys(), params.values())
 
 
 @dataclass(frozen=True, slots=True)
@@ -270,13 +267,18 @@ _TARGET_FORMS = {
 
 def _line_form(kind: str) -> tuple:
     """kind's template ("%r" a float, written by repr as json does), target type, params' start in a row,
-    param keys, and renderer of a row into its line."""
+    param keys, and renderer of a row into its line, which checks the row's time and param values."""
     target_type, keys = KIND_TARGET_TYPE[kind], sorted(KIND_PARAM_KEYS[kind])
     target, target_values = _TARGET_FORMS[target_type][:2]
     params = ",".join(f'"{key}":%r' for key in keys)
     template = f'{{"t":%r,"kind":"{kind}","target":{target},"params":{{{params}}}}}'
     end = 2 + len(target_type.__match_args__)
-    render = lambda row: template % (canonical_number(row[0]), *target_values(row), *map(canonical_number, row[end:]))
+
+    def render(row: tuple) -> str:
+        t_s, params = row[0], row[end:]
+        _check_numbers(kind, t_s, keys, params)
+        return template % (canonical_number(t_s), *target_values(row), *map(canonical_number, params))
+
     return template, target_type, end, keys, render
 
 
@@ -291,9 +293,9 @@ def _event_from_row(row: tuple) -> FaultEvent:
 
 
 def _row_from_event(event: FaultEvent) -> tuple:
-    """An event's row. Only params, a mutable dict, is checked again."""
+    """An event's row. Only the keys of params, a mutable dict, are checked: the renderer checks numbers."""
     kind, target, params = event.kind, event.target, event.params
-    _check_params(kind, params)
+    _check_param_keys(kind, params)
     return (event.t_s, kind, *[getattr(target, f) for f in target.__match_args__], *[params[k] for k in _LINE_FORMS[kind][3]])
 
 
@@ -402,7 +404,7 @@ def _atomic_text(path) -> Iterator[TextIO]:
 
 
 def _write_rows(path, rows: Iterable[tuple]) -> Counter:
-    """write_trace's writer: one line per checked row, from its kind's renderer."""
+    """write_trace's writer: one line per row, from its kind's renderer, which checks the row's numbers."""
     counts: Counter = Counter()
     with _atomic_text(path) as fh:
         fh.write(json.dumps({"schema": SCHEMA}, separators=(",", ":")) + "\n")

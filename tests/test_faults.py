@@ -259,6 +259,13 @@ class TestHandoverSpikes:
                 FaultModelConfig(), ["gs0"], 0.0, 3600.0, RandomStreams(5), mode="geometric"
             )
 
+    def test_renewal_rejects_schedules(self):
+        # renewal draws its own spike times, so a schedule would be silently ignored
+        with pytest.raises(ValueError, match="^schedules is read only in geometric mode; renewal mode"):
+            sample_handover_spikes(
+                FaultModelConfig(), ["gs0"], 0.0, 3600.0, RandomStreams(5), schedules={"gs0": [100.0]}
+            )
+
 
 class TestManeuvers:
     def test_mean_count_against_poisson(self):

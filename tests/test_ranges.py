@@ -4,6 +4,7 @@ Fields are found through the dataclasses' type hints, so a float field
 added later is covered without editing this file. A lint over the
 package's source keeps __post_init__ checks in the NaN-proof form, and
 one over its signatures keeps every earth_radius_km parameter checked.
+Every number field also rejects a bool, which Python treats as an int.
 """
 
 import ast
@@ -85,6 +86,38 @@ def test_nan_field_rejected_with_its_name(instance, name):
     error = ConfigError if isinstance(instance, SimulationConfig) else ValueError
     with pytest.raises(error, match=re.escape(name)):
         dataclasses.replace(instance, **{name: NAN})
+
+
+NUMBER_FIELDS = FLOAT_FIELDS + [
+    (instance, f.name)
+    for instance in VALID
+    for f in dataclasses.fields(instance)
+    if get_type_hints(type(instance))[f.name] is int
+]
+
+
+@pytest.mark.parametrize(
+    "instance, name", NUMBER_FIELDS, ids=[f"{type(i).__name__}.{n}" for i, n in NUMBER_FIELDS]
+)
+@pytest.mark.parametrize("value", [True, False])
+def test_bool_field_rejected_with_its_name(instance, name, value):
+    # bool is an int, and compares as 0 or 1 inside many ranges
+    error = ConfigError if isinstance(instance, SimulationConfig) else ValueError
+    with pytest.raises(error, match=f"^{name} must be (a number|an integer), got {value}$"):
+        dataclasses.replace(instance, **{name: value})
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: DoseProfile(((0.0, True),)), "anchor dose must be a number, got True"),
+        (lambda: rain_multiplier(True), "precip_mm_h must be a number, got True"),
+    ],
+    ids=["dose-anchor", "precipitation"],
+)
+def test_bool_argument_rejected_with_its_name(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 @pytest.mark.parametrize("anchors", [((0.0, NAN),), ((NAN, 1.0),), ((0.0, 0.0), (NAN, 1.0))])
@@ -209,6 +242,9 @@ def test_range_rule_ends_and_message(low, high, ends, inside, outside, message):
     for value in outside:
         with pytest.raises(ConfigError, match=f"^{re.escape(message + str(value))}$"):
             _check_range("x", value, low, high, ends, ConfigError)
+    for value in (True, False):
+        with pytest.raises(ConfigError, match=f"^x must be a number, got {value}$"):
+            _check_range("x", value, low, high, ends, ConfigError)
 
 
 ORDERING = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
@@ -258,5 +294,20 @@ def test_private_attributes_stay_in_their_module():
                 and node.attr != "_make"
                 and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
             ):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
+
+
+def test_number_rules_stay_in_trace():
+    # trace.py owns the rules for a row's time and params: its renderer checks every written row,
+    # so no source applies them, and topology.py needs nothing from trace.py
+    package = Path(__file__).resolve().parent.parent / "src" / "leofault"
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if path.name != "trace.py" and name == "_check_numbers":
+                found.append(f"{path.name}:{node.lineno}: {name}")
+            if path.name == "topology.py" and isinstance(node, ast.ImportFrom) and node.module == "trace":
                 found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert found == []

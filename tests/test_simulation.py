@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import math
 import re
 import subprocess
 import sys
@@ -826,19 +828,19 @@ def test_every_source_yields_rows_in_sort_key_order(config, n_sats, interval, gs
 
 
 def test_simulate_builds_and_checks_no_event(tmp_path, monkeypatch):
-    # sources yield rows checked as they are made, and each is written through its kind's renderer
+    # sources yield rows, and each is written through its kind's renderer, which checks its numbers
     tle_path, rain_path = tmp_path / "catalog.tle", tmp_path / "rain.csv"
     tle_path.write_text(catalog_text(ALL_KINDS_TLE_RECORDS), encoding="utf-8")
     rain_path.write_text(ALL_KINDS_PRECIPITATION, encoding="utf-8")
     config = config_from_dict({**ALL_KINDS_CONFIG, "tle_files": [str(tle_path)], "precipitation_csv": str(rain_path)})
     calls = Counter()
-    for name in ("_check_event", "_check_params"):
+    for name in ("_check_event", "_check_param_keys", "_check_numbers"):
         check = getattr(trace_module, name)
         monkeypatch.setattr(trace_module, name, lambda *args, name=name, check=check: calls.update([name]) or check(*args))
     post_init = FaultEvent.__post_init__
     monkeypatch.setattr(FaultEvent, "__post_init__", lambda self: calls.update(["FaultEvent"]) or post_init(self))
     summary = run_simulation(config, tmp_path / "trace.jsonl")
-    assert calls == Counter()
+    assert calls == Counter({"_check_numbers": summary["n_events"]})
     assert sorted(summary["event_counts"]) == sorted(KIND_TARGET_TYPE)
     assert hashlib.sha256((tmp_path / "trace.jsonl").read_bytes()).hexdigest() == ALL_KINDS_TRACE_SHA256
 
@@ -857,6 +859,35 @@ def test_nan_grazing_names_the_param_and_keeps_the_trace(tmp_path, monkeypatch):
     out.write_text("an earlier trace\n")
     with pytest.raises(ValueError, match="isl_down param grazing_km must be a finite number, got nan"):
         run_simulation(config_from_dict(minimal_config(duration_s=3600.0)), out)
+    assert out.read_text() == "an earlier trace\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.jsonl"]
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("seu_downtime_s", "device_reboot param downtime_s must be a finite number, got inf"),
+        ("handover_spike_s", "handover_spike param duration_s must be a finite number, got inf"),
+        ("rain_latency_factor", "gs_link_degraded param latency_factor must be a finite number, got inf"),
+        ("maneuver_dwell_s", "maneuver_start param dwell_s must be a finite number, got inf"),
+    ],
+)
+def test_infinite_constant_names_the_param_where_its_row_is_written(tmp_path, field, message):
+    # JSON cannot hold inf, but a programmatic config can; the renderer rejects the first row that
+    # carries it, inside the write, so the earlier trace stays and no temporary file is left
+    config = config_from_dict(
+        minimal_config(
+            duration_s=3600.0,
+            ground_stations=[{"id": "gs", "latitude_deg": 10.0, "longitude_deg": 0.0}],
+            precipitation_mm_h=10.0,
+            faults={"seu_rate_per_device_day": 1.0, "maneuver_rate_per_sat_year": 1e4},
+        )
+    )
+    config = dataclasses.replace(config, faults=dataclasses.replace(config.faults, **{field: math.inf}))
+    out = tmp_path / "trace.jsonl"
+    out.write_text("an earlier trace\n")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_simulation(config, out)
     assert out.read_text() == "an earlier trace\n"
     assert [p.name for p in tmp_path.iterdir()] == ["trace.jsonl"]
 
