@@ -8,12 +8,14 @@ digest here and says so in CHANGES.md.
 
 import hashlib
 import json
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from leofault import (
+    EccentricityWarning,
     FaultModelConfig,
     GroundStation,
     RandomStreams,
@@ -33,6 +35,7 @@ from leofault import (
 from leofault.cli import main
 from leofault.faults import MAX_TOTAL_OFFSET_KM
 from leofault.orbital import time_grid
+from leofault.tle import ECCENTRICITY_WARN_LIMIT
 from leofault.trace import KIND_TARGET_TYPE
 from test_trace import assert_template_path_agrees
 
@@ -120,6 +123,12 @@ GEN1_DAY_TRACE_SHA256 = "de8f779a7ca97c00fe68a63c3569eb92e509ce319a5aa08266d83f0
 OVERLAP_TRACE_SHA256 = "2bb650d898740459ca891e54756763c8c9c50ad36a2eafa59f0adba5f5e73062"
 DENSE_CDF_PER_STEP_SHA256 = "e0feba950a4d0692c4e9adb08bab776cc651f02004d2d2bf583e876dd1336d0d"
 DENSE_CDF_PER_LINK_MIN_SHA256 = "16cee8be245f935672a6dee1e7ff6b03ce528e6e1aa679632d5dff970ff6f867"
+ELEMENTS_SHA256 = "c52e2442f414146a09fb3805d374839c218d8db20baa4b12bf85f77e3099eb75"
+
+# A seeded catalog of named and unnamed records over every field's range,
+# some eccentric enough to warn. No trace pins element values: catalog
+# satellites carry no ISLs, and their faults do not depend on the orbit.
+ELEMENTS_TLE_RECORDS = 300
 
 # Geometric ground path on the dense shell over 30 min: visibility
 # windows at 10 s, the 1 s handover schedule and its geometric spikes.
@@ -196,6 +205,49 @@ def catalog_text(n: int) -> str:
         )
         lines.extend(serialize_tle(rec))
     return "\n".join(lines) + "\n"
+
+
+def elements_catalog() -> tuple:
+    """The catalog's text and its records, in file order."""
+    rng = np.random.default_rng(28)
+    lines, records = [], []
+    for i in range(ELEMENTS_TLE_RECORDS):
+        rec = TleRecord(
+            catalog_number=int(rng.integers(0, 100000)),
+            epoch_year=int(rng.integers(1957, 2057)),
+            epoch_day=round(float(rng.uniform(0.0, 366.9)), 8),
+            inclination_deg=round(float(rng.uniform(0.0, 180.0)), 4),
+            raan_deg=round(float(rng.uniform(0.0, 359.99)), 4),
+            eccentricity=int(rng.integers(0, 400000)) / 1e7,
+            arg_perigee_deg=round(float(rng.uniform(0.0, 359.99)), 4),
+            mean_anomaly_deg=round(float(rng.uniform(0.0, 359.99)), 4),
+            mean_motion_rev_per_day=round(float(rng.uniform(0.5, 17.0)), 8),
+            name=f"OBJECT {i}" if i % 3 else None,
+            element_number=int(rng.integers(0, 10000)),
+            rev_number=int(rng.integers(0, 100000)),
+        )
+        lines.extend([rec.name] if rec.name else [])
+        lines.extend(serialize_tle(rec))
+        records.append(rec)
+    return "\n".join(lines) + "\n", records
+
+
+def test_tle_elements_digest(tmp_path):
+    text, records = elements_catalog()
+    tle_path = tmp_path / "catalog.tle"
+    tle_path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fleet = build_fleet(config_from_dict({"tle_files": [str(tle_path)]}))
+    eccentric = [r.catalog_number for r in records if r.eccentricity > ECCENTRICITY_WARN_LIMIT]
+    assert eccentric and all(w.category is EccentricityWarning for w in caught)
+    assert [int(str(w.message).split()[1].rstrip(":")) for w in caught] == eccentric
+    rendered = "".join(
+        f"{sat.label()} {e.semi_major_axis_km!r} {e.inclination_deg!r} {e.raan_deg!r} {e.phase_deg!r}\n"
+        for sat, e in sorted(fleet.items())
+    )
+    assert len(fleet) == ELEMENTS_TLE_RECORDS
+    assert sha256_text(rendered) == ELEMENTS_SHA256
 
 
 def test_gen1_day_trace_digest(tmp_path):
