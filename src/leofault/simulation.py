@@ -44,7 +44,7 @@ from .faults import (
 )
 from .geometry import GroundStation
 from .orbital import Constellation, SatelliteId, ShellSpec, build_constellation, time_grid
-from .tle import read_tle_file, tle_to_elements
+from .tle import _read_elements
 from .topology import GridTopology, _isl_transition_trace
 from .trace import _write_rows
 
@@ -198,7 +198,7 @@ def build_fleet(config: SimulationConfig) -> Constellation:
     constellation = build_constellation(config.shells, config.earth_radius_km)
     for file_index, path in enumerate(config.tle_files):
         with _naming_file(f"tle_files[{file_index}]", path):
-            elements = [tle_to_elements(rec) for rec in read_tle_file(path)]
+            elements = _read_elements(path)
         shell_index = len(config.shells) + file_index
         constellation.update((SatelliteId(shell_index, 0, i), e) for i, e in enumerate(elements))
     return constellation

@@ -238,6 +238,9 @@ def _target_from_obj(obj, offset: int) -> Target:
     return target_type(*args)
 
 
+# a station id's JSON string: a trace writes few ids on many lines
+_json_string = functools.lru_cache(maxsize=1024)(json.dumps)
+
 # target type -> its JSON template ("%d" an integer, "%s" a JSON string),
 # its values from a row's target fields, and its inverse from a matched
 # line's groups, of which group 0 is the time
@@ -259,7 +262,7 @@ _TARGET_FORMS = {
     ),
     GroundLinkTarget: (
         '{"type":"ground_link","gs":%s}',
-        lambda row: (json.dumps(row[2]),),
+        lambda row: (_json_string(row[2]),),
         lambda f: GroundLinkTarget(f[1]),
     ),
 }

@@ -2,7 +2,11 @@
 
 Every input to parse_event, config_from_dict and parse_tle_text must
 either raise the module's error type or return a valid object; an
-accepted TLE record must also convert to finite circular elements. Most
+accepted TLE record must also convert to finite circular elements. The
+columnar TLE reader must agree with the record-by-record reference on
+every listing: the same records, elements and warnings, or the same
+error, on restyled but valid fields, names, blank lines, CRLF and
+listings with two faults. Most
 inputs are a valid document with one or two parts replaced by arbitrary
 JSON (or a TLE with one column span overwritten), so a type or range
 hole in one field is not hidden by an error elsewhere. Runs are
@@ -33,6 +37,7 @@ import copy
 import json
 import math
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -65,13 +70,16 @@ from leofault import (
     parse_event,
     parse_tle_text,
     serialize_event,
+    serialize_tle,
     tle_to_elements,
     visibility_windows,
 )
 from leofault import stats, topology
+from leofault.tle import _read_elements
 from leofault.orbital import time_grid
 from leofault.trace import KIND_PARAM_KEYS
 from test_simulation import assert_skip_scan_matches_reference
+from test_tle import outcome, random_record, reference_parse_tle_text
 from test_topology import (
     SMALL_SHELL,
     assert_scan_matches_reference,
@@ -334,6 +342,77 @@ def test_parse_tle_text_rejects_or_returns_finite_records(text):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EccentricityWarning)
             assert_finite(list(vars(tle_to_elements(record)).values()))
+
+
+def restyled(raw: str, style: int) -> str:
+    """A number field's text in another layout of its width that int() or float() reads."""
+    core = raw.strip()
+    text = [
+        "+" + core,  # a sign
+        core.ljust(len(raw)),  # left-justified
+        core.zfill(len(raw)),  # zero-padded
+        core[:-1] if "." in core[:-1] else core,  # one decimal fewer: the point moves right
+    ][style]
+    return text.rjust(len(raw)) if len(text) <= len(raw) else raw
+
+
+def faulted(prefix: list, lines: list, fault: str, draw) -> None:
+    """Put one fault into a record's name and blank lines or its element lines."""
+    line_no = draw(st.integers(0, len(lines) - 1))
+    if fault == "checksum":
+        lines[line_no] = lines[line_no][:-1] + str((int(lines[line_no][-1]) + 1) % 10)
+    elif fault == "field":
+        _, start, end = draw(st.sampled_from([f for f in TLE_FIELDS if f[0] == line_no]))
+        body = lines[line_no][:start] + draw(field_text).rjust(end - start)[: end - start] + lines[line_no][end:68]
+        lines[line_no] = body + str(checksum(body))
+    elif fault == "two-byte":  # a line of 69 bytes but 68 characters; ".0" and "\u00e9" weigh nothing
+        lines[0] = lines[0][:34] + "\u00e9" + lines[0][36:]
+    elif fault == "no line 2":
+        del lines[1:]
+    else:
+        prefix.append("EXTRA NAME")
+
+
+@st.composite
+def tle_catalogs(draw):
+    """Listings of random records with restyled fields, names, blank lines and CRLF, some with faults."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    records = []
+    for _ in range(draw(st.integers(0, 5))):
+        record = random_record(rng)
+        if draw(st.booleans()):  # short integers, which a left-justified field pads on the right
+            small = st.integers(0, 99)
+            record = replace(record, catalog_number=draw(small), element_number=draw(small), rev_number=draw(small))
+        lines = list(serialize_tle(record))
+        for _ in range(draw(st.integers(0, 2))):
+            line_no, start, end = draw(st.sampled_from(TLE_FIELDS))
+            field = restyled(lines[line_no][start:end], draw(st.integers(0, 3)))
+            body = lines[line_no][:start] + field + lines[line_no][end:68]
+            lines[line_no] = body + str(checksum(body))
+        name = draw(st.sampled_from([None, "SAT", "  PADDED NAME ", "\u00e9TOILE", "\x1c"]))
+        blank = draw(st.sampled_from([[], [""], ["  \t"]]))
+        records.append((blank + ([name] if name else []), lines))
+    for _ in range(draw(st.integers(0, 2)) if records else 0):
+        fault = draw(st.sampled_from(["checksum", "field", "two-byte", "no line 2", "two names"]))
+        faulted(*records[draw(st.integers(0, len(records) - 1))], fault, draw)
+    lines = [line for prefix, record in records for line in prefix + record]
+    lines += draw(st.sampled_from([[], ["TRAILING NAME"], [" "]]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def reference_read_elements(path):
+    return [tle_to_elements(record) for record in reference_parse_tle_text(path.read_text(encoding="utf-8"))]
+
+
+@FUZZ
+@given(st.one_of(tle_texts(), tle_catalogs(), st.text(max_size=160)))
+@example("SAT\r\n" + "\r\n".join((ISS_L1, ISS_L2)) + "\r\n")
+def test_columns_match_the_record_by_record_reader(tmp_path_factory, text):
+    assert outcome(parse_tle_text, text) == outcome(reference_parse_tle_text, text)
+    path = tmp_path_factory.getbasetemp() / "columns.tle"
+    path.write_text(text, encoding="utf-8")
+    assert outcome(_read_elements, path) == outcome(reference_read_elements, path)
 
 
 # ---------------------------------------------------------------- link-state scan

@@ -1,16 +1,22 @@
 import math
+import warnings
+from collections import Counter
+from typing import List, Optional
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import leofault.tle as tle_module
 from leofault import (
     EccentricityWarning,
     TleChecksumError,
     TleFormatError,
     TleRecord,
+    build_fleet,
     checksum,
+    config_from_dict,
     parse_tle,
     parse_tle_text,
     read_tle_file,
@@ -41,6 +47,50 @@ def random_record(rng) -> TleRecord:
         element_number=int(rng.integers(0, 9999)),
         intl_designator="98067A",
     )
+
+
+def reference_parse_tle_text(text: str) -> List[TleRecord]:
+    """parse_tle_text before it read in columns: the grammar and parse_tle, record by record."""
+    records: List[TleRecord] = []
+    pending_name: Optional[str] = None
+    lines = [ln.removesuffix("\r") for ln in text.removesuffix("\n").split("\n")]
+    i = 0
+    while i < len(lines):
+        line = lines[i]
+        if not line.strip():
+            i += 1
+            continue
+        if line.startswith("1 "):
+            if i + 1 >= len(lines):
+                raise TleFormatError(f"input line {i + 1}: element line 1 without a line 2")
+            try:
+                records.append(parse_tle(line, lines[i + 1], name=pending_name))
+            except ValueError as exc:  # TleRecord's range checks raise plain ValueError
+                error = type(exc) if isinstance(exc, TleFormatError) else TleFormatError
+                raise error(f"record starting at input line {i + 1}: {exc}") from None
+            pending_name = None
+            i += 2
+        else:
+            if pending_name is not None:
+                raise TleFormatError(
+                    f"input line {i + 1}: expected element line 1 after name {pending_name!r}"
+                )
+            pending_name = line.strip() or None
+            i += 1
+    if pending_name is not None:
+        raise TleFormatError(f"trailing name {pending_name!r} without an element set")
+    return records
+
+
+def outcome(read, source):
+    """What read(source) returns, with its warnings, or the type and message of what it raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = read(source)
+        except Exception as exc:  # noqa: BLE001  (the error is the outcome)
+            return type(exc), str(exc)
+    return repr(value), [(w.category, str(w.message)) for w in caught]
 
 
 # printable ASCII, digits of other scripts, a letter beyond ASCII and a lone surrogate
@@ -250,6 +300,98 @@ class TestParse:
         body = ISS_L2[:8] + "400.0000" + ISS_L2[16:68]
         text = f"{ISS_NAME}\n{ISS_L1}\n{body}{checksum(body)}\n"
         with pytest.raises(TleFormatError, match="input line 2: inclination_deg"):
+            parse_tle_text(text)
+
+
+class TestRecordTypes:
+    @pytest.mark.parametrize("field", ["catalog_number", "epoch_year", "element_number", "rev_number"])
+    @pytest.mark.parametrize("value", [2000.5, 9.0, True, "25544", None])
+    def test_int_fields_reject_other_types(self, field, value):
+        # a float passed the range rule, and serialize_tle then failed naming no field
+        valid = TleRecord(
+            catalog_number=25544, epoch_year=2020, epoch_day=151.5, inclination_deg=51.6,
+            raan_deg=75.4, eccentricity=0.0002, arg_perigee_deg=11.5, mean_anomaly_deg=50.1,
+            mean_motion_rev_per_day=15.5,
+        )
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            TleRecord(**{**vars(valid), field: value})
+
+
+class TestColumns:
+    """The columnar reader, which reads canonical pairs in bulk and hands any other to parse_tle."""
+
+    @staticmethod
+    def counting_parse_tle(monkeypatch) -> Counter:
+        calls, parse = Counter(), tle_module.parse_tle
+        monkeypatch.setattr(tle_module, "parse_tle", lambda *a, **k: calls.update(["parse_tle"]) or parse(*a, **k))
+        post_init = TleRecord.__post_init__
+        monkeypatch.setattr(TleRecord, "__post_init__", lambda self: calls.update(["TleRecord"]) or post_init(self))
+        return calls
+
+    def test_build_fleet_parses_and_builds_no_record(self, tmp_path, monkeypatch, rng):
+        records = [random_record(rng) for _ in range(50)]
+        path = tmp_path / "catalog.tle"
+        path.write_text("".join(f"SAT {i}\n" + "\n".join(serialize_tle(r)) + "\n" for i, r in enumerate(records)))
+        config = config_from_dict({"tle_files": [str(path)]})
+        calls = self.counting_parse_tle(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EccentricityWarning)
+            fleet = build_fleet(config)
+            elements = [tle_to_elements(r) for r in records]
+        assert calls == Counter()
+        assert [e for _, e in sorted(fleet.items())] == elements
+
+    @pytest.mark.parametrize(
+        "line_no, column, width, text",
+        [
+            (2, 8, 8, "+51.6444"),
+            (2, 63, 5, "229  "),
+            (2, 52, 11, "15.4939861 "),
+            (2, 26, 7, " 002297"),
+            (2, 63, 5, "22 98"),
+            (2, 8, 8, "516.4440"),
+            (1, 34, 2, "\u00e9"),
+        ],
+        ids=["sign", "left-justified", "short-fraction", "blank-eccentricity", "inner-blank", "out-of-range", "two-byte"],
+    )
+    def test_other_pairs_go_through_parse_tle(self, monkeypatch, line_no, column, width, text):
+        # valid or not, a pair outside the canonical layout is parse_tle's to read or reject; the
+        # two-byte character makes a line of 69 bytes but 68 characters
+        lines = [ISS_L1, ISS_L2]
+        line = lines[line_no - 1]
+        body = line[:column] + text + line[column + width : 68]
+        lines[line_no - 1] = body + (str(checksum(body)) if len(body) == 68 else line[68])  # ".0" weighs nothing
+        listing = "\n".join([ISS_L1, ISS_L2, *lines]) + "\n"
+        calls = self.counting_parse_tle(monkeypatch)
+        got = outcome(parse_tle_text, listing)
+        assert calls["parse_tle"] == 1
+        monkeypatch.undo()
+        assert got == outcome(reference_parse_tle_text, listing)
+
+    @pytest.mark.parametrize(
+        "column, text",
+        [(8, "  5.0000"), (8, "005.0000"), (52, " 1.50000000"), (64, "   7"), (63, "    0"), (63, "     ")],
+        ids=["blank-padded", "zero-padded", "short-motion", "element", "rev-zero", "rev-blank"],
+    )
+    def test_padded_fields_read_in_bulk(self, monkeypatch, column, text):
+        line_no = 1 if column == 64 else 2
+        lines = [ISS_L1, ISS_L2]
+        line = lines[line_no - 1]
+        body = line[:column] + text + line[column + len(text) : 68]
+        lines[line_no - 1] = body + str(checksum(body))
+        calls = self.counting_parse_tle(monkeypatch)
+        (record,) = parse_tle_text("\n".join(lines) + "\n")
+        assert calls["parse_tle"] == 0
+        monkeypatch.undo()
+        assert repr(record) == repr(parse_tle(*lines))
+
+    def test_first_error_in_file_order_wins(self):
+        bad_checksum = ISS_L1[:-1] + "0"
+        text = f"{ISS_L1}\n{ISS_L2}\nNAME\nOTHER\n{bad_checksum}\n{ISS_L2}\n"
+        with pytest.raises(TleFormatError, match="^input line 4: expected element line 1 after name 'NAME'$"):
+            parse_tle_text(text)
+        text = f"{bad_checksum}\n{ISS_L2}\nNAME\nOTHER\n"
+        with pytest.raises(TleChecksumError, match="^record starting at input line 1: line 1: checksum"):
             parse_tle_text(text)
 
 

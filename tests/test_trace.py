@@ -360,6 +360,15 @@ class TestSerialization:
         assert line == reference_line(event)
         assert line.isascii()
 
+    @pytest.mark.parametrize("gs_id", ['"', "\\", "Z\u00fcrich", "\x00\x1f", "\u2028", "\U0001f6f0", 'a"b\\c', ""])
+    def test_station_ids_render_as_json_dumps(self, gs_id):
+        # each id is rendered once, through a bounded memo; a repeated id gives the same line
+        event = FaultEvent(1.0, "gs_link_degraded", GroundLinkTarget(gs_id), {"throughput_multiplier": 0.5, "latency_factor": 2.0})
+        lines = {serialize_event(event) for _ in range(2)}
+        assert lines == {reference_line(event)}
+        assert f'"gs":{json.dumps(gs_id)}}}' in lines.pop()
+        assert trace_module._json_string.cache_info().maxsize is not None
+
     @settings(derandomize=True, database=None, deadline=None, max_examples=1000)
     @given(any_rows())
     @example((0.0, "handover_spike", 'Zürich "北京" \\ \x00\x1f \u2028', 1e16, 1e-7))
