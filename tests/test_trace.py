@@ -327,6 +327,12 @@ def assert_template_path_agrees(line: str):
     return event
 
 
+# writer lines for the template path's edge cases; SPIKE_LINE_TEMPLATE takes a station id
+ISL_LINE = '{"t":1.5,"kind":"isl_down","target":{"type":"isl","a":[0,1,2],"b":[0,1,3]},"params":{"grazing_km":80.5}}'
+DEVICE_REBOOT_LINE = '{"t":12.5,"kind":"device_reboot","target":{"type":"device","sat":[0,3,7],"device":4},"params":{"downtime_s":30.0}}'
+SPIKE_LINE_TEMPLATE = '{"t":2.0,"kind":"handover_spike","target":{"type":"ground_link","gs":"%s"},"params":{"duration_s":1.0,"loss_rate":0.01}}'
+
+
 def read_outcome(path) -> object:
     """iter_trace's events with their float bits, or its error's message and byte offset."""
     try:
@@ -404,6 +410,33 @@ class TestSerialization:
         assert read_trace(tmp_path / "trace.jsonl") == events
         assert len(checks) == len(events)
         assert decodes == [('{"schema":"leofault/1"}',)]
+
+    @pytest.mark.parametrize(
+        "line, read",
+        [
+            (ISL_LINE.replace("[0,1,2]", "[0,1,9]"), True),  # a > b: stored in canonical order
+            (ISL_LINE.replace("[0,1,2]", "[1,0,0]"), True),
+            (ISL_LINE.replace("[0,1,2]", "[0,1,3]"), False),  # a == b
+            (DEVICE_REBOOT_LINE.replace('"t":12.5', '"t":-0.0'), True),
+            (DEVICE_REBOOT_LINE.replace('"t":12.5', '"t":-1.5'), False),
+            (DEVICE_REBOOT_LINE.replace('"t":12.5', '"t":1e999'), False),
+            (DEVICE_REBOOT_LINE.replace('"downtime_s":30.0', '"downtime_s":1e999'), False),
+            (ISL_LINE.replace('"grazing_km":80.5', '"grazing_km":-1e999'), False),
+            (DEVICE_REBOOT_LINE.replace("[0,3,7]", f"[0,{'9' * 4301},7]"), False),  # beyond int()'s digit limit
+            (DEVICE_REBOOT_LINE.replace('"device":4', f'"device":{"9" * 4301}'), False),
+            (SPIKE_LINE_TEMPLATE % "gs\x7f", True),  # DEL, which json.dumps leaves unescaped
+            (SPIKE_LINE_TEMPLATE % "Zürich-北京", True),
+        ],
+        ids=["a-after-b", "a-after-b-plane", "a-equals-b", "t-minus-zero", "t-negative", "t-overflow",
+             "param-overflow", "param-minus-overflow", "sat-4301-digits", "device-4301-digits", "gs-del", "gs-non-ascii"],
+    )
+    def test_template_path_edges_agree_with_parse_event(self, tmp_path, line, read):
+        # lines that match their kind's template but that the match alone does not prove valid or canonical
+        assert (assert_template_path_agrees(line) is not None) == read
+        path = tmp_path / "trace.jsonl"
+        path.write_text(f'{{"schema":"leofault/1"}}\n{line}\n', encoding="utf-8")
+        assert read_outcome(path) == general_read_outcome(path)
+        assert isinstance(read_outcome(path), list) == read
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(any_events())
