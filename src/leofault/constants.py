@@ -1,6 +1,7 @@
-"""Physical constants and limits shared across the simulator, and three input rules.
+"""Physical constants and limits shared across the simulator, and four input rules.
 
-The number-text rule (is_plain_number_text) says which text is a number;
+The key rule (_unique_keys) rejects a JSON object that repeats a key;
+the number-text rule (is_plain_number_text) says which text is a number;
 the range rule (_check_range) checks a number against its interval, with
 NaN never in range, and names the field and the interval when it fails;
 the order rule (_first_out_of_order) finds a series' first NaN or drop.
@@ -25,6 +26,19 @@ SECONDS_PER_YEAR = 365.25 * 86400.0
 
 # a little over 24 h at 0.1 s; bounds the time grid a scan or schedule steps through
 MAX_STEPS = 1_000_000
+
+
+def _unique_keys(pairs: list) -> dict:
+    """The key rule, as json's object_pairs_hook: ValueError names the first repeated key of an
+    object, whose last value json would otherwise keep."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r}")
+            seen.add(key)
+    return obj
 
 
 def is_plain_number_text(text: str) -> bool:

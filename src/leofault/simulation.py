@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Iterator, Optional, Tuple, Union
 from typing import get_args, get_origin, get_type_hints
 
-from .constants import EARTH_RADIUS_KM, MAX_STEPS, SECONDS_PER_DAY, SECONDS_PER_YEAR, _check_range
+from .constants import EARTH_RADIUS_KM, MAX_STEPS, SECONDS_PER_DAY, SECONDS_PER_YEAR, _check_range, _unique_keys
 from .faults import (
     FaultModelConfig,
     RandomStreams,
@@ -166,8 +166,8 @@ def load_config(path) -> SimulationConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     try:
-        obj = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also over-long integers and deep nesting
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:  # also repeated keys, over-long integers and deep nesting
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     return config_from_dict(obj)
 

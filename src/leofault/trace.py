@@ -10,13 +10,16 @@ type), so events order by (t, kind, target, params), and so do rows,
 (t, kind, *target fields, *params in key order), as tuples; a kind's one
 renderer fills its template from a row. Ids are checked where they
 enter; this module owns the number rules, which an event applies to its
-time and params when built, and a renderer to every row it writes, so
-the writer cannot emit what the reader rejects. The reader tries the
-template first: a regular expression built from it matches the writer's
-own lines, whose fields then go through the same checked constructors.
-Any other line, and any event a constructor rejects, goes through
-parse_event, which owns every error message and offset. iter_trace
-streams events in constant memory; read_trace holds them all in a list.
+time and params when built, a renderer to every row it writes and the
+reader to every line it reads, so the writer cannot emit what the reader
+rejects. The reader tries the template first: a regular expression built
+from it matches the writer's own lines, and a match proves the kind,
+target type, param keys and ids, so a matched line's event is built
+directly once its numbers pass and an edge's ends differ. Any other
+line, and any that fails a check, goes through parse_event, which owns
+every error message and offset; a JSON object that repeats a key is
+rejected. iter_trace streams events in constant memory; read_trace holds
+them all in a list.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple, Union
 
+from .constants import _unique_keys
 from .orbital import SatelliteId
 
 SCHEMA = "leofault/1"
@@ -146,6 +150,14 @@ def _check_numbers(kind: str, t_s, keys: Iterable[str], values: Iterable) -> Non
             raise ValueError(f"{kind} param {key} must be a finite number, got {value!r}")
 
 
+def _check_floats(kind: str, t_s: float, keys: Iterable[str], values: Iterable[float]) -> None:
+    """_check_numbers for a float time and float values, with one test first: a sum of floats is
+    finite only if every term is. What fails the test, finite values whose sum overflows included,
+    goes through _check_numbers."""
+    if not (0.0 <= t_s < inf and isfinite(sum(values))):
+        _check_numbers(kind, t_s, keys, values)
+
+
 def _check_param_keys(kind: str, params: Mapping[str, float]) -> None:
     if params.keys() != KIND_PARAM_KEYS[kind]:
         raise ValueError(f"{kind} params must be exactly {sorted(KIND_PARAM_KEYS[kind])}, got {sorted(params)}")
@@ -241,29 +253,54 @@ def _target_from_obj(obj, offset: int) -> Target:
 # a station id's JSON string: a trace writes few ids on many lines
 _json_string = functools.lru_cache(maxsize=1024)(json.dumps)
 
+
+def _proven(cls) -> Callable:
+    """Builder of a frozen slotted dataclass from values already proven valid: it fills the slots
+    through their member descriptors, in field order, and runs no __post_init__. Its code is
+    generated, as dataclass generates __init__: a loop over the setters took about 1.7x as long."""
+    names = cls.__match_args__
+    scope = {"new": object.__new__, "cls": cls, **{f"set_{name}": getattr(cls, name).__set__ for name in names}}
+    lines = [f"def build({', '.join(names)}):", "    obj = new(cls)", *(f"    set_{n}(obj, {n})" for n in names), "    return obj"]
+    exec("\n".join(lines), scope)
+    return scope["build"]
+
+
+_device, _satellite, _isl, _event = map(_proven, (DeviceTarget, SatelliteTarget, IslTarget, FaultEvent))
+_sat_id = functools.partial(tuple.__new__, SatelliteId)  # from a tuple of three ints
+# a station's target: a trace names few stations on many lines
+_station = functools.lru_cache(maxsize=1024)(GroundLinkTarget)
+
+
+def _isl_from(a: SatelliteId, b: SatelliteId) -> IslTarget:
+    """A matched edge: built directly when in canonical order, else by IslTarget, which swaps or rejects it."""
+    return _isl(a, b) if a < b else IslTarget(a, b)
+
+
 # target type -> its JSON template ("%d" an integer, "%s" a JSON string),
 # its values from a row's target fields, and its inverse from a matched
-# line's groups, of which group 0 is the time
+# line's groups, of which group 0 is the time: the match proves the ids
+# non-negative integers and the station id a string, so the inverse runs
+# no check but the one a match cannot prove, that an edge's ends differ
 _TARGET_FORMS = {
     DeviceTarget: (
         '{"type":"device","sat":[%d,%d,%d],"device":%d}',
         lambda row: (*row[2], row[3]),
-        lambda f: DeviceTarget(SatelliteId(int(f[1]), int(f[2]), int(f[3])), int(f[4])),
+        lambda f: _device(_sat_id((int(f[1]), int(f[2]), int(f[3]))), int(f[4])),
     ),
     SatelliteTarget: (
         '{"type":"satellite","sat":[%d,%d,%d]}',
         lambda row: row[2],
-        lambda f: SatelliteTarget(SatelliteId(int(f[1]), int(f[2]), int(f[3]))),
+        lambda f: _satellite(_sat_id((int(f[1]), int(f[2]), int(f[3])))),
     ),
     IslTarget: (
         '{"type":"isl","a":[%d,%d,%d],"b":[%d,%d,%d]}',
         lambda row: (*row[2], *row[3]),
-        lambda f: IslTarget(SatelliteId(int(f[1]), int(f[2]), int(f[3])), SatelliteId(int(f[4]), int(f[5]), int(f[6]))),
+        lambda f: _isl_from(_sat_id((int(f[1]), int(f[2]), int(f[3]))), _sat_id((int(f[4]), int(f[5]), int(f[6])))),
     ),
     GroundLinkTarget: (
         '{"type":"ground_link","gs":%s}',
         lambda row: (_json_string(row[2]),),
-        lambda f: GroundLinkTarget(f[1]),
+        lambda f: _station(f[1]),
     ),
 }
 
@@ -318,8 +355,10 @@ _TOKENS = {"%r": _FLOAT, "%d": "(0|[1-9][0-9]*)", "%s": r'"([^"\\\x00-\x1f]*)"'}
 def _template_reader() -> Callable[[str], Optional[FaultEvent]]:
     """Reader of the writer's own line shapes, compiled on the first read.
 
-    It builds a line that matches its kind's template through the checked
-    constructors, and returns None for any other line or a rejected event.
+    A line that matches its kind's template has that kind, target type
+    and param keys, and non-negative integer ids; its event is built
+    directly after the checks a match cannot prove: the number rules and
+    an edge's distinct ends. Any other line, or a failed check, gives None.
     """
     # kind -> its line's fullmatch, the kind (one string for all its events),
     # its target from the groups, the first param group and the param keys
@@ -338,19 +377,21 @@ def _template_reader() -> Callable[[str], Optional[FaultEvent]]:
         _, kind, target_from, first, keys = form
         f = match.groups()  # the time, the target's fields, then the params
         try:
-            return FaultEvent(float(f[0]), kind, target_from(f), dict(zip(keys, map(float, f[first:]))))
-        except (ValueError, TypeError, OverflowError):  # a rejected event: parse_event raises its error
-            return None
+            t_s, params = float(f[0]), dict(zip(keys, map(float, f[first:])))
+            _check_floats(kind, t_s, keys, params.values())
+            return _event(t_s, kind, target_from(f), params)
+        except ValueError:  # a rejected number, an id beyond int()'s digit limit or equal ends of an edge
+            return None  # parse_event raises the error
 
     return read
 
 
 def _decode(line: str, what: str, offset: int):
     try:
-        return json.loads(line)
+        return json.loads(line, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:  # exc.pos counts characters, not bytes
         raise TraceParseError(f"invalid {what}: {exc.msg}", offset + len(line[: exc.pos].encode())) from None
-    except (ValueError, RecursionError) as exc:  # over-long integers, deep nesting
+    except (ValueError, RecursionError) as exc:  # repeated keys, over-long integers, deep nesting
         raise TraceParseError(f"invalid {what}: {exc}", offset) from None
 
 

@@ -283,6 +283,14 @@ class TestSimulateCommand:
         assert time.perf_counter() - start < 1.0
         assert "faults.seu_rate_per_device_day" in capsys.readouterr().err
 
+    def test_duplicate_config_key_exits_2(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        text = json.dumps(SPARSE_CONFIG, separators=(",", ":"))
+        config_path.write_text(text.replace('"duration_s":', '"duration_s":60.0,"duration_s":', 1))
+        assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "t.jsonl")]) == 2
+        assert "duplicate key 'duration_s'" in capsys.readouterr().err
+        assert not (tmp_path / "t.jsonl").exists()
+
     def test_trace_only_on_file_not_stdout(self, tmp_path):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(SPARSE_CONFIG))

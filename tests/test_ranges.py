@@ -306,7 +306,7 @@ def test_number_rules_stay_in_trace():
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
-            if path.name != "trace.py" and name == "_check_numbers":
+            if path.name != "trace.py" and name in ("_check_numbers", "_check_floats"):
                 found.append(f"{path.name}:{node.lineno}: {name}")
             if path.name == "topology.py" and isinstance(node, ast.ImportFrom) and node.module == "trace":
                 found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")

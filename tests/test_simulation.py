@@ -330,6 +330,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ('"duration_s":', '"duration_s":60.0,"duration_s":', "duration_s"),
+            ('"altitude_km":', '"altitude_km":550.0,"altitude_km":', "altitude_km"),  # in shells[0]
+        ],
+        ids=["top-level", "shells[0]"],
+    )
+    def test_load_config_rejects_duplicate_keys(self, tmp_path, old, new, key):
+        # json keeps a repeated key's last value: this config used to run with the second one
+        path = tmp_path / "config.json"
+        text = json.dumps(minimal_config(), separators=(",", ":"))
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+        with pytest.raises(ConfigError, match=f"duplicate key '{key}'"):
+            load_config(path)
+
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.json")

@@ -140,6 +140,22 @@ class TestEventValidation:
         with pytest.raises(ValueError, match="dh_km"):
             FaultEvent(1.0, "maneuver_end", SatelliteTarget(SAT_A), {"dh_km": value})
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+    @given(st.floats(), st.lists(st.floats(), max_size=3))
+    @example(-0.0, [-0.0])
+    @example(1e308, [1.7976931348623157e308, 1.7976931348623157e308])
+    @example(0.0, [1.7976931348623157e308, -1.7976931348623157e308])
+    @example(5e-324, [float("inf"), float("-inf")])
+    def test_float_fast_path_keeps_the_number_rules(self, t_s, values):
+        # the reader's float-only form of _check_numbers passes and rejects the same, with the same message
+        def outcome(check):
+            try:
+                return check("maneuver_start", t_s, ["dh_km", "dwell_s", "x"], values)
+            except ValueError as exc:
+                return str(exc)
+
+        assert outcome(trace_module._check_floats) == outcome(trace_module._check_numbers)
+
     def test_numpy_floats_and_float_sized_ints_accepted(self):
         event = FaultEvent(np.float64(2.5), "maneuver_end", SatelliteTarget(SAT_A), {"dh_km": np.float64(-1.0)})
         assert serialize_event(event).startswith('{"t":2.5,"kind":"maneuver_end",')
@@ -403,12 +419,15 @@ class TestSerialization:
     def test_read_checks_once_per_event_and_decodes_only_the_header(self, tmp_path, monkeypatch):
         events = [make_event(kind, float(t)) for t, kind in enumerate(sorted(KIND_PARAM_KEYS) * 3)]
         write_trace(tmp_path / "trace.jsonl", events)
-        checks, decodes = [], []
-        check, loads = trace_module._check_event, json.loads
+        # a matched line's event is built from what its template proved: only the number rules run, once a line
+        checks, numbers, decodes = [], [], []
+        check, check_floats, loads = trace_module._check_event, trace_module._check_floats, json.loads
         monkeypatch.setattr(trace_module, "_check_event", lambda *args: checks.append(args) or check(*args))
+        monkeypatch.setattr(trace_module, "_check_floats", lambda *args: numbers.append(args) or check_floats(*args))
         monkeypatch.setattr(json, "loads", lambda *args, **kwargs: decodes.append(args) or loads(*args, **kwargs))
         assert read_trace(tmp_path / "trace.jsonl") == events
-        assert len(checks) == len(events)
+        assert checks == []
+        assert len(numbers) == len(events)
         assert decodes == [('{"schema":"leofault/1"}',)]
 
     @pytest.mark.parametrize(
@@ -656,6 +675,32 @@ class TestTraceFiles:
         path.write_text(header + "\n")
         with pytest.raises(TraceParseError, match="invalid header"):
             read_trace(path)
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ('"t":1.5', '"t":1.5,"t":2.5', "t"),
+            ('"a":[0,1,2]', '"a":[0,1,2],"a":[0,1,4]', "a"),
+            ('"grazing_km":80.5', '"grazing_km":5.0,"grazing_km":80.5', "grazing_km"),
+        ],
+        ids=["event", "target", "params"],
+    )
+    def test_duplicate_key_rejected_at_its_line(self, tmp_path, old, new, key):
+        # json keeps a repeated key's last value: these lines used to read as their second value
+        header = '{"schema":"leofault/1"}'
+        path = tmp_path / "trace.jsonl"
+        path.write_text("\n".join([header, ISL_LINE, ISL_LINE.replace(old, new)]) + "\n")
+        outcome = read_outcome(path)
+        assert outcome == (f"invalid JSON: duplicate key '{key}' (byte offset {len(header) + 1 + len(ISL_LINE) + 1})",
+                           len(header) + 1 + len(ISL_LINE) + 1)
+        assert general_read_outcome(path) == outcome
+
+    def test_duplicate_header_key_rejected(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"schema":"bogus","schema":"leofault/1"}\n' + ISL_LINE + "\n")
+        with pytest.raises(TraceParseError, match="invalid header: duplicate key 'schema'") as excinfo:
+            read_trace(path)
+        assert excinfo.value.byte_offset == 0
 
     def test_malformed_line_reports_absolute_offset(self, tmp_path):
         path = tmp_path / "trace.jsonl"
