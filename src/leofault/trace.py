@@ -257,9 +257,8 @@ _json_string = functools.lru_cache(maxsize=1024)(json.dumps)
 def _proven(*classes) -> List[Callable]:
     """Builders of frozen slotted dataclasses from values already proven valid: each fills its
     class's slots through their member descriptors, in field order, and runs no __post_init__.
-    Their code is generated, as dataclass generates __init__, since a loop over the setters took
-    about 1.7x as long; one source for all, since compiling one per class raised simulate's peak
-    RSS by about 0.2 MB."""
+    Their code is generated, from one source, as dataclass generates __init__: a loop over the
+    setters took about 1.7x as long."""
     scope, lines = {"new": object.__new__}, []
     for i, cls in enumerate(classes):
         names = cls.__match_args__
