@@ -441,13 +441,14 @@ class TestSerialization:
             (DEVICE_REBOOT_LINE.replace('"t":12.5', '"t":1e999'), False),
             (DEVICE_REBOOT_LINE.replace('"downtime_s":30.0', '"downtime_s":1e999'), False),
             (ISL_LINE.replace('"grazing_km":80.5', '"grazing_km":-1e999'), False),
+            ((SPIKE_LINE_TEMPLATE % "gs0").replace("1.0", "1.7e+308").replace("0.01", "1.7e+308"), True),  # sum overflows
             (DEVICE_REBOOT_LINE.replace("[0,3,7]", f"[0,{'9' * 4301},7]"), False),  # beyond int()'s digit limit
             (DEVICE_REBOOT_LINE.replace('"device":4', f'"device":{"9" * 4301}'), False),
             (SPIKE_LINE_TEMPLATE % "gs\x7f", True),  # DEL, which json.dumps leaves unescaped
             (SPIKE_LINE_TEMPLATE % "Zürich-北京", True),
         ],
         ids=["a-after-b", "a-after-b-plane", "a-equals-b", "t-minus-zero", "t-negative", "t-overflow",
-             "param-overflow", "param-minus-overflow", "sat-4301-digits", "device-4301-digits", "gs-del", "gs-non-ascii"],
+             "param-overflow", "param-minus-overflow", "param-sum-overflow", "sat-4301-digits", "device-4301-digits", "gs-del", "gs-non-ascii"],
     )
     def test_template_path_edges_agree_with_parse_event(self, tmp_path, line, read):
         # lines that match their kind's template but that the match alone does not prove valid or canonical
