@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import leofault.tle as tle_module
 from leofault import (
+    ConfigError,
     EccentricityWarning,
     TleChecksumError,
     TleFormatError,
@@ -384,6 +385,40 @@ class TestColumns:
         assert calls["parse_tle"] == 0
         monkeypatch.undo()
         assert repr(record) == repr(parse_tle(*lines))
+
+    @pytest.mark.parametrize(
+        "line_no, column, width, text",
+        [
+            (2, 8, 8, "51.644\x00\x00"),  # numpy's bytes type drops trailing NULs, which float() rejects
+            (2, 8, 8, " 51.6\t44"),
+            (2, 8, 8, "\t51.6444"),  # float() skips a leading tab
+            (1, 64, 4, "\t\t\t\t"),  # str.strip() empties it: element number 0
+            (1, 20, 12, "151.61_86127"),
+            (2, 52, 11, "15.4_939861"),
+            (2, 52, 11, " 1.5000e+01"),
+            (2, 8, 8, "+51.6444"),
+        ],
+        ids=["nul", "inner-tab", "leading-tab", "tab-blank", "separator-line-1", "separator-line-2", "exponent", "sign"],
+    )
+    def test_bytes_bulk_reading_leaves_to_parse_tle(self, tmp_path, line_no, column, width, text):
+        lines = [ISS_L1, ISS_L2]
+        line = lines[line_no - 1]
+        body = line[:column] + text + line[column + width : 68]
+        lines[line_no - 1] = body + str(checksum(body))
+        listing = "\n".join([ISS_L1, ISS_L2, *lines]) + "\n"
+        assert outcome(parse_tle_text, listing) == outcome(reference_parse_tle_text, listing)
+        path = tmp_path / "catalog.tle"
+        path.write_text(listing, encoding="utf-8")
+        try:
+            expected = [tle_to_elements(record) for record in reference_parse_tle_text(listing)]
+        except TleFormatError as exc:
+            expected = f"tle_files[0] ({path}): {exc}"
+        try:
+            fleet = build_fleet(config_from_dict({"tle_files": [str(path)]}))
+        except ConfigError as exc:
+            assert str(exc) == expected
+        else:
+            assert [e for _, e in sorted(fleet.items())] == expected
 
     def test_first_error_in_file_order_wins(self):
         bad_checksum = ISS_L1[:-1] + "0"
