@@ -112,17 +112,35 @@ class SimulationConfig:
 _type_hints = cache(get_type_hints)
 
 
+class _RepeatedKeys(dict):
+    """A config object that repeats a key, kept so that _decode can say where it is."""
+
+    error: str  # _unique_keys' message
+
+
+def _config_object(pairs: list) -> dict:
+    """load_config's object_pairs_hook: the key rule, deferred to _decode, which knows the path."""
+    try:
+        return _unique_keys(pairs)
+    except ValueError as exc:
+        obj = _RepeatedKeys(pairs)
+        obj.error = str(exc)
+        return obj
+
+
 def _decode(tp, value, path: str):
     """Build a value of annotation tp from parsed JSON, naming path on error.
 
-    Objects become dataclasses (unknown keys rejected), arrays become
+    Objects become dataclasses (unknown and repeated keys rejected), arrays become
     Tuple[X, ...] and null an Optional's None. Number fields reject bools
     (bool is an int), other types and values beyond the float range (json
     parses NaN, Infinity and 1e999 as floats, and a NaN duration_s never
     ends a sampler). str leaves pass through: their dataclass checks them.
     """
+    where = path or "simulation config"
+    if isinstance(value, _RepeatedKeys):
+        raise ConfigError(f"{value.error} in {where}")
     if is_dataclass(tp):
-        where = path or "simulation config"
         if not isinstance(value, dict):
             raise ConfigError(f"{where} must be an object, got {json.dumps(value, default=repr)}")
         hints = _type_hints(tp)
@@ -166,8 +184,8 @@ def load_config(path) -> SimulationConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     try:
-        obj = json.loads(text, object_pairs_hook=_unique_keys)
-    except (ValueError, RecursionError) as exc:  # also repeated keys, over-long integers and deep nesting
+        obj = json.loads(text, object_pairs_hook=_config_object)
+    except (ValueError, RecursionError) as exc:  # also over-long integers and deep nesting
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     return config_from_dict(obj)
 

@@ -7,19 +7,22 @@ exponent encoding that is not unique, so they are carried verbatim as raw
 column text; records serialized by this module reproduce canonical input
 lines byte for byte.
 
+Every number field is read one way: _FIELDS gives each its line,
+columns, conversion (int(), float(), int() with a blank field as zero,
+or int() over an implied decimal point), name and range, and TleRecord,
+parse_tle and the columnar reader all go through it.
+
 A listing is read in columns. One pass over its lines applies the
 grammar (names, blank lines, CRLF, a missing line 2, a trailing name).
-Then every element-line pair in the canonical layout, the one
-serialize_tle writes, is validated at once on a (records, 2, 69) byte
-array: lengths, line numbers, ASCII, checksums, the catalog-number
-match, each column's allowed bytes and every TleRecord range. A number
-field's digits, read as an integer and divided by its power of ten, equal
-float() of its text bit for bit: both operands are exact doubles, so the
-quotient is the correctly rounded decimal. Any other pair goes through
-parse_tle, which parses a valid non-canonical record or raises; parse_tle
-owns every TLE error message, and the first error in file order wins.
-A simulation's fleet takes its circular elements from the columns and
-builds no TleRecord.
+Then every element-line pair is validated at once on a (records, 2, 69)
+byte array: lengths, line numbers, printable ASCII, checksums, the
+catalog-number match and no "_" in a number field. numpy's casts from
+bytes to int64 and float64 call int() and float() on each field's text,
+so they apply parse_tle's conversions to every pair at once; the ranges
+come last. Only a pair these checks reject goes through parse_tle, which
+owns every TLE error message; if a cast raises, every pair does, and the
+first error in file order wins. A simulation's fleet takes its circular
+elements from the columns and builds no TleRecord.
 
 Mean elements are reduced to a circular orbit: eccentricity is discarded
 and the phase is the sum of argument of perigee and mean anomaly. The
@@ -33,7 +36,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,8 +45,6 @@ from .orbital import CircularElements
 
 LINE_LENGTH = 69
 ECCENTRICITY_WARN_LIMIT = 0.02
-
-T = TypeVar("T")
 
 
 class TleFormatError(ValueError):
@@ -76,22 +77,42 @@ def checksum(line: str) -> int:
     return sum(line.encode("utf-8", "surrogatepass").translate(_CHECKSUM_WEIGHTS)) % 10
 
 
-# number field -> (low, high, ends) of its range rule, in the order TleRecord checks them
-_RANGES = {
-    "catalog_number": (0, 99999, "[]"),
-    "epoch_year": (1957, 2056, "[]"),  # the years two digits stand for
+def _full_year(two_digit):
+    """The year two digits stand for, 57-99 in 1957-1999 and 00-56 in 2000-2056; of an int or an array."""
+    return two_digit + 1900 + 100 * (two_digit < 57)
+
+
+class _Field(NamedTuple):
+    """A number field of the element lines; the record holds then(cast(text)) or cast(text)."""
+
+    line: int  # 1 or 2
+    start: int
+    end: int
+    cast: type  # int or float
+    what: str  # its name in a format error
+    low: float  # the range TleRecord checks, with _check_range's ends
+    high: float
+    ends: str
+    blank_is_zero: bool = False  # an all-blank field reads as 0
+    then: Optional[Callable] = None  # maps the cast number, or an array of them, to the record's value
+
+
+# TleRecord's number fields in line and column order, which is the order of their checks
+_FIELDS = {
+    "catalog_number": _Field(1, 2, 7, int, "catalog number", 0, 99999, "[]"),
+    "epoch_year": _Field(1, 18, 20, int, "epoch year", 1957, 2056, "[]", then=_full_year),
+    "epoch_day": _Field(1, 20, 32, float, "epoch day", 0.0, 367.0, "[)"),
+    "element_number": _Field(1, 64, 68, int, "element number", 0, 9999, "[]", blank_is_zero=True),
+    "inclination_deg": _Field(2, 8, 16, float, "inclination", 0.0, 360.0, "[)"),
+    "raan_deg": _Field(2, 17, 25, float, "right ascension", 0.0, 360.0, "[)"),
+    # an implied leading decimal point
+    "eccentricity": _Field(2, 26, 33, int, "eccentricity", 0.0, 1.0, "[)", then=lambda digits: digits / 1e7),
+    "arg_perigee_deg": _Field(2, 34, 42, float, "argument of perigee", 0.0, 360.0, "[)"),
+    "mean_anomaly_deg": _Field(2, 43, 51, float, "mean anomaly", 0.0, 360.0, "[)"),
     # what the 11-column field holds; a tinier rate overflows the semi-major axis
-    "mean_motion_rev_per_day": (1e-8, 100.0, "[)"),
-    "eccentricity": (0.0, 1.0, "[)"),
-    "inclination_deg": (0.0, 360.0, "[)"),
-    "raan_deg": (0.0, 360.0, "[)"),
-    "arg_perigee_deg": (0.0, 360.0, "[)"),
-    "mean_anomaly_deg": (0.0, 360.0, "[)"),
-    "epoch_day": (0.0, 367.0, "[)"),
-    "element_number": (0, 9999, "[]"),
-    "rev_number": (0, 99999, "[]"),
+    "mean_motion_rev_per_day": _Field(2, 52, 63, float, "mean motion", 1e-8, 100.0, "[)"),
+    "rev_number": _Field(2, 63, 68, int, "revolution number", 0, 99999, "[]", blank_is_zero=True),
 }
-_INT_FIELDS = frozenset(("catalog_number", "epoch_year", "element_number", "rev_number"))
 
 
 @dataclass(frozen=True)
@@ -123,11 +144,11 @@ class TleRecord:
     rev_number: int = 0
 
     def __post_init__(self) -> None:
-        for attr, (low, high, ends) in _RANGES.items():
+        for attr, field in _FIELDS.items():
             value = getattr(self, attr)
-            if attr in _INT_FIELDS and (type(value) is bool or not isinstance(value, int)):
+            if self.__dataclass_fields__[attr].type == "int" and (type(value) is bool or not isinstance(value, int)):
                 raise ValueError(f"{attr} must be an integer, got {value!r}")
-            _check_range(attr, value, low, high, ends)
+            _check_range(attr, value, field.low, field.high, field.ends)
         for attr, width in (("ndot_raw", 10), ("nddot_raw", 8), ("bstar_raw", 8)):
             raw = getattr(self, attr)
             if len(raw) != width:
@@ -140,30 +161,19 @@ class TleRecord:
             raise ValueError(f"intl_designator longer than 8 characters: {self.intl_designator!r}")
 
 
-def _full_year(two_digit: int) -> int:
-    return 1900 + two_digit if two_digit >= 57 else 2000 + two_digit
-
-
-def _field(
-    line_no: int, line: str, start: int, end: int, conv: Callable[[str], T], what: str
-) -> T:
-    raw = line[start:end]
+def _read_field(lines: Tuple[str, str], field: _Field):
+    raw = lines[field.line - 1][field.start : field.end]
     try:
         if not is_plain_number_text(raw):
             raise ValueError(raw)
-        value = conv(raw)
-        if isinstance(value, float) and not math.isfinite(value):
+        value = field.cast("0" if field.blank_is_zero and not raw.strip() else raw)
+        if not math.isfinite(value):
             raise ValueError(raw)
-    except (ValueError, TypeError):
+    except ValueError:
         raise TleFormatError(
-            f"line {line_no}, columns {start + 1}-{end}: invalid {what} field {raw!r}"
+            f"line {field.line}, columns {field.start + 1}-{field.end}: invalid {field.what} field {raw!r}"
         ) from None
-    return value
-
-
-def _int_or_zero(raw: str) -> int:
-    stripped = raw.strip()
-    return int(stripped) if stripped else 0
+    return value if field.then is None else field.then(value)
 
 
 def _check_line(line_no: int, line: str) -> None:
@@ -202,23 +212,8 @@ def parse_tle(line1: str, line2: str, name: Optional[str] = None) -> TleRecord:
         raise TleFormatError(
             f"line 2, columns 3-7: catalog number {line2[2:7]!r} does not match line 1 {line1[2:7]!r}"
         )
-
-    epoch_yy = _field(1, line1, 18, 20, lambda s: int(s), "epoch year")
-    return TleRecord(
-        catalog_number=_field(1, line1, 2, 7, lambda s: int(s), "catalog number"),
-        **_text_fields(line1),
-        epoch_year=_full_year(epoch_yy),
-        epoch_day=_field(1, line1, 20, 32, float, "epoch day"),
-        element_number=_field(1, line1, 64, 68, _int_or_zero, "element number"),
-        inclination_deg=_field(2, line2, 8, 16, float, "inclination"),
-        raan_deg=_field(2, line2, 17, 25, float, "right ascension"),
-        eccentricity=_field(2, line2, 26, 33, lambda s: int(s) / 1e7, "eccentricity"),
-        arg_perigee_deg=_field(2, line2, 34, 42, float, "argument of perigee"),
-        mean_anomaly_deg=_field(2, line2, 43, 51, float, "mean anomaly"),
-        mean_motion_rev_per_day=_field(2, line2, 52, 63, float, "mean motion"),
-        rev_number=_field(2, line2, 63, 68, _int_or_zero, "revolution number"),
-        name=name,
-    )
+    values = {attr: _read_field((line1, line2), field) for attr, field in _FIELDS.items()}
+    return TleRecord(**values, **_text_fields(line1), name=name)
 
 
 def serialize_tle(rec: TleRecord) -> Tuple[str, str]:
@@ -277,87 +272,48 @@ def tle_to_elements(rec: TleRecord) -> CircularElements:
     return _circular(*(getattr(rec, field) for field in _CIRCULAR_FIELDS))
 
 
-# The canonical layout, one code per column: "n" a digit, "p" a digit or a
-# blank before the field's first digit (int() and float() skip it), "c"
-# the checksum digit, "x" any ASCII byte (a column parse_tle skips or
-# carries verbatim, or line 2's catalog number, which must equal line 1's)
-# and any other character itself.
-_LAYOUT = (
-    # line number, catalog, classification and designator, epoch, drag terms and ephemeris type, element number
-    "1 ppppn" + "x" * 11 + "nnnnn.nnnnnnnn" + "x" * 32 + "pppp" + "c",
-    # line number, catalog, inclination, RAAN, eccentricity, perigee, anomaly, mean motion, revolutions
-    "2" + "x" * 7 + "ppn.nnnnx" + "ppn.nnnnx" + "nnnnnnnx" + "ppn.nnnnx" + "ppn.nnnnx" + "pn.nnnnnnnn" + "ppppp" + "c",
-)
-_CODE_BYTES = {"n": b"0123456789", "c": b"0123456789", "p": b" 0123456789", "x": bytes(range(128))}
-
-
-def _allowed_bytes() -> np.ndarray:
-    """(line, column, byte) -> whether the canonical layout allows the byte there."""
-    codes = sorted(set("".join(_LAYOUT)))
-    allowed = np.zeros((len(codes), 256), dtype=bool)
-    for row, code in enumerate(codes):
-        allowed[row, list(_CODE_BYTES.get(code, code.encode()))] = True
-    return allowed[[[codes.index(code) for code in line] for line in _LAYOUT]]
-
-
-_ALLOWED = _allowed_bytes()
-# the column pairs inside a padded field, where a blank may not follow a digit
-_PADDED_LINE, _PADDED_COLUMN = np.array(
-    [(line, column) for line, codes in enumerate(_LAYOUT) for column in range(LINE_LENGTH - 1) if codes[column : column + 2] == "pp"]
-).T
 _WEIGHTS = np.frombuffer(_CHECKSUM_WEIGHTS, dtype=np.uint8)
-_DIGIT_VALUES = np.frombuffer(bytes(b - 48 if 48 <= b <= 57 else 0 for b in range(256)), dtype=np.uint8)
 # the first bytes of a line str.strip() may shorten: ASCII whitespace and every non-ASCII lead byte
 _STRIPPABLE = np.array([b >= 128 or chr(b).isspace() for b in range(256)])
 
 
-# number field -> (line, its digit columns, power of ten it is divided by or None for an int);
-# the fields span parse_tle's columns
-_NUMBER_FIELDS = {
-    name: (line, [c for c in range(start, end) if _LAYOUT[line][c] in "np"], decimals)
-    for name, line, start, end, decimals in (
-        ("catalog_number", 0, 2, 7, None),
-        ("epoch_year", 0, 18, 20, None),  # two digits until _full_year's rule is applied
-        ("epoch_day", 0, 20, 32, 8),
-        ("element_number", 0, 64, 68, None),
-        ("inclination_deg", 1, 8, 16, 4),
-        ("raan_deg", 1, 17, 25, 4),
-        ("eccentricity", 1, 26, 33, 7),  # an implied leading decimal point
-        ("arg_perigee_deg", 1, 34, 42, 4),
-        ("mean_anomaly_deg", 1, 43, 51, 4),
-        ("mean_motion_rev_per_day", 1, 52, 63, 8),
-        ("rev_number", 1, 63, 68, None),
-    )
-}
-
-
 def _within(values: np.ndarray, low, high, ends: str) -> np.ndarray:
-    """The range rule of _check_range, on an array without NaN."""
+    """The range rule of _check_range, on an array; NaN is never within."""
     above = values >= low if ends[0] == "[" else values > low
     return above & (values <= high if ends[1] == "]" else values < high)
 
 
-def _canonical_columns(rows: np.ndarray) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
-    """Which (records, 2, 69) byte rows are valid records in the canonical layout, and each
-    row's number fields, which mean nothing for a row that is not valid."""
-    valid = np.ones(len(rows), dtype=bool)
+def _columns(rows: np.ndarray, valid: np.ndarray) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+    """Which (records, 2, 69) byte rows, of those valid marks, parse_tle accepts, and each
+    row's number fields as parse_tle reads them, which mean nothing for a row it rejects.
+
+    Only rows of printable ASCII are cast: numpy's bytes type drops the
+    trailing NULs that float() rejects, and str.strip() blanks a field of
+    tabs that a cast rejects. If a cast raises, no row is accepted.
+    """
+    valid = valid & ((rows >= 32) & (rows <= 126)).all(axis=(1, 2))
     for line in (0, 1):
         lines = rows[:, line]
-        valid &= _ALLOWED[line, np.arange(LINE_LENGTH), lines].all(axis=1)
+        valid &= lines[:, 0] == ord("1") + line
         valid &= _WEIGHTS[lines[:, : LINE_LENGTH - 1]].sum(axis=1) % 10 == lines[:, LINE_LENGTH - 1] - 48
-    digit = rows[:, _PADDED_LINE, _PADDED_COLUMN] != 32
-    valid &= ~(digit & (rows[:, _PADDED_LINE, _PADDED_COLUMN + 1] == 32)).any(axis=1)
     valid &= (rows[:, 0, 2:7] == rows[:, 1, 2:7]).all(axis=1)
+    for field in _FIELDS.values():  # is_plain_number_text
+        valid &= (rows[:, field.line - 1, field.start : field.end] != ord("_")).all(axis=1)
+    read = np.flatnonzero(valid)
     columns = {}
-    for name, (line, digit_columns, decimals) in _NUMBER_FIELDS.items():
-        value = np.zeros(len(rows), dtype=np.int64)
-        for column in digit_columns:
-            value = value * 10 + _DIGIT_VALUES[rows[:, line, column]]
-        columns[name] = value if decimals is None else value / float(10**decimals)
-    yy = columns["epoch_year"]
-    yy += np.where(yy >= 57, 1900, 2000)  # _full_year
-    for name, (low, high, ends) in _RANGES.items():
-        valid &= _within(columns[name], low, high, ends)
+    try:
+        for attr, field in _FIELDS.items():
+            text = np.ascontiguousarray(rows[read, field.line - 1, field.start : field.end])
+            if field.blank_is_zero:
+                text[(text == ord(" ")).all(axis=1), -1] = ord("0")
+            values = text.view(f"S{field.end - field.start}")[:, 0].astype(np.float64 if field.cast is float else np.int64)
+            column = np.zeros(len(rows), dtype=values.dtype)
+            column[read] = values
+            columns[attr] = column if field.then is None else field.then(column)
+    except (ValueError, OverflowError):  # a text int() or float() rejects: parse_tle names it
+        return np.zeros_like(valid), {}
+    for attr, field in _FIELDS.items():
+        valid &= _within(columns[attr], field.low, field.high, field.ends)
     return valid, columns
 
 
@@ -367,7 +323,7 @@ class _Catalog(NamedTuple):
     data: bytes  # the listing, UTF-8
     line1_at: np.ndarray  # the offset of each record's line 1 in data
     columns: Dict[str, np.ndarray]  # number field -> each record's value
-    parsed: Dict[int, TleRecord]  # record -> parse_tle's record of a pair not in the canonical layout
+    parsed: Dict[int, TleRecord]  # record -> parse_tle's record of a pair the bulk checks reject
     names: List[Optional[str]]  # each record's name, or None for all if names were not asked for
 
 
@@ -443,8 +399,8 @@ def _read_catalog(data: bytes, named: bool) -> _Catalog:
     starts, ends, first_lines, name_lines, error = _grammar(data)
     names = [_line_text(data, starts, ends, line).strip() if named and line >= 0 else None for line in name_lines.tolist()]
     line1_at, line2_at = starts[first_lines], starts[first_lines + 1]
-    valid, columns = _canonical_columns(_rows_at(data, line1_at, line2_at))
-    valid &= (ends[first_lines] - line1_at == LINE_LENGTH) & (ends[first_lines + 1] - line2_at == LINE_LENGTH)
+    whole = (ends[first_lines] - line1_at == LINE_LENGTH) & (ends[first_lines + 1] - line2_at == LINE_LENGTH)
+    valid, columns = _columns(_rows_at(data, line1_at, line2_at), whole)
     parsed = {}
     for i in np.flatnonzero(~valid).tolist():
         line = int(first_lines[i])

@@ -288,8 +288,11 @@ class TestSimulateCommand:
         text = json.dumps(SPARSE_CONFIG, separators=(",", ":"))
         config_path.write_text(text.replace('"duration_s":', '"duration_s":60.0,"duration_s":', 1))
         assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "t.jsonl")]) == 2
-        assert "duplicate key 'duration_s'" in capsys.readouterr().err
+        assert "duplicate key 'duration_s' in simulation config" in capsys.readouterr().err
         assert not (tmp_path / "t.jsonl").exists()
+        config_path.write_text(text.replace('"altitude_km":', '"altitude_km":550.0,"altitude_km":', 1))
+        assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "t.jsonl")]) == 2
+        assert "duplicate key 'altitude_km' in shells[0]" in capsys.readouterr().err
 
     def test_trace_only_on_file_not_stdout(self, tmp_path):
         config_path = tmp_path / "config.json"

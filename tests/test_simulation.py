@@ -331,20 +331,25 @@ class TestConfigParsing:
             load_config(path)
 
     @pytest.mark.parametrize(
-        "old, new, key",
+        "old, new, where",
         [
-            ('"duration_s":', '"duration_s":60.0,"duration_s":', "duration_s"),
-            ('"altitude_km":', '"altitude_km":550.0,"altitude_km":', "altitude_km"),  # in shells[0]
+            ('"duration_s":', '"duration_s":60.0,"duration_s":', "simulation config"),
+            ('"altitude_km":', '"altitude_km":550.0,"altitude_km":', "shells[0]"),
+            ('"seu_rate_per_device_day":', '"seu_rate_per_device_day":0.0,"seu_rate_per_device_day":', "faults"),
+            ('"id":"b"', '"id":"b","id":"c"', "ground_stations[1]"),
         ],
-        ids=["top-level", "shells[0]"],
+        ids=["top-level", "shells[0]", "faults", "ground_stations[1]"],
     )
-    def test_load_config_rejects_duplicate_keys(self, tmp_path, old, new, key):
+    def test_load_config_rejects_duplicate_keys(self, tmp_path, old, new, where):
         # json keeps a repeated key's last value: this config used to run with the second one
         path = tmp_path / "config.json"
-        text = json.dumps(minimal_config(), separators=(",", ":"))
+        stations = [{"id": gs_id, "latitude_deg": 0.0, "longitude_deg": 0.0} for gs_id in "ab"]
+        config = minimal_config(faults={"seu_rate_per_device_day": 0.001}, ground_stations=stations)
+        text = json.dumps(config, separators=(",", ":"))
         assert text.count(old) == 1
         path.write_text(text.replace(old, new))
-        with pytest.raises(ConfigError, match=f"duplicate key '{key}'"):
+        key = old.split('"')[1]
+        with pytest.raises(ConfigError, match=f"^duplicate key '{key}' in {re.escape(where)}$"):
             load_config(path)
 
     def test_load_config_missing_file(self, tmp_path):

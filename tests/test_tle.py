@@ -319,7 +319,8 @@ class TestRecordTypes:
 
 
 class TestColumns:
-    """The columnar reader, which reads canonical pairs in bulk and hands any other to parse_tle."""
+    """The columnar reader, which reads every pair in bulk with parse_tle's conversions and hands
+    the pairs its checks reject to parse_tle."""
 
     @staticmethod
     def counting_parse_tle(monkeypatch) -> Counter:
@@ -342,30 +343,44 @@ class TestColumns:
         assert calls == Counter()
         assert [e for _, e in sorted(fleet.items())] == elements
 
-    @pytest.mark.parametrize(
-        "line_no, column, width, text",
-        [
-            (2, 8, 8, "+51.6444"),
-            (2, 63, 5, "229  "),
-            (2, 52, 11, "15.4939861 "),
-            (2, 26, 7, " 002297"),
-            (2, 63, 5, "22 98"),
-            (2, 8, 8, "516.4440"),
-            (1, 34, 2, "\u00e9"),
-        ],
-        ids=["sign", "left-justified", "short-fraction", "blank-eccentricity", "inner-blank", "out-of-range", "two-byte"],
-    )
-    def test_other_pairs_go_through_parse_tle(self, monkeypatch, line_no, column, width, text):
-        # valid or not, a pair outside the canonical layout is parse_tle's to read or reject; the
-        # two-byte character makes a line of 69 bytes but 68 characters
+    @staticmethod
+    def listing_with(line_no, column, width, text) -> str:
+        """The ISS record, then the ISS record with text over a span; a checksum is fixed if the line
+        is 68 characters before it."""
         lines = [ISS_L1, ISS_L2]
         line = lines[line_no - 1]
         body = line[:column] + text + line[column + width : 68]
         lines[line_no - 1] = body + (str(checksum(body)) if len(body) == 68 else line[68])  # ".0" weighs nothing
-        listing = "\n".join([ISS_L1, ISS_L2, *lines]) + "\n"
+        return "\n".join([ISS_L1, ISS_L2, *lines]) + "\n"
+
+    @pytest.mark.parametrize(
+        "line_no, column, width, text",
+        [(2, 8, 8, "+51.6444"), (2, 63, 5, "229  "), (2, 52, 11, "15.4939861 "), (2, 26, 7, " 002297")],
+        ids=["sign", "left-justified", "short-fraction", "blank-eccentricity"],
+    )
+    def test_valid_pairs_read_in_bulk(self, monkeypatch, line_no, column, width, text):
+        # a valid pair in any layout int() and float() read is read with parse_tle's conversions
+        listing = self.listing_with(line_no, column, width, text)
         calls = self.counting_parse_tle(monkeypatch)
         got = outcome(parse_tle_text, listing)
-        assert calls["parse_tle"] == 1
+        assert calls["parse_tle"] == 0
+        monkeypatch.undo()
+        assert got == outcome(reference_parse_tle_text, listing)
+        assert parse_tle_text(listing)[1] == parse_tle(*listing.splitlines()[2:])
+
+    @pytest.mark.parametrize(
+        "line_no, column, width, text, parsed",
+        [(2, 63, 5, "22 98", 2), (2, 8, 8, "516.4440", 1), (1, 34, 2, "\u00e9", 1)],
+        ids=["inner-blank", "out-of-range", "two-byte"],
+    )
+    def test_other_pairs_go_through_parse_tle(self, monkeypatch, line_no, column, width, text, parsed):
+        # a pair the bulk checks reject is parse_tle's to reject; int() rejects "22 98", and a text
+        # a cast rejects sends both pairs there; the two-byte character makes a line of 69 bytes
+        # but 68 characters
+        listing = self.listing_with(line_no, column, width, text)
+        calls = self.counting_parse_tle(monkeypatch)
+        got = outcome(parse_tle_text, listing)
+        assert calls["parse_tle"] == parsed
         monkeypatch.undo()
         assert got == outcome(reference_parse_tle_text, listing)
 
@@ -419,6 +434,20 @@ class TestColumns:
             assert str(exc) == expected
         else:
             assert [e for _, e in sorted(fleet.items())] == expected
+
+    @pytest.mark.parametrize("cast, dtype", [(int, np.int64), (float, np.float64)], ids=["int", "float"])
+    @pytest.mark.parametrize("text", [" 12", "+12", "12 ", "1e1", "1.", ".5", "-0", "nan", "inf", "1 2", "0x1", ""])
+    def test_numpy_casts_are_int_and_float(self, cast, dtype, text):
+        # the bulk reader's values equal parse_tle's only while numpy's bytes casts call int() and
+        # float(); a numpy that reads a printable text otherwise fails here
+        texts = np.array([text.encode("ascii")])
+        try:
+            expected = cast(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                texts.astype(dtype)
+            return
+        assert repr(texts.astype(dtype)[0].item()) == repr(expected)  # repr tells -0.0 from 0.0
 
     def test_first_error_in_file_order_wins(self):
         bad_checksum = ISS_L1[:-1] + "0"
