@@ -291,7 +291,7 @@ def _columns(rows: np.ndarray, valid: np.ndarray) -> Tuple[np.ndarray, Dict[str,
     trailing NULs that float() rejects, and str.strip() blanks a field of
     tabs that a cast rejects. If a cast raises, no row is accepted.
     """
-    valid = valid & ((rows >= 32) & (rows <= 126)).all(axis=(1, 2))
+    valid = valid & (rows.min(axis=(1, 2)) >= 32) & (rows.max(axis=(1, 2)) <= 126)
     for line in (0, 1):
         lines = rows[:, line]
         valid &= lines[:, 0] == ord("1") + line
