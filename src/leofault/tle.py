@@ -146,6 +146,7 @@ class TleRecord:
     def __post_init__(self) -> None:
         for attr, field in _FIELDS.items():
             value = getattr(self, attr)
+            # an int field by its annotation, which "from __future__ import annotations" keeps as text
             if self.__dataclass_fields__[attr].type == "int" and (type(value) is bool or not isinstance(value, int)):
                 raise ValueError(f"{attr} must be an integer, got {value!r}")
             _check_range(attr, value, field.low, field.high, field.ends)
@@ -310,7 +311,7 @@ def _columns(rows: np.ndarray, valid: np.ndarray) -> Tuple[np.ndarray, Dict[str,
             column = np.zeros(len(rows), dtype=values.dtype)
             column[read] = values
             columns[attr] = column if field.then is None else field.then(column)
-    except (ValueError, OverflowError):  # a text int() or float() rejects: parse_tle names it
+    except (ValueError, OverflowError):  # parse_tle rejects that text too: the listing raises unread
         return np.zeros_like(valid), {}
     for attr, field in _FIELDS.items():
         valid &= _within(columns[attr], field.low, field.high, field.ends)
