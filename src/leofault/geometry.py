@@ -114,7 +114,10 @@ def elevation_angle(gs_pos, sat_pos):
     """Elevation of a satellite above the station's local horizontal, degrees.
 
     gs_pos and sat_pos are (3,) or batches (..., 3) that broadcast
-    against each other. Raises ValueError for coincident points.
+    against each other. Raises ValueError for coincident points. The
+    last bits follow the host: np.arcsin takes numpy's SIMD dispatch
+    (AVX-512 differs from libm's asin), and the station-norm matmul takes
+    OpenBLAS's kernel, so windows near the threshold may differ by host.
     """
     gs_pos = np.asarray(gs_pos, dtype=float)
     sat_pos = np.asarray(sat_pos, dtype=float)

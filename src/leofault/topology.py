@@ -7,12 +7,13 @@ graph per shell (2*P*S undirected edges). Shells too small for the grid
 
 Link state is evaluated per timestep from propagated positions: grazing
 altitude, segment length, and viability against a threshold. Over a time
-grid one engine evaluates it: a step driver moves the maneuver offsets to
-each time, and an edge kernel computes the grazing altitude of a set of
-edges, propagating only their endpoints' rows as x, y, z planes (no (N, 3)
-array is stacked; the endpoints are six 1-D gathers). scan, which the ISL
-altitude CDF reads, passes every edge at every step. Batching all steps
-into (steps x edges) arrays was measured to raise peak memory, not save time.
+grid one engine evaluates it: a step driver applies a schedule of maneuver
+offset changes made before the scan, and an edge kernel computes the
+grazing altitude of a set of edges, propagating only their endpoints' rows
+as x, y, z planes (no (N, 3) array is stacked; the endpoints are six 1-D
+gathers). scan, which the ISL altitude CDF reads, passes every edge at
+every step. Batching all steps into (steps x edges) arrays was measured to
+raise peak memory, not save time.
 
 simulate needs only viability, so its scan passes only the edges that are
 due. Grazing altitude does not change when both endpoints rotate together,
@@ -40,13 +41,14 @@ their viability and flips and the infeasible count of each step. Both
 scans share the kernel, so every evaluated value equals scan's, and
 _isl_transition_trace turns its flips into the trace's ISL events.
 
-The driver keeps the maneuver offsets as one dense per-satellite array,
-touched only when a maneuver starts or ends (found by a pointer into the
-start-sorted maneuvers and a heap of end times); only then are the radii
-and mean motions recomputed. A satellite whose active maneuvers change
-gets the left-to-right sum of their offsets in start order, clamped to
-+-10 km, which is bit for bit what faults.offsets_at returns; a running
-add and subtract would not be.
+In that schedule each maneuver is active from the first time at or after
+its start to the first at or after its end, both found by searchsorted,
+and one walk over these steps in order gives, wherever some satellites'
+active maneuvers change, their new offsets: the left-to-right sum of the
+offsets in start order, clamped to +-10 km, bit for bit what
+faults.offsets_at returns (a running add and subtract would not be). The
+driver keeps them in one dense per-satellite array and recomputes radii
+and mean motions only at those steps.
 
 Ground geometry propagates satellites through the fleet arrays' planes.
 Visibility evaluates a satellite only when it could be visible. With psi
@@ -71,11 +73,12 @@ between consecutive covered samples.
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -200,13 +203,14 @@ class GridTopology:
 
         Each step applies the offsets of the maneuvers active at t, as
         faults.offsets_at gives them. times must be finite and must not
-        decrease, and maneuvers must be sorted by start_s, with a finite
-        dh_km and a dwell_s that is not NaN; ValueError names the first
-        entry that is not. Every step yields a fresh array.
+        decrease, and maneuvers must be sorted by start_s, each on a
+        satellite of this topology, with a finite dh_km and a dwell_s that
+        is not NaN; ValueError names the first entry that is not. Every
+        step yields a fresh array.
         """
         rows = np.flatnonzero(np.bincount(np.concatenate([self._edge_a, self._edge_b])))  # every endpoint, once
         every = (rows, np.searchsorted(rows, self._edge_a), np.searchsorted(rows, self._edge_b))
-        times = _checked_times(times, maneuvers)
+        times = _checked_times(times, maneuvers, self._index_of)
         steps = zip(times.tolist(), self._steps(times, maneuvers))
         return ((t, self._edge_grazing(every, t, r, n)) for t, (_, _, r, n, _) in steps)
 
@@ -216,20 +220,16 @@ class GridTopology:
         """(s, e, r_km, n_rad_s, changed) for blocks times[s:e] of at most `most` checked times,
         a new one starting wherever some rows' offsets change: every row's orbit radius and mean
         motion under the maneuvers active throughout the block, and the rows changed at times[s]."""
-        fleet = self._fleet
-        offsets = _ManeuverOffsets(maneuvers, self._index_of, len(self.sat_ids))
-        r_km, n_rad_s = fleet.a_km, _mean_motion(fleet.a_km)
-        for k, t in enumerate(times.tolist()):
-            changed = offsets.advance(t)
-            if not k or changed or k - s == most:
-                if k:
-                    yield s, k, r_km, n_rad_s, head
-                s, head = k, changed
-            if changed:
-                r_km = fleet.a_km + offsets.km
-                n_rad_s = _mean_motion(r_km)
-        if times.size:
-            yield s, times.size, r_km, n_rad_s, head
+        a_km, offset_km = self._fleet.a_km, np.zeros(len(self.sat_ids))
+        r_km, n_rad_s = a_km, _mean_motion(a_km)
+        s, head = 0, []
+        for k, rows, km in chain(_offset_changes(times, maneuvers, self._index_of), [(times.size, [], [])]):
+            for b in range(s, k, most):
+                yield b, min(b + most, k), r_km, n_rad_s, head if b == s else []
+            s, head = k, rows
+            offset_km[rows] = km
+            r_km = a_km + offset_km
+            n_rad_s = _mean_motion(r_km)
 
     def _edge_grazing(
         self,
@@ -248,8 +248,7 @@ class GridTopology:
         )
 
     def _viability_scan(
-        self, times: Sequence[float], maneuvers: Sequence[ManeuverEvent], threshold_km: float,
-        samples: Optional[Counter] = None,
+        self, times: Sequence[float], maneuvers: Sequence[ManeuverEvent], threshold_km: float
     ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
         """Viability at each time, a block of steps at a time, evaluating only the edges that are due.
 
@@ -260,10 +259,9 @@ class GridTopology:
         viability since the edge's previous time (none at the first time);
         and how many edges are not viable at each of its times. Viability,
         and the grazing of every evaluated edge, equal scan's values;
-        times and maneuvers are checked as scan checks them. Adds the
-        number of blocks to samples["blocks"].
+        times and maneuvers are checked as scan checks them.
         """
-        times, samples = _checked_times(times, maneuvers), Counter() if samples is None else samples
+        times = _checked_times(times, maneuvers, self._index_of)
         edge_a, edge_b = self._edge_a, self._edge_b
         cos_i, sin_i, cos_o, sin_o = self._fleet._trig
         normal = (sin_i * sin_o, -sin_i * cos_o, cos_i)
@@ -326,7 +324,6 @@ class GridTopology:
             infeasible = int(infeasible_at[-1])
             if not s:
                 flipped &= at > 0  # step 0 has no previous time to flip from
-            samples["blocks"] += 1
             yield t, at, edge, grazing, now, flipped, infeasible_at
 
     def snapshot(self, t_s: float, threshold_km: float = DEFAULT_ISL_THRESHOLD_KM) -> List[IslLink]:
@@ -364,9 +361,8 @@ def _isl_transition_trace(
     if topo.n_edges == 0:
         return
     sat_ids, edge_a, edge_b = topo.sat_ids, topo._edge_a, topo._edge_b
-    for t, at, edges, grazing, viable, flipped, infeasible in topo._viability_scan(
-        times, maneuvers, threshold_km, samples
-    ):
+    for t, at, edges, grazing, viable, flipped, infeasible in topo._viability_scan(times, maneuvers, threshold_km):
+        samples["blocks"] += 1
         samples["infeasible"] += int(infeasible.sum())
         samples["evaluated"] += edges.size
         at, edges, grazing, viable = (c.compress(flipped) for c in (at, edges, grazing, viable))
@@ -413,10 +409,12 @@ def _blocks(index: np.ndarray) -> np.ndarray:
     return np.concatenate([index, index[:1].repeat(-index.size % 128)])
 
 
-def _checked_times(times: Sequence[float], maneuvers: Sequence[ManeuverEvent]) -> np.ndarray:
+def _checked_times(
+    times: Sequence[float], maneuvers: Sequence[ManeuverEvent], index_of: Mapping[SatelliteId, int]
+) -> np.ndarray:
     """times as an array; ValueError names the first time that is infinite or out of order, the
-    first maneuver start out of order, or the first maneuver whose dh_km is not finite or whose
-    dwell_s is NaN (faults.offsets_at and the scan's offsets would disagree on it)."""
+    first maneuver start out of order, or the first maneuver whose sat is not in index_of, whose dh_km
+    is not finite or whose dwell_s is NaN (faults.offsets_at and the scan's offsets would disagree)."""
     times = np.asarray(times, dtype=float)
     bad = _first_out_of_order(times)
     if bad is not None:
@@ -431,6 +429,8 @@ def _checked_times(times: Sequence[float], maneuvers: Sequence[ManeuverEvent]) -
             f"maneuvers must be sorted by start_s: maneuvers[{bad}] starts at {starts[bad]}"
         )
     for i, m in enumerate(maneuvers):
+        if m.sat not in index_of:
+            raise ValueError(f"maneuvers[{i}].sat {m.sat} is not a satellite of this topology")
         if not math.isfinite(m.dh_km):
             raise ValueError(f"maneuvers[{i}].dh_km must be finite, got {m.dh_km}")
         if math.isnan(m.dwell_s):
@@ -438,55 +438,39 @@ def _checked_times(times: Sequence[float], maneuvers: Sequence[ManeuverEvent]) -
     return times
 
 
-class _ManeuverOffsets:
-    """Per-satellite radial offsets of the maneuvers active at a forward-moving time.
-
-    km[row] equals faults.offsets_at at the last time passed to advance,
-    bit for bit, with 0.0 for satellites without a net offset. maneuvers
-    must be sorted by start_s and the times must not decrease.
-    """
-
-    def __init__(
-        self,
-        maneuvers: Sequence[ManeuverEvent],
-        index_of: Mapping[SatelliteId, int],
-        n_sats: int,
-    ) -> None:
-        self.km = np.zeros(n_sats)
-        self._maneuvers = maneuvers
-        self._index_of = index_of
-        self._next = 0
-        self._next_start = maneuvers[0].start_s if maneuvers else math.inf
-        self._ends: List[Tuple[float, int, int]] = []  # heap of (end_s, index, row)
-        self._active: Dict[int, List[int]] = {}  # row -> active indices, in start order
-
-    def advance(self, t_s: float) -> List[int]:
-        """Move to t_s; returns the rows whose offset was recomputed."""
-        if t_s < self._next_start and (not self._ends or t_s < self._ends[0][0]):
-            return []  # nothing starts or ends by t_s
-        maneuvers, active = self._maneuvers, self._active
-        changed = set()
-        while self._next < len(maneuvers) and maneuvers[self._next].start_s <= t_s:
-            m = maneuvers[self._next]
-            # one that ended by t_s, or whose end is NaN, is never active
-            if t_s < m.end_s:
-                row = self._index_of[m.sat]
-                active.setdefault(row, []).append(self._next)
-                heapq.heappush(self._ends, (m.end_s, self._next, row))
-                changed.add(row)
-            self._next += 1
-        self._next_start = maneuvers[self._next].start_s if self._next < len(maneuvers) else math.inf
-        while self._ends and self._ends[0][0] <= t_s:
-            _, index, row = heapq.heappop(self._ends)
-            active[row].remove(index)
-            changed.add(row)
-        for row in changed:
-            # summed from +0.0 as offsets_at sums, so a zero sum is +0.0, never -0.0
+def _offset_changes(
+    times: np.ndarray, maneuvers: Sequence[ManeuverEvent], index_of: Mapping[SatelliteId, int]
+) -> Iterator[Tuple[int, List[int], List[float]]]:
+    """(k, rows, km) at each step k where some rows' active maneuvers change: those rows and
+    their offsets from times[k] on, bit for bit faults.offsets_at's (0.0 for none). Maneuver i
+    is active at steps first[i] <= k < stop[i], where start_s <= times[k] < end_s, and never if
+    end_s is NaN, which searchsorted puts after every time; one walk over the starts and stops
+    in step order keeps each row's active maneuvers in start order."""
+    row = [index_of[m.sat] for m in maneuvers]
+    start_s, end_s = np.array([(m.start_s, m.end_s) for m in maneuvers], dtype=float).reshape(-1, 2).T
+    first, stop = np.searchsorted(times, start_s), np.searchsorted(times, end_s)
+    live = np.flatnonzero((first < stop) & ~np.isnan(end_s))
+    # stable: a step's starts come in start order, before its stops; stops after the last time go
+    on = np.concatenate([first[live], stop[live]])
+    order = np.argsort(on, kind="stable")[: np.count_nonzero(on < times.size)]
+    events = zip(on[order].tolist(), np.tile(live, 2)[order].tolist(), (order < live.size).tolist())
+    active: Dict[int, List[int]] = {}  # row -> active maneuvers, in start order
+    for k, group in groupby(events, key=itemgetter(0)):
+        rows = set()
+        for _, i, starts in group:
+            if starts:
+                active.setdefault(row[i], []).append(i)
+            else:
+                active[row[i]].remove(i)
+            rows.add(row[i])
+        km = []
+        for r in rows:
+            # left to right from +0.0 as offsets_at sums: never -0.0, and not sum(), which compensates on 3.12+
             total = 0.0
-            for index in active[row]:
-                total += maneuvers[index].dh_km
-            self.km[row] = max(-MAX_TOTAL_OFFSET_KM, min(MAX_TOTAL_OFFSET_KM, total))
-        return list(changed)
+            for i in active[r]:
+                total += maneuvers[i].dh_km
+            km.append(max(-MAX_TOTAL_OFFSET_KM, min(MAX_TOTAL_OFFSET_KM, total)))
+        yield k, list(rows), km
 
 
 def _bisect_crossings(

@@ -299,8 +299,11 @@ TLE_FIELDS = [
     (1, 8, 16), (1, 17, 25), (1, 26, 33), (1, 34, 42), (1, 43, 51), (1, 52, 63), (1, 63, 68),
 ]
 field_text = st.one_of(
-    st.sampled_from(["nan", "NaN", "inf", "-inf", "infinity", "1e999", "-1", "0", "400.0", "1e-300", "1_5"]),
-    st.text(alphabet=" 0123456789.+-eEnaifINAF_x", max_size=12),
+    st.sampled_from(
+        ["nan", "NaN", "inf", "-inf", "infinity", "1e999", "-1", "0", "400.0", "1e-300", "1_5",
+         "7\x00", "12.5\x00\x00", "\t\t"]
+    ),
+    st.text(alphabet=" 0123456789.+-eEnaifINAF_x\t\x00", max_size=12),
 )
 
 
@@ -425,9 +428,9 @@ maneuvers = st.lists(
     st.builds(
         ManeuverEvent,
         sat=st.sampled_from(SCAN_TOPOLOGY.sat_ids[:6]),
-        start_s=on_grid | st.floats(-50.0, 350.0),
+        start_s=on_grid | st.floats(-50.0, 350.0) | st.just(-math.inf),
         dh_km=st.sampled_from([-6.0, -2.0, 2.0, 6.0]) | st.floats(-12.0, 12.0),
-        dwell_s=on_grid | st.floats(0.0, 200.0),
+        dwell_s=on_grid | st.floats(0.0, 200.0) | st.just(math.inf),
     ),
     max_size=12,
 ).map(lambda ms: sorted(ms, key=lambda m: m.start_s))

@@ -25,7 +25,7 @@ from leofault.constants import EARTH_RADIUS_KM, SIDEREAL_DAY_S
 from leofault.faults import MAX_TOTAL_OFFSET_KM
 from leofault.orbital import FleetArrays, _mean_motion, propagate_arrays, time_grid
 from leofault import topology
-from leofault.topology import CROSS_PLANE, INTRA_PLANE, _ManeuverOffsets
+from leofault.topology import CROSS_PLANE, INTRA_PLANE
 
 
 EQUATOR_STATION = GroundStation("eq", 0.0, 0.0)
@@ -132,17 +132,21 @@ def reference_scan(topo, times, maneuvers):
 
 
 def assert_scan_matches_reference(topo, times, maneuvers):
-    """scan equals reference_scan, and its offset state equals offsets_at, bit for bit."""
+    """scan equals reference_scan, and the offsets its schedule of changes gives equal offsets_at, bit for bit."""
     index = {sat: i for i, sat in enumerate(topo.sat_ids)}
-    state = _ManeuverOffsets(maneuvers, index, len(index))
-    for t in times:
-        before = state.km.copy()
-        rows = state.advance(float(t))
-        assert set(np.flatnonzero(state.km != before).tolist()) <= set(rows)
+    schedule = list(topology._offset_changes(np.asarray(times, dtype=float), maneuvers, index))
+    assert [k for k, _, _ in schedule] == sorted({k for k, _, _ in schedule} & set(range(len(times))))
+    changes = {k: (rows, km) for k, rows, km in schedule}
+    state, before = np.zeros(len(index)), np.zeros(len(index))
+    for k, t in enumerate(times):
+        rows, km = changes.get(k, ([], []))
+        state[rows] = km
         want = np.zeros(len(index))
         for sat, dh_km in offsets_at(maneuvers, float(t)).items():
             want[index[sat]] = dh_km
-        assert np.array_equal(state.km, want)
+        assert set(np.flatnonzero(want != before).tolist()) <= set(rows)
+        assert np.array_equal(state, want)
+        before = want
     steps = list(topo.scan(times, maneuvers))
     expected = list(reference_scan(topo, times, maneuvers))
     assert [t for t, _ in steps] == [t for t, _ in expected]
@@ -419,6 +423,11 @@ SCAN_CASES = {
         [ManeuverEvent(SAT, 100.0, 5.0, 100.0), ManeuverEvent(SAT, 200.0, -4.0, 50.0)],
         lambda ms, t: offsets_at(ms, t) == {SAT: -4.0},
     ),
+    # -inf + inf: a NaN end, never active, though searchsorted puts NaN after every time
+    "nan-end": (
+        [ManeuverEvent(SAT, -math.inf, 4.0, math.inf), ManeuverEvent(SAT, 100.0, 2.0, 100.0)],
+        lambda ms, t: offsets_at(ms, t) == {SAT: 2.0},
+    ),
 }
 
 
@@ -489,6 +498,14 @@ class TestScanOffsets:
         with pytest.raises(ValueError, match=rf"maneuvers\[1\]\.{field}"):
             topo.scan(SCAN_TIMES, maneuvers)
         with pytest.raises(ValueError, match=rf"maneuvers\[1\]\.{field}"):
+            next(topo._viability_scan(SCAN_TIMES, maneuvers, 80.0))
+
+    @pytest.mark.parametrize("start_s", [100.0, 1e6])  # inside the window and after it
+    def test_rejects_maneuver_off_the_topology(self, topo, start_s):
+        maneuvers = [ManeuverEvent(SAT, 0.0, 1.0, 50.0), ManeuverEvent(SatelliteId(9, 9, 9), start_s, 1.0, 50.0)]
+        with pytest.raises(ValueError, match=r"maneuvers\[1\]\.sat SatelliteId\(shell=9, plane=9, index=9\)"):
+            topo.scan(SCAN_TIMES, maneuvers)
+        with pytest.raises(ValueError, match=r"maneuvers\[1\]\.sat"):
             next(topo._viability_scan(SCAN_TIMES, maneuvers, 80.0))
 
     def test_accepts_a_maneuver_that_never_ends(self, topo):
