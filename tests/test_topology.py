@@ -135,8 +135,8 @@ def assert_scan_matches_reference(topo, times, maneuvers):
     """scan equals reference_scan, and the offsets its schedule of changes gives equal offsets_at, bit for bit."""
     index = {sat: i for i, sat in enumerate(topo.sat_ids)}
     schedule = list(topology._offset_changes(np.asarray(times, dtype=float), maneuvers, index))
-    assert [k for k, _, _ in schedule] == sorted({k for k, _, _ in schedule} & set(range(len(times))))
     changes = {k: (rows, km) for k, rows, km in schedule}
+    assert [k for k, _, _ in schedule] == sorted(changes) and set(changes) <= set(range(len(times)))
     state, before = np.zeros(len(index)), np.zeros(len(index))
     for k, t in enumerate(times):
         rows, km = changes.get(k, ([], []))
