@@ -1,10 +1,14 @@
-"""Physical constants and limits shared across the simulator, and four input rules.
+"""Physical constants and limits shared across the simulator, and five input rules.
 
 The key rule (_unique_keys) rejects a JSON object that repeats a key;
 the number-text rule (is_plain_number_text) says which text is a number;
 the range rule (_check_range) checks a number against its interval, with
 NaN never in range, and names the field and the interval when it fails;
-the order rule (_first_out_of_order) finds a series' first NaN or drop.
+the order rule (_first_out_of_order) finds a series' first NaN or drop;
+the table rule (_read_pairs) reads a CSV of two named number columns,
+lines ending at \n, \r\n or \r: header cells stripped, no quoting, blank
+lines skipped, and the first line that is not two numbers in number text
+(blank lines included) named.
 
 All distances are kilometers and all times are seconds unless a name says
 otherwise. The Earth is a sphere. Constellation, ISL and ground geometry
@@ -14,6 +18,8 @@ lookups (orbital_period, slant_range_km) use the mean sphere.
 """
 
 import math
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -77,3 +83,26 @@ def _first_out_of_order(values: np.ndarray) -> int | None:
     bad[1:] |= values[1:] < values[:-1]
     hits = np.flatnonzero(bad)
     return int(hits[0]) if hits.size else None
+
+
+def _read_pairs(path, header: tuple, what: str) -> tuple[list[tuple[float, float]], Callable[[int], int]]:
+    """The table rule: the rows of the UTF-8 CSV at path under the two names of header, each cell as
+    float() reads it, and a map from a row to its line. ValueError names what and the first bad line."""
+    text = Path(path).read_text(encoding="utf-8")
+    lines = text.split("\n")  # read_text maps \r\n and \r to \n; splitlines() also splits on \x0c
+    if [cell.strip() for cell in lines[0].split(",")] != list(header):
+        raise ValueError(f"{what} must start with header '{','.join(header)}', got {lines[0]!r}")
+    plain = is_plain_number_text(text[len(lines[0]):])  # one check of the whole body, per line if it fails
+    rows: list[tuple[float, float]] = []
+    for line in lines[1:]:
+        try:
+            if not plain and not is_plain_number_text(line):
+                raise ValueError(line)
+            if not line.strip():
+                continue
+            a, b = line.split(",")
+            rows.append((float(a), float(b)))
+        except ValueError:  # the first line equal to this one is this one
+            at = f"{what} line {lines.index(line, 1) + 1}: {' and '.join(header)}"
+            raise ValueError(f"{at} must be finite numbers in ASCII, without '_', got {line!r}") from None
+    return rows, lambda row: [n for n, line in enumerate(lines[1:], start=2) if line.strip()][row]

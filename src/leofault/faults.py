@@ -33,19 +33,17 @@ topology's ISL transitions lives here, maneuver rows included.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import islice
-from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .constants import SECONDS_PER_DAY, SECONDS_PER_YEAR, _check_range, _first_out_of_order, is_plain_number_text
+from .constants import SECONDS_PER_DAY, SECONDS_PER_YEAR, _check_range, _first_out_of_order, _read_pairs
 from .orbital import SatelliteId
 from .trace import FaultEvent, GroundLinkTarget, _check_sat, _event_from_row
 
@@ -127,7 +125,6 @@ class FaultModelConfig:
             )
         for name in (
             "seu_rate_per_device_day",
-            "devices_per_satellite",
             "seu_downtime_s",
             "rain_light_mm_h",
             "rain_moderate_mm_h",
@@ -139,6 +136,7 @@ class FaultModelConfig:
             "maneuver_dwell_s",
         ):
             _check_range(name, getattr(self, name), 0.0)
+        _check_range("devices_per_satellite", self.devices_per_satellite, 0, 2**63)  # rng.integers' largest n
         # zero gaps never advance a station's spike arrivals
         _check_range("handover_max_s", self.handover_max_s, 0.0, ends="(]")
         _check_range("rain_moderate_multiplier", self.rain_moderate_multiplier, 0.0, 1.0, "(]")
@@ -540,36 +538,19 @@ def offsets_at(events: Sequence[ManeuverEvent], t_s: float) -> Dict[SatelliteId,
 
 
 def read_precipitation_csv(path) -> List[Tuple[float, float]]:
-    """Read a precipitation time series: header t_s,mm_per_h, increasing t_s.
-
-    Values hold until the next row (step-function semantics).
-    """
-    rows: List[Tuple[float, float]] = []
-    with open(Path(path), newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["t_s", "mm_per_h"]:
-            raise ValueError(f"precipitation CSV must start with header 't_s,mm_per_h', got {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row or not "".join(row).strip():
-                continue
-            if len(row) != 2:
-                raise ValueError(f"precipitation CSV line {line_no}: expected 2 columns, got {len(row)}")
-            try:
-                if not is_plain_number_text(row[0] + row[1]):
-                    raise ValueError(row)
-                t, mm = float(row[0]), float(row[1])
-                if not (math.isfinite(t) and math.isfinite(mm)):
-                    raise ValueError(row)
-            except ValueError:
-                raise ValueError(
-                    f"precipitation CSV line {line_no}: t_s and mm_per_h must be finite numbers, got {row}"
-                ) from None
-            if mm < 0.0:
-                raise ValueError(f"precipitation CSV line {line_no}: negative rate {mm}")
-            if rows and t <= rows[-1][0]:
-                raise ValueError(f"precipitation CSV line {line_no}: t_s must be strictly increasing")
-            rows.append((t, mm))
+    """Read a precipitation time series under the table rule: header t_s,mm_per_h, finite
+    numbers, mm_per_h not negative, t_s strictly increasing. Values hold until the next row
+    (step-function semantics)."""
+    rows, line_of = _read_pairs(path, ("t_s", "mm_per_h"), "precipitation CSV")
+    for i, (t, mm) in enumerate(rows):
+        if not (math.isfinite(t) and math.isfinite(mm)):
+            raise ValueError(
+                f"precipitation CSV line {line_of(i)}: t_s and mm_per_h must be finite numbers, got {t}, {mm}"
+            )
+        if mm < 0.0:
+            raise ValueError(f"precipitation CSV line {line_of(i)}: negative rate {mm}")
+        if i and t <= rows[i - 1][0]:
+            raise ValueError(f"precipitation CSV line {line_of(i)}: t_s must be strictly increasing")
     return rows
 
 

@@ -21,12 +21,11 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
-from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .constants import EARTH_RADIUS_KM, is_plain_number_text
+from .constants import EARTH_RADIUS_KM, _read_pairs
 from .orbital import Constellation, time_grid
 from .topology import GridTopology
 from .trace import _atomic_text, canonical_number
@@ -170,26 +169,10 @@ def write_cdf_csv(cdf: CdfTable, path) -> None:
 
 
 def read_cdf_csv(path) -> CdfTable:
-    """Read a CDF written by write_cdf_csv; a malformed row names its line."""
-    data = Path(path).read_text(encoding="utf-8")
-    text = data.split("\n")  # read_text maps \r\n to \n; splitlines() also splits on \x0c
-    if text[0].strip() != "value_km,proportion":
-        raise ValueError("CDF CSV must start with header 'value_km,proportion'")
-    if not is_plain_number_text(data[len(text[0]):]):  # one check of the whole body, not per cell
-        raise ValueError("CDF CSV values must be ASCII and must not contain '_'")
-    points: List[Tuple[float, float]] = []
-    for line in text[1:]:
-        if not line.strip():
-            continue
-        try:
-            value, proportion = line.split(",")
-            points.append((float(value), float(proportion)))
-        except ValueError:  # the first row equal to this one is this one
-            line_no = text.index(line, 1) + 1
-            raise ValueError(f"CDF CSV line {line_no}: expected two numbers, got {line!r}") from None
+    """Read a CDF written by write_cdf_csv, under the table rule; a rejected row names its line."""
+    points, line_of = _read_pairs(path, ("value_km", "proportion"), "CDF CSV")
     try:
         return CdfTable(points=tuple(points))
-    except ValueError:  # rows are the non-blank lines after the header
+    except ValueError:
         row, reason = _first_rejected(points)
-        line_no = [n for n, line in enumerate(text[1:], start=2) if line.strip()][row]
-        raise ValueError(f"CDF CSV line {line_no}: {reason}") from None
+        raise ValueError(f"CDF CSV line {line_of(row)}: {reason}") from None

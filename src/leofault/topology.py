@@ -176,12 +176,19 @@ class GridTopology:
     def positions(self, t_s: float, offsets: Optional[Mapping[SatelliteId, float]] = None) -> np.ndarray:
         """Positions of every satellite at t_s, shape (N, 3), km.
 
-        offsets maps satellites of this topology to radial offsets in km.
+        offsets maps satellites of this topology to finite radial offsets in km;
+        ValueError names a t_s that is not finite and the first offset that is not such.
         """
+        if not math.isfinite(t_s):
+            raise ValueError(f"t_s must be finite, got {t_s}")
         offset_km: np.ndarray | float = 0.0
         if offsets:
             offset_km = np.zeros(len(self.sat_ids))
             for sat, dh_km in offsets.items():
+                if sat not in self._index_of:
+                    raise ValueError(f"offsets key {sat} is not a satellite of this topology")
+                if not math.isfinite(dh_km):
+                    raise ValueError(f"offsets[{sat}] must be finite, got {dh_km}")
                 offset_km[self._index_of[sat]] = dh_km
         r_km = self._fleet.a_km + offset_km
         return np.stack(self._fleet._planes(t_s, r_km=r_km, n_rad_s=_mean_motion(r_km)), axis=-1)
@@ -327,20 +334,13 @@ class GridTopology:
             yield t, at, edge, grazing, now, flipped, infeasible_at
 
     def snapshot(self, t_s: float, threshold_km: float = DEFAULT_ISL_THRESHOLD_KM) -> List[IslLink]:
-        """All +GRID links evaluated at one instant."""
+        """All +GRID links evaluated at one instant; t_s is checked as positions checks it."""
         grazing, length = self.grazing(t_s)
         viable = is_isl_viable(grazing, threshold_km)
         return [
-            IslLink(
-                a=a,
-                b=b,
-                kind=kind,
-                grazing_km=float(g),
-                length_km=float(l),
-                viable=bool(v),
-            )
+            IslLink(a, b, kind, g, l, v)
             for (a, b), kind, g, l, v in zip(
-                self.edge_ids, self.edge_kinds, grazing, length, viable
+                self.edge_ids, self.edge_kinds, grazing.tolist(), length.tolist(), viable.tolist()
             )
         ]
 
@@ -608,11 +608,17 @@ def handover_schedule(
     elevation, ties broken by lowest satellite id; every
     satellite-to-satellite attachment change is reported as
     (time_s, from_sat, to_sat). Initial acquisition and loss of all
-    coverage are not handovers and are not listed.
+    coverage are not handovers and are not listed. ValueError names the
+    first window of another station or of a satellite not in constellation.
     """
     # time_grid checks step_s too, but only once there are windows to cover
     _check_range("step_s", step_s, 0.0, ends="()")
     _check_range("earth_radius_km", earth_radius_km, 0.0, ends="()")
+    for i, w in enumerate(windows):
+        if w.gs_id != gs.id:
+            raise ValueError(f"windows[{i}] is a window of station {w.gs_id!r}, not of {gs.id!r}")
+        if w.sat not in constellation:
+            raise ValueError(f"windows[{i}].sat {w.sat} is not a satellite of constellation")
     starts = np.array([w.start_s for w in windows])
     ends = np.array([w.end_s for w in windows])
     if not (windows and ends.max() > starts.min()):  # also NaN: no window is ever open

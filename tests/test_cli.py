@@ -283,6 +283,19 @@ class TestSimulateCommand:
         assert time.perf_counter() - start < 1.0
         assert "faults.seu_rate_per_device_day" in capsys.readouterr().err
 
+    def test_devices_beyond_the_draw_exit_2(self, tmp_path, capsys):
+        # about 900 expected upsets pass the upset bound; numpy's draw used to fail unnamed
+        config = {
+            "shells": [{"altitude_km": 550.0, "inclination_deg": 53.0, "planes": 3, "sats_per_plane": 3}],
+            "duration_s": 86400.0,
+            "faults": {"seu_rate_per_device_day": 1e-30, "devices_per_satellite": 10**32},
+        }
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "t.jsonl")]) == 2
+        assert "faults: devices_per_satellite must be in [0, 9223372036854775808]" in capsys.readouterr().err
+        assert not (tmp_path / "t.jsonl").exists()
+
     def test_duplicate_config_key_exits_2(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         text = json.dumps(SPARSE_CONFIG, separators=(",", ":"))

@@ -12,6 +12,12 @@ JSON (or a TLE with one column span overwritten), so a type or range
 hole in one field is not hidden by an error elsewhere. Runs are
 derandomized: a failure reproduces on every run.
 
+Both number-table CSV readers, precipitation series and CDFs, take the
+same arbitrary bodies (number-like cells, quotes, blank and whitespace
+lines, CR and CRLF, NUL, form feeds, non-ASCII digits and spaces) under
+their header or a near miss: each returns the body's rows or raises
+ValueError naming the header or a line, never another type.
+
 The link-state scan is fuzzed the same way against its per-step
 reference: random maneuver sets on a small shell, starting and ending on
 and between grid points, must give bit-identical offsets and grazing
@@ -36,11 +42,13 @@ reference on random key-sorted sources with many ties.
 import copy
 import json
 import math
+import re
 import warnings
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -69,12 +77,15 @@ from leofault import (
     min_isl_altitude_cdf,
     parse_event,
     parse_tle_text,
+    read_cdf_csv,
+    read_precipitation_csv,
     serialize_event,
     serialize_tle,
     tle_to_elements,
     visibility_windows,
 )
 from leofault import stats, topology
+from leofault.constants import is_plain_number_text
 from leofault.tle import _read_elements
 from leofault.orbital import time_grid
 from leofault.trace import KIND_PARAM_KEYS
@@ -416,6 +427,76 @@ def test_columns_match_the_record_by_record_reader(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "columns.tle"
     path.write_text(text, encoding="utf-8")
     assert outcome(_read_elements, path) == outcome(reference_read_elements, path)
+
+
+# ---------------------------------------------------------------- number-table CSVs
+
+TABLES = {
+    "precipitation": (read_precipitation_csv, ("t_s", "mm_per_h"), "precipitation CSV"),
+    "cdf": (read_cdf_csv, ("value_km", "proportion"), "CDF CSV"),
+}
+csv_cells = st.one_of(
+    st.text(alphabet='0123456789.,-+e_"\r\x00\x0c \t\u0663\uff14', max_size=6),
+    st.sampled_from(["0", "1", "0.5", "2", "-1", "nan", "inf", "-inf", "1e999", '"1"', ""]),
+)
+csv_lines = st.lists(csv_cells, max_size=3).map(",".join) | st.sampled_from(
+    ["", " ", "\t", "\x0c", "\u00a0", "\u2028"]
+)
+
+
+@st.composite
+def table_texts(draw):
+    """(kind, text): a body of arbitrary lines under the kind's header or a near miss."""
+    kind = draw(st.sampled_from(sorted(TABLES)))
+    h0, h1 = TABLES[kind][1]
+    header = draw(st.just(f"{h0},{h1}") | st.sampled_from(
+        [f" {h0} ,\t{h1} ", f'"{h0}","{h1}"', f"{h0};{h1}", h0, f"{h0},{h1},", f"{h1},{h0}", ""]
+    ))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return kind, end.join([header, *draw(st.lists(csv_lines, max_size=8))]) + draw(st.sampled_from(["", end]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(table_texts())
+@example(("cdf", "value_km , proportion\r\n1,0.5\r\n\r\n2,1\r\n"))
+@example(("precipitation", "t_s,mm_per_h\r0,0\r \r600,4.5\r1200,0"))
+def test_table_readers_reject_or_read(tmp_path_factory, case):
+    # ValueError naming the header or a line, never csv.Error or another type; else every
+    # non-blank body line, read as two numbers, in order and under the reader's value rules
+    kind, text = case
+    reader, names, what = TABLES[kind]
+    path = tmp_path_factory.getbasetemp() / "table.csv"
+    path.write_bytes(text.encode("utf-8"))
+    header, *body = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    header_ok = [cell.strip() for cell in header.split(",")] == list(names)
+    try:
+        rows = reader(path)
+    except ValueError as exc:
+        assert type(exc) is ValueError
+        expected = rf"{what} line \d+:" if header_ok else f"{what} must start with header"
+        assert re.match(expected, str(exc)), str(exc)
+        return
+    rows = list(rows.points if kind == "cdf" else rows)
+    assert header_ok
+    assert all(is_plain_number_text(line) for line in body)
+    assert rows == [tuple(map(float, line.split(","))) for line in body if line.strip()]
+    assert all(math.isfinite(v) for row in rows for v in row)
+    if kind == "precipitation":
+        assert all(mm >= 0.0 for _, mm in rows)
+        assert all(a < b for (a, _), (b, _) in zip(rows, rows[1:]))
+
+
+@pytest.mark.parametrize("kind", sorted(TABLES))
+def test_table_field_longer_than_the_csv_module_limit(tmp_path, kind):
+    # the csv module stops at 131,072 characters a field with its own error type
+    reader, header, _ = TABLES[kind]
+    path = tmp_path / "table.csv"
+    path.write_text(f"{','.join(header)}\n{'0' * 131_073},1\n", encoding="utf-8")
+    rows = reader(path)
+    assert list(rows.points if kind == "cdf" else rows) == [(0.0, 1.0)]
+    path.write_text(f"{','.join(header)}\n{'x' * 131_073},1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 2: "):
+        reader(path)
 
 
 # ---------------------------------------------------------------- link-state scan

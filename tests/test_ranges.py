@@ -311,3 +311,30 @@ def test_number_rules_stay_in_trace():
             if path.name == "topology.py" and isinstance(node, ast.ImportFrom) and node.module == "trace":
                 found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert found == []
+
+
+TABLE_READERS = {("faults.py", "read_precipitation_csv"), ("stats.py", "read_cdf_csv")}
+
+
+def test_one_table_grammar():
+    # constants._read_pairs is the one reader of the number-table CSVs: no module imports csv,
+    # and each table reader calls it and splits no text and opens no file of its own
+    package = Path(__file__).resolve().parent.parent / "src" / "leofault"
+    found, callers = [], set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import) and any(alias.name == "csv" for alias in node.names) or (
+                isinstance(node, ast.ImportFrom) and node.module == "csv"
+            ):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+            if not (isinstance(node, ast.FunctionDef) and (path.name, node.name) in TABLE_READERS):
+                continue
+            for call in ast.walk(node):
+                func = getattr(call, "func", None)
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name == "_read_pairs":
+                    callers.add((path.name, node.name))
+                elif name in ("open", "read_text", "split", "splitlines", "strip"):
+                    found.append(f"{path.name}:{call.lineno}: {ast.unparse(call)}")
+    assert found == []
+    assert callers == TABLE_READERS

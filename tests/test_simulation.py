@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from leofault import (
     ConfigError,
     FaultEvent,
+    FaultModelConfig,
     IslTarget,
     ManeuverEvent,
     RandomStreams,
@@ -177,6 +178,15 @@ class TestConfigParsing:
             config_from_dict(bad)
         with pytest.raises(ConfigError, match="devices_per_satellite"):
             config_from_dict(minimal_config(faults={"devices_per_satellite": 60.5}))
+
+    def test_devices_per_satellite_bounded_by_the_draw(self):
+        # rng.integers(n) draws for n up to 2**63; a tiny rate kept 10**32 devices under the upset bound
+        FaultModelConfig(devices_per_satellite=2**63)
+        with pytest.raises(ValueError, match=r"devices_per_satellite must be in \[0, 9223372036854775808\]"):
+            FaultModelConfig(devices_per_satellite=2**63 + 1)
+        faults = {"seu_rate_per_device_day": 1e-30, "devices_per_satellite": 10**32}
+        with pytest.raises(ConfigError, match=r"^faults: devices_per_satellite must be in"):
+            config_from_dict(minimal_config(faults=faults))
 
     @pytest.mark.parametrize(
         "path, value",

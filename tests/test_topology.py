@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -508,6 +509,23 @@ class TestScanOffsets:
         with pytest.raises(ValueError, match=r"maneuvers\[1\]\.sat"):
             next(topo._viability_scan(SCAN_TIMES, maneuvers, 80.0))
 
+    @pytest.mark.parametrize("t_s", [math.nan, math.inf, -math.inf])
+    def test_positions_reject_non_finite_time(self, topo, t_s):
+        # every link would read NaN grazing, marked not viable
+        for call in (topo.positions, topo.grazing, topo.snapshot):
+            with pytest.raises(ValueError, match="t_s must be finite"):
+                call(t_s)
+
+    @pytest.mark.parametrize("offsets, match", [
+        ({SatelliteId(9, 9, 9): 1.0}, r"offsets key SatelliteId\(shell=9, plane=9, index=9\) is not a satellite"),
+        ({SAT: math.nan}, r"offsets\[SatelliteId\(shell=0, plane=1, index=2\)\] must be finite, got nan"),
+        ({SAT: 1.0, OTHER: -math.inf}, r"offsets\[SatelliteId\(shell=0, plane=3, index=0\)\] must be finite"),
+    ], ids=["off-the-topology", "nan", "minus-inf"])
+    def test_positions_reject_bad_offsets(self, topo, offsets, match):
+        for call in (topo.positions, topo.grazing):
+            with pytest.raises(ValueError, match=match):
+                call(0.0, offsets)
+
     def test_accepts_a_maneuver_that_never_ends(self, topo):
         assert_scan_matches_reference(topo, SCAN_TIMES, [ManeuverEvent(SAT, 100.0, 2.0, math.inf)])
 
@@ -735,6 +753,24 @@ class TestHandoverSchedule:
         w2 = VisibilityWindow(gs.id, SatelliteId(0, 0, 1), 100.0, 200.0, 50.0)
         schedule = handover_schedule([w1, w2], gs, c, step_s=1.0)
         assert schedule == [(100.0, SatelliteId(0, 0, 0), SatelliteId(0, 0, 1))]
+
+    def test_rejects_windows_of_another_station(self):
+        c = build_constellation([ShellSpec(550.0, 53.0, 6, 8)])
+        berlin = GroundStation("berlin", 52.5, 13.4)
+        windows = visibility_windows(berlin, c, 0.0, 3600.0, 10.0)
+        assert windows
+        with pytest.raises(ValueError, match=r"windows\[0\] is a window of station 'berlin', not of 'south'"):
+            handover_schedule(windows, GroundStation("south", -30.0, 100.0), c)
+
+    def test_rejects_windows_of_a_satellite_not_in_constellation(self):
+        c = build_constellation([ShellSpec(550.0, 53.0, 6, 8)])
+        gs = GroundStation("berlin", 52.5, 13.4)
+        windows = visibility_windows(gs, c, 0.0, 3600.0, 10.0)
+        dropped = windows[len(windows) // 2].sat
+        i = [w.sat for w in windows].index(dropped)  # its first window
+        missing = {sat: elements for sat, elements in c.items() if sat != dropped}
+        with pytest.raises(ValueError, match=rf"windows\[{i}\]\.sat {re.escape(str(dropped))} is not a"):
+            handover_schedule(windows, gs, missing)
 
     def test_dense_shell_cadence_and_continuity(self, dense_constellation):
         gs = GroundStation("mid", 30.0, 0.0)
