@@ -136,6 +136,9 @@ def _decode(tp, value, path: str):
     (bool is an int), other types and values beyond the float range (json
     parses NaN, Infinity and 1e999 as floats, and a NaN duration_s never
     ends a sampler). str leaves pass through: their dataclass checks them.
+    A dataclass's own error that starts with one of its fields is put after
+    the object's path with a dot (faults.handover_max_s must be > 0), as a
+    leaf's error names its path; any other is put after the path and a colon.
     """
     where = path or "simulation config"
     if isinstance(value, _RepeatedKeys):
@@ -156,7 +159,10 @@ def _decode(tp, value, path: str):
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}: {exc}") from None
+            message = str(exc)
+            if path and message.partition(" ")[0] in hints:  # it names a field: by its dotted path, as a leaf's error does
+                raise ConfigError(f"{path}.{message}") from None
+            raise ConfigError(f"{where}: {message}") from None
     if get_origin(tp) is tuple:
         if not isinstance(value, list):
             raise ConfigError(f"{path} must be an array, got {json.dumps(value, default=repr)}")

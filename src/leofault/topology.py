@@ -367,10 +367,11 @@ def _isl_transition_trace(
         samples["evaluated"] += edges.size
         at, edges, grazing, viable = (c.compress(flipped) for c in (at, edges, grazing, viable))
         order = np.lexsort((edge_b.take(edges), edge_a.take(edges), viable, at))
-        t_s, grazing, edges = t.take(at.take(order)), grazing.take(order), edges.take(order)
-        columns = (t_s, viable.take(order), edge_a.take(edges), edge_b.take(edges), grazing)
-        yield from [(tk, "isl_up" if up else "isl_down", sat_ids[a], sat_ids[b], g)
-                    for tk, up, a, b, g in zip(*(c.tolist() for c in columns))]
+        grazing, edges = grazing.take(order), edges.take(order)
+        columns = (at.take(order), viable.take(order), edge_a.take(edges), edge_b.take(edges), grazing)
+        step_t = t.tolist()  # a step's rows share one time object, whose text the writer makes once
+        yield from [(step_t[k], "isl_up" if up else "isl_down", sat_ids[a], sat_ids[b], g)
+                    for k, up, a, b, g in zip(*(c.tolist() for c in columns))]
 
 
 # km kept off every skipped edge's distance to the threshold: covers the

@@ -8,7 +8,7 @@ event whose numbers are already canonical round-trips exactly.
 Targets order by their fields (KIND_TARGET_TYPE fixes a kind's target
 type), so events order by (t, kind, target, params), and so do rows,
 (t, kind, *target fields, *params in key order), as tuples; a kind's one
-renderer fills its template from a row. Ids are checked where they
+renderer, generated from its template, fills it from a row. Ids are checked where they
 enter; this module owns the number rules, which an event applies to its
 time and params when built, a renderer to every row it writes and the
 reader to every line it reads, so the writer cannot emit what the reader
@@ -280,53 +280,95 @@ def _isl_from(a: SatelliteId, b: SatelliteId) -> IslTarget:
 
 
 # target type -> its JSON template ("%d" an integer, "%s" a JSON string),
-# its values from a row's target fields, and its inverse from a matched
-# line's groups, of which group 0 is the time: the match proves the ids
-# non-negative integers and the station id a string, so the inverse runs
-# no check but the one a match cannot prove, that an edge's ends differ
+# the f-string fields of its values in a row's target fields, and its
+# inverse from a matched line's groups, of which group 0 is the time: the
+# match proves the ids non-negative integers and the station id a string,
+# so the inverse runs no check but the one a match cannot prove, that an
+# edge's ends differ
 _TARGET_FORMS = {
     DeviceTarget: (
         '{"type":"device","sat":[%d,%d,%d],"device":%d}',
-        lambda row: (*row[2], row[3]),
+        ("row[2][0]", "row[2][1]", "row[2][2]", "row[3]"),
         lambda f: _device(_sat_id((int(f[1]), int(f[2]), int(f[3]))), int(f[4])),
     ),
     SatelliteTarget: (
         '{"type":"satellite","sat":[%d,%d,%d]}',
-        lambda row: row[2],
+        ("row[2][0]", "row[2][1]", "row[2][2]"),
         lambda f: _satellite(_sat_id((int(f[1]), int(f[2]), int(f[3])))),
     ),
     IslTarget: (
         '{"type":"isl","a":[%d,%d,%d],"b":[%d,%d,%d]}',
-        lambda row: (*row[2], *row[3]),
+        ("row[2][0]", "row[2][1]", "row[2][2]", "row[3][0]", "row[3][1]", "row[3][2]"),
         lambda f: _isl_from(_sat_id((int(f[1]), int(f[2]), int(f[3]))), _sat_id((int(f[4]), int(f[5]), int(f[6])))),
     ),
     GroundLinkTarget: (
         '{"type":"ground_link","gs":%s}',
-        lambda row: (_json_string(row[2]),),
+        ("_json_string(row[2])",),
         lambda f: _station(f[1]),
     ),
 }
 
 
+def _number_text(x) -> str:
+    """repr(canonical_number(x)), a number's text on the wire. The %.9g text is repr's own when it
+    is positional with a point: it then lies in [1e-4, 1e9), where repr is positional too, and two
+    decimals of at most 9 digits never round to one double, so repr prints the same digits. Any
+    other text goes through its float, as canonical_number does."""
+    s = f"{float(x):.9g}"
+    return s if "." in s and "e" not in s else repr(float(s))
+
+
 def _line_form(kind: str) -> tuple:
     """kind's template ("%r" a float, written by repr as json does), target type, params' start in a row,
-    param keys, and renderer of a row into its line, which checks the row's time and param values."""
+    param keys, and the source of make_<kind>(kind, keys), the factory of its renderer.
+
+    The renderer checks a row's time and param values through this module's _check_numbers, then
+    returns the template as one f-string: ids in decimal, a station id through
+    _json_string and each number through _number_text. Each number column keeps one (value, text)
+    slot, one tuple replaced whole, so the text is made once while rows pass the same float object
+    (a source's repeated duration, an ISL step's time); a thread sharing the renderer never pairs
+    a value with another's text, and identity, not equality, keeps 0.0 and -0.0 apart."""
     target_type, keys = KIND_TARGET_TYPE[kind], sorted(KIND_PARAM_KEYS[kind])
-    target, target_values = _TARGET_FORMS[target_type][:2]
+    target, target_fields = _TARGET_FORMS[target_type][:2]
     params = ",".join(f'"{key}":%r' for key in keys)
     template = f'{{"t":%r,"kind":"{kind}","target":{target},"params":{{{params}}}}}'
     end = 2 + len(target_type.__match_args__)
+    numbers = [0, *range(end, end + len(keys))]  # the row indices of the time and the params
+    slots = [f"m{j}" for j in range(len(numbers))]
+    fields, texts = iter(target_fields), iter(f"x{j}" for j in range(len(numbers)))
 
-    def render(row: tuple) -> str:
-        t_s, params = row[0], row[end:]
-        _check_numbers(kind, t_s, keys, params)
-        return template % (canonical_number(t_s), *target_values(row), *map(canonical_number, params))
+    def field(m: re.Match) -> str:  # a token's f-string field, or a brace doubled
+        return m[0] * 2 if m[0] in "{}" else "{%s}" % next(texts if m[0] == "%r" else fields)
 
-    return template, target_type, end, keys, render
+    body = re.sub(r"%[rds]|[{}]", field, template)
+    source = [
+        f"def make_{kind}(kind, keys):",
+        f"    {' = '.join(slots)} = None, None  # no value: _check_numbers rejects None",
+        "    def render(row):",
+        f"        nonlocal {', '.join(slots)}",
+        f"        _check_numbers(kind, row[0], keys, row[{end}:])",
+    ]
+    for j, index in enumerate(numbers):
+        source += [
+            f"        v, m = row[{index}], m{j}",
+            "        if m[0] is not v:",
+            f"            m = m{j} = v, _number_text(v)",
+            f"        x{j} = m[1]",
+        ]
+    source += [f"        return f{body!r}", "    return render"]
+    return template, target_type, end, keys, "\n".join(source)
+
+
+def _line_forms() -> dict:
+    """kind -> its line form, the renderer in place of its factory's source: one exec makes every
+    factory, in this module's globals, where a renderer finds _check_numbers."""
+    forms, scope = {kind: _line_form(kind) for kind in KIND_TARGET_TYPE}, {}
+    exec("\n".join(form[4] for form in forms.values()), globals(), scope)
+    return {kind: (*form[:4], scope[f"make_{kind}"](kind, form[3])) for kind, form in forms.items()}
 
 
 # kind -> its line form: a row is (t, kind, *target fields, *params in key order)
-_LINE_FORMS = {kind: _line_form(kind) for kind in KIND_TARGET_TYPE}
+_LINE_FORMS = _line_forms()
 
 
 def _event_from_row(row: tuple) -> FaultEvent:

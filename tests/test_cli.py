@@ -293,7 +293,7 @@ class TestSimulateCommand:
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config))
         assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "t.jsonl")]) == 2
-        assert "faults: devices_per_satellite must be in [0, 9223372036854775808]" in capsys.readouterr().err
+        assert "faults.devices_per_satellite must be in [0, 9223372036854775808]" in capsys.readouterr().err
         assert not (tmp_path / "t.jsonl").exists()
 
     def test_duplicate_config_key_exits_2(self, tmp_path, capsys):

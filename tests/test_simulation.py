@@ -185,7 +185,7 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=r"devices_per_satellite must be in \[0, 9223372036854775808\]"):
             FaultModelConfig(devices_per_satellite=2**63 + 1)
         faults = {"seu_rate_per_device_day": 1e-30, "devices_per_satellite": 10**32}
-        with pytest.raises(ConfigError, match=r"^faults: devices_per_satellite must be in"):
+        with pytest.raises(ConfigError, match=r"^faults\.devices_per_satellite must be in"):
             config_from_dict(minimal_config(faults=faults))
 
     @pytest.mark.parametrize(
@@ -225,7 +225,7 @@ class TestConfigParsing:
         # an integer F within the float range whose plane phases are not
         bad = minimal_config()
         bad["shells"][0]["phase_offset_f"] = 10**308
-        with pytest.raises(ConfigError, match=r"^shells\[0\]: phase_offset_f must give finite plane phases"):
+        with pytest.raises(ConfigError, match=r"^shells\[0\]\.phase_offset_f must give finite plane phases"):
             config_from_dict(bad)
 
     def test_wrong_typed_leaf_message(self):
@@ -249,7 +249,7 @@ class TestConfigParsing:
     def test_non_string_station_id_rejected(self, gs_id):
         # a trace names stations by id, and read_trace accepts only strings
         station = {"id": gs_id, "latitude_deg": 52.5, "longitude_deg": 13.4}
-        with pytest.raises(ConfigError, match=r"ground_stations\[0\]: id must be a string"):
+        with pytest.raises(ConfigError, match=r"ground_stations\[0\]\.id must be a string"):
             config_from_dict(minimal_config(ground_stations=[station]))
 
     def test_duplicate_station_ids_rejected(self):
@@ -274,7 +274,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize(
         "faults, match",
         [
-            ({"handover_min_s": 0, "handover_max_s": 0}, "faults: handover_max_s must be > 0"),
+            ({"handover_min_s": 0, "handover_max_s": 0}, r"faults[.]handover_max_s must be > 0"),
             ({"handover_min_s": 0, "handover_max_s": 1e-300}, "mean handover gap"),
         ],
     )
@@ -647,6 +647,16 @@ class TestSkipScan:
         index = {ids: i for i, ids in enumerate(topo.edge_ids)}
         assert step != sorted(step, key=lambda e: (e.kind, index[e.target.a, e.target.b]))
         assert_skip_scan_matches_reference(topo, times, (), 80.0)
+
+    def test_rows_of_a_step_share_one_time(self):
+        # the writer makes a number's text once while rows pass the same float object
+        topo = GridTopology(build_constellation([ShellSpec(2000.0, 90.0, 3, 8), ShellSpec(1200.0, 53.0, 5, 4)]))
+        rows = list(_isl_transition_trace(topo, time_grid(0.0, 3 * 3600.0, 300.0), (), 80.0, Counter()))
+        objects = {}
+        for row in rows:
+            objects.setdefault(row[0], set()).add(id(row[0]))
+        assert len(objects) < len(rows)
+        assert all(len(ids) == 1 for ids in objects.values())
 
     def test_linkless_shell_between_grids_offsets_rows(self):
         # the 2x2 shell's four rows carry no edges, so the last shell's edge rows start

@@ -3,6 +3,9 @@ import json
 import math
 import os
 import re
+import sys
+import threading
+import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -403,6 +406,69 @@ class TestSerialization:
         event = trace_module._event_from_row(row)
         assert trace_module._LINE_FORMS[row[1]][4](row) == serialize_event(event) == reference_line(event)
         assert trace_module._row_from_event(event) == row
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=2000)
+    @given(st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-2e9, 2e9), st.floats(-1e-3, 1e-3)))
+    @example(5e-324)
+    @example(-0.0)
+    @example(1.7976931348623157e308)
+    @example(999999999.5)
+    @example(99999999.95)
+    @example(9.9999999995e-05)
+    @example(1e16)
+    @example(9.999999995e15)
+    @example(3)
+    @example(10**300)
+    @example(np.float64(0.1) * 3)
+    def test_number_text_is_repr_of_canonical_number(self, x):
+        # the renderers' text of a number is json's text of its canonical float
+        assert trace_module._number_text(x) == repr(canonical_number(x))
+
+    def test_number_text_memo_follows_identity(self, monkeypatch):
+        # each number column keeps one (value, text) slot, reused only for the same object:
+        # equal values of other objects, 0.0 and -0.0, and ints and floats get their own texts
+        x = 12.3456789012
+        equal = float(repr(x))
+        assert equal == x and equal is not x
+        column = [x, x, equal, 0.0, -0.0, 0.0, np.float64(-0.0), 3, 3.0]
+        calls = []
+        number_text = trace_module._number_text
+        monkeypatch.setattr(trace_module, "_number_text", lambda v: calls.append(v) or number_text(v))
+        render = trace_module._LINE_FORMS["handover_spike"][4]
+        for v in column:
+            row = (v, "handover_spike", "gs0", v, 0.25)
+            assert render(row) == reference_line(trace_module._event_from_row(row))
+        # the repeated object and the constant loss_rate are rendered once; 0.0 twice, around -0.0
+        assert len(calls) == 2 * (len(column) - 1) + 1
+
+    def test_number_text_memo_is_thread_safe(self, monkeypatch):
+        # two threads share one renderer, each rendering its own row, so the slots alternate
+        # between their values; a slot torn between the two would give a thread the other's text.
+        # Each text's making yields the interpreter lock, where a slot written in two steps would tear
+        number_text = trace_module._number_text
+        monkeypatch.setattr(trace_module, "_number_text", lambda v: time.sleep(0) or number_text(v))
+        render = trace_module._LINE_FORMS["gs_link_degraded"][4]
+        rows = [(t, "gs_link_degraded", "gs0", t / 7.0, t / 3.0) for t in (1.5, 2.25)]
+        wrong = []
+
+        def work(row):
+            line = reference_line(trace_module._event_from_row(row))
+            for _ in range(10_000):
+                if render(row) != line:
+                    wrong.append(row)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(row,)) for row in rows]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
     def test_one_check_per_event(self, tmp_path, monkeypatch):
         # speed is pinned by structure: the writer never repeats the build-time check
