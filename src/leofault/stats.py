@@ -6,12 +6,30 @@ minimum over the window) or one sample per link per timestep. CDFs are
 written as CSV with header value_km,proportion, one row per distinct
 sample value.
 
-Memory: per-step sampling folds the scan's samples, a chunk at a time,
-into a running table of distinct values and their counts, so it holds
-the distinct values and one chunk, never every sample. Walker shells
-repeat their values (5,940 distinct among 573,408 samples for 72x22
-over 30 min at 10 s), but on an asymmetric fleet nearly every sample
-may be distinct, and the table then still grows with the samples.
+Both modes evaluate the links by Walker symmetry class
+(GridTopology._symmetry_classes): a shell's intra-plane links, and with
+phase offset F = 0 its cross-plane links of one in-plane index, have
+the same grazing altitude at a step up to rounding. Each step evaluates
+one representative per class with the scan's kernel, a block of steps
+per call. Its value v stands for every member only if no rounding
+boundary of canonical_number (a midpoint between 9-significant-digit
+decimals) lies within eps of v. eps bounds how far a member's computed
+value may lie from v: 2**-39 of the largest orbit radius (1.3e-8 km at
+7,000 km) for the kernel's rounding, plus 2**-45 of it per radian of
+the largest argument of latitude, which rounds more as |t| grows (eps is
+2e-4 km at t = 1e9 s, where every class falls back). Where a boundary
+is that near, the class's members are evaluated one by one. So every
+canonical value and its count equal those of a per-link scan
+(GridTopology.scan), and the CSV bytes with them; per-link minima take
+each class's minimum under the same rule. A link that fails the class
+membership check is a class of one.
+
+Memory: per-step sampling folds (value, count) pairs, a block of steps
+at a time, into a running table of distinct values and their counts, so
+it holds the distinct values and one block, never every sample. Walker
+shells repeat their values (2,860 distinct among 573,408 samples for
+72x22 over 30 min at 10 s), but on an asymmetric fleet nearly every
+sample may be distinct, and the table then still grows with the samples.
 Per-link minima hold one value per link whatever the window.
 """
 
@@ -27,7 +45,7 @@ import numpy as np
 
 from .constants import EARTH_RADIUS_KM, _read_pairs
 from .orbital import Constellation, time_grid
-from .topology import GridTopology
+from .topology import GridTopology, _class_minima, _class_samples
 from .trace import _atomic_text, canonical_number
 
 # samples per-step min_isl_altitude_cdf collects before folding them into its
@@ -35,6 +53,10 @@ from .trace import _atomic_text, canonical_number
 _FOLD_SAMPLES = 2**15
 # rows write_cdf_csv formats per write
 _CSV_ROWS = 65536
+# the float nearest each power of ten from 1e-3 to 1e12, and at index k the
+# 9-significant-digit quantum of values in [_DECADES[k - 1], _DECADES[k])
+_DECADES = np.array([float(f"1e{k}") for k in range(-3, 13)])
+_QUANTA = np.array([float(f"1e{k}") for k in range(-12, 5)])
 
 
 @dataclass(frozen=True)
@@ -50,8 +72,9 @@ class CdfTable:
     @classmethod
     def from_samples(cls, samples: Sequence[float]) -> "CdfTable":
         """Empirical CDF of the samples; see from_counts."""
+        samples = np.asarray(samples, dtype=float)
         empty = np.zeros(0), np.zeros(0, dtype=np.int64)
-        return cls.from_counts(*_fold(*empty, [np.asarray(samples, dtype=float)]))
+        return cls.from_counts(*_fold(*empty, samples, np.ones(samples.size, dtype=np.int64)))
 
     @classmethod
     def from_counts(cls, values: np.ndarray, counts: np.ndarray) -> "CdfTable":
@@ -122,31 +145,45 @@ def min_isl_altitude_cdf(
     if topo.n_edges == 0:
         return CdfTable(points=())
     if per_link_min:
-        samples = np.full(topo.n_edges, np.inf)
-        for _, grazing in topo.scan(times):
-            np.minimum(samples, grazing, out=samples)
-        return CdfTable.from_samples(samples)
+        return CdfTable.from_samples(_class_minima(topo, times, _near_rounding_boundary))
     values, counts = np.zeros(0), np.zeros(0, dtype=np.int64)
-    pending: List[np.ndarray] = []
+    pending: List[Tuple[np.ndarray, np.ndarray]] = []
     n_pending = 0
-    for _, grazing in topo.scan(times):
-        pending.append(grazing)
+    for grazing, _, weight in _class_samples(topo, times, _near_rounding_boundary):
+        pending.append((grazing, weight))
         n_pending += grazing.size
-        # tied to the table size, so each fold's insert is paid for by as many samples
+        # tied to the table size, so each fold's insert is paid for by as many entries
         if n_pending >= max(_FOLD_SAMPLES, values.size):
-            values, counts = _fold(values, counts, pending)
+            values, counts = _fold(values, counts, *(np.concatenate(c) for c in zip(*pending)))
             pending, n_pending = [], 0
     if pending:
-        values, counts = _fold(values, counts, pending)
+        values, counts = _fold(values, counts, *(np.concatenate(c) for c in zip(*pending)))
     return CdfTable.from_counts(values, counts)
 
 
-def _fold(values: np.ndarray, counts: np.ndarray, pending: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-    """Add the pending samples to the table of sorted distinct values and their counts."""
-    block = np.concatenate(pending)
-    block.sort()
+def _near_rounding_boundary(v: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Where a rounding boundary of canonical_number may lie within eps of v, with only + - * /,
+    floor and comparisons: True unless eps + |v| * 2**-40 around |v| stays inside one decade of
+    [1e-3, 1e12) and off that decade's midpoints between 9-significant-digit decimals."""
+    a = np.abs(v)
+    w = eps + a * 2.0**-40  # the margin covers the rounding of a / q below
+    k = np.searchsorted(_DECADES, a - w, side="right")
+    q = _QUANTA.take(k)
+    x = a / q
+    off = np.abs(x - np.floor(x) - 0.5) * q
+    with np.errstate(over="ignore"):  # near the float range; such values are flagged anyway
+        inside = (k == np.searchsorted(_DECADES, a + w, side="right")) & (k > 0) & (k < _DECADES.size)
+    return ~(inside & (off > w))
+
+
+def _fold(
+    values: np.ndarray, counts: np.ndarray, block: np.ndarray, weights: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Add weights[i] samples equal to block[i] to the table of sorted distinct values and their counts."""
+    order = np.argsort(block, kind="stable")
+    block, weights = block.take(order), weights.take(order)
     starts = _run_starts(block)
-    new_values, new_counts = block[starts], np.diff(starts, append=block.size)
+    new_values, new_counts = block.take(starts), np.add.reduceat(weights, starts)
     at = np.searchsorted(values, new_values)
     known = at < values.size
     known[known] = values[at[known]] == new_values[known]

@@ -11,9 +11,10 @@ grid one engine evaluates it: a step driver applies a schedule of maneuver
 offset changes made before the scan, and an edge kernel computes the
 grazing altitude of a set of edges, propagating only their endpoints' rows
 as x, y, z planes (no (N, 3) array is stacked; the endpoints are six 1-D
-gathers). scan, which the ISL altitude CDF reads, passes every edge at
-every step. Batching all steps into (steps x edges) arrays was measured to
-raise peak memory, not save time.
+gathers). scan passes every edge at every step; the ISL altitude CDF
+passes one edge per Walker symmetry class, which scan's values of the
+other edges round to (see stats). Batching all steps into (steps x edges)
+arrays was measured to raise peak memory, not save time.
 
 simulate needs only viability, so its scan passes only the edges that are
 due. Grazing altitude does not change when both endpoints rotate together,
@@ -79,7 +80,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, groupby
 from operator import itemgetter
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -172,6 +173,40 @@ class GridTopology:
     @property
     def n_edges(self) -> int:
         return self._edge_a.size
+
+    @cached_property
+    def _symmetry_classes(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(class_of, reps, members): each edge's class, each class's lowest edge, which stands for
+        it, and the edges grouped by class, in edge order; built on first use: only isl-cdf reads it.
+
+        A shell's intra-plane edges form one class, and with F = 0 so do its cross-plane
+        edges (p, s)-(p+1, s) of each index s. An edge stays in its class only if its
+        endpoints have its representative's radius and inclination, its RAAN and phase steps
+        are within _CLASS_RAD of the representative's, and, cross-plane, its first endpoint
+        has the representative's phase; all others are classes of one.
+        """
+        edge_a, edge_b, fleet = self._edge_a, self._edge_b, self._fleet
+        # each row's two edges come in turn, intra- then cross-plane, both from the row they share
+        a2, b2 = edge_a.reshape(-1, 2), edge_b.reshape(-1, 2)
+        src = np.repeat(np.where((a2[:, 0] == a2[:, 1]) | (a2[:, 0] == b2[:, 1]), a2[:, 0], b2[:, 0]), 2)
+        dst = np.where(edge_a == src, edge_b, edge_a)
+        shell, index = np.array([(s.shell, s.index) for s in self.sat_ids]).reshape(-1, 2).T
+        cross = np.arange(self.n_edges) % 2 == 1
+        # a shell's edges are contiguous, in shell order: base is its first, and row (0, s)'s are base + 2s, + 1
+        shell = shell.take(src)
+        base = np.searchsorted(shell, shell)
+        rep = np.where(cross, base + 2 * index.take(src) + 1, base)
+        same = np.ones(self.n_edges, dtype=bool)
+        for column in (fleet.a_km, fleet.inclination_rad):
+            same &= (column.take(src) == column.take(src.take(rep))) & (column.take(dst) == column.take(dst.take(rep)))
+        for angle in (fleet.raan_rad, fleet.phase_rad):
+            step = angle.take(dst) - angle.take(src)
+            same &= np.abs((step - step.take(rep) + math.pi) % (2.0 * math.pi) - math.pi) <= _CLASS_RAD
+        same &= ~cross | (fleet.phase_rad.take(src) == fleet.phase_rad.take(src.take(rep)))
+        leader = np.where(same, rep, np.arange(self.n_edges))
+        reps = np.flatnonzero(np.bincount(leader))
+        class_of = np.searchsorted(reps, leader)
+        return class_of, reps, np.argsort(class_of, kind="stable")
 
     def positions(self, t_s: float, offsets: Optional[Mapping[SatelliteId, float]] = None) -> np.ndarray:
         """Positions of every satellite at t_s, shape (N, 3), km.
@@ -374,12 +409,83 @@ def _isl_transition_trace(
                     for k, up, a, b, g in zip(*(c.tolist() for c in columns))]
 
 
+def _class_samples(
+    topo: GridTopology, times: np.ndarray, near: Callable[[np.ndarray, np.ndarray], np.ndarray]
+) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(grazing_km, group, weight) of the link samples at the times, a block of steps at a time.
+
+    Each step evaluates one representative edge per symmetry class. Where
+    near(grazing, eps) is False, with eps the class bound _class_eps, the
+    value is group c < class count and stands for class c's weight = size
+    samples; the caller's rule must then give each member's value what it
+    gives the representative's. Where it is True, each member of the class
+    is evaluated: group class count + e, weight 1, for edge e.
+    """
+    class_of, reps, members = topo._symmetry_classes
+    edge_a, edge_b, fleet = topo._edge_a, topo._edge_b, topo._fleet
+    size = np.bincount(class_of)
+    first = np.cumsum(size) - size  # each class's first entry in members
+    r_km, n_rad_s = fleet.a_km, _mean_motion(fleet.a_km)
+    rows = np.flatnonzero(np.bincount(np.concatenate([edge_a.take(reps), edge_b.take(reps)])))
+    ends = [np.searchsorted(rows, side.take(reps)) for side in (edge_a, edge_b)]
+    most = max(1, _CLASS_ROWS // rows.size)
+    for s in range(0, times.size, most):
+        t = times[s:s + most]
+        at = np.arange(t.size)[:, None] * rows.size
+        endpoints = (np.tile(rows, t.size), *((at + end).ravel() for end in ends))
+        grazing = topo._edge_grazing(endpoints, t.repeat(rows.size), r_km, n_rad_s).reshape(t.size, reps.size)
+        flagged = (size > 1) & near(grazing, _class_eps(fleet, t)[:, None])
+        kept = ~flagged
+        # every member of a flagged class at that step, class by class
+        step, c = np.nonzero(flagged)
+        count = size.take(c)
+        edges = members.take(np.repeat(first.take(c) - np.cumsum(count) + count, count) + np.arange(count.sum()))
+        m = np.arange(edges.size)
+        endpoints = (np.concatenate([edge_a.take(edges), edge_b.take(edges)]), m, m + edges.size)
+        alone = topo._edge_grazing(endpoints, np.tile(t.take(step.repeat(count)), 2), r_km, n_rad_s)
+        classes = np.nonzero(kept)[1]
+        yield (np.concatenate([grazing[kept], alone]), np.concatenate([classes, reps.size + edges]),
+               np.concatenate([size.take(classes), np.ones(edges.size, dtype=size.dtype)]))
+
+
+def _class_minima(
+    topo: GridTopology, times: np.ndarray, near: Callable[[np.ndarray, np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """Each edge's least grazing km over the times, from _class_samples: its class's or its own."""
+    class_of, reps, _ = topo._symmetry_classes
+    least = np.full(reps.size + topo.n_edges, np.inf)
+    for grazing, group, _ in _class_samples(topo, times, near):
+        np.minimum.at(least, group, grazing)
+    return np.minimum(least.take(class_of), least[reps.size:])
+
+
+def _class_eps(fleet: FleetArrays, t: np.ndarray) -> np.ndarray:
+    """km by which a class member's grazing may differ from its representative's at each time t.
+
+    The kernel's products and the membership tolerance each move grazing
+    by well under 2**-39 of the largest radius r; the argument of latitude
+    u = phase + n * t rounds by up to |u| * 2**-53 per endpoint, which
+    moves grazing by at most r times that, and the bound takes 128 times it.
+    """
+    u = np.abs(fleet.phase_rad).max() + _mean_motion(fleet.a_km).max() * np.abs(t)
+    return fleet.a_km.max() * 2.0**-39 * (1.0 + u / 64.0)
+
+
 # km kept off every skipped edge's distance to the threshold: covers the
-# rounding of computed grazing altitudes, which is below 1e-8 km
+# rounding of computed grazing altitudes, below 1e-8 km near epoch and growing
+# with |t| through u = phase + n * t (links equal in exact arithmetic differ by
+# 1.3e-7 km at t = 1e9 s)
 _SLACK_KM = 1e-3
 
 # most steps per block of _viability_scan: longer ones make fewer calls but evaluate more samples
 _BLOCK_STEPS = 16
+
+# rad an edge's RAAN and phase steps may differ from its class representative's; in
+# build_constellation's shells they differ by a few ulps of 2 pi, about 1e-15
+_CLASS_RAD = 1e-13
+
+# endpoint rows _class_samples propagates per call for the class representatives
+_CLASS_ROWS = 2**12
 
 
 def _link_rate(

@@ -25,9 +25,17 @@ altitudes. The scan simulate uses, which evaluates a link only when it
 could cross the threshold, must give the full scan's transitions,
 grazing bits and infeasible count on random shells, maneuver sets,
 thresholds (some equal to a sampled grazing altitude) and windows.
-Per-step isl-cdf, which folds the scan's samples into a running table of
-distinct values, must give from_samples' table of every sample on random
-shells, step counts and fold sizes, with signed zeros planted among them.
+The running table of distinct values that per-step isl-cdf folds into
+must give from_samples' table of every sample on random shells, step
+counts, fold sizes and sample weights, with signed zeros planted among
+them. isl-cdf, which evaluates one link per Walker symmetry class, must
+give the table of every link's scan values, and of their per-link
+minima, on random shells, some with one satellite's RAAN nudged off its
+plane's, up to t0 = 1e9 s. Its two premises are fuzzed too: each class
+member's scan value lies within a hundredth of the class bound of its
+representative's, and the rounding pre-screen flags every value within
+the bound of a 9-digit rounding boundary (midpoints, powers of ten,
+negatives, signed zeros and values below the bound).
 
 Ground geometry is fuzzed against its scalar references: visibility
 windows, which skip satellites that cannot be visible, and handover
@@ -88,7 +96,7 @@ from leofault import stats, topology
 from leofault.constants import is_plain_number_text
 from leofault.tle import _read_elements
 from leofault.orbital import time_grid
-from leofault.trace import KIND_PARAM_KEYS
+from leofault.trace import KIND_PARAM_KEYS, canonical_number
 from test_simulation import assert_skip_scan_matches_reference
 from test_tle import outcome, random_record, reference_parse_tle_text
 from test_topology import (
@@ -569,9 +577,8 @@ def test_skip_scan_matches_full_scan(shells, t0, step, data):
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(skip_shells, st.sampled_from([10.0, 60.0, 300.0]), st.integers(1, 40), st.data())
 def test_streamed_cdf_matches_from_samples(shells, step, n_steps, data):
-    constellation = build_constellation(shells)
     times = time_grid(0.0, n_steps * step, step)
-    steps = [grazing for _, grazing in GridTopology(constellation).scan(times)]
+    steps = [grazing for _, grazing in GridTopology(build_constellation(shells)).scan(times)]
     # signed zeros, which must count as 0.0 whichever fold they fall in
     for k, e, zero in data.draw(
         st.lists(st.tuples(st.integers(0, len(steps) - 1), st.integers(0, steps[0].size - 1),
@@ -579,12 +586,77 @@ def test_streamed_cdf_matches_from_samples(shells, step, n_steps, data):
     ):
         steps[k][e] = zero
     fold = data.draw(st.sampled_from([1, 2, 5, 64, stats._FOLD_SAMPLES]))
-    with mock.patch.object(stats, "_FOLD_SAMPLES", fold), \
-            mock.patch.object(GridTopology, "scan", lambda self, ts: zip(ts, (g.copy() for g in steps))):
-        streamed = min_isl_altitude_cdf(constellation, 0.0, n_steps * step, step, per_link_min=False)
-    expected = CdfTable.from_samples(np.concatenate(steps))
+    weight = data.draw(st.integers(1, 3))  # each entry stands for this many samples
+    # folded as min_isl_altitude_cdf folds: steps pend until they reach the fold size or the table's
+    values, counts = np.zeros(0), np.zeros(0, dtype=np.int64)
+    pending = []
+    for k, grazing in enumerate(steps):
+        pending.append(grazing)
+        if sum(map(len, pending)) >= max(fold, values.size) or k == len(steps) - 1:
+            block = np.concatenate(pending)
+            values, counts = stats._fold(values, counts, block, np.full(block.size, weight))
+            pending = []
+    streamed = CdfTable.from_counts(values, counts)
+    expected = CdfTable.from_samples(np.concatenate(steps).repeat(weight))
     assert repr(streamed.points) == repr(expected.points)  # repr tells -0.0 from 0.0
     assert all(math.copysign(1.0, value) == 1.0 for value, _ in streamed.points if value == 0.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(skip_shells, st.sampled_from([0.0, 86400.0, 1e9]), st.sampled_from([10.0, 60.0, 300.0]),
+       st.integers(1, 40), st.data())
+def test_class_cdf_matches_per_link_scan(shells, t0, step, n_steps, data):
+    constellation = build_constellation(shells)
+    if data.draw(st.booleans()):
+        # one RAAN off its plane's, so that the links at that satellite fail the class check
+        sat = data.draw(st.sampled_from(sorted(constellation)))
+        constellation[sat] = replace(constellation[sat], raan_deg=constellation[sat].raan_deg + 1e-6)
+    t1 = t0 + n_steps * step
+    steps = [grazing for _, grazing in GridTopology(constellation).scan(time_grid(t0, t1, step))]
+    per_step = min_isl_altitude_cdf(constellation, t0, t1, step, per_link_min=False)
+    assert repr(per_step.points) == repr(CdfTable.from_samples(np.concatenate(steps)).points)
+    per_link = min_isl_altitude_cdf(constellation, t0, t1, step, per_link_min=True)
+    assert repr(per_link.points) == repr(CdfTable.from_samples(np.min(steps, axis=0)).points)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(skip_shells, st.sampled_from([0.0, 86400.0, 1e6, 1e9]) | st.floats(0.0, 1e9),
+       st.sampled_from([10.0, 60.0, 300.0]))
+def test_class_members_lie_within_eps_of_their_representative(shells, t0, step):
+    # the premise of isl-cdf's classes, with a hundredfold margin
+    topo = GridTopology(build_constellation(shells))
+    class_of, reps, _ = topo._symmetry_classes
+    rep_of = reps.take(class_of)
+    times = t0 + time_grid(0.0, 20 * step, step)
+    for (_, grazing), eps in zip(topo.scan(times), topology._class_eps(topo._fleet, times).tolist()):
+        assert np.abs(grazing - grazing.take(rep_of)).max() <= eps / 100
+
+
+near_boundaries = st.one_of(
+    # midpoints between 9-significant-digit decimals, (m + 0.5) * 10**(e + 1)
+    st.builds(lambda m, e: float(f"{m}5e{e}"), st.integers(10**8, 10**9 - 1), st.integers(-14, 10)),
+    st.builds(lambda k: float(f"1e{k}"), st.integers(-6, 14)),  # powers of ten
+    st.just(0.0),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=2000)
+@given(
+    st.one_of(
+        st.tuples(near_boundaries, st.integers(-3, 3), st.floats(-2.0, 2.0)),
+        st.tuples(st.floats(allow_nan=False, allow_infinity=False), st.just(0), st.just(0.0)),
+    ),
+    st.sampled_from([1e-8, 1.3e-8, 1e-6, 2e-4]),
+    st.booleans(),
+)
+def test_prescreen_flags_every_value_near_a_rounding_boundary(case, eps, negative):
+    # a few ulps and up to two eps off the base, then perhaps negated; 0.0 gives values below eps and -0.0
+    v, ulps, in_eps = case
+    for _ in range(abs(ulps)):
+        v = float(np.nextafter(v, math.copysign(math.inf, ulps)))
+    v = (v + in_eps * eps) * (-1.0 if negative else 1.0)
+    flagged = bool(stats._near_rounding_boundary(np.array([v]), eps)[0])
+    assert flagged or canonical_number(v - eps) == canonical_number(v + eps)
 
 
 # ---------------------------------------------------------------- ground geometry

@@ -104,6 +104,10 @@ DENSE_CONFIG = {
     "seed": 1,
 }
 
+# isl-cdf's Gen1 reference: the five shells over 2 h. The polar shells'
+# classes are the smallest, so their class-steps fall back most often.
+GEN1_CDF_CONFIG = {"shells": GEN1_SHELLS, "duration_s": 7200.0, "step_s": 10.0, "seed": 1}
+
 # The reference run: the Gen1 shells with two stations over a whole day.
 GEN1_DAY_CONFIG = {
     "shells": GEN1_SHELLS,
@@ -123,6 +127,8 @@ GEN1_DAY_TRACE_SHA256 = "de8f779a7ca97c00fe68a63c3569eb92e509ce319a5aa08266d83f0
 OVERLAP_TRACE_SHA256 = "2bb650d898740459ca891e54756763c8c9c50ad36a2eafa59f0adba5f5e73062"
 DENSE_CDF_PER_STEP_SHA256 = "e0feba950a4d0692c4e9adb08bab776cc651f02004d2d2bf583e876dd1336d0d"
 DENSE_CDF_PER_LINK_MIN_SHA256 = "16cee8be245f935672a6dee1e7ff6b03ce528e6e1aa679632d5dff970ff6f867"
+GEN1_CDF_PER_STEP_SHA256 = "c9067ac0e4b3d879f8c2f72ff63fdd4772ca2bc0d46af7e9de2ebc9e10fb021b"
+GEN1_CDF_PER_LINK_MIN_SHA256 = "0a1bf94e0f23038971205d830faa27f3f7107fc9a07157bbfbf233c6e301477c"
 ELEMENTS_SHA256 = "c52e2442f414146a09fb3805d374839c218d8db20baa4b12bf85f77e3099eb75"
 
 # A seeded catalog of named and unnamed records over every field's range,
@@ -334,6 +340,21 @@ def test_every_trace_line_takes_the_template_path(tmp_path, config, digest):
 )
 def test_dense_isl_cdf_digest(tmp_path, capsys, flags, digest):
     config = write_config(tmp_path, DENSE_CONFIG)
+    out = tmp_path / "cdf.csv"
+    assert main(["isl-cdf", "--config", str(config), "--out", str(out), *flags]) == 0
+    assert sha256_of(out) == digest
+
+
+@pytest.mark.parametrize(
+    "flags, digest",
+    [
+        ([], GEN1_CDF_PER_STEP_SHA256),
+        (["--per-link-min"], GEN1_CDF_PER_LINK_MIN_SHA256),
+    ],
+    ids=["per-step", "per-link-min"],
+)
+def test_gen1_isl_cdf_digest(tmp_path, capsys, flags, digest):
+    config = write_config(tmp_path, GEN1_CDF_CONFIG)
     out = tmp_path / "cdf.csv"
     assert main(["isl-cdf", "--config", str(config), "--out", str(out), *flags]) == 0
     assert sha256_of(out) == digest

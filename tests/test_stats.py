@@ -169,6 +169,37 @@ class TestMinIslAltitudeCdf:
         assert len(cdf.points) > 1000
         assert peak < 3e6
 
+    def test_prescreen_clears_values_off_rounding_boundaries(self):
+        # a boundary every 1e-6 km in [100, 1000): about 2 eps / 1e-6 of the values lie near one
+        v = np.random.default_rng(1).uniform(100.0, 1000.0, 100_000)
+        assert 0.015 < stats._near_rounding_boundary(v, 1e-8).mean() < 0.025
+        cases = {
+            483.123456789: False,
+            -483.123456789: False,
+            483.1234565: True,  # a midpoint between 9-digit decimals
+            483.12345651: True,
+            999.9999995: True,  # rounds to 1000
+            1000.0: True,
+            0.0: True,
+            -0.0: True,
+            5e-9: True,
+            1e-4: True,  # below 1e-3 km nothing is cleared
+            1.5e12: True,
+            math.nan: True,
+        }
+        flagged = stats._near_rounding_boundary(np.array(list(cases)), 1e-8)
+        assert dict(zip(cases, flagged.tolist())) == cases
+
+    def test_class_cdf_evaluates_few_links(self, dense_constellation, monkeypatch):
+        evaluated = []
+        kernel = GridTopology._edge_grazing
+        monkeypatch.setattr(GridTopology, "_edge_grazing",
+                            lambda self, ends, *args: evaluated.append(ends[1].size) or kernel(self, ends, *args))
+        min_isl_altitude_cdf(dense_constellation, 0.0, 1800.0, 10.0, per_link_min=False)
+        # 23 classes at 181 steps, and the members of the few class-steps near a rounding boundary,
+        # against 3,168 links at 181 steps
+        assert 23 * 181 <= sum(evaluated) < 4 * 23 * 181
+
     def test_invalid_window(self, sparse_constellation):
         with pytest.raises(ValueError):
             min_isl_altitude_cdf(sparse_constellation, 10.0, 10.0, 1.0)

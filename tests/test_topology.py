@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -348,6 +349,49 @@ class TestGridEdges:
             c[add] = elements
         with pytest.raises(ValueError, match=r"^shell 1 is not a complete 3x5 grid$"):
             GridTopology(c)
+
+
+GEN1_SPECS = [
+    ShellSpec(550.0, 53.0, 72, 22),
+    ShellSpec(540.0, 53.2, 72, 22),
+    ShellSpec(570.0, 70.0, 36, 20),
+    ShellSpec(560.0, 97.6, 6, 58),
+    ShellSpec(560.0, 97.6, 4, 43),
+]
+
+
+class TestSymmetryClasses:
+    """The Walker classes of links that isl-cdf evaluates one representative of."""
+
+    @pytest.mark.parametrize(
+        "specs, sizes",
+        [
+            ([ShellSpec(550.0, 53.0, 72, 22)], {1584: 1, 72: 22}),  # the seam joins its index's class
+            ([ShellSpec(550.0, 53.0, 72, 22, raan_spread_deg=180.0)], {1584: 1, 71: 22, 1: 22}),
+            ([ShellSpec(550.0, 53.0, 72, 22, phase_offset_f=1)], {1584: 1, 1: 1584}),
+            (GEN1_SPECS, {1584: 2, 72: 44, 720: 1, 36: 20, 348: 1, 6: 58, 172: 1, 4: 43}),
+        ],
+        ids=["walker", "half-spread", "phased", "gen1"],
+    )
+    def test_class_sizes(self, specs, sizes):
+        topo = GridTopology(build_constellation(specs))
+        class_of, reps, members = topo._symmetry_classes
+        assert Counter(np.bincount(class_of).tolist()) == sizes
+        # each class's representative is its lowest edge, and members lists each class's edges in order
+        assert np.array_equal(class_of.take(reps), np.arange(reps.size))
+        assert (reps.take(class_of) <= np.arange(topo.n_edges)).all()
+        assert np.array_equal(members, np.argsort(class_of, kind="stable"))
+
+    def test_perturbed_raan_leaves_its_links_alone(self, dense_constellation):
+        c = dict(dense_constellation)
+        sat = SatelliteId(0, 5, 7)
+        c[sat] = CircularElements(c[sat].semi_major_axis_km, c[sat].inclination_deg, c[sat].raan_deg + 1e-9,
+                                  c[sat].phase_deg)
+        topo = GridTopology(c)
+        class_of, reps, _ = topo._symmetry_classes
+        alone = reps[np.bincount(class_of) == 1].tolist()
+        assert {topo.edge_ids[e] for e in alone} == {ends for ends in topo.edge_ids if sat in ends}
+        assert len(alone) == 4
 
 
 SMALL_SHELL = ShellSpec(altitude_km=560.0, inclination_deg=97.6, planes=4, sats_per_plane=5)
