@@ -9,12 +9,12 @@ Link state is evaluated per timestep from propagated positions: grazing
 altitude, segment length, and viability against a threshold. Over a time
 grid one engine evaluates it: a step driver applies a schedule of maneuver
 offset changes made before the scan, and an edge kernel computes the
-grazing altitude of a set of edges, propagating only their endpoints' rows
-as x, y, z planes (no (N, 3) array is stacked; the endpoints are six 1-D
-gathers). scan passes every edge at every step; the ISL altitude CDF
-passes one edge per Walker symmetry class, which scan's values of the
-other edges round to (see stats). Batching all steps into (steps x edges)
-arrays was measured to raise peak memory, not save time.
+grazing altitude of the links it is given as two fleet rows per sample, at
+one time or one per sample, propagating both ends as x, y, z planes (no
+(N, 3) array is stacked). scan passes every edge at every step; the ISL
+altitude CDF passes one edge per Walker symmetry class, which scan's
+values of the other edges round to (see stats). Batching all steps into
+(steps x edges) arrays was measured to raise peak memory, not save time.
 
 simulate needs only viability, so its scan passes only the edges that are
 due. Grazing altitude does not change when both endpoints rotate together,
@@ -22,22 +22,20 @@ so it may be measured in a frame turning at the mean (w_a + w_b) / 2 of
 the orbits' angular-velocity vectors. There each endpoint moves at most at
 |w_a - w_b| * r / 2, and every point of the segment, a convex combination
 of the endpoints, moves at most as far as the farther endpoint; the
-closest point to the center, and so grazing, changes at most at
-L / 2 = |w_a - w_b| * max(r_a, r_b) / 2 km/s. An edge evaluated at t with
-grazing g is next due at t + (|g - threshold| - slack) / (L / 2); until
-then its viability cannot change, and it keeps the cached one. Same-plane
-edges have L = 0 and are never due again unless a maneuver changes an
-endpoint, which makes all that satellite's edges due and gives them a new
-L. The skip scan runs in blocks of at most _BLOCK_STEPS steps, split where
-a maneuver changes an offset, so radii, mean motions and bounds hold within
+closest point to the center, and so grazing, changes at most at L / 2 =
+|w_a - w_b| * max(r_a, r_b) / 2 km/s. An edge evaluated at t with grazing
+g is next due at t + (|g - threshold| - slack) / (L / 2); until then its
+viability cannot change, and it keeps the cached one. Same-plane edges
+have L = 0 and are never due again unless a maneuver changes an endpoint,
+which makes all that satellite's edges due and gives them a new L. The
+skip scan runs in blocks of at most _BLOCK_STEPS steps, split where a
+maneuver changes an offset, so radii, mean motions and bounds hold within
 a block. It evaluates (edge, step) pairs in two calls per block: each edge
 due in it at its first due step, then each edge due again at every step of
-it from then on. A skipped sample is certified to keep the cached viability,
-so any superset of the due samples gives the same flips, grazing bits and
-infeasible counts; blocks spend a few such samples to save calls. Each
-endpoint sample of a call is propagated once: a table with one slot per
-(satellite, step of a block) maps its pairs' endpoints to the distinct
-samples. The skip scan yields once per block, its pairs unsorted, with
+it from then on. A skipped sample is certified to keep the cached
+viability, so any superset of the due samples gives the same flips,
+grazing bits and infeasible counts; blocks spend a few such samples to
+save calls. The skip scan yields once per block, its pairs unsorted, with
 their viability and flips and the infeasible count of each step. Both
 scans share the kernel, so every evaluated value equals scan's, and
 _isl_transition_trace turns its flips into the trace's ISL events.
@@ -75,6 +73,7 @@ between consecutive covered samples.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -212,19 +211,16 @@ class GridTopology:
         """Positions of every satellite at t_s, shape (N, 3), km.
 
         offsets maps satellites of this topology to finite radial offsets in km;
-        ValueError names a t_s that is not finite and the first offset that is not such.
+        ValueError names a t_s that is not a finite number and the first offset that is not such.
         """
-        if not math.isfinite(t_s):
-            raise ValueError(f"t_s must be finite, got {t_s}")
+        _number("t_s", t_s)
         offset_km: np.ndarray | float = 0.0
         if offsets:
             offset_km = np.zeros(len(self.sat_ids))
             for sat, dh_km in offsets.items():
                 if sat not in self._index_of:
                     raise ValueError(f"offsets key {sat} is not a satellite of this topology")
-                if not math.isfinite(dh_km):
-                    raise ValueError(f"offsets[{sat}] must be finite, got {dh_km}")
-                offset_km[self._index_of[sat]] = dh_km
+                offset_km[self._index_of[sat]] = _number(f"offsets[{sat}]", dh_km)
         r_km = self._fleet.a_km + offset_km
         return np.stack(self._fleet._planes(t_s, r_km=r_km, n_rad_s=_mean_motion(r_km)), axis=-1)
 
@@ -250,11 +246,9 @@ class GridTopology:
         is not NaN; ValueError names the first entry that is not. Every
         step yields a fresh array.
         """
-        rows = np.flatnonzero(np.bincount(np.concatenate([self._edge_a, self._edge_b])))  # every endpoint, once
-        every = (rows, np.searchsorted(rows, self._edge_a), np.searchsorted(rows, self._edge_b))
         times = _checked_times(times, maneuvers, self._index_of)
         steps = zip(times.tolist(), self._steps(times, maneuvers))
-        return ((t, self._edge_grazing(every, t, r, n)) for t, (_, _, r, n, _) in steps)
+        return ((t, self._edge_grazing(self._edge_a, self._edge_b, t, r, n)) for t, (_, _, r, n, _) in steps)
 
     def _steps(
         self, times: np.ndarray, maneuvers: Sequence[ManeuverEvent], most: int = 1
@@ -274,20 +268,11 @@ class GridTopology:
             n_rad_s = _mean_motion(r_km)
 
     def _edge_grazing(
-        self,
-        endpoints: Tuple[np.ndarray, np.ndarray, np.ndarray],
-        t: np.ndarray | float,
-        r_km: np.ndarray,
-        n_rad_s: np.ndarray,
+        self, a: np.ndarray, b: np.ndarray, t: np.ndarray | float, r_km: np.ndarray, n_rad_s: np.ndarray
     ) -> np.ndarray:
-        """Grazing km at t of the edges whose endpoints (rows, a, b) are given: the fleet rows
-        to propagate, at one time or one per row, and each edge's endpoints as indices into rows."""
-        rows, a, b = endpoints
-        x, y, z = self._fleet._planes(t, rows, r_km=r_km.take(rows), n_rad_s=n_rad_s.take(rows))
-        return _grazing_planes(
-            x.take(a), y.take(a), z.take(a), x.take(b), y.take(b), z.take(b),
-            self.earth_radius_km,
-        )
+        """Grazing km of the links between fleet rows a and b, at one time t or one per link."""
+        ends = (self._fleet._planes(t, rows, r_km=r_km.take(rows), n_rad_s=n_rad_s.take(rows)) for rows in (a, b))
+        return _grazing_planes(*chain(*ends), self.earth_radius_km)
 
     def _viability_scan(
         self, times: Sequence[float], maneuvers: Sequence[ManeuverEvent], threshold_km: float
@@ -310,11 +295,7 @@ class GridTopology:
         due_at = np.full(self.n_edges, -np.inf)
         viable = np.zeros(self.n_edges, dtype=bool)  # all down before step 0
         infeasible = self.n_edges
-        most = _BLOCK_STEPS
-        # slot[row * most + step]: a round's index of that endpoint sample; a round reads only
-        # the entries it wrote, so the table is reused across rounds and blocks unreset
-        slot = np.empty(len(self.sat_ids) * most, dtype=np.int32)
-        for s, e, r_km, n_rad_s, changed in self._steps(times, maneuvers, most):
+        for s, e, r_km, n_rad_s, changed in self._steps(times, maneuvers, _BLOCK_STEPS):
             if not s:
                 rate = _link_rate(edge_a, edge_b, r_km, n_rad_s, normal)
             elif changed:
@@ -330,15 +311,7 @@ class GridTopology:
             end = start  # each edge's first and last pair
             for again in (False, True):
                 k, at, edge = at.size, _blocks(at), _blocks(edge)
-                # each endpoint sample propagated once: the entry that won a key's slot stands for it
-                ka, kb = (side.take(edge) * most + at for side in (edge_a, edge_b))
-                keys = np.concatenate([ka, kb])
-                index = np.arange(keys.size, dtype=np.int32)
-                slot[keys] = index
-                keys = keys[slot.take(keys) == index]
-                slot[keys] = index[:keys.size]
-                row, step = np.divmod(_blocks(keys), most)
-                grazing = self._edge_grazing((row, slot.take(ka), slot.take(kb)), t.take(step), r_km, n_rad_s)
+                grazing = self._edge_grazing(edge_a.take(edge), edge_b.take(edge), t.take(at), r_km, n_rad_s)
                 now = is_isl_viable(grazing, threshold_km)
                 before = now.take(np.arange(-1, k - 1))  # the previous pair's viability,
                 before[start] = viable.take(edges)  # or the cached one at each edge's first
@@ -426,23 +399,19 @@ def _class_samples(
     size = np.bincount(class_of)
     first = np.cumsum(size) - size  # each class's first entry in members
     r_km, n_rad_s = fleet.a_km, _mean_motion(fleet.a_km)
-    rows = np.flatnonzero(np.bincount(np.concatenate([edge_a.take(reps), edge_b.take(reps)])))
-    ends = [np.searchsorted(rows, side.take(reps)) for side in (edge_a, edge_b)]
-    most = max(1, _CLASS_ROWS // rows.size)
+    rep_a, rep_b = edge_a.take(reps), edge_b.take(reps)
+    most = max(1, _CLASS_ROWS // (2 * reps.size))
     for s in range(0, times.size, most):
         t = times[s:s + most]
-        at = np.arange(t.size)[:, None] * rows.size
-        endpoints = (np.tile(rows, t.size), *((at + end).ravel() for end in ends))
-        grazing = topo._edge_grazing(endpoints, t.repeat(rows.size), r_km, n_rad_s).reshape(t.size, reps.size)
+        grazing = topo._edge_grazing(np.tile(rep_a, t.size), np.tile(rep_b, t.size), t.repeat(reps.size), r_km, n_rad_s)
+        grazing = grazing.reshape(t.size, reps.size)
         flagged = (size > 1) & near(grazing, _class_eps(fleet, t)[:, None])
         kept = ~flagged
         # every member of a flagged class at that step, class by class
         step, c = np.nonzero(flagged)
         count = size.take(c)
         edges = members.take(np.repeat(first.take(c) - np.cumsum(count) + count, count) + np.arange(count.sum()))
-        m = np.arange(edges.size)
-        endpoints = (np.concatenate([edge_a.take(edges), edge_b.take(edges)]), m, m + edges.size)
-        alone = topo._edge_grazing(endpoints, np.tile(t.take(step.repeat(count)), 2), r_km, n_rad_s)
+        alone = topo._edge_grazing(edge_a.take(edges), edge_b.take(edges), t.take(step.repeat(count)), r_km, n_rad_s)
         classes = np.nonzero(kept)[1]
         yield (np.concatenate([grazing[kept], alone]), np.concatenate([classes, reps.size + edges]),
                np.concatenate([size.take(classes), np.ones(edges.size, dtype=size.dtype)]))
@@ -484,7 +453,8 @@ _BLOCK_STEPS = 16
 # build_constellation's shells they differ by a few ulps of 2 pi, about 1e-15
 _CLASS_RAD = 1e-13
 
-# endpoint rows _class_samples propagates per call for the class representatives
+# about how many endpoint rows, two per link sample, _class_samples propagates per call
+# for the class representatives
 _CLASS_ROWS = 2**12
 
 
@@ -519,9 +489,9 @@ def _blocks(index: np.ndarray) -> np.ndarray:
 def _checked_times(
     times: Sequence[float], maneuvers: Sequence[ManeuverEvent], index_of: Mapping[SatelliteId, int]
 ) -> np.ndarray:
-    """times as an array; ValueError names the first time that is infinite or out of order, the
-    first maneuver start out of order, or the first maneuver whose sat is not in index_of, whose dh_km
-    is not finite or whose dwell_s is NaN (faults.offsets_at and the scan's offsets would disagree)."""
+    """times as an array; ValueError names the first time that is infinite or out of order, the first
+    maneuver start out of order, or the first maneuver whose sat is not in index_of, whose dh_km is not a
+    finite number or whose dwell_s is no number or NaN (faults.offsets_at and the scan would disagree)."""
     times = np.asarray(times, dtype=float)
     bad = _first_out_of_order(times)
     if bad is not None:
@@ -538,11 +508,19 @@ def _checked_times(
     for i, m in enumerate(maneuvers):
         if m.sat not in index_of:
             raise ValueError(f"maneuvers[{i}].sat {m.sat} is not a satellite of this topology")
-        if not math.isfinite(m.dh_km):
-            raise ValueError(f"maneuvers[{i}].dh_km must be finite, got {m.dh_km}")
-        if math.isnan(m.dwell_s):
+        _number(f"maneuvers[{i}].dh_km", m.dh_km)
+        if math.isnan(_number(f"maneuvers[{i}].dwell_s", m.dwell_s, finite=False)):
             raise ValueError(f"maneuvers[{i}].dwell_s must not be NaN")
     return times
+
+
+def _number(name: str, value, finite: bool = True):
+    """value; ValueError names name if it is a bool or no real number or, unless finite is False, not finite."""
+    if type(value) is bool or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if finite and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 def _offset_changes(

@@ -8,6 +8,7 @@ digest here and says so in CHANGES.md.
 
 import hashlib
 import json
+import re
 import warnings
 from collections import Counter
 
@@ -163,6 +164,13 @@ def write_config(tmp_path, config):
     return path
 
 
+def scan_work(printed: str) -> tuple:
+    """(ISL edge evaluations, ISL scan blocks) from simulate's printed summary."""
+    evaluations = re.search(r"^isl edge evaluations: (\d+) of \d+$", printed, re.M)
+    blocks = re.search(r"^isl scan blocks: (\d+)$", printed, re.M)
+    return int(evaluations[1]), int(blocks[1])
+
+
 def test_gen1_trace_digest(tmp_path, capsys):
     config = write_config(tmp_path, GEN1_CONFIG)
     out = tmp_path / "trace.jsonl"
@@ -171,6 +179,7 @@ def test_gen1_trace_digest(tmp_path, capsys):
     for kind in ("maneuver_start", "maneuver_end", "isl_down", "isl_up"):
         assert kinds[kind] > 0, kind
     assert sha256_of(out) == GEN1_TRACE_SHA256
+    assert scan_work(capsys.readouterr().out) == (19_386, 88)
 
 
 def test_overlapping_maneuvers_trace_digest(tmp_path, capsys):
@@ -192,6 +201,7 @@ def test_overlapping_maneuvers_trace_digest(tmp_path, capsys):
     )
     assert clamped > 0
     assert sha256_of(out) == OVERLAP_TRACE_SHA256
+    assert scan_work(capsys.readouterr().out) == (28_999, 361)
 
 
 def catalog_text(n: int) -> str:
@@ -261,6 +271,7 @@ def test_gen1_day_trace_digest(tmp_path):
     summary = run_simulation(config_from_dict(GEN1_DAY_CONFIG), out)
     assert summary["n_events"] == 33_594
     assert sha256_of(out) == GEN1_DAY_TRACE_SHA256
+    assert (summary["isl_edge_evaluations"], summary["isl_scan_blocks"]) == (1_623_274, 606)
 
 
 def test_all_kinds_trace_digest(tmp_path, capsys):

@@ -194,7 +194,7 @@ class TestMinIslAltitudeCdf:
         evaluated = []
         kernel = GridTopology._edge_grazing
         monkeypatch.setattr(GridTopology, "_edge_grazing",
-                            lambda self, ends, *args: evaluated.append(ends[1].size) or kernel(self, ends, *args))
+                            lambda self, a, *args: evaluated.append(a.size) or kernel(self, a, *args))
         min_isl_altitude_cdf(dense_constellation, 0.0, 1800.0, 10.0, per_link_min=False)
         # 23 classes at 181 steps, and the members of the few class-steps near a rounding boundary,
         # against 3,168 links at 181 steps

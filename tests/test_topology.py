@@ -1,7 +1,9 @@
+import ast
 import math
 import re
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -533,16 +535,23 @@ class TestScanOffsets:
         with pytest.raises(ValueError, match=rf"times must be finite: times\[{bad}\]"):
             next(topo._viability_scan(times, (), 80.0))
 
-    @pytest.mark.parametrize(
-        "field, value", [("dh_km", math.nan), ("dh_km", math.inf), ("dh_km", -math.inf), ("dwell_s", math.nan)]
-    )
-    def test_rejects_non_finite_maneuver(self, topo, field, value):
+    @pytest.mark.parametrize("field, value, message", [
+        ("dh_km", math.nan, "must be finite, got nan"),
+        ("dh_km", math.inf, "must be finite, got inf"),
+        ("dh_km", -math.inf, "must be finite, got -inf"),
+        ("dwell_s", math.nan, "must not be NaN"),
+        ("dh_km", True, "must be a number, got True"),
+        ("dh_km", "1", "must be a number, got '1'"),
+        ("dwell_s", True, "must be a number, got True"),
+        ("dwell_s", "1", "must be a number, got '1'"),
+    ], ids=["dh_km-nan", "dh_km-inf", "dh_km--inf", "dwell_s-nan", "dh_km-True", "dh_km-1", "dwell_s-True", "dwell_s-1"])
+    def test_rejects_non_finite_maneuver(self, topo, field, value, message):
         # faults.offsets_at would give a NaN offset where the scan clamps to +-10 km
         fields = {"dh_km": 1.0, "dwell_s": 50.0, field: value}
         maneuvers = [ManeuverEvent(SAT, 0.0, 1.0, 50.0), ManeuverEvent(OTHER, 10.0, **fields)]
-        with pytest.raises(ValueError, match=rf"maneuvers\[1\]\.{field}"):
+        with pytest.raises(ValueError, match=rf"maneuvers\[1\]\.{field} {message}"):
             topo.scan(SCAN_TIMES, maneuvers)
-        with pytest.raises(ValueError, match=rf"maneuvers\[1\]\.{field}"):
+        with pytest.raises(ValueError, match=rf"maneuvers\[1\]\.{field} {message}"):
             next(topo._viability_scan(SCAN_TIMES, maneuvers, 80.0))
 
     @pytest.mark.parametrize("start_s", [100.0, 1e6])  # inside the window and after it
@@ -553,18 +562,27 @@ class TestScanOffsets:
         with pytest.raises(ValueError, match=r"maneuvers\[1\]\.sat"):
             next(topo._viability_scan(SCAN_TIMES, maneuvers, 80.0))
 
-    @pytest.mark.parametrize("t_s", [math.nan, math.inf, -math.inf])
-    def test_positions_reject_non_finite_time(self, topo, t_s):
-        # every link would read NaN grazing, marked not viable
+    @pytest.mark.parametrize("t_s, match", [
+        (math.nan, "t_s must be finite, got nan"),
+        (math.inf, "t_s must be finite, got inf"),
+        (-math.inf, "t_s must be finite, got -inf"),
+        (True, "t_s must be a number, got True"),
+        ("1", "t_s must be a number, got '1'"),
+    ], ids=["nan", "inf", "-inf", "True", "1"])
+    def test_positions_reject_non_finite_time(self, topo, t_s, match):
+        # every link would read NaN grazing, marked not viable; a bool would read as 1 s
         for call in (topo.positions, topo.grazing, topo.snapshot):
-            with pytest.raises(ValueError, match="t_s must be finite"):
+            with pytest.raises(ValueError, match=match):
                 call(t_s)
 
     @pytest.mark.parametrize("offsets, match", [
         ({SatelliteId(9, 9, 9): 1.0}, r"offsets key SatelliteId\(shell=9, plane=9, index=9\) is not a satellite"),
         ({SAT: math.nan}, r"offsets\[SatelliteId\(shell=0, plane=1, index=2\)\] must be finite, got nan"),
         ({SAT: 1.0, OTHER: -math.inf}, r"offsets\[SatelliteId\(shell=0, plane=3, index=0\)\] must be finite"),
-    ], ids=["off-the-topology", "nan", "minus-inf"])
+        ({SAT: True}, r"offsets\[SatelliteId\(shell=0, plane=1, index=2\)\] must be a number, got True"),
+        ({SAT: "1"}, r"offsets\[SatelliteId\(shell=0, plane=1, index=2\)\] must be a number, got '1'"),
+        ({SAT: None}, r"offsets\[SatelliteId\(shell=0, plane=1, index=2\)\] must be a number, got None"),
+    ], ids=["off-the-topology", "nan", "minus-inf", "bool", "string", "none"])
     def test_positions_reject_bad_offsets(self, topo, offsets, match):
         for call in (topo.positions, topo.grazing):
             with pytest.raises(ValueError, match=match):
@@ -930,3 +948,25 @@ class TestHandoverSchedule:
         s1 = handover_schedule(windows, gs, dense_constellation)
         s2 = handover_schedule(list(reversed(windows)), gs, dense_constellation)
         assert s1 == s2
+
+
+def test_only_the_edge_kernel_computes_grazing():
+    """GridTopology._edge_grazing is the one link kernel: it propagates each sample's two
+    endpoint rows and is the only code in topology.py that names _grazing_planes, so no
+    second kernel or endpoint gather of its own can come back."""
+    tree = ast.parse(Path(topology.__file__).read_text(encoding="utf-8"))
+
+    def names_kernel(node):
+        return any(
+            isinstance(n, ast.Name) and n.id == "_grazing_planes"
+            or isinstance(n, ast.Attribute) and n.attr == "_grazing_planes"
+            for n in ast.walk(node)
+        )
+
+    users = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            users += [f"{node.name}.{getattr(m, 'name', '?')}" for m in node.body if names_kernel(m)]
+        elif names_kernel(node):
+            users.append(getattr(node, "name", "<module>"))
+    assert users == ["GridTopology._edge_grazing"]
