@@ -39,7 +39,7 @@ for name, shell in SHELLS.items():
 
     print(f"{name}: {shell.planes} planes x {shell.sats_per_plane} sats "
           f"at {shell.altitude_km:.0f} km / {shell.inclination_deg} deg")
-    print(f"  link minima span {per_link.points[0][0]:8.1f} .. {per_link.points[-1][0]:8.1f} km")
+    print(f"  link minima span {per_link.values[0]:8.1f} .. {per_link.values[-1]:8.1f} km")
     print(f"  fraction of per-link minima below 80 km: "
           f"{per_link.proportion_below(80.0):.3f}")
     print(f"  fraction of per-step samples below 80 km: "

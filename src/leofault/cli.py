@@ -79,7 +79,7 @@ def _cmd_isl_cdf(args) -> int:
     below = cdf.proportion_below(config.isl_threshold_km)
     mode = "per-link minima" if args.per_link_min else "per-link per-step samples"
     print(
-        f"cdf written to {args.out} ({len(cdf.points)} distinct values, {mode}); "
+        f"cdf written to {args.out} ({cdf.values.size} distinct values, {mode}); "
         f"fraction below {_fmt(config.isl_threshold_km)} km: {_fmt(below)}"
     )
     return 0

@@ -85,14 +85,32 @@ def _first_out_of_order(values: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def _read_pairs(path, header: tuple, what: str) -> tuple[list[tuple[float, float]], Callable[[int], int]]:
-    """The table rule: the rows of the UTF-8 CSV at path under the two names of header, each cell as
-    float() reads it, and a map from a row to its line. ValueError names what and the first bad line."""
+# every byte but the comma and the newline, which _read_pairs' structural pass keeps
+_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n")))
+
+
+def _read_pairs(path, header: tuple, what: str) -> tuple[np.ndarray, Callable[[int], int]]:
+    """The table rule: the rows of the UTF-8 CSV at path under the two names of header, as an (n, 2)
+    array of each cell as float() reads it, and a map from a row to its line. ValueError names what
+    and the first bad line."""
     text = Path(path).read_text(encoding="utf-8")
-    lines = text.split("\n")  # read_text maps \r\n and \r to \n; splitlines() also splits on \x0c
-    if [cell.strip() for cell in lines[0].split(",")] != list(header):
-        raise ValueError(f"{what} must start with header '{','.join(header)}', got {lines[0]!r}")
-    plain = is_plain_number_text(text[len(lines[0]):])  # one check of the whole body, per line if it fails
+    head, _, body = text.partition("\n")  # read_text maps \r\n and \r to \n; splitlines() also splits on \x0c
+    if [cell.strip() for cell in head.split(",")] != list(header):
+        raise ValueError(f"{what} must start with header '{','.join(header)}', got {head!r}")
+    plain = is_plain_number_text(body)  # one check of the whole body, per line if it fails
+    line_of = lambda row: [n for n, line in enumerate(text.split("\n")[1:], start=2) if line.strip()][row]
+    # one structural pass: if the body's commas and newlines alternate from a comma to a comma, every
+    # line holds one comma and none is blank, so its cells are a split away; the loop below then
+    # runs only to name a bad line
+    flat = body.removesuffix("\n")
+    separators = flat.encode().translate(None, _NOT_SEPARATORS)
+    if plain and separators == b",\n" * (len(separators) // 2) + b",":
+        cells = flat.replace("\n", ",").split(",")
+        try:
+            return np.fromiter(map(float, cells), float, len(cells)).reshape(-1, 2), line_of
+        except ValueError:
+            pass
+    lines = text.split("\n")
     rows: list[tuple[float, float]] = []
     for line in lines[1:]:
         try:
@@ -105,4 +123,4 @@ def _read_pairs(path, header: tuple, what: str) -> tuple[list[tuple[float, float
         except ValueError:  # the first line equal to this one is this one
             at = f"{what} line {lines.index(line, 1) + 1}: {' and '.join(header)}"
             raise ValueError(f"{at} must be finite numbers in ASCII, without '_', got {line!r}") from None
-    return rows, lambda row: [n for n, line in enumerate(lines[1:], start=2) if line.strip()][row]
+    return np.array(rows, dtype=float).reshape(-1, 2), line_of

@@ -541,7 +541,8 @@ def read_precipitation_csv(path) -> List[Tuple[float, float]]:
     """Read a precipitation time series under the table rule: header t_s,mm_per_h, finite
     numbers, mm_per_h not negative, t_s strictly increasing. Values hold until the next row
     (step-function semantics)."""
-    rows, line_of = _read_pairs(path, ("t_s", "mm_per_h"), "precipitation CSV")
+    table, line_of = _read_pairs(path, ("t_s", "mm_per_h"), "precipitation CSV")
+    rows = list(map(tuple, table.tolist()))
     for i, (t, mm) in enumerate(rows):
         if not (math.isfinite(t) and math.isfinite(mm)):
             raise ValueError(

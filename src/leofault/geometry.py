@@ -55,15 +55,17 @@ def grazing_altitude(p1, p2, earth_radius_km: float = EARTH_RADIUS_KM):
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
     altitude = _grazing_planes(
-        p1[..., 0], p1[..., 1], p1[..., 2], p2[..., 0], p2[..., 1], p2[..., 2], earth_radius_km
+        (p1[..., 0], p1[..., 1], p1[..., 2]), (p2[..., 0], p2[..., 1], p2[..., 2]), earth_radius_km
     )
     if altitude.ndim == 0:
         return float(altitude)
     return altitude
 
 
-def _grazing_planes(x1, y1, z1, x2, y2, z2, earth_radius_km: float) -> np.ndarray:
-    """grazing_altitude on endpoints given as x, y, z component planes."""
+def _grazing_planes(p1: tuple, p2: tuple, earth_radius_km: float) -> np.ndarray:
+    """grazing_altitude on endpoints given as (x, y, z) tuples of component planes."""
+    (x1, y1, z1), (x2, y2, z2) = p1, p2
+    del p1, p2  # so the dels below free the planes when the caller keeps no reference
     # lexicographic (x, y, z) order: swap where p2 < p1
     swap = (x2 < x1) | ((x2 == x1) & ((y2 < y1) | ((y2 == y1) & (z2 < z1))))
     if np.any(swap):

@@ -2,9 +2,12 @@
 
 The central product is the cumulative distribution of minimum ISL
 altitudes over a simulation window, either one sample per link (the
-minimum over the window) or one sample per link per timestep. CDFs are
-written as CSV with header value_km,proportion, one row per distinct
-sample value.
+minimum over the window) or one sample per link per timestep. A CDF is
+a CdfTable of two float64 arrays, its distinct sample values rounded to
+9 significant digits and their cumulative proportions, written as CSV
+with header value_km,proportion, one row per value. The rounding
+(_canonical) takes a whole array at once and equals canonical_number bit
+for bit; the writer formats and the reader parses whole columns.
 
 Both modes evaluate the links by Walker symmetry class
 (GridTopology._symmetry_classes): a shell's intra-plane links, and with
@@ -24,21 +27,20 @@ canonical value and its count equal those of a per-link scan
 each class's minimum under the same rule. A link that fails the class
 membership check is a class of one.
 
-Memory: per-step sampling folds (value, count) pairs, a block of steps
-at a time, into a running table of distinct values and their counts, so
-it holds the distinct values and one block, never every sample. Walker
-shells repeat their values (2,860 distinct among 573,408 samples for
-72x22 over 30 min at 10 s), but on an asymmetric fleet nearly every
-sample may be distinct, and the table then still grows with the samples.
-Per-link minima hold one value per link whatever the window.
+Memory: per-step sampling rounds each block of samples and folds its
+(value, count) pairs, a block of steps at a time, into a running table
+of distinct values and their counts, so it holds the distinct values
+and one block, never every sample. Walker shells repeat their values
+(1,987 distinct among 573,408 samples for 72x22 over 30 min at 10 s),
+but on an asymmetric fleet nearly every sample may be distinct, and the
+table then still grows with the samples. Per-link minima hold one value
+per link whatever the window.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,21 +55,51 @@ from .trace import _atomic_text, canonical_number
 _FOLD_SAMPLES = 2**15
 # rows write_cdf_csv formats per write
 _CSV_ROWS = 65536
-# the float nearest each power of ten from 1e-3 to 1e12, and at index k the
-# 9-significant-digit quantum of values in [_DECADES[k - 1], _DECADES[k])
-_DECADES = np.array([float(f"1e{k}") for k in range(-3, 13)])
-_QUANTA = np.array([float(f"1e{k}") for k in range(-12, 5)])
+# values _canonical rounds per slice, so that its dozen temporaries stay small
+_ROUND_VALUES = 65536
+# the float nearest each power of ten from 1e-14 to 1e31: a value in [_DECADES[k - 1], _DECADES[k])
+# has the 9-significant-digit quantum 10**(k - 23), whose exponent lies in [-22, 22]
+_DECADES = np.array([float(f"1e{k}") for k in range(-14, 32)])
+# the powers of ten that are exact doubles, 10**0 to 10**22
+_TENS = np.array([float(10**k) for k in range(23)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CdfTable:
-    """Empirical CDF: (value, proportion of samples <= value) pairs."""
+    """Empirical CDF as two read-only float64 arrays of one length: values, finite and strictly
+    increasing, and proportions, the share of samples <= each value, non-decreasing up to 1.0.
 
-    points: Tuple[Tuple[float, float], ...]
+    The constructor copies both columns and raises ValueError naming the first row that breaks
+    those rules. points is a derived view for callers that want Python pairs.
+    """
+
+    values: np.ndarray
+    proportions: np.ndarray
 
     def __post_init__(self) -> None:
-        if (rejected := _first_rejected(self.points)) is not None:
+        for name in ("values", "proportions"):
+            column = np.array(getattr(self, name), dtype=np.float64)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        if self.values.ndim != 1 or self.values.shape != self.proportions.shape:
+            raise ValueError(
+                "CDF values and proportions must be 1-D arrays of one length, "
+                f"got shapes {self.values.shape} and {self.proportions.shape}"
+            )
+        if (rejected := _first_rejected(self.values, self.proportions)) is not None:
             raise ValueError(rejected[1])
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, CdfTable)
+            and np.array_equal(self.values, other.values)
+            and np.array_equal(self.proportions, other.proportions)
+        )
+
+    @property
+    def points(self) -> Tuple[Tuple[float, float], ...]:
+        """The (value, proportion) pairs as Python floats, built from the arrays on each read."""
+        return tuple(zip(self.values.tolist(), self.proportions.tolist()))
 
     @classmethod
     def from_samples(cls, samples: Sequence[float]) -> "CdfTable":
@@ -86,18 +118,20 @@ class CdfTable:
         """
         n = int(counts.sum())
         if n == 0:
-            return cls(points=())
+            return cls(np.zeros(0), np.zeros(0))
         # rounding is monotone, so equal canonical values stay adjacent
-        canonical = np.array([canonical_number(v) for v in values.tolist()]) + 0.0
+        canonical = _canonical(values)
         starts = _run_starts(canonical)
         cumulative = np.cumsum(np.add.reduceat(counts, starts)) / n
         cumulative[-1] = 1.0
-        return cls(points=tuple(zip(canonical[starts].tolist(), cumulative.tolist())))
+        return cls(canonical.take(starts), cumulative)
 
     def proportion_below(self, threshold: float) -> float:
         """Proportion of samples strictly below the threshold (0.0 for NaN)."""
-        below = bisect_left(self.points, threshold, key=itemgetter(0))
-        return self.points[below - 1][1] if below else 0.0
+        if threshold != threshold:  # NaN, which no value is below
+            return 0.0
+        below = int(np.searchsorted(self.values, threshold))
+        return float(self.proportions[below - 1]) if below else 0.0
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
@@ -107,21 +141,20 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.flatnonzero(values[1:] != values[:-1]) + 1))
 
 
-def _first_rejected(points: Sequence[Tuple[float, float]]) -> Optional[Tuple[int, str]]:
-    """Index of the first point a CdfTable may not hold and why, or None."""
-    previous_value = -np.inf
-    previous_prop = 0.0
+def _first_rejected(values: np.ndarray, proportions: np.ndarray) -> Optional[Tuple[int, str]]:
+    """Index of the first row a CdfTable may not hold and why, or None."""
     # negated comparisons also reject NaN; only the last value can be +inf
-    for i, (value, proportion) in enumerate(points):
-        if not value > previous_value:
-            return i, f"CDF values must be finite and strictly increasing, got {value}"
-        if not proportion >= previous_prop:
-            return i, f"CDF proportions must be non-decreasing, got {proportion}"
-        previous_value, previous_prop = value, proportion
-    if points and not math.isfinite(points[-1][0]):
-        return len(points) - 1, f"CDF values must be finite, got {points[-1][0]}"
-    if points and not abs(points[-1][1] - 1.0) <= 1e-12:
-        return len(points) - 1, f"final CDF proportion must be 1.0, got {points[-1][1]}"
+    bad_value = ~(values > np.concatenate(([-np.inf], values[:-1])))
+    bad = bad_value | ~(proportions >= np.concatenate(([0.0], proportions[:-1])))
+    if (hits := np.flatnonzero(bad)).size:
+        i = int(hits[0])
+        if bad_value[i]:
+            return i, f"CDF values must be finite and strictly increasing, got {float(values[i])}"
+        return i, f"CDF proportions must be non-decreasing, got {float(proportions[i])}"
+    if values.size and not math.isfinite(values[-1]):
+        return values.size - 1, f"CDF values must be finite, got {float(values[-1])}"
+    if values.size and not abs(proportions[-1] - 1.0) <= 1e-12:
+        return values.size - 1, f"final CDF proportion must be 1.0, got {float(proportions[-1])}"
     return None
 
 
@@ -143,7 +176,7 @@ def min_isl_altitude_cdf(
     times = time_grid(t0_s, t1_s, step_s)
     topo = GridTopology(constellation, earth_radius_km)
     if topo.n_edges == 0:
-        return CdfTable(points=())
+        return CdfTable.from_samples(())
     if per_link_min:
         return CdfTable.from_samples(_class_minima(topo, times, _near_rounding_boundary))
     values, counts = np.zeros(0), np.zeros(0, dtype=np.int64)
@@ -161,25 +194,66 @@ def min_isl_altitude_cdf(
     return CdfTable.from_counts(values, counts)
 
 
+def _quantum(k: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Whether the 9-significant-digit quantum 10**(k - 23) of decade k of _DECADES is below 1, and
+    10**|k - 23| as an exact double (10**22 outside the table)."""
+    q = k - 23
+    return q < 0, _TENS.take(np.abs(q), mode="clip")
+
+
 def _near_rounding_boundary(v: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """Where a rounding boundary of canonical_number may lie within eps of v, with only + - * /,
     floor and comparisons: True unless eps + |v| * 2**-40 around |v| stays inside one decade of
     [1e-3, 1e12) and off that decade's midpoints between 9-significant-digit decimals."""
     a = np.abs(v)
-    w = eps + a * 2.0**-40  # the margin covers the rounding of a / q below
+    w = eps + a * 2.0**-40  # the margin covers the rounding of a into quanta and back
     k = np.searchsorted(_DECADES, a - w, side="right")
-    q = _QUANTA.take(k)
-    x = a / q
-    off = np.abs(x - np.floor(x) - 0.5) * q
-    with np.errstate(over="ignore"):  # near the float range; such values are flagged anyway
-        inside = (k == np.searchsorted(_DECADES, a + w, side="right")) & (k > 0) & (k < _DECADES.size)
+    below, scale = _quantum(k)
+    with np.errstate(over="ignore", invalid="ignore"):  # near the float range; such values are flagged anyway
+        x = np.where(below, a * scale, a / scale)
+        off = np.abs(x - np.floor(x) - 0.5)
+        off = np.where(below, off / scale, off * scale)
+        # decades 12 to 26 of _DECADES are [1e-3, 1e12)
+        inside = (k == np.searchsorted(_DECADES, a + w, side="right")) & (k >= 12) & (k <= 26)
     return ~(inside & (off > w))
+
+
+def _canonical(x: np.ndarray) -> np.ndarray:
+    """canonical_number of every value, bit for bit, with -0.0 as 0.0.
+
+    |x| in decade k is m quanta 10**q, q = k - 23, with m one correctly rounded * or / by an exact
+    power of ten, so within 2**-53 * 1e9 of the exact quotient: unless m lies within 1e-6 of a
+    half-integer, r = rint(m) is the 9-digit decimal that %.9g prints. As |q| <= 22, r * 10**q
+    (or r / 10**-q) is one correctly rounded operation on two exact doubles (Clinger's fast path;
+    W. D. Clinger, "How to Read Floating Point Numbers Accurately", PLDI 1990), the float that
+    float() reads from that text. A value outside the table (zero, subnormal, |q| > 22, inf or
+    NaN), near such a midpoint, or whose r falls outside [1e8, 1e9) goes through canonical_number.
+    """
+    out, fast = np.empty(x.size), np.empty(x.size, dtype=bool)
+    for i in range(0, x.size, _ROUND_VALUES):
+        part = x[i:i + _ROUND_VALUES]
+        a = np.abs(part)
+        k = np.searchsorted(_DECADES, a, side="right")
+        below, scale = _quantum(k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = np.where(below, a * scale, a / scale)
+            r = np.rint(m)
+            fast[i:i + part.size] = (
+                (k > 0) & (k < _DECADES.size) & (np.abs(m - np.floor(m) - 0.5) > 1e-6) & (r >= 1e8) & (r < 1e9)
+            )
+            out[i:i + part.size] = np.copysign(np.where(below, r / scale, r * scale), part)
+    slow = np.flatnonzero(~fast)
+    out[slow] = [canonical_number(v) for v in x.take(slow).tolist()]
+    out += 0.0
+    return out
 
 
 def _fold(
     values: np.ndarray, counts: np.ndarray, block: np.ndarray, weights: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Add weights[i] samples equal to block[i] to the table of sorted distinct values and their counts."""
+    """Add weights[i] samples equal to block[i], canonicalized, to the table of sorted distinct
+    canonical values and their counts."""
+    block = _canonical(block)
     order = np.argsort(block, kind="stable")
     block, weights = block.take(order), weights.take(order)
     starts = _run_starts(block)
@@ -193,23 +267,23 @@ def _fold(
 
 
 def write_cdf_csv(cdf: CdfTable, path) -> None:
-    """Write a CDF as CSV with header value_km,proportion.
+    """Write a CDF as CSV with header value_km,proportion, each number as %.9g.
 
     Rows stream out in slices; the CSV replaces path only once every row
     is written, so a failed write leaves an existing file untouched.
     """
-    points = cdf.points
     with _atomic_text(path) as fh:
         fh.write("value_km,proportion\n")
-        for i in range(0, len(points), _CSV_ROWS):
-            fh.write("".join(f"{value:.9g},{proportion:.9g}\n" for value, proportion in points[i:i + _CSV_ROWS]))
+        for i in range(0, cdf.values.size, _CSV_ROWS):
+            rows = np.stack((cdf.values[i:i + _CSV_ROWS], cdf.proportions[i:i + _CSV_ROWS]), axis=1)
+            fh.write("%.9g,%.9g\n" * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def read_cdf_csv(path) -> CdfTable:
     """Read a CDF written by write_cdf_csv, under the table rule; a rejected row names its line."""
-    points, line_of = _read_pairs(path, ("value_km", "proportion"), "CDF CSV")
+    rows, line_of = _read_pairs(path, ("value_km", "proportion"), "CDF CSV")
     try:
-        return CdfTable(points=tuple(points))
+        return CdfTable(*rows.T)
     except ValueError:
-        row, reason = _first_rejected(points)
+        row, reason = _first_rejected(*rows.T)
         raise ValueError(f"CDF CSV line {line_of(row)}: {reason}") from None

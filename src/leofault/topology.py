@@ -241,9 +241,10 @@ class GridTopology:
 
         Each step applies the offsets of the maneuvers active at t, as
         faults.offsets_at gives them. times must be finite and must not
-        decrease, and maneuvers must be sorted by start_s, each on a
-        satellite of this topology, with a finite dh_km and a dwell_s that
-        is not NaN; ValueError names the first entry that is not. Every
+        decrease, and maneuvers must be sorted by a start_s that is a
+        number, each on a satellite of this topology, with a finite dh_km
+        and a dwell_s that is not NaN; ValueError names the first entry
+        that is not. Every
         step yields a fresh array.
         """
         times = _checked_times(times, maneuvers, self._index_of)
@@ -271,8 +272,13 @@ class GridTopology:
         self, a: np.ndarray, b: np.ndarray, t: np.ndarray | float, r_km: np.ndarray, n_rad_s: np.ndarray
     ) -> np.ndarray:
         """Grazing km of the links between fleet rows a and b, at one time t or one per link."""
-        ends = (self._fleet._planes(t, rows, r_km=r_km.take(rows), n_rad_s=n_rad_s.take(rows)) for rows in (a, b))
-        return _grazing_planes(*chain(*ends), self.earth_radius_km)
+        # the planes go straight into the call, whose frame alone then holds them, so _grazing_planes frees them
+        planes = self._fleet._planes
+        return _grazing_planes(
+            planes(t, a, r_km=r_km.take(a), n_rad_s=n_rad_s.take(a)),
+            planes(t, b, r_km=r_km.take(b), n_rad_s=n_rad_s.take(b)),
+            self.earth_radius_km,
+        )
 
     def _viability_scan(
         self, times: Sequence[float], maneuvers: Sequence[ManeuverEvent], threshold_km: float
@@ -490,8 +496,9 @@ def _checked_times(
     times: Sequence[float], maneuvers: Sequence[ManeuverEvent], index_of: Mapping[SatelliteId, int]
 ) -> np.ndarray:
     """times as an array; ValueError names the first time that is infinite or out of order, the first
-    maneuver start out of order, or the first maneuver whose sat is not in index_of, whose dh_km is not a
-    finite number or whose dwell_s is no number or NaN (faults.offsets_at and the scan would disagree)."""
+    maneuver start_s that is no number (or beyond the float range), the first maneuver start out of
+    order, or the first maneuver whose sat is not in index_of, whose dh_km is not a finite number or
+    whose dwell_s is no number or NaN (faults.offsets_at and the scan would disagree)."""
     times = np.asarray(times, dtype=float)
     bad = _first_out_of_order(times)
     if bad is not None:
@@ -499,7 +506,7 @@ def _checked_times(
     infinite = np.flatnonzero(np.isinf(times))
     if infinite.size:
         raise ValueError(f"times must be finite: times[{infinite[0]}] is {times[infinite[0]]}")
-    starts = np.array([m.start_s for m in maneuvers], dtype=float)
+    starts = np.array([_number(f"maneuvers[{i}].start_s", m.start_s, finite=False) for i, m in enumerate(maneuvers)])
     bad = _first_out_of_order(starts)
     if bad is not None:
         raise ValueError(
@@ -514,13 +521,18 @@ def _checked_times(
     return times
 
 
-def _number(name: str, value, finite: bool = True):
-    """value; ValueError names name if it is a bool or no real number or, unless finite is False, not finite."""
+def _number(name: str, value, finite: bool = True) -> float:
+    """value as a float; ValueError names name if it is a bool or no real number, lies beyond the
+    float range or, unless finite is False, is not finite."""
     if type(value) is bool or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    if finite and not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(f"{name} must be within the float range") from None
+    if finite and not math.isfinite(number):
         raise ValueError(f"{name} must be finite, got {value}")
-    return value
+    return number
 
 
 def _offset_changes(

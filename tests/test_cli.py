@@ -8,7 +8,18 @@ from pathlib import Path
 
 import pytest
 
-from leofault import TleRecord, checksum, read_cdf_csv, read_trace, serialize_tle
+from leofault import (
+    CdfTable,
+    TleRecord,
+    build_fleet,
+    checksum,
+    load_config,
+    min_isl_altitude_cdf,
+    read_cdf_csv,
+    read_trace,
+    serialize_tle,
+    write_cdf_csv,
+)
 from leofault.cli import _finite, _integer, build_parser, main
 
 SPARSE_CONFIG = {
@@ -399,3 +410,21 @@ class TestIslCdfCommand:
         assert "per-link minima" in result.stdout
         cdf = read_cdf_csv(out)
         assert cdf.points[-1][1] == 1.0
+
+    @pytest.mark.parametrize("flags", [[], ["--per-link-min"]], ids=["per-step", "per-link-min"])
+    def test_builds_no_pairs_view(self, tmp_path, monkeypatch, capsys, flags):
+        # the table stays two arrays from the scan to the CSV, in the CLI and in the library
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(SPARSE_CONFIG))
+        fleet = build_fleet(load_config(config_path))
+
+        def library(name):
+            write_cdf_csv(min_isl_altitude_cdf(fleet, 0.0, 600.0, 60.0, per_link_min=bool(flags)), tmp_path / name)
+            return (tmp_path / name).read_bytes()
+
+        expected = library("expected.csv")
+        monkeypatch.setattr(CdfTable, "points", property(lambda cdf: pytest.fail("CdfTable.points built")))
+        assert library("library.csv") == expected
+        assert main(["isl-cdf", "--config", str(config_path), "--out", str(tmp_path / "cli.csv"), *flags]) == 0
+        assert "distinct values" in capsys.readouterr().out
+        assert (tmp_path / "cli.csv").read_bytes() == expected

@@ -16,7 +16,12 @@ Both number-table CSV readers, precipitation series and CDFs, take the
 same arbitrary bodies (number-like cells, quotes, blank and whitespace
 lines, CR and CRLF, NUL, form feeds, non-ASCII digits and spaces) under
 their header or a near miss: each returns the body's rows or raises
-ValueError naming the header or a line, never another type.
+ValueError naming the header or a line, never another type. The table
+rule's one-pass reader must return its per-line loop's rows and lines,
+or raise its message, on bodies of number rows with odd lines among
+them; and the CDF's vectorized 9-digit rounding must equal
+canonical_number bit for bit on the value mixes isl-cdf meets and on
+midpoints, powers of ten, subnormals and values beyond its fast path.
 
 The link-state scan is fuzzed the same way against its per-step
 reference: random maneuver sets on a small shell, starting and ending on
@@ -53,6 +58,7 @@ import math
 import re
 import warnings
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -93,7 +99,7 @@ from leofault import (
     visibility_windows,
 )
 from leofault import stats, topology
-from leofault.constants import is_plain_number_text
+from leofault.constants import _read_pairs, is_plain_number_text
 from leofault.tle import _read_elements
 from leofault.orbital import time_grid
 from leofault.trace import KIND_PARAM_KEYS, canonical_number
@@ -507,6 +513,76 @@ def test_table_field_longer_than_the_csv_module_limit(tmp_path, kind):
         reader(path)
 
 
+def reference_read_pairs(path, header, what):
+    """The table rule as a loop over every line: the reference that _read_pairs' one structural
+    pass and one float() per cell must equal."""
+    text = Path(path).read_text(encoding="utf-8")
+    lines = text.split("\n")
+    if [cell.strip() for cell in lines[0].split(",")] != list(header):
+        raise ValueError(f"{what} must start with header '{','.join(header)}', got {lines[0]!r}")
+    rows, line_nos = [], []
+    for n, line in enumerate(lines[1:], start=2):
+        if not line.strip() and is_plain_number_text(line):
+            continue
+        try:
+            if not is_plain_number_text(line):
+                raise ValueError(line)
+            a, b = line.split(",")
+            rows.append((float(a), float(b)))
+            line_nos.append(n)
+        except ValueError:
+            at = f"{what} line {n}: {' and '.join(header)}"
+            raise ValueError(f"{at} must be finite numbers in ASCII, without '_', got {line!r}") from None
+    return rows, line_nos
+
+
+def pairs_outcome(read, path, header):
+    """repr of the rows (so -0.0 and nan compare) and each row's line, or the ValueError message."""
+    try:
+        rows, line_of = read(path, header, "table")
+    except ValueError as exc:
+        return str(exc)
+    if callable(line_of):
+        rows, line_of = list(map(tuple, np.asarray(rows).tolist())), [line_of(i) for i in range(len(rows))]
+    return repr(rows), line_of
+
+
+number_cells = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["0", "-0", " 1.5 ", "+.5", "1.", "1e999", "inf", "-inf", "nan", "1_0", "\u0663", "\uff14", "", "x"]),
+)
+odd_lines = st.one_of(
+    st.sampled_from(["", " ", "\t", "\x0c", "\u00a0", "\u2028", "\x1c"]),  # blank, or blank to float() alone
+    st.lists(number_cells, min_size=1, max_size=3).filter(lambda cells: len(cells) != 2).map(",".join),
+)
+
+
+@st.composite
+def pair_tables(draw):
+    """(header, text): rows of two number cells with up to two odd lines among them (a row of one
+    cell and one of three hold two cells a row on average), under \n, \r\n or \r endings and
+    with or without a final one."""
+    lines = draw(st.lists(st.tuples(number_cells, number_cells).map(",".join), max_size=12))
+    for odd in draw(st.lists(odd_lines, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), odd)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return ("a", "b"), end.join(["a,b", *lines]) + draw(st.sampled_from(["", end]))
+
+
+@FUZZ
+@given(pair_tables())
+@example((("a", "b"), "a,b\n1,2\n\n3,4\n"))
+@example((("a", "b"), "a,b\n1,2,3\n4\n"))
+@example((("a", "b"), "a,b\n1,2\n3,4\n5"))
+@example((("a", "b"), "a,b\n1,2\n"))
+@example((("a", "b"), "a,b"))
+def test_read_pairs_matches_the_line_loop(tmp_path_factory, case):
+    header, text = case
+    path = tmp_path_factory.getbasetemp() / "pairs.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert pairs_outcome(_read_pairs, path, header) == pairs_outcome(reference_read_pairs, path, header)
+
+
 # ---------------------------------------------------------------- link-state scan
 
 SCAN_TOPOLOGY = GridTopology(build_constellation([SMALL_SHELL]))
@@ -657,6 +733,52 @@ def test_prescreen_flags_every_value_near_a_rounding_boundary(case, eps, negativ
     v = (v + in_eps * eps) * (-1.0 if negative else 1.0)
     flagged = bool(stats._near_rounding_boundary(np.array([v]), eps)[0])
     assert flagged or canonical_number(v - eps) == canonical_number(v + eps)
+
+
+def rounding_mix(kind, rng, n):
+    """n values of one of the mixes the vectorized rounding must get right."""
+    if kind == "uniform":
+        return rng.uniform(-100.0, 2000.0, n)
+    if kind == "log-uniform":
+        return np.exp(rng.uniform(-60.0, 60.0, n)) * rng.choice([-1.0, 1.0], n)
+    if kind == "79-81 km":
+        return rng.uniform(79.0, 81.0, n)
+    if kind == "3 decimals":
+        return rng.integers(-10**6, 10**7, n) / 1000.0
+    if kind == "0.1 s grid":
+        return rng.integers(0, 10**6, n) * 0.1
+    if kind == "midpoints":  # (m + 0.5) * 10**(e + 1), and their neighbours
+        mid = [float(f"{m}5e{e}") for m, e in zip(rng.integers(10**8, 10**9, n), rng.integers(-24, 25, n))]
+        return np.nextafter(mid, rng.choice([-np.inf, np.inf], n)) if rng.random() < 0.5 else np.array(mid)
+    if kind == "powers of ten":
+        tens = np.array([float(f"1e{k}") for k in rng.integers(-30, 40, n)])
+        return np.nextafter(tens, rng.choice([-np.inf, 0.0, np.inf], n))
+    if kind == "subnormal":
+        return rng.uniform(-1.0, 1.0, n) * 2.2250738585072014e-308
+    return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300.0, 300.0, n)  # mostly |q| > 22
+
+
+odd_values = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-14, 1e31, 9.999999995, 0.5e-3]),
+    st.builds(lambda m, e: float(f"{m}5e{e}"), st.integers(10**8, 10**9 - 1), st.integers(-30, 30)),
+)
+
+
+@FUZZ
+@given(
+    st.sampled_from(["uniform", "log-uniform", "79-81 km", "3 decimals", "0.1 s grid", "midpoints",
+                     "powers of ten", "subnormal", "wide"]),
+    st.integers(0, 2**32 - 1),
+    st.lists(odd_values, max_size=16),
+    st.sampled_from([7, stats._ROUND_VALUES]),
+)
+def test_vectorized_rounding_equals_canonical_number(kind, seed, odd, slice_values):
+    # bit for bit, with -0.0 read as 0.0 as the CDF table reads it, across slice boundaries
+    x = np.concatenate([rounding_mix(kind, np.random.default_rng(seed), 64), odd])
+    with mock.patch.object(stats, "_ROUND_VALUES", slice_values):
+        rounded = stats._canonical(x)
+    assert repr(rounded.tolist()) == repr([canonical_number(v) + 0.0 for v in x.tolist()])
 
 
 # ---------------------------------------------------------------- ground geometry

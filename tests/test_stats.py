@@ -32,11 +32,11 @@ class TestCdfTable:
 
     def test_invalid_tables_rejected(self):
         with pytest.raises(ValueError):
-            CdfTable(points=((2.0, 0.5), (1.0, 1.0)))  # values not increasing
+            CdfTable([2.0, 1.0], [0.5, 1.0])  # values not increasing
         with pytest.raises(ValueError):
-            CdfTable(points=((1.0, 0.9), (2.0, 0.5)))  # proportions decreasing
+            CdfTable([1.0, 2.0], [0.9, 0.5])  # proportions decreasing
         with pytest.raises(ValueError):
-            CdfTable(points=((1.0, 0.5),))  # terminal proportion != 1
+            CdfTable([1.0], [0.5])  # terminal proportion != 1
 
     def test_signed_zero_counts_as_zero(self):
         for samples in ([-0.0], [0.0, -0.0], [-0.0, 1.0, -0.0, 0.0]):
@@ -114,7 +114,7 @@ class TestProportionBelowSearch:
         assert cdf.proportion_below(2.0) == 0.25
         assert cdf.proportion_below(3.5) == 1.0
         assert cdf.proportion_below(math.nan) == 0.0
-        assert CdfTable(points=()).proportion_below(1.0) == 0.0
+        assert CdfTable([], []).proportion_below(1.0) == 0.0
 
 
 class TestMinIslAltitudeCdf:
@@ -225,7 +225,7 @@ class TestCdfCsv:
         write_cdf_csv(cdf, path)
         lines = ["value_km,proportion"] + [f"{v:.9g},{p:.9g}" for v, p in cdf.points]
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
-        write_cdf_csv(CdfTable(points=()), path)
+        write_cdf_csv(CdfTable([], []), path)
         assert path.read_bytes() == b"value_km,proportion\n"
 
     def test_failed_write_keeps_old_csv(self, tmp_path, monkeypatch):
@@ -233,8 +233,8 @@ class TestCdfCsv:
         write_cdf_csv(CdfTable.from_samples([1.0, 2.0]), path)
         old = path.read_bytes()
         monkeypatch.setattr(stats, "_CSV_ROWS", 2)
-        # the first slices reach the file before a row fails to format
-        bad = SimpleNamespace(points=CdfTable.from_samples(range(5)).points + (("x", 1.0),))
+        # the first slices reach the file before the last one fails: its columns differ in length
+        bad = SimpleNamespace(values=np.arange(6.0), proportions=np.linspace(0.2, 1.0, 5))
         with pytest.raises(ValueError):
             write_cdf_csv(bad, path)
         assert path.read_bytes() == old
@@ -306,4 +306,4 @@ class TestCdfTableNonFinite:
     )
     def test_rejected(self, points):
         with pytest.raises(ValueError, match="CDF"):
-            CdfTable(points=points)
+            CdfTable(*zip(*points))

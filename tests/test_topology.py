@@ -544,11 +544,18 @@ class TestScanOffsets:
         ("dh_km", "1", "must be a number, got '1'"),
         ("dwell_s", True, "must be a number, got True"),
         ("dwell_s", "1", "must be a number, got '1'"),
-    ], ids=["dh_km-nan", "dh_km-inf", "dh_km--inf", "dwell_s-nan", "dh_km-True", "dh_km-1", "dwell_s-True", "dwell_s-1"])
+        ("start_s", "5", "must be a number, got '5'"),
+        ("start_s", True, "must be a number, got True"),
+        ("dh_km", 10**400, "must be within the float range"),
+        ("dwell_s", 10**400, "must be within the float range"),
+        ("start_s", 10**400, "must be within the float range"),
+    ], ids=["dh_km-nan", "dh_km-inf", "dh_km--inf", "dwell_s-nan", "dh_km-True", "dh_km-1", "dwell_s-True", "dwell_s-1",
+            "start_s-5", "start_s-True", "dh_km-huge-int", "dwell_s-huge-int", "start_s-huge-int"])
     def test_rejects_non_finite_maneuver(self, topo, field, value, message):
-        # faults.offsets_at would give a NaN offset where the scan clamps to +-10 km
-        fields = {"dh_km": 1.0, "dwell_s": 50.0, field: value}
-        maneuvers = [ManeuverEvent(SAT, 0.0, 1.0, 50.0), ManeuverEvent(OTHER, 10.0, **fields)]
+        # faults.offsets_at would give a NaN offset where the scan clamps to +-10 km; a string
+        # start would fail unnamed in the scan, and True would read as 1 s
+        fields = {"start_s": 10.0, "dh_km": 1.0, "dwell_s": 50.0, field: value}
+        maneuvers = [ManeuverEvent(SAT, 0.0, 1.0, 50.0), ManeuverEvent(OTHER, **fields)]
         with pytest.raises(ValueError, match=rf"maneuvers\[1\]\.{field} {message}"):
             topo.scan(SCAN_TIMES, maneuvers)
         with pytest.raises(ValueError, match=rf"maneuvers\[1\]\.{field} {message}"):
@@ -568,7 +575,8 @@ class TestScanOffsets:
         (-math.inf, "t_s must be finite, got -inf"),
         (True, "t_s must be a number, got True"),
         ("1", "t_s must be a number, got '1'"),
-    ], ids=["nan", "inf", "-inf", "True", "1"])
+        (10**400, "t_s must be within the float range"),
+    ], ids=["nan", "inf", "-inf", "True", "1", "huge-int"])
     def test_positions_reject_non_finite_time(self, topo, t_s, match):
         # every link would read NaN grazing, marked not viable; a bool would read as 1 s
         for call in (topo.positions, topo.grazing, topo.snapshot):
@@ -582,7 +590,8 @@ class TestScanOffsets:
         ({SAT: True}, r"offsets\[SatelliteId\(shell=0, plane=1, index=2\)\] must be a number, got True"),
         ({SAT: "1"}, r"offsets\[SatelliteId\(shell=0, plane=1, index=2\)\] must be a number, got '1'"),
         ({SAT: None}, r"offsets\[SatelliteId\(shell=0, plane=1, index=2\)\] must be a number, got None"),
-    ], ids=["off-the-topology", "nan", "minus-inf", "bool", "string", "none"])
+        ({SAT: 10**400}, r"offsets\[SatelliteId\(shell=0, plane=1, index=2\)\] must be within the float range"),
+    ], ids=["off-the-topology", "nan", "minus-inf", "bool", "string", "none", "huge-int"])
     def test_positions_reject_bad_offsets(self, topo, offsets, match):
         for call in (topo.positions, topo.grazing):
             with pytest.raises(ValueError, match=match):
