@@ -63,12 +63,16 @@ def _check_range(name: str, value, low, high=math.inf, ends: str = "[]", error: 
     included infinite bound leaves that side unbounded. The test asks whether
     value is inside, so NaN, for which every comparison is false, never is.
     Float bounds keep the check cheap; the message drops their ".0".
-    A bool, which Python compares as an int, is never a number here.
+    A bool, which Python compares as an int, is never a number here, nor is
+    a value that does not compare with the bounds, such as a str or None.
     """
     if type(value) is bool:
         raise error(f"{name} must be a number, got {value}")
-    if (value > low or value == low and ends[0] == "[") and (value < high or value == high and ends[1] == "]"):
-        return
+    try:
+        if (value > low or value == low and ends[0] == "[") and (value < high or value == high and ends[1] == "]"):
+            return
+    except TypeError:
+        raise error(f"{name} must be a number, got {value!r}") from None
     low_text, high_text = (str(bound).removesuffix(".0") for bound in (low, high))
     if high == math.inf and ends[1] == "]" and low != -math.inf:
         bound = f"{'>=' if ends[0] == '[' else '>'} {low_text}"

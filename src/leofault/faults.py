@@ -269,6 +269,10 @@ class RandomStreams:
 
     def __post_init__(self) -> None:
         _check_range("seed", self.seed, 0, 2**64, "[)")
+        try:
+            operator.index(self.seed)  # a float seed passes the range but no substream takes it
+        except TypeError:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}") from None
 
     def substreams(self, labels: Iterable[str]) -> Iterator[np.random.Generator]:
         """The substream of each label, in order.

@@ -14,15 +14,11 @@ Both modes evaluate the links by Walker symmetry class
 phase offset F = 0 its cross-plane links of one in-plane index, have
 the same grazing altitude at a step up to rounding. Each step evaluates
 one representative per class with the scan's kernel, a block of steps
-per call. Its value v stands for every member only if no rounding
-boundary of canonical_number (a midpoint between 9-significant-digit
-decimals) lies within eps of v. eps bounds how far a member's computed
-value may lie from v: 2**-39 of the largest orbit radius (1.3e-8 km at
-7,000 km) for the kernel's rounding, plus 2**-45 of it per radian of
-the largest argument of latitude, which rounds more as |t| grows (eps is
-2e-4 km at t = 1e9 s, where every class falls back). Where a boundary
-is that near, the class's members are evaluated one by one. So every
-canonical value and its count equal those of a per-link scan
+per call. Its value v stands for every member only if every value
+within eps of v rounds as v does (_near_rounding_boundary), eps being
+topology._class_eps, the bound on how far a member's computed value may
+lie from v. Where that fails, the members are evaluated one by one. So
+every canonical value and its count equal those of a per-link scan
 (GridTopology.scan), and the CSV bytes with them; per-link minima take
 each class's minimum under the same rule. A link that fails the class
 membership check is a class of one.
@@ -40,6 +36,7 @@ per link whatever the window.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -127,7 +124,10 @@ class CdfTable:
         return cls(canonical.take(starts), cumulative)
 
     def proportion_below(self, threshold: float) -> float:
-        """Proportion of samples strictly below the threshold (0.0 for NaN)."""
+        """Proportion of samples strictly below the threshold (0.0 for NaN); ValueError names a
+        threshold that is a bool or no real number."""
+        if type(threshold) is bool or not isinstance(threshold, numbers.Real):
+            raise ValueError(f"threshold must be a number, got {threshold!r}")
         if threshold != threshold:  # NaN, which no value is below
             return 0.0
         below = int(np.searchsorted(self.values, threshold))
@@ -194,32 +194,19 @@ def min_isl_altitude_cdf(
     return CdfTable.from_counts(values, counts)
 
 
-def _quantum(k: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Whether the 9-significant-digit quantum 10**(k - 23) of decade k of _DECADES is below 1, and
-    10**|k - 23| as an exact double (10**22 outside the table)."""
-    q = k - 23
-    return q < 0, _TENS.take(np.abs(q), mode="clip")
-
-
 def _near_rounding_boundary(v: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """Where a rounding boundary of canonical_number may lie within eps of v, with only + - * /,
-    floor and comparisons: True unless eps + |v| * 2**-40 around |v| stays inside one decade of
-    [1e-3, 1e12) and off that decade's midpoints between 9-significant-digit decimals."""
-    a = np.abs(v)
-    w = eps + a * 2.0**-40  # the margin covers the rounding of a into quanta and back
-    k = np.searchsorted(_DECADES, a - w, side="right")
-    below, scale = _quantum(k)
-    with np.errstate(over="ignore", invalid="ignore"):  # near the float range; such values are flagged anyway
-        x = np.where(below, a * scale, a / scale)
-        off = np.abs(x - np.floor(x) - 0.5)
-        off = np.where(below, off / scale, off * scale)
-        # decades 12 to 26 of _DECADES are [1e-3, 1e12)
-        inside = (k == np.searchsorted(_DECADES, a + w, side="right")) & (k >= 12) & (k <= 26)
-    return ~(inside & (off > w))
+    """Where a value within eps of v may round otherwise than v: where v - w and v + w round
+    apart, w = eps + (|v| + eps) * 2**-40. Rounding is monotone, so where they round alike, all of
+    [v - w, v + w] does, and it covers [v - eps, v + eps]: w exceeds eps by more than the rounding
+    of w and of v +- w, each at most 2**-52 of |v| + w. An end that overflows or is NaN rounds
+    apart from the other, so inf and NaN are flagged."""
+    w = eps + (np.abs(v) + eps) * 2.0**-40
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _canonical(v - w) != _canonical(v + w)
 
 
 def _canonical(x: np.ndarray) -> np.ndarray:
-    """canonical_number of every value, bit for bit, with -0.0 as 0.0.
+    """canonical_number of every value of an array of any shape, bit for bit, with -0.0 as 0.0.
 
     |x| in decade k is m quanta 10**q, q = k - 23, with m one correctly rounded * or / by an exact
     power of ten, so within 2**-53 * 1e9 of the exact quotient: unless m lies within 1e-6 of a
@@ -229,12 +216,14 @@ def _canonical(x: np.ndarray) -> np.ndarray:
     float() reads from that text. A value outside the table (zero, subnormal, |q| > 22, inf or
     NaN), near such a midpoint, or whose r falls outside [1e8, 1e9) goes through canonical_number.
     """
-    out, fast = np.empty(x.size), np.empty(x.size, dtype=bool)
-    for i in range(0, x.size, _ROUND_VALUES):
-        part = x[i:i + _ROUND_VALUES]
+    flat = np.ravel(x)
+    out, fast = np.empty(flat.size), np.empty(flat.size, dtype=bool)
+    for i in range(0, flat.size, _ROUND_VALUES):
+        part = flat[i:i + _ROUND_VALUES]
         a = np.abs(part)
         k = np.searchsorted(_DECADES, a, side="right")
-        below, scale = _quantum(k)
+        q = k - 23
+        below, scale = q < 0, _TENS.take(np.abs(q), mode="clip")  # 10**|q|, 10**22 outside the table
         with np.errstate(over="ignore", invalid="ignore"):
             m = np.where(below, a * scale, a / scale)
             r = np.rint(m)
@@ -243,9 +232,9 @@ def _canonical(x: np.ndarray) -> np.ndarray:
             )
             out[i:i + part.size] = np.copysign(np.where(below, r / scale, r * scale), part)
     slow = np.flatnonzero(~fast)
-    out[slow] = [canonical_number(v) for v in x.take(slow).tolist()]
+    out[slow] = [canonical_number(v) for v in flat.take(slow).tolist()]
     out += 0.0
-    return out
+    return out.reshape(np.shape(x))
 
 
 def _fold(

@@ -63,11 +63,12 @@ kept, and each run is closed as it ends. All run edges are then bisected
 together, each open edge at its own midpoint and station position. The
 handover schedule samples t0 + k*step from time_grid, the last sample
 clipped to the last window end; each window covers a range of samples.
-Whole samples are expanded into (sample, window) pairs in batches of about
-8k pairs (one sample with more forms a batch alone), each batch propagated
-and scored in one call; a sort on (sample, -elevation, id) picks each
-sample's winner, lowest id on ties, and a handover is a change of winner
-between consecutive covered samples.
+Whole samples are expanded into (sample, window) pairs in blocks of as
+many samples as hold 8k pairs at the peak count of open windows (at
+least one sample), each block propagated and scored in one call; a sort
+on (sample, -elevation, id) picks each sample's winner, lowest id on
+ties, and a handover is a change of winner between consecutive covered
+samples.
 """
 
 from __future__ import annotations
@@ -401,17 +402,15 @@ def _class_samples(
     is evaluated: group class count + e, weight 1, for edge e.
     """
     class_of, reps, members = topo._symmetry_classes
-    edge_a, edge_b, fleet = topo._edge_a, topo._edge_b, topo._fleet
+    edge_a, edge_b = topo._edge_a, topo._edge_b
     size = np.bincount(class_of)
     first = np.cumsum(size) - size  # each class's first entry in members
-    r_km, n_rad_s = fleet.a_km, _mean_motion(fleet.a_km)
     rep_a, rep_b = edge_a.take(reps), edge_b.take(reps)
-    most = max(1, _CLASS_ROWS // (2 * reps.size))
-    for s in range(0, times.size, most):
-        t = times[s:s + most]
+    for s, e, r_km, n_rad_s, _ in topo._steps(times, (), max(1, _CLASS_ROWS // (2 * reps.size))):
+        t = times[s:e]
         grazing = topo._edge_grazing(np.tile(rep_a, t.size), np.tile(rep_b, t.size), t.repeat(reps.size), r_km, n_rad_s)
         grazing = grazing.reshape(t.size, reps.size)
-        flagged = (size > 1) & near(grazing, _class_eps(fleet, t)[:, None])
+        flagged = (size > 1) & near(grazing, _class_eps(topo._fleet, t)[:, None])
         kept = ~flagged
         # every member of a flagged class at that step, class by class
         step, c = np.nonzero(flagged)
@@ -731,10 +730,11 @@ def handover_schedule(
     closes = np.maximum(np.searchsorted(times, ends), opens)
     n = times.size
     open_at = np.cumsum(np.bincount(opens, minlength=n + 1) - np.bincount(closes, minlength=n + 1))[:n]
-    pairs_through = np.cumsum(open_at)  # (sample, window) pairs of samples 0..k
+    most = max(1, _PAIRS_PER_BATCH // max(1, int(open_at.max())))  # samples per batch
     events: List[Tuple[float, SatelliteId, SatelliteId]] = []
     last_k, last_row = -2, -1  # the last covered sample so far and its winner
-    for s, e in _batches(pairs_through):
+    for s in range(0, n, most):
+        e = min(s + most, n)
         w = np.flatnonzero((opens < e) & (closes > s))
         lo = np.maximum(opens[w], s)
         count = np.minimum(closes[w], e) - lo
@@ -758,15 +758,3 @@ def handover_schedule(
         )
         last_k, last_row = int(k[-1]), int(rows[-1])
     return events
-
-
-def _batches(pairs_through: np.ndarray) -> Iterator[Tuple[int, int]]:
-    """Sample ranges [s, e) in order, each of whole samples holding at most
-    _PAIRS_PER_BATCH pairs, or of one sample that alone holds more;
-    pairs_through[k] counts the pairs of samples 0..k."""
-    s = 0
-    while s < pairs_through.size:
-        done = int(pairs_through[s - 1]) if s else 0
-        e = max(int(np.searchsorted(pairs_through, done + _PAIRS_PER_BATCH, side="right")), s + 1)
-        yield s, e
-        s = e

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 from collections import Counter
 
@@ -476,6 +477,17 @@ class TestConfigValidation:
             RandomStreams(-1)
         with pytest.raises(ValueError):
             RandomStreams(2**64)
+
+    @pytest.mark.parametrize("seed", [1.5, 5.0, np.float64(5.0)], ids=["1.5", "5.0", "float64"])
+    def test_streams_seed_must_be_an_integer(self, seed):
+        # a float inside the range passes the range rule, but no substream can take it
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+            RandomStreams(seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(2**64 - 1), np.int8(0)])
+    def test_streams_take_numpy_integer_seeds(self, seed):
+        streams = RandomStreams(seed)
+        assert streams.stream("a").random() == RandomStreams(int(seed)).stream("a").random()
 
 
 def reference_stream(seed, label):

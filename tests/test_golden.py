@@ -18,6 +18,7 @@ import pytest
 from leofault import (
     EccentricityWarning,
     FaultModelConfig,
+    GridTopology,
     GroundStation,
     RandomStreams,
     TleRecord,
@@ -369,6 +370,24 @@ def test_gen1_isl_cdf_digest(tmp_path, capsys, flags, digest):
     out = tmp_path / "cdf.csv"
     assert main(["isl-cdf", "--config", str(config), "--out", str(out), *flags]) == 0
     assert sha256_of(out) == digest
+
+
+@pytest.mark.parametrize("flags", [[], ["--per-link-min"]], ids=["per-step", "per-link-min"])
+@pytest.mark.parametrize(
+    "config, evaluations",
+    [({**DENSE_CONFIG, "duration_s": 1800.0}, 11_939), (GEN1_CDF_CONFIG, 227_774)],
+    ids=["dense-30min", "gen1-2h"],
+)
+def test_isl_cdf_evaluations(tmp_path, capsys, monkeypatch, flags, config, evaluations):
+    # the link kernel's evaluations: every class representative at every step, and the members of
+    # the class-steps near a rounding boundary; a certificate that flags more changes these counts
+    evaluated = []
+    kernel = GridTopology._edge_grazing
+    monkeypatch.setattr(GridTopology, "_edge_grazing",
+                        lambda self, a, *args: evaluated.append(a.size) or kernel(self, a, *args))
+    path = write_config(tmp_path, config)
+    assert main(["isl-cdf", "--config", str(path), "--out", str(tmp_path / "cdf.csv"), *flags]) == 0
+    assert sum(evaluated) == evaluations
 
 
 def render_windows(windows) -> str:

@@ -46,6 +46,7 @@ from leofault import (
     visibility_windows,
 )
 from leofault.constants import _check_range
+from leofault.orbital import time_grid
 
 NAN = math.nan
 SHELL = ShellSpec(550.0, 53.0, 3, 3)
@@ -107,6 +108,25 @@ def test_bool_field_rejected_with_its_name(instance, name, value):
         dataclasses.replace(instance, **{name: value})
 
 
+NOT_NUMBERS = [(instance, name, "1") for instance, name in NUMBER_FIELDS] + [
+    (instance, name, None)
+    for instance, name in NUMBER_FIELDS
+    if get_type_hints(type(instance))[name] is not Optional[float]
+]
+
+
+@pytest.mark.parametrize(
+    "instance, name, value",
+    NOT_NUMBERS,
+    ids=[f"{type(i).__name__}.{n}-{v!r}" for i, n, v in NOT_NUMBERS],
+)
+def test_non_number_field_rejected_with_its_name(instance, name, value):
+    # text and None do not compare with a number: the range rule names them, not a bare TypeError
+    error = ConfigError if isinstance(instance, SimulationConfig) else ValueError
+    with pytest.raises(error, match=f"^{name} must be (a number|an integer), got {re.escape(repr(value))}$"):
+        dataclasses.replace(instance, **{name: value})
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -137,12 +157,20 @@ ARGUMENTS = [
     (rain_multiplier, (NAN,), "precip_mm_h"),
     (slant_range_km, (NAN, 30.0), "altitude_km"),
     (slant_range_km, (550.0, NAN), "elevation_deg"),
+    (time_grid, (0.0, 10.0, NAN), "step_s"),
 ]
 
 
 @pytest.mark.parametrize("func, args, name", ARGUMENTS, ids=[f"{f.__name__}.{n}" for f, _, n in ARGUMENTS])
 def test_nan_argument_rejected_with_its_name(func, args, name):
     with pytest.raises(ValueError, match=f"^{name} must be "):
+        func(*args)
+
+
+@pytest.mark.parametrize("func, args, name", ARGUMENTS, ids=[f"{f.__name__}.{n}" for f, _, n in ARGUMENTS])
+def test_text_argument_rejected_with_its_name(func, args, name):
+    args = tuple("1" if isinstance(arg, float) and math.isnan(arg) else arg for arg in args)
+    with pytest.raises(ValueError, match=f"^{name} must be a number, got '1'$"):
         func(*args)
 
 

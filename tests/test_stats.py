@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -76,6 +77,19 @@ class TestInfeasibleFraction:
     def test_threshold_value_not_counted(self):
         cdf = CdfTable.from_samples([80.0, 90.0])
         assert cdf.proportion_below(80.0) == 0.0  # strictly below
+
+    @pytest.mark.parametrize("threshold", ["a", "80", None, True, False, 80j], ids=repr)
+    def test_threshold_must_be_a_number(self, threshold):
+        # none is a number, though searchsorted would place "a" after every value and read True as 1.0
+        cdf = CdfTable.from_samples([70.0, 85.0])
+        with pytest.raises(ValueError, match=f"^threshold must be a number, got {re.escape(repr(threshold))}$"):
+            cdf.proportion_below(threshold)
+
+    def test_any_real_threshold(self):
+        cdf = CdfTable.from_samples([70.0, 85.0])
+        assert cdf.proportion_below(80) == cdf.proportion_below(np.float64(80.0)) == cdf.proportion_below(80.0) == 0.5
+        assert cdf.proportion_below(np.int64(71)) == 0.5
+        assert cdf.proportion_below(math.nan) == cdf.proportion_below(np.float64("nan")) == 0.0
 
     def test_matches_direct_count(self, rng):
         for _ in range(100):
@@ -179,12 +193,12 @@ class TestMinIslAltitudeCdf:
             483.1234565: True,  # a midpoint between 9-digit decimals
             483.12345651: True,
             999.9999995: True,  # rounds to 1000
-            1000.0: True,
+            1000.0: False,  # no rounding boundary lies within eps; only the old decade window flagged it
             0.0: True,
             -0.0: True,
             5e-9: True,
             1e-4: True,  # below 1e-3 km nothing is cleared
-            1.5e12: True,
+            1.5e12: False,  # no rounding boundary lies within eps; only the old decade window flagged it
             math.nan: True,
         }
         flagged = stats._near_rounding_boundary(np.array(list(cases)), 1e-8)
