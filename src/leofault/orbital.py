@@ -9,6 +9,11 @@ A small radial offset can be applied during propagation (used for
 collision-avoidance maneuvers); the offset orbit keeps the same plane but
 has its mean motion recomputed for the offset radius.
 
+A fleet is one struct of arrays, FleetArrays, laid out from the shells
+(and TLE columns) with no per-satellite object: a read-only mapping that
+builds an element only when one is looked up. build_constellation returns
+the same rows as an editable dict; FleetArrays.of converts any mapping.
+
 The position formula lives in one private kernel that returns x, y and z
 as separate planes. propagate_arrays stacks its planes into (..., 3)
 rows. FleetArrays computes the cosines and sines of every satellite's
@@ -21,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -92,7 +97,7 @@ class CircularElements:
         object.__setattr__(self, "phase_deg", self.phase_deg % 360.0)
 
 
-Constellation = Dict[SatelliteId, CircularElements]
+Constellation = Mapping[SatelliteId, CircularElements]
 
 
 def orbital_period(altitude_km: float) -> float:
@@ -107,29 +112,38 @@ def orbital_period(altitude_km: float) -> float:
 
 def build_constellation(
     shells: Sequence[ShellSpec], earth_radius_km: float = EARTH_RADIUS_KM
-) -> Constellation:
-    """Instantiate every satellite of the given shells at epoch 0.
+) -> Dict[SatelliteId, CircularElements]:
+    """Every satellite of the given shells at epoch 0, as an editable dict in id order.
 
     Plane p of a shell gets raan = p * raan_spread / P. Satellite s of
     plane p gets phase = s * 360/S + p * F * 360/(P*S), normalized.
     """
     _check_range("earth_radius_km", earth_radius_km, 0.0, ends="()")
-    constellation: Constellation = {}
+    return dict(_fleet(shells, earth_radius_km).items())
+
+
+def _fleet(
+    shells: Sequence[ShellSpec], earth_radius_km: float, catalogs: Sequence[Tuple[np.ndarray, ...]] = ()
+) -> "FleetArrays":
+    """The shells' satellites, then each catalog's (a_km, inclination, RAAN, phase) columns as a shell
+    of one plane. Per-plane terms are Python floats, as p * F can exceed int64; per-slot terms are
+    numpy's, the same IEEE operations in the same order."""
+    ids, columns = [np.empty((3, 0), dtype=np.int64)], [(np.empty(0),) * 4]
     for shell_index, spec in enumerate(shells):
-        a_km = earth_radius_km + spec.altitude_km
         p_count, s_count = spec.planes, spec.sats_per_plane
-        for p in range(p_count):
-            raan = p * spec.raan_spread_deg / p_count
-            plane_phase = p * spec.phase_offset_f * 360.0 / (p_count * s_count)
-            for s in range(s_count):
-                sat = SatelliteId(shell_index, p, s)
-                constellation[sat] = CircularElements(
-                    semi_major_axis_km=a_km,
-                    inclination_deg=spec.inclination_deg,
-                    raan_deg=raan,
-                    phase_deg=s * 360.0 / s_count + plane_phase,
-                )
-    return constellation
+        raan = [p * spec.raan_spread_deg / p_count for p in range(p_count)]
+        plane_phase = np.array([p * spec.phase_offset_f * 360.0 / (p_count * s_count) for p in range(p_count)])
+        phase = (np.arange(s_count) * 360.0 / s_count + plane_phase[:, None]).ravel()
+        ids.append(np.stack([np.full(phase.size, shell_index), *np.indices((p_count, s_count)).reshape(2, -1)]))
+        a_km, inclination = earth_radius_km + spec.altitude_km, spec.inclination_deg
+        columns.append((np.full(phase.size, a_km, dtype=float), np.full(phase.size, inclination, dtype=float),
+                        np.repeat(raan, s_count), phase))
+    for shell_index, catalog in enumerate(catalogs, len(shells)):
+        n = catalog[0].size
+        ids.append(np.stack([np.full(n, shell_index), np.zeros(n, dtype=np.int64), np.arange(n)]))
+        columns.append(catalog)
+    a_km, inclination, raan, phase = (np.concatenate(c) for c in zip(*columns))
+    return FleetArrays(np.concatenate(ids, axis=1), a_km, inclination, raan % 360.0, phase % 360.0)
 
 
 def _mean_motion(r_km: np.ndarray) -> np.ndarray:
@@ -187,15 +201,36 @@ def propagate_arrays(
     return np.stack(planes, axis=-1)
 
 
-@dataclass(frozen=True)
-class FleetArrays:
-    """A constellation as one struct of arrays, satellites in id order."""
+class FleetArrays(Mapping[SatelliteId, CircularElements]):
+    """A constellation as one struct of arrays, satellites in id order: the shell, plane and index
+    columns of ids, CircularElements' fields in degrees, and their angles in radians, derived once.
+    As a read-only mapping it builds an element only when one is looked up."""
 
-    sat_ids: List[SatelliteId]
-    a_km: np.ndarray
-    inclination_rad: np.ndarray
-    raan_rad: np.ndarray
-    phase_rad: np.ndarray
+    def __init__(self, ids: np.ndarray, a_km: np.ndarray, *degrees: np.ndarray) -> None:
+        self.shell, self.plane, self.index = ids
+        self.a_km, self.inclination_deg, self.raan_deg, self.phase_deg = a_km, *degrees
+        self.inclination_rad, self.raan_rad, self.phase_rad = map(np.radians, degrees)
+
+    @cached_property
+    def sat_ids(self) -> List[SatelliteId]:
+        return list(map(SatelliteId, self.shell.tolist(), self.plane.tolist(), self.index.tolist()))
+
+    @cached_property
+    def _row_of(self) -> Dict[SatelliteId, int]:
+        return dict(zip(self.sat_ids, range(len(self))))
+
+    def __len__(self) -> int:
+        return self.a_km.size
+
+    def __iter__(self) -> Iterator[SatelliteId]:
+        return iter(self.sat_ids)
+
+    def __contains__(self, sat) -> bool:
+        return sat in self._row_of
+
+    def __getitem__(self, sat: SatelliteId) -> CircularElements:
+        row, columns = self._row_of[sat], (self.a_km, self.inclination_deg, self.raan_deg, self.phase_deg)
+        return CircularElements(*(float(c[row]) for c in columns))
 
     @cached_property
     def _trig(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -208,16 +243,23 @@ class FleetArrays:
         )
 
     @classmethod
-    def from_constellation(cls, constellation: Constellation) -> "FleetArrays":
+    def of(cls, constellation: Constellation) -> "FleetArrays":
+        """constellation itself if it is a fleet, else its entries in id order.
+
+        ValueError names the first entry whose key is not a SatelliteId of
+        integers in [0, 2**63) or whose value is not CircularElements.
+        """
+        if isinstance(constellation, FleetArrays):
+            return constellation
+        for sat, element in constellation.items():
+            if not (isinstance(sat, SatelliteId) and all(type(f) is int and 0 <= f < 2**63 for f in sat)):
+                raise ValueError(f"constellation[{sat!r}] must be keyed by a SatelliteId of integers in [0, 2**63)")
+            if not isinstance(element, CircularElements):
+                raise ValueError(f"constellation[{sat!r}] must be CircularElements, got {element!r}")
         sat_ids = sorted(constellation)
-        elements = [constellation[s] for s in sat_ids]
-        return cls(
-            sat_ids=sat_ids,
-            a_km=np.array([e.semi_major_axis_km for e in elements]),
-            inclination_rad=np.radians([e.inclination_deg for e in elements]),
-            raan_rad=np.radians([e.raan_deg for e in elements]),
-            phase_rad=np.radians([e.phase_deg for e in elements]),
-        )
+        fields = ("semi_major_axis_km", "inclination_deg", "raan_deg", "phase_deg")
+        columns = (np.array([getattr(constellation[s], f) for s in sat_ids], dtype=float) for f in fields)
+        return cls(np.array(sat_ids, dtype=np.int64).reshape(-1, 3).T, *columns)
 
     def _planes(
         self,

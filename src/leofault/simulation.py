@@ -43,7 +43,7 @@ from .faults import (
     sample_maneuvers,
 )
 from .geometry import GroundStation
-from .orbital import Constellation, SatelliteId, ShellSpec, build_constellation, time_grid
+from .orbital import FleetArrays, ShellSpec, _fleet, time_grid
 from .tle import _read_elements
 from .topology import GridTopology, _isl_transition_trace
 from .trace import _write_rows
@@ -210,8 +210,8 @@ def _naming_file(field_name: str, path: str) -> Iterator[None]:
         raise ConfigError(f"{field_name} ({path}): {exc}") from None
 
 
-def build_fleet(config: SimulationConfig) -> Constellation:
-    """Constellation from declarative shells plus TLE snapshot files.
+def build_fleet(config: SimulationConfig) -> FleetArrays:
+    """The fleet of declarative shells plus TLE snapshot files, as one read-only struct of arrays.
 
     Each TLE file becomes its own pseudo-shell (one plane, one slot per
     record) after the declared shells; TLE satellites participate in the
@@ -219,13 +219,11 @@ def build_fleet(config: SimulationConfig) -> Constellation:
     structure cannot be reliably reconstructed from a catalog snapshot.
     A file that cannot be read or parsed raises ConfigError naming it.
     """
-    constellation = build_constellation(config.shells, config.earth_radius_km)
+    catalogs = []
     for file_index, path in enumerate(config.tle_files):
         with _naming_file(f"tle_files[{file_index}]", path):
-            elements = _read_elements(path)
-        shell_index = len(config.shells) + file_index
-        constellation.update((SatelliteId(shell_index, 0, i), e) for i, e in enumerate(elements))
-    return constellation
+            catalogs.append(_read_elements(path))
+    return _fleet(config.shells, config.earth_radius_km, catalogs)
 
 
 def _check_expected_events(config: SimulationConfig, n_sats: int, n_rain_changes: int) -> float:

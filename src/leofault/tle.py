@@ -22,7 +22,8 @@ so they apply parse_tle's conversions to every pair at once; the ranges
 come last. Only a pair these checks reject goes through parse_tle, which
 owns every TLE error message; if a cast raises, every pair does, and the
 first error in file order wins. A simulation's fleet takes its circular
-elements from the columns and builds no TleRecord.
+elements from the columns as arrays and builds no TleRecord and no
+CircularElements.
 
 Mean elements are reduced to a circular orbit: eccentricity is discarded
 and the phase is the sum of argument of perigee and mean anomaly. The
@@ -241,25 +242,9 @@ def _warn_eccentric(catalog_number: int, eccentricity: float, stacklevel: int) -
     )
 
 
-# the fields _circular takes, in its order
-_CIRCULAR_FIELDS = ("mean_motion_rev_per_day", "inclination_deg", "raan_deg", "arg_perigee_deg", "mean_anomaly_deg")
-
-
-def _circular(
-    mean_motion_rev_per_day: float,
-    inclination_deg: float,
-    raan_deg: float,
-    arg_perigee_deg: float,
-    mean_anomaly_deg: float,
-) -> CircularElements:
+def _semi_major_axis_km(mean_motion_rev_per_day: float) -> float:
     period_s = SECONDS_PER_DAY / mean_motion_rev_per_day
-    a_m = (MU_EARTH_M3_S2 * (period_s / (2.0 * math.pi)) ** 2) ** (1.0 / 3.0)
-    return CircularElements(
-        semi_major_axis_km=a_m / 1e3,
-        inclination_deg=inclination_deg,
-        raan_deg=raan_deg,
-        phase_deg=(arg_perigee_deg + mean_anomaly_deg) % 360.0,
-    )
+    return (MU_EARTH_M3_S2 * (period_s / (2.0 * math.pi)) ** 2) ** (1.0 / 3.0) / 1e3
 
 
 def tle_to_elements(rec: TleRecord) -> CircularElements:
@@ -270,7 +255,8 @@ def tle_to_elements(rec: TleRecord) -> CircularElements:
     """
     if rec.eccentricity > ECCENTRICITY_WARN_LIMIT:
         _warn_eccentric(rec.catalog_number, rec.eccentricity, stacklevel=3)
-    return _circular(*(getattr(rec, field) for field in _CIRCULAR_FIELDS))
+    phase_deg = (rec.arg_perigee_deg + rec.mean_anomaly_deg) % 360.0
+    return CircularElements(_semi_major_axis_km(rec.mean_motion_rev_per_day), rec.inclination_deg, rec.raan_deg, phase_deg)
 
 
 _WEIGHTS = np.frombuffer(_CHECKSUM_WEIGHTS, dtype=np.uint8)
@@ -425,13 +411,16 @@ def _rows(columns: Sequence[np.ndarray], chunk: int = 1024) -> Iterator[tuple]:
         yield from zip(*(column[low : low + chunk].tolist() for column in columns))
 
 
-def _read_elements(path) -> List[CircularElements]:
-    """tle_to_elements of every record of a TLE file, with its warnings, from the columns."""
+def _read_elements(path) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """tle_to_elements of every record of a TLE file as a_km, inclination, RAAN and phase
+    columns, with its warnings; a_km is tle_to_elements' scalar formula, record by record."""
     columns = _read_catalog(Path(path).read_text(encoding="utf-8").encode("utf-8"), named=False).columns
     eccentric = columns["eccentricity"] > ECCENTRICITY_WARN_LIMIT
     for number, eccentricity in _rows([columns["catalog_number"][eccentric], columns["eccentricity"][eccentric]]):
         _warn_eccentric(number, eccentricity, stacklevel=3)
-    return [_circular(*row) for row in _rows([columns[field] for field in _CIRCULAR_FIELDS])]
+    a_km = np.array([_semi_major_axis_km(n) for n in columns["mean_motion_rev_per_day"].tolist()], dtype=float)
+    phase = (columns["arg_perigee_deg"] + columns["mean_anomaly_deg"]) % 360.0
+    return a_km, columns["inclination_deg"], columns["raan_deg"], phase
 
 
 def parse_tle_text(text: str) -> List[TleRecord]:

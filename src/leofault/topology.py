@@ -3,7 +3,9 @@
 Each satellite links to its two neighbors within its orbital plane and to
 the same-index satellite in each adjacent plane, giving a static degree-4
 graph per shell (2*P*S undirected edges). Shells too small for the grid
-(fewer than 3 planes or 3 satellites per plane) carry no links.
+(fewer than 3 planes or 3 satellites per plane) carry no links. Every
+function here takes the fleet as orbital.FleetArrays (FleetArrays.of
+converts a dict once); a shell is a run of its id-ordered rows.
 
 Link state is evaluated per timestep from propagated positions: grazing
 altitude, segment length, and viability against a threshold. Over a time
@@ -135,27 +137,21 @@ class GridTopology:
     def __init__(self, constellation: Constellation, earth_radius_km: float = EARTH_RADIUS_KM):
         _check_range("earth_radius_km", earth_radius_km, 0.0, ends="()")
         self.earth_radius_km = earth_radius_km
-        self._fleet = FleetArrays.from_constellation(constellation)
-        self.sat_ids: List[SatelliteId] = self._fleet.sat_ids
-        self._index_of = {sat: i for i, sat in enumerate(self.sat_ids)}
+        self._fleet = fleet = FleetArrays.of(constellation)
 
-        shells: Dict[int, List[SatelliteId]] = {}
-        for sat in self.sat_ids:
-            shells.setdefault(sat.shell, []).append(sat)
-
+        # rows are in id order, so each shell is one run of rows
+        starts = np.flatnonzero(np.diff(fleet.shell, prepend=-1)).tolist()
         ends = [np.empty((2, 0), dtype=int)]
         kinds: List[str] = []
-        for shell, members in sorted(shells.items()):
-            planes = 1 + max(s.plane for s in members)
-            per_plane = 1 + max(s.index for s in members)
+        for lo, hi in zip(starts, starts[1:] + [len(fleet)]):
+            planes = 1 + int(fleet.plane[lo:hi].max())
+            per_plane = 1 + int(fleet.index[lo:hi].max())
             if planes < 3 or per_plane < 3:
                 continue
-            if len(members) != planes * per_plane or min(min(s.plane, s.index) for s in members) < 0:
-                raise ValueError(
-                    f"shell {shell} is not a complete {planes}x{per_plane} grid"
-                )
-            # ids sort: rows are base + plane * per_plane + index; per row, its intra- then cross-plane edge
-            grid = self._index_of[members[0]] + np.arange(len(members)).reshape(planes, per_plane)
+            if hi - lo != planes * per_plane:  # ids are distinct and non-negative
+                raise ValueError(f"shell {fleet.shell[lo]} is not a complete {planes}x{per_plane} grid")
+            # rows are lo + plane * per_plane + index; per row, its intra- then cross-plane edge
+            grid = lo + np.arange(hi - lo).reshape(planes, per_plane)
             a = np.repeat(grid.ravel(), 2)
             b = np.stack([np.roll(grid, -1, axis=1), np.roll(grid, -1, axis=0)], axis=-1).ravel()
             ends.append(np.array([np.minimum(a, b), np.maximum(a, b)]))
@@ -163,6 +159,10 @@ class GridTopology:
 
         self._edge_a, self._edge_b = np.concatenate(ends, axis=1)
         self.edge_kinds = kinds
+
+    @property
+    def sat_ids(self) -> List[SatelliteId]:
+        return self._fleet.sat_ids
 
     @cached_property
     def edge_ids(self) -> List[Tuple[SatelliteId, SatelliteId]]:
@@ -190,7 +190,7 @@ class GridTopology:
         a2, b2 = edge_a.reshape(-1, 2), edge_b.reshape(-1, 2)
         src = np.repeat(np.where((a2[:, 0] == a2[:, 1]) | (a2[:, 0] == b2[:, 1]), a2[:, 0], b2[:, 0]), 2)
         dst = np.where(edge_a == src, edge_b, edge_a)
-        shell, index = np.array([(s.shell, s.index) for s in self.sat_ids]).reshape(-1, 2).T
+        shell, index = fleet.shell, fleet.index
         cross = np.arange(self.n_edges) % 2 == 1
         # a shell's edges are contiguous, in shell order: base is its first, and row (0, s)'s are base + 2s, + 1
         shell = shell.take(src)
@@ -217,11 +217,11 @@ class GridTopology:
         _number("t_s", t_s)
         offset_km: np.ndarray | float = 0.0
         if offsets:
-            offset_km = np.zeros(len(self.sat_ids))
+            offset_km = np.zeros(len(self._fleet))
             for sat, dh_km in offsets.items():
-                if sat not in self._index_of:
+                if sat not in self._fleet:
                     raise ValueError(f"offsets key {sat} is not a satellite of this topology")
-                offset_km[self._index_of[sat]] = _number(f"offsets[{sat}]", dh_km)
+                offset_km[self._fleet._row_of[sat]] = _number(f"offsets[{sat}]", dh_km)
         r_km = self._fleet.a_km + offset_km
         return np.stack(self._fleet._planes(t_s, r_km=r_km, n_rad_s=_mean_motion(r_km)), axis=-1)
 
@@ -248,7 +248,7 @@ class GridTopology:
         that is not. Every
         step yields a fresh array.
         """
-        times = _checked_times(times, maneuvers, self._index_of)
+        times = _checked_times(times, maneuvers, self._fleet._row_of)
         steps = zip(times.tolist(), self._steps(times, maneuvers))
         return ((t, self._edge_grazing(self._edge_a, self._edge_b, t, r, n)) for t, (_, _, r, n, _) in steps)
 
@@ -258,10 +258,10 @@ class GridTopology:
         """(s, e, r_km, n_rad_s, changed) for blocks times[s:e] of at most `most` checked times,
         a new one starting wherever some rows' offsets change: every row's orbit radius and mean
         motion under the maneuvers active throughout the block, and the rows changed at times[s]."""
-        a_km, offset_km = self._fleet.a_km, np.zeros(len(self.sat_ids))
+        a_km, offset_km = self._fleet.a_km, np.zeros(len(self._fleet))
         r_km, n_rad_s = a_km, _mean_motion(a_km)
         s, head = 0, []
-        for k, rows, km in chain(_offset_changes(times, maneuvers, self._index_of), [(times.size, [], [])]):
+        for k, rows, km in chain(_offset_changes(times, maneuvers, self._fleet._row_of), [(times.size, [], [])]):
             for b in range(s, k, most):
                 yield b, min(b + most, k), r_km, n_rad_s, head if b == s else []
             s, head = k, rows
@@ -295,7 +295,7 @@ class GridTopology:
         and the grazing of every evaluated edge, equal scan's values;
         times and maneuvers are checked as scan checks them.
         """
-        times = _checked_times(times, maneuvers, self._index_of)
+        times = _checked_times(times, maneuvers, self._fleet._row_of)
         edge_a, edge_b = self._edge_a, self._edge_b
         cos_i, sin_i, cos_o, sin_o = self._fleet._trig
         normal = (sin_i * sin_o, -sin_i * cos_o, cos_i)
@@ -306,7 +306,7 @@ class GridTopology:
             if not s:
                 rate = _link_rate(edge_a, edge_b, r_km, n_rad_s, normal)
             elif changed:
-                moved = np.zeros(len(self.sat_ids), dtype=bool)
+                moved = np.zeros(len(self._fleet), dtype=bool)
                 moved[changed] = True
                 hit = np.flatnonzero(moved.take(edge_a) | moved.take(edge_b))
                 rate[hit] = _link_rate(edge_a[hit], edge_b[hit], r_km, n_rad_s, normal)
@@ -637,8 +637,8 @@ def visibility_windows(
     """
     _check_range("earth_radius_km", earth_radius_km, 0.0, ends="()")
     times = time_grid(t0_s, t1_s, step_s)
-    fleet = FleetArrays.from_constellation(constellation)
-    r_km, n_sats = fleet.a_km, len(fleet.sat_ids)
+    fleet = FleetArrays.of(constellation)
+    r_km, n_sats = fleet.a_km, len(fleet)
     rate = _psi_rate(_mean_motion(r_km))
     with np.errstate(invalid="ignore"):
         # a row with r <= R has no usable limit; NaN keeps it due at every step
@@ -710,20 +710,19 @@ def handover_schedule(
     # time_grid checks step_s too, but only once there are windows to cover
     _check_range("step_s", step_s, 0.0, ends="()")
     _check_range("earth_radius_km", earth_radius_km, 0.0, ends="()")
+    fleet = FleetArrays.of(constellation)
     for i, w in enumerate(windows):
         if w.gs_id != gs.id:
             raise ValueError(f"windows[{i}] is a window of station {w.gs_id!r}, not of {gs.id!r}")
-        if w.sat not in constellation:
+        if w.sat not in fleet:
             raise ValueError(f"windows[{i}].sat {w.sat} is not a satellite of constellation")
     starts = np.array([w.start_s for w in windows])
     ends = np.array([w.end_s for w in windows])
     if not (windows and ends.max() > starts.min()):  # also NaN: no window is ever open
         return []
 
-    # owners in id order, so the lowest row is the lowest-id tie-break
-    fleet = FleetArrays.from_constellation({w.sat: constellation[w.sat] for w in windows})
-    owner_index = {sat: j for j, sat in enumerate(fleet.sat_ids)}
-    owners = np.array([owner_index[w.sat] for w in windows])
+    # fleet rows are in id order, so the lowest row is the lowest-id tie-break
+    owners = np.array([fleet._row_of[w.sat] for w in windows])
     times = time_grid(float(starts.min()), float(ends.max()), step_s)
     # window w is open (start <= t < end) at samples opens[w] <= k < closes[w]
     opens = np.searchsorted(times, starts)

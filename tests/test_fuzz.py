@@ -57,7 +57,7 @@ import json
 import math
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 from unittest import mock
 
@@ -68,6 +68,7 @@ from hypothesis import strategies as st
 
 from leofault import (
     CdfTable,
+    CircularElements,
     ConfigError,
     DeviceTarget,
     EccentricityWarning,
@@ -80,9 +81,11 @@ from leofault import (
     SatelliteId,
     SatelliteTarget,
     ShellSpec,
+    SimulationConfig,
     TleFormatError,
     TraceParseError,
     build_constellation,
+    build_fleet,
     checksum,
     config_from_dict,
     config_to_dict,
@@ -99,9 +102,9 @@ from leofault import (
     visibility_windows,
 )
 from leofault import stats, topology
-from leofault.constants import _read_pairs, is_plain_number_text
+from leofault.constants import EARTH_RADIUS_KM, _read_pairs, is_plain_number_text
 from leofault.tle import _read_elements
-from leofault.orbital import time_grid
+from leofault.orbital import FleetArrays, time_grid
 from leofault.trace import KIND_PARAM_KEYS, canonical_number
 from test_simulation import assert_skip_scan_matches_reference
 from test_tle import outcome, random_record, reference_parse_tle_text
@@ -430,7 +433,16 @@ def tle_catalogs(draw):
 
 
 def reference_read_elements(path):
-    return [tle_to_elements(record) for record in reference_parse_tle_text(path.read_text(encoding="utf-8"))]
+    return [tle_to_elements(record) for record in reference_parse_tle_text(Path(path).read_text(encoding="utf-8"))]
+
+
+def element_rows(path):
+    """_read_elements' columns as one (a_km, inclination, RAAN, phase) tuple per record."""
+    return list(zip(*(column.tolist() for column in _read_elements(path))))
+
+
+def reference_element_rows(path):
+    return [astuple(e) for e in reference_read_elements(path)]
 
 
 @FUZZ
@@ -440,7 +452,7 @@ def test_columns_match_the_record_by_record_reader(tmp_path_factory, text):
     assert outcome(parse_tle_text, text) == outcome(reference_parse_tle_text, text)
     path = tmp_path_factory.getbasetemp() / "columns.tle"
     path.write_text(text, encoding="utf-8")
-    assert outcome(_read_elements, path) == outcome(reference_read_elements, path)
+    assert outcome(element_rows, path) == outcome(reference_element_rows, path)
 
 
 # ---------------------------------------------------------------- number-table CSVs
@@ -620,6 +632,62 @@ skip_shells = st.lists(
     min_size=1,
     max_size=2,
 )
+
+
+def reference_build_constellation(shells, earth_radius_km=EARTH_RADIUS_KM):
+    """build_constellation as a loop that builds one CircularElements per satellite."""
+    constellation = {}
+    for shell_index, spec in enumerate(shells):
+        a_km = earth_radius_km + spec.altitude_km
+        p_count, s_count = spec.planes, spec.sats_per_plane
+        for p in range(p_count):
+            raan = p * spec.raan_spread_deg / p_count
+            plane_phase = p * spec.phase_offset_f * 360.0 / (p_count * s_count)
+            for s in range(s_count):
+                constellation[SatelliteId(shell_index, p, s)] = CircularElements(
+                    a_km, spec.inclination_deg, raan, s * 360.0 / s_count + plane_phase
+                )
+    return constellation
+
+
+def reference_build_fleet(config):
+    """build_fleet element by element: the shells' loop, then each file's records through tle_to_elements."""
+    constellation = reference_build_constellation(config.shells, config.earth_radius_km)
+    for file_index, path in enumerate(config.tle_files):
+        shell = len(config.shells) + file_index
+        constellation.update((SatelliteId(shell, 0, i), e) for i, e in enumerate(reference_read_elements(path)))
+    return constellation
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(skip_shells | st.just([]), st.lists(tle_catalogs(), max_size=2), st.data())
+def test_array_fleet_equals_the_element_loop_bit_for_bit(tmp_path_factory, shells, catalogs, data):
+    offsets = st.integers(0, 3) | st.sampled_from([-3, 10**300])
+    shells = [replace(spec, phase_offset_f=data.draw(offsets)) for spec in shells]
+    paths = []
+    for i, text in enumerate(catalogs):
+        paths.append(tmp_path_factory.getbasetemp() / f"fleet{i}.tle")
+        paths[-1].write_text(text, encoding="utf-8")
+    radius = data.draw(st.sampled_from([EARTH_RADIUS_KM, 6378.137]))
+    if not (shells or paths):
+        return
+    config = SimulationConfig(shells=tuple(shells), tle_files=tuple(map(str, paths)), earth_radius_km=radius)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EccentricityWarning)
+        try:
+            reference = reference_build_fleet(config)
+        except TleFormatError as exc:
+            with pytest.raises(ConfigError, match=re.escape(str(exc))):
+                build_fleet(config)
+            return
+        fleet = build_fleet(config)
+    expected = FleetArrays.of(reference)
+    for name in ("a_km", "inclination_deg", "raan_deg", "phase_deg", "inclination_rad", "raan_rad", "phase_rad"):
+        assert getattr(fleet, name).view(np.uint64).tolist() == getattr(expected, name).view(np.uint64).tolist(), name
+    assert fleet.sat_ids == expected.sat_ids == sorted(reference)
+    assert dict(fleet.items()) == reference
+    if not paths:
+        assert build_constellation(shells, radius) == reference
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -6,16 +7,20 @@ import pytest
 
 from leofault import (
     CircularElements,
+    GridTopology,
     GroundStation,
+    SatelliteId,
     ShellSpec,
+    VisibilityWindow,
     build_constellation,
+    handover_schedule,
     min_isl_altitude_cdf,
     orbital_period,
     propagate,
     visibility_windows,
 )
 from leofault.constants import MAX_STEPS, MU_EARTH_M3_S2
-from leofault.orbital import time_grid
+from leofault.orbital import FleetArrays, time_grid
 
 
 def kepler_period(a_km: float) -> float:
@@ -121,6 +126,51 @@ class TestBuildConstellation:
         shells = [ShellSpec(550.0, 53.0, 3, 4), ShellSpec(700.0, 80.0, 5, 6)]
         c = build_constellation(shells)
         assert len(c) == 3 * 4 + 5 * 6
+
+
+ELEMENTS = CircularElements(6921.0, 53.0, 0.0, 0.0)
+GS = GroundStation("gs", 0.0, 0.0)
+FLEET_TAKERS = {
+    "GridTopology": GridTopology,
+    "visibility_windows": lambda c: visibility_windows(GS, c, 0.0, 60.0, 10.0),
+    "handover_schedule": lambda c: handover_schedule([], GS, c),
+    "min_isl_altitude_cdf": lambda c: min_isl_altitude_cdf(c, 0.0, 60.0, 10.0),
+}
+BAD_ID = "must be keyed by a SatelliteId of integers in [0, 2**63)"
+
+
+class TestFleetArrays:
+    @pytest.mark.parametrize("take", FLEET_TAKERS.values(), ids=FLEET_TAKERS)
+    @pytest.mark.parametrize(
+        "entries, key, message",
+        [
+            ([((0, 0, 0), ELEMENTS)], (0, 0, 0), BAD_ID),  # a plain tuple
+            ([(SatelliteId(0, 0, 0), ELEMENTS), ((0, 0, 1), ELEMENTS)], (0, 0, 1), BAD_ID),
+            ([(SatelliteId(0, 1.0, 0), ELEMENTS)], SatelliteId(0, 1.0, 0), BAD_ID),
+            ([(SatelliteId("a", 0, 0), ELEMENTS)], SatelliteId("a", 0, 0), BAD_ID),
+            ([(SatelliteId(0, -1, 0), ELEMENTS)], SatelliteId(0, -1, 0), BAD_ID),
+            ([(SatelliteId(True, 0, 0), ELEMENTS)], SatelliteId(True, 0, 0), BAD_ID),
+            ([(SatelliteId(0, 0, 2**63), ELEMENTS)], SatelliteId(0, 0, 2**63), BAD_ID),
+            ([(SatelliteId(0, 0, 0), 5)], SatelliteId(0, 0, 0), "must be CircularElements, got 5"),
+        ],
+        ids=["tuple", "mixed", "float-plane", "str-shell", "negative", "bool", "int64-overflow", "not-elements"],
+    )
+    def test_bad_entries_named(self, take, entries, key, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'constellation[{key!r}] {message}')}$"):
+            take(dict(entries))
+
+    def test_read_only_mapping_of_the_dict_rows(self):
+        shells = [ShellSpec(550.0, 53.0, 3, 4, phase_offset_f=1), ShellSpec(700.0, 80.0, 1, 2)]
+        c = build_constellation(shells)
+        fleet = FleetArrays.of(c)
+        assert FleetArrays.of(fleet) is fleet
+        assert len(fleet) == len(c) and list(fleet) == list(c) and dict(fleet.items()) == c
+        assert SatelliteId(1, 0, 1) in fleet and (1, 0, 1) in fleet and SatelliteId(1, 0, 2) not in fleet
+        assert fleet[SatelliteId(0, 2, 3)] == c[SatelliteId(0, 2, 3)]
+        with pytest.raises(KeyError):
+            fleet[SatelliteId(2, 0, 0)]
+        with pytest.raises(TypeError):
+            fleet[SatelliteId(0, 0, 0)] = ELEMENTS
 
 
 class TestPropagate:

@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import re
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leofault import (
+    CircularElements,
     ConfigError,
     FaultEvent,
     FaultModelConfig,
@@ -40,6 +43,7 @@ from leofault import (
     topology,
     write_trace,
 )
+from leofault.cli import main
 from leofault.geometry import is_isl_viable
 from leofault.orbital import time_grid
 from leofault.simulation import (
@@ -396,6 +400,23 @@ class TestBuildFleet:
             f"config = leofault.load_config({str(path)!r})\n"
             "leofault.GridTopology(leofault.build_fleet(config), config.earth_radius_km)\n"
             "print('numpy.random' in sys.modules)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
+
+    def test_setup_leaves_numpy_ma_unimported(self, tmp_path):
+        # GridTopology groups shells by their id columns; np.unique would import numpy.ma
+        # (about 20 ms and 0.5-1 MB of set-up)
+        tle_path, path = tmp_path / "catalog.tle", tmp_path / "config.json"
+        tle_path.write_text(catalog_text(3), encoding="utf-8")
+        path.write_text(json.dumps(minimal_config(tle_files=[str(tle_path)])))
+        code = (
+            "import sys\n"
+            "import leofault\n"
+            f"config = leofault.load_config({str(path)!r})\n"
+            "leofault.GridTopology(leofault.build_fleet(config), config.earth_radius_km)\n"
+            "print('numpy.ma' in sys.modules)\n"
         )
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
@@ -885,6 +906,29 @@ def test_simulate_builds_and_checks_no_event(tmp_path, monkeypatch):
     assert calls == Counter({"_check_numbers": summary["n_events"]})
     assert sorted(summary["event_counts"]) == sorted(KIND_TARGET_TYPE)
     assert hashlib.sha256((tmp_path / "trace.jsonl").read_bytes()).hexdigest() == ALL_KINDS_TRACE_SHA256
+
+
+def test_fleet_builds_no_element(tmp_path, monkeypatch):
+    # the fleet stays arrays from the config to the kernels: no CircularElements on the way
+    tle_path, rain_path, config_path = tmp_path / "catalog.tle", tmp_path / "rain.csv", tmp_path / "config.json"
+    tle_path.write_text(catalog_text(ALL_KINDS_TLE_RECORDS), encoding="utf-8")
+    rain_path.write_text(ALL_KINDS_PRECIPITATION, encoding="utf-8")
+    document = {**ALL_KINDS_CONFIG, "tle_files": [str(tle_path)], "precipitation_csv": str(rain_path)}
+    config_path.write_text(json.dumps(document), encoding="utf-8")
+
+    def fail(self):
+        raise AssertionError(f"built {self}")
+
+    monkeypatch.setattr(CircularElements, "__post_init__", fail)
+    config = load_config(config_path)
+    fleet = build_fleet(config)
+    assert GridTopology(fleet, config.earth_radius_km).n_edges == 2 * 4 * 43
+    run_simulation(config, tmp_path / "trace.jsonl")
+    assert hashlib.sha256((tmp_path / "trace.jsonl").read_bytes()).hexdigest() == ALL_KINDS_TRACE_SHA256
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["isl-cdf", "--config", str(config_path), "--out", str(tmp_path / "cdf.csv")]) == 0
+    with pytest.raises(AssertionError, match="^built "):
+        fleet[SatelliteId(0, 0, 0)]  # an element is built only when one is looked up
 
 
 def test_nan_grazing_names_the_param_and_keeps_the_trace(tmp_path, monkeypatch):

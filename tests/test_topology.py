@@ -88,7 +88,7 @@ def reference_refine_crossing(elements, gs, t_outside, t_inside, tol_s=0.1):
 def reference_visibility_windows(gs, constellation, t0_s, t1_s, step_s):
     """Sampled runs found per satellite, each inner edge refined by the scalar bisection."""
     times = time_grid(t0_s, t1_s, step_s).tolist()
-    fleet = FleetArrays.from_constellation(constellation)
+    fleet = FleetArrays.of(constellation)
     columns = (fleet.a_km, fleet.inclination_rad, fleet.raan_rad, fleet.phase_rad)
     elevations = [elevation_angle(ground_station_eci(gs, t), propagate_arrays(*columns, t)) for t in times]
     windows = []
@@ -349,7 +349,11 @@ class TestGridEdges:
         elements = c.pop(drop)
         if add is not None:
             c[add] = elements
-        with pytest.raises(ValueError, match=r"^shell 1 is not a complete 3x5 grid$"):
+        # a negative id is named as the entry it is, before any grid is checked
+        message = "shell 1 is not a complete 3x5 grid"
+        if add is not None:
+            message = f"constellation[{add!r}] must be keyed by a SatelliteId of integers in [0, 2**63)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             GridTopology(c)
 
 
@@ -615,7 +619,7 @@ class TestScanOffsets:
         assert_scan_matches_reference(topo, SCAN_TIMES, SCAN_CASES["overlaps"][0])
 
     def test_cached_trig_matches_propagate_arrays_on_row_subsets(self, sparse_constellation, rng):
-        fleet = FleetArrays.from_constellation(sparse_constellation)
+        fleet = FleetArrays.of(sparse_constellation)
         n = len(fleet.sat_ids)
         for rows in (rng.integers(0, n, 37), np.sort(rng.choice(n, 120, replace=False)), np.arange(n)):
             columns = (fleet.a_km[rows], fleet.inclination_rad[rows], fleet.raan_rad[rows], fleet.phase_rad[rows])
