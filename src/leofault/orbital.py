@@ -283,8 +283,11 @@ class FleetArrays(Mapping[SatelliteId, CircularElements]):
 def time_grid(t0_s: float, t1_s: float, step_s: float) -> np.ndarray:
     """Sample times t0, t0+step, ... below t1 + step/2, the last one clipped to t1.
 
-    ValueError names step_s if it is not positive and finite or needs over MAX_STEPS steps.
+    ValueError names t0_s or t1_s if it is not a finite number, and step_s if it is not positive
+    and finite or needs over MAX_STEPS steps.
     """
+    _check_range("t0_s", t0_s, -math.inf, ends="()")
+    _check_range("t1_s", t1_s, -math.inf, ends="()")
     if not t1_s > t0_s:
         raise ValueError("t1_s must be greater than t0_s")
     _check_range("step_s", step_s, 0.0, ends="()")

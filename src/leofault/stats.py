@@ -224,13 +224,18 @@ def _canonical(x: np.ndarray) -> np.ndarray:
         k = np.searchsorted(_DECADES, a, side="right")
         q = k - 23
         below, scale = q < 0, _TENS.take(np.abs(q), mode="clip")  # 10**|q|, 10**22 outside the table
+        above, m, o = ~below, np.empty(part.size), out[i:i + part.size]
         with np.errstate(over="ignore", invalid="ignore"):
-            m = np.where(below, a * scale, a / scale)
+            # each value takes only its own operation, picked by mask
+            np.multiply(a, scale, out=m, where=below)
+            np.divide(a, scale, out=m, where=above)
             r = np.rint(m)
             fast[i:i + part.size] = (
                 (k > 0) & (k < _DECADES.size) & (np.abs(m - np.floor(m) - 0.5) > 1e-6) & (r >= 1e8) & (r < 1e9)
             )
-            out[i:i + part.size] = np.copysign(np.where(below, r / scale, r * scale), part)
+            np.divide(r, scale, out=o, where=below)
+            np.multiply(r, scale, out=o, where=above)
+            np.copysign(o, part, out=o)
     slow = np.flatnonzero(~fast)
     out[slow] = [canonical_number(v) for v in flat.take(slow).tolist()]
     out += 0.0

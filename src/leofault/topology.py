@@ -32,15 +32,19 @@ have L = 0 and are never due again unless a maneuver changes an endpoint,
 which makes all that satellite's edges due and gives them a new L. The
 skip scan runs in blocks of at most _BLOCK_STEPS steps, split where a
 maneuver changes an offset, so radii, mean motions and bounds hold within
-a block. It evaluates (edge, step) pairs in two calls per block: each edge
-due in it at its first due step, then each edge due again at every step of
-it from then on. A skipped sample is certified to keep the cached
-viability, so any superset of the due samples gives the same flips,
-grazing bits and infeasible counts; blocks spend a few such samples to
-save calls. The skip scan yields once per block, its pairs unsorted, with
+a block. It yields once per block, its (step, edge) pairs unsorted, with
 their viability and flips and the infeasible count of each step. Both
 scans share the kernel, so every evaluated value equals scan's, and
 _isl_transition_trace turns its flips into the trace's ISL events.
+
+Both skip scans, of links and of ground visibility, evaluate a block in
+two calls (_due_rounds): each row due in it once, at its first due step,
+then each row due again, at every step of the block from then on. A
+skipped sample is certified to keep its row's state, the cached viability
+or being below the minimum elevation, so any superset of the due samples
+gives the same flips, grazing bits and infeasible counts, and the same
+runs, peaks and bisected edges; blocks spend a few such samples to save
+calls.
 
 In that schedule each maneuver is active from the first time at or after
 its start to the first at or after its end, both found by searchsorted,
@@ -59,11 +63,17 @@ at most at n + w_Earth: the satellite's direction turns at its mean motion
 n, the station's at most at the Earth's rate. A satellite evaluated at t
 is next due at t + (psi - psi_max - slack) / (n + w_Earth), the slack
 covering the rounding of computed angles; one at r <= R has no psi_max and
-is due at every step. Each step evaluates only the due rows; per
-satellite only the open run's first sample and highest elevation are
-kept, and each run is closed as it ends. All run edges are then bisected
-together, each open edge at its own midpoint and station position. The
-handover schedule samples t0 + k*step from time_grid, the last sample
+is due at every step. The slack certifies the skip while the phase n * |t|
+stays within about 1e7 rad, |t| up to some 8e9 s (250 years) for any orbit
+above the surface; farther out a skipped sample may be above. The scan
+runs in blocks of _BLOCK_STEPS steps in the two rounds above; a block's
+samples above the minimum elevation, by (row, step), form runs of
+consecutive steps, and a run that reaches its last step stays open into
+the next block. All run edges are then bisected together, each at its own
+midpoint and station position, until 0.1 s wide or its midpoint rounds to
+an end.
+
+The handover schedule samples t0 + k*step from time_grid, the last sample
 clipped to the last window end; each window covers a range of samples.
 Whole samples are expanded into (sample, window) pairs in blocks of as
 many samples as hold 8k pairs at the peak count of open windows (at
@@ -311,37 +321,22 @@ class GridTopology:
                 hit = np.flatnonzero(moved.take(edge_a) | moved.take(edge_b))
                 rate[hit] = _link_rate(edge_a[hit], edge_b[hit], r_km, n_rad_s, normal)
                 due_at[hit] = -np.inf
-            t, last, rounds = times[s:e], e - s - 1, []
-            # round 1: every edge due in the block, once, at its first due step
-            edges = np.flatnonzero(due_at <= t[-1])
-            at, edge, start = np.searchsorted(t, due_at.take(edges)), edges, np.arange(edges.size)
-            end = start  # each edge's first and last pair
-            for again in (False, True):
+            t, rounds = times[s:e], []
+
+            def sample(edges, edge, at, start, end):
                 k, at, edge = at.size, _blocks(at), _blocks(edge)
                 grazing = self._edge_grazing(edge_a.take(edge), edge_b.take(edge), t.take(at), r_km, n_rad_s)
                 now = is_isl_viable(grazing, threshold_km)
                 before = now.take(np.arange(-1, k - 1))  # the previous pair's viability,
                 before[start] = viable.take(edges)  # or the cached one at each edge's first
                 rounds.append((at[:k], edge[:k], grazing[:k], now[:k], now[:k] != before))
-                # each edge's last sample sets its viability and next due time
-                viable[edges] = now.take(end)
-                margin = np.abs(grazing.take(end) - threshold_km) - _SLACK_KM
-                t_end = t.take(at.take(end))
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    due_at[edges] = np.where(margin > 0.0, t_end + margin / rate.take(edges), t_end)
-                if again:
-                    break
-                # round 2: each edge due again in the block, at every step of it from then on
-                first = np.maximum(at.take(end) + 1, np.searchsorted(t, due_at.take(edges)))
-                edges, first = edges[first <= last], first[first <= last]
-                count = last + 1 - first
-                start = np.cumsum(count) - count
-                end = start + count - 1
-                at = np.repeat(first - start, count) + np.arange(int(count.sum()))
-                edge = np.repeat(edges, count)
+                viable[edges] = now.take(end)  # each edge's last sample sets its viability
+                return np.abs(grazing.take(end) - threshold_km) - _SLACK_KM
+
+            _due_rounds(t, due_at, rate, sample)
             at, edge, grazing, now, flipped = (np.concatenate(c) for c in zip(*rounds))
             # infeasible counts run on through the block's down flips less its up flips
-            drift = np.cumsum(np.bincount(at, flipped * (1 - 2 * now), last + 1)).astype(int)
+            drift = np.cumsum(np.bincount(at, flipped * (1 - 2 * now), t.size)).astype(int)
             infeasible_at = infeasible + drift
             infeasible = int(infeasible_at[-1])
             if not s:
@@ -480,6 +475,37 @@ def _link_rate(
     return np.sqrt(dx * dx + dy * dy + dz * dz) * np.maximum(r_km.take(a), r_km.take(b)) * 0.5
 
 
+def _due_rounds(t: np.ndarray, due_at: np.ndarray, rate: np.ndarray, sample: Callable[..., np.ndarray]) -> None:
+    """Evaluate the rows due in a block of times t in two rounds and move their due times on.
+
+    Round 1 takes each row due in the block once, at its first due step;
+    round 2 each row due again, at every step from then to the block's end.
+    sample(rows, row, at, start, end) evaluates row[i] at step at[i], the
+    samples of rows[j] from start[j] to end[j] in step order, and returns
+    each row's margin at its last sample: with m > 0 it is next due m / rate
+    later, else at the next step.
+    """
+    last = t.size - 1
+    rows = np.flatnonzero(due_at <= t[-1])
+    at = np.searchsorted(t, due_at.take(rows))
+    row, start = rows, np.arange(rows.size)
+    end = start
+    for again in (False, True):
+        margin = sample(rows, row, at, start, end)
+        t_end = t.take(at.take(end))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            due_at[rows] = np.where(margin > 0.0, t_end + margin / rate.take(rows), t_end)
+        if again:
+            return
+        first = np.maximum(at + 1, np.searchsorted(t, due_at.take(rows)))
+        rows, first = rows[first <= last], first[first <= last]
+        count = last + 1 - first
+        start = np.cumsum(count) - count
+        end = start + count - 1
+        at = np.repeat(first - start, count) + np.arange(int(count.sum()))
+        row = np.repeat(rows, count)
+
+
 def _blocks(index: np.ndarray) -> np.ndarray:
     """index padded with copies of its first entry up to a whole number of 128-entry blocks.
 
@@ -581,12 +607,16 @@ def _bisect_crossings(
 
     Edge k of satellite rows[k] samples below the minimum elevation at
     t_outside[k] and at or above it at t_inside[k], in either temporal
-    order. All edges still wider than the tolerance are halved together.
+    order. All edges still wider than the tolerance are halved together;
+    one whose midpoint rounds to an end, where floats are spaced over
+    0.1 s apart, is as narrow as it gets.
     """
     lo, hi = t_outside.copy(), t_inside.copy()
     open_ = np.flatnonzero(np.abs(hi - lo) > 0.1)
     while open_.size:
         mid = 0.5 * (lo[open_] + hi[open_])
+        split = (mid != lo[open_]) & (mid != hi[open_])
+        open_, mid = open_[split], mid[split]
         pos = np.stack(fleet._planes(mid, rows[open_]), axis=-1)
         gs_pos = ground_station_eci(gs, mid, earth_radius_km)
         above = elevation_angle(gs_pos, pos) >= gs.min_elevation_deg
@@ -641,36 +671,41 @@ def visibility_windows(
     r_km, n_sats = fleet.a_km, len(fleet)
     rate = _psi_rate(_mean_motion(r_km))
     with np.errstate(invalid="ignore"):
-        # a row with r <= R has no usable limit; NaN keeps it due at every step
-        psi_max = np.where(
+        # psi_max plus the slack; a row with r <= R has no usable limit, and NaN keeps it due at every step
+        psi_limit = np.where(
             r_km > earth_radius_km, _geocentric_angle(gs.min_elevation_deg, r_km, earth_radius_km), np.nan
-        )
+        ) + _PSI_SLACK_RAD
     due_at = np.full(n_sats, -np.inf)
-    first = np.full(n_sats, -1)  # first sample of each row's open run, -1 if none is open
-    peak = np.empty(n_sats)  # highest sampled elevation of each open run
-    runs: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []  # (rows, first, last, peak)
+    # (rows, first, last, peak) of each block's closed runs, and of the open runs, which end at the last step so far
+    closed: List[Tuple[np.ndarray, ...]] = []
+    still_open = (np.empty(0, dtype=int),) * 3 + (np.empty(0),)
     gs_pos = ground_station_eci(gs, times, earth_radius_km)
-    for k, t in enumerate(times.tolist()):
-        rows = np.flatnonzero(due_at <= t)
-        pos = np.stack(fleet._planes(t, rows), axis=-1)
-        elevation = elevation_angle(gs_pos[k], pos)
-        above = elevation >= gs.min_elevation_deg
-        is_open = first.take(rows) >= 0
-        ended = rows[is_open & ~above]
-        if ended.size:
-            runs.append((ended, first.take(ended), np.full(ended.size, k - 1), peak.take(ended)))
-            first[ended] = -1
-        started = rows[above & ~is_open]
-        first[started], peak[started] = k, -np.inf
-        seen = rows[above]
-        peak[seen] = np.maximum(peak.take(seen), elevation[above])
-        with np.errstate(invalid="ignore"):
-            margin = _geocentric_angle(elevation, r_km.take(rows), earth_radius_km)
-            margin -= psi_max.take(rows) + _PSI_SLACK_RAD
-            due_at[rows] = np.where(margin > 0.0, t + margin / rate.take(rows), t)
-    still = np.flatnonzero(first >= 0)
-    runs.append((still, first.take(still), np.full(still.size, len(times) - 1), peak.take(still)))
-    sats, first, last, peak = (np.concatenate(column) for column in zip(*runs))
+    for s in range(0, times.size, _BLOCK_STEPS):
+        t, gs_t, seen = times[s:s + _BLOCK_STEPS], gs_pos[s:s + _BLOCK_STEPS], [still_open]
+
+        def sample(rows, row, at, start, end):
+            pos = np.stack(fleet._planes(t.take(at), row), axis=-1)
+            elevation = elevation_angle(gs_t.take(at, axis=0), pos)
+            up = elevation >= gs.min_elevation_deg
+            k = at[up] + s
+            seen.append((row[up], k, k, elevation[up]))
+            with np.errstate(invalid="ignore"):
+                return _geocentric_angle(elevation.take(end), r_km.take(rows), earth_radius_km) - psi_limit.take(rows)
+
+        _due_rounds(t, due_at, rate, sample)
+        # the samples above, each open run standing for its samples so far, by (row, step): the parts
+        # are in row order, a row's steps rise from part to part, and the sort by row is stable
+        parts = [np.concatenate(column) for column in zip(*seen)]
+        order = np.argsort(parts[0], kind="stable")
+        row, first, k, high = (column.take(order) for column in parts)
+        # a run is a stretch of one row's samples at consecutive steps, as a skipped sample is
+        # below; steps rise along it, so its last is its highest
+        head = np.flatnonzero((np.diff(row, prepend=-1) != 0) | (np.diff(k, prepend=-2) != 1))
+        run = (row.take(head), first.take(head), np.maximum.reduceat(k, head), np.maximum.reduceat(high, head))
+        still = run[2] == s + t.size - 1  # runs that reach the block's last step stay open
+        closed.append(tuple(column[~still] for column in run))
+        still_open = tuple(column[still] for column in run)
+    sats, first, last, peak = (np.concatenate(column) for column in zip(*closed, still_open))
 
     # start edges, then end edges; one inside the grid lies between an inner and an outer sample
     inner = np.concatenate([first, last])

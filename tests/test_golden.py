@@ -34,6 +34,7 @@ from leofault import (
     serialize_tle,
     visibility_windows,
 )
+from leofault import topology
 from leofault.cli import main
 from leofault.faults import MAX_TOTAL_OFFSET_KM
 from leofault.orbital import time_grid
@@ -424,3 +425,15 @@ def test_ground_path_digest(dense_constellation, station):
     assert schedule and len(spikes) == len(schedule)
     assert sha256_text(render_windows(windows)) == windows_digest
     assert sha256_text(render_handovers(gs.id, schedule, spikes)) == handovers_digest
+
+
+@pytest.mark.parametrize("station, evaluations", [("berlin", 10_975), ("mid", 8_420)])
+def test_ground_path_evaluations(dense_constellation, monkeypatch, station, evaluations):
+    # the elevation samples of the golden ground paths, scan and bisection: due satellites in two
+    # rounds per block of steps, then every halving; a looser skip bound changes these counts
+    evaluated = []
+    kernel = topology.elevation_angle
+    monkeypatch.setattr(topology, "elevation_angle",
+                        lambda gs_pos, sat_pos: evaluated.append(len(sat_pos)) or kernel(gs_pos, sat_pos))
+    visibility_windows(GROUND_DIGESTS[station][0], dense_constellation, 0.0, GROUND_WINDOW_S, 10.0)
+    assert sum(evaluated) == evaluations

@@ -256,3 +256,19 @@ class TestTimeGrid:
     def test_rejects_step(self, entry, t1_s, step_s):
         with pytest.raises(ValueError, match="step_s"):
             GRID_ENTRY_POINTS[entry](0.0, t1_s, step_s)
+
+    @pytest.mark.parametrize("entry", GRID_ENTRY_POINTS)
+    @pytest.mark.parametrize(
+        "t0_s, t1_s, name",
+        [
+            (float("-inf"), 1800.0, "t0_s"),
+            (float("inf"), 1800.0, "t0_s"),
+            (0.0, float("inf"), "t1_s"),
+            (0.0, float("-inf"), "t1_s"),
+        ],
+    )
+    def test_rejects_infinite_bound(self, entry, t0_s, t1_s, name):
+        # named before the order test, not as a step count over an infinite span
+        bad = t0_s if name == "t0_s" else t1_s
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be in (-inf, inf), got {bad}")):
+            GRID_ENTRY_POINTS[entry](t0_s, t1_s, 10.0)

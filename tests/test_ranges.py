@@ -158,6 +158,8 @@ ARGUMENTS = [
     (slant_range_km, (NAN, 30.0), "altitude_km"),
     (slant_range_km, (550.0, NAN), "elevation_deg"),
     (time_grid, (0.0, 10.0, NAN), "step_s"),
+    (time_grid, (NAN, 10.0, 1.0), "t0_s"),
+    (time_grid, (0.0, NAN, 1.0), "t1_s"),
 ]
 
 

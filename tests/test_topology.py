@@ -694,6 +694,25 @@ class TestVisibilityWindows:
         assert sum(t0 < w.start_s and w.end_s < t1 for w in expected) >= 20
         assert visibility_windows(gs, constellation, t0, t1, step) == expected
 
+    def test_edges_far_from_epoch_stay_between_their_samples(self):
+        # floats near 2**50 are 0.25 s apart, so a bracket stops shrinking above the 0.1 s
+        # tolerance; bisecting it used to loop for ever
+        gs = GroundStation("b", 52.5, 13.4)
+        c = build_constellation([ShellSpec(550.0, 53.0, 12, 10)])
+        t0, t1 = 2.0**50, 2.0**50 + 7200.0
+        windows = visibility_windows(gs, c, t0, t1, 16.0)
+        assert windows
+        times, fleet = time_grid(t0, t1, 16.0), FleetArrays.of(c)
+        for w in windows:
+            for edge, expected in ((w.start_s, [False, True]), (w.end_s, [True, False])):
+                # the samples at or before and at or after the edge: below, then above for a start
+                pair = times[[np.searchsorted(times, edge, "right") - 1, np.searchsorted(times, edge)]]
+                assert pair[1] - pair[0] <= 16.0
+                if t0 < edge < t1 and pair[0] < pair[1]:
+                    pos = np.stack(fleet._planes(pair, np.full(2, fleet._row_of[w.sat])), axis=-1)
+                    above = elevation_angle(ground_station_eci(gs, pair), pos) >= gs.min_elevation_deg
+                    assert above.tolist() == expected
+
     def test_invalid_interval(self):
         gs = GroundStation("x", 0.0, 0.0)
         with pytest.raises(ValueError):
@@ -752,6 +771,38 @@ class TestVisibilityRuns:
             t = zenith[w.sat]
             assert t - 10.0 < w.start_s < t < w.end_s < t + 10.0
             assert w.max_elevation_deg == pytest.approx(elevation_at(gs, c[w.sat], t), abs=1e-9)
+
+    # runs against the scan's blocks of _BLOCK_STEPS steps; a zenith pass is above 25 degrees
+    # for about 288 s, and at 10 s steps the second block holds 160 s to 310 s
+
+    def test_run_ends_on_a_block_last_step(self):
+        c = {SatelliteId(0, 0, 0): zenith_pass(170.0)}
+        windows = visibility_windows(EQUATOR_STATION, c, 0.0, 600.0, 10.0)
+        assert topology._BLOCK_STEPS == 16
+        assert len(windows) == 1 and 20.0 < windows[0].start_s < 30.0 and 310.0 < windows[0].end_s < 320.0
+        assert windows == reference_visibility_windows(EQUATOR_STATION, c, 0.0, 600.0, 10.0)
+
+    def test_run_starts_on_a_block_first_step(self):
+        c = {SatelliteId(0, 0, 0): zenith_pass(300.0)}
+        windows = visibility_windows(EQUATOR_STATION, c, 0.0, 600.0, 10.0)
+        assert len(windows) == 1 and 150.0 < windows[0].start_s < 160.0 and 440.0 < windows[0].end_s < 450.0
+        assert windows == reference_visibility_windows(EQUATOR_STATION, c, 0.0, 600.0, 10.0)
+
+    def test_run_spans_several_blocks(self):
+        # above the horizon for about 784 s: 79 samples over six blocks
+        gs = GroundStation("eq", 0.0, 0.0, min_elevation_deg=0.0)
+        c = {SatelliteId(0, 0, 0): zenith_pass(600.0)}
+        windows = visibility_windows(gs, c, 0.0, 1200.0, 10.0)
+        assert len(windows) == 1 and 200.0 < windows[0].start_s < 210.0 and 990.0 < windows[0].end_s < 1000.0
+        assert windows == reference_visibility_windows(gs, c, 0.0, 1200.0, 10.0)
+
+    def test_runs_in_a_final_short_block(self):
+        # 26 samples: the second block holds ten, one run ends in it and one starts in it
+        c = {SatelliteId(0, 0, 0): zenith_pass(70.0), SatelliteId(0, 0, 1): zenith_pass(370.0)}
+        windows = visibility_windows(EQUATOR_STATION, c, 0.0, 250.0, 10.0)
+        assert [(w.sat.index, w.start_s == 0.0, w.end_s == 250.0) for w in windows] == [(0, True, False), (1, False, True)]
+        assert 210.0 < windows[0].end_s < 220.0 and 220.0 < windows[1].start_s < 230.0
+        assert windows == reference_visibility_windows(EQUATOR_STATION, c, 0.0, 250.0, 10.0)
 
 
 class TestVisibilitySkip:
